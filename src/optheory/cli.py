@@ -53,7 +53,7 @@ from .quantum import (
     x_instrument,
     z_instrument,
 )
-from .report import VerificationReport, combine_reports
+from .report import VerificationReport, combine_reports, worst_defect
 from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
@@ -122,7 +122,7 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
         worst_nosig = 0.0
         for k in range(nosig_trials):
             rng = trial_rng(cfg.seed, k)
-            worst_commute = max(
+            worst_commute = worst_defect(
                 worst_commute,
                 commutation_defect(
                     bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
@@ -132,8 +132,8 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
             action = bip.left.random_action(rng, max(cfg.outcomes, 2))
             probes = [bip.right.random_transformation(rng) for _ in range(3)]
             rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
-            worst_nosig = max(worst_nosig, rep.max_defect)
-        defect = max(worst_commute, worst_nosig)
+            worst_nosig = worst_defect(worst_nosig, rep.max_defect)
+        defect = worst_defect(worst_commute, worst_nosig)
         reports.append(
             VerificationReport(
                 suite=f"commutation-and-no-signaling[{bip.joint.name}]",
@@ -186,7 +186,7 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
             n_out = int(rng.integers(2, 5))
             inst = model.random_instrument(rng, n_out)
             rep = quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
-            worst = max(worst, rep.max_defect)
+            worst = worst_defect(worst, rep.max_defect)
         reports.append(
             VerificationReport(
                 suite="quantum-no-signaling[random]",
@@ -227,7 +227,7 @@ def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
         a = ginibre_positive(rng, cfg.d1)
         r = ginibre_positive(rng, cfg.d1 * cfg.d2)
         low = reduced_positivity_min_eig(a, r, cfg.d1, cfg.d2)
-        worst = max(worst, -min(low, 0.0))
+        worst = worst_defect(worst, -min(low, 0.0))  # min keeps a NaN low
     return VerificationReport(
         suite="lemma",
         seed=cfg.seed,
@@ -246,25 +246,27 @@ def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
         rng = trial_rng(cfg.seed, k)
         a = ds_random_local_op(rng, 1, cfg.d1)
         b = ds_random_local_op(rng, 2, cfg.d2)
-        worst_commute = max(worst_commute, ds_commutation_defect(a, b, cfg.d1, cfg.d2))
+        worst_commute = worst_defect(worst_commute, ds_commutation_defect(a, b, cfg.d1, cfg.d2))
 
         omega = DSumModel(cfg.d1, cfg.d2).random_state(rng).payload
         action = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
         probes = [ds_random_local_op(rng, 2, cfg.d2) for _ in range(3)]
         rep = ds_nosig_check(omega, action, probes, tol=cfg.tol, seed=cfg.seed)
-        worst_nosig = max(worst_nosig, rep.max_defect)
+        worst_nosig = worst_defect(worst_nosig, rep.max_defect)
 
         norm = ds_local_prob(omega, a)
         if norm > 1e-6:
             conditioned = ds_condition(omega, a)
             quotient = ds_joint_prob(omega, a, b) / norm
-            worst_quotient = max(worst_quotient, abs(ds_local_prob(conditioned, b) - quotient))
+            worst_quotient = worst_defect(
+                worst_quotient, abs(ds_local_prob(conditioned, b) - quotient)
+            )
     passed = worst_commute <= 1e-12 and worst_nosig <= cfg.tol and worst_quotient <= 1e-10
     return VerificationReport(
         suite="dsum",
         seed=cfg.seed,
         trials=cfg.trials,
-        max_defect=max(worst_commute, worst_nosig, worst_quotient),
+        max_defect=worst_defect(worst_commute, worst_nosig, worst_quotient),
         tol=cfg.tol,
         passed=passed,
         details={
@@ -337,7 +339,7 @@ def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
             abs(chsh_value(quantum) - 2.0 * np.sqrt(2.0)),
             0.0 if is_nosignaling_box(quantum, tol=1e-10) else 1.0,
         ]
-        worst = max(defects)
+        worst = worst_defect(*defects)
         reports.append(
             VerificationReport(
                 suite="boxworld[landmarks]",

@@ -40,8 +40,8 @@ from .linalg import (
     span_rank,
     trace_norm,
 )
-from .quantum import KrausOp, QuantumModel, apply_quantum_op, _superoperator
-from .report import VerificationReport
+from .quantum import KrausOp, QuantumModel, apply_quantum_op, choi_distance, compose_kraus
+from .report import VerificationReport, worst_defect
 from .sampling import ginibre_state, haar_isometry_blocks, trial_rng
 
 
@@ -159,19 +159,14 @@ def ds_compose_joint(a: DSumLocalOp, b: DSumLocalOp, d1: int, d2: int) -> tuple[
     """Blockwise composition of two local operations (a first, then b)."""
     a_plus, a_minus = _blocks_of(a, d2 if a.side == 1 else d1)
     b_plus, b_minus = _blocks_of(b, d2 if b.side == 1 else d1)
-    plus = KrausOp([n @ m for n in b_plus.kraus for m in a_plus.kraus], check=False)
-    minus = KrausOp([n @ m for n in b_minus.kraus for m in a_minus.kraus], check=False)
-    return plus, minus
+    return compose_kraus(a_plus, b_plus), compose_kraus(a_minus, b_minus)
 
 
 def ds_commutation_defect(a: DSumLocalOp, b: DSumLocalOp, d1: int, d2: int) -> float:
     """Distance between the two orders of composing opposite-side local ops."""
     ab = ds_compose_joint(a, b, d1, d2)
     ba = ds_compose_joint(b, a, d1, d2)
-    return max(
-        float(np.abs(_superoperator(ab[0]) - _superoperator(ba[0])).max()),
-        float(np.abs(_superoperator(ab[1]) - _superoperator(ba[1])).max()),
-    )
+    return worst_defect(choi_distance(ab[0], ba[0]), choi_distance(ab[1], ba[1]))
 
 
 def ds_completeness_defect(action: list[DSumLocalOp], d: int) -> float:
@@ -206,7 +201,7 @@ def ds_nosig_check(
             raise ValueError("probes must act on side 2")
         with_action = sum(ds_joint_prob(omega, a, b) for a in action)
         untouched = ds_joint_prob(omega, ident, b)
-        worst = max(worst, abs(with_action - untouched))
+        worst = worst_defect(worst, abs(with_action - untouched))
     return VerificationReport(
         suite="dsum-no-signaling",
         seed=seed,
@@ -347,30 +342,19 @@ class DSumModel(TheoryModel):
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         fp, fm = first.payload
         tp, tm = then.payload
-        plus = KrausOp([n @ m for n in tp.kraus for m in fp.kraus], check=False)
-        minus = KrausOp([n @ m for n in tm.kraus for m in fm.kraus], check=False)
-        return Transformation(self, (plus, minus), "")
+        return Transformation(self, (compose_kraus(fp, tp), compose_kraus(fm, tm)), "")
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        p1, m1 = t1.payload
-        p2, m2 = t2.payload
-        return Transformation(
-            self,
-            (KrausOp(p1.kraus + p2.kraus, check=False), KrausOp(m1.kraus + m2.kraus, check=False)),
-            "",
+        plus, minus = (
+            KrausOp(np.concatenate([a.kraus, b.kraus]), check=False)
+            for a, b in zip(t1.payload, t2.payload)
         )
+        return Transformation(self, (plus, minus), "")
 
     def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
         root = np.sqrt(lam)
-        plus, minus = t.payload
-        return Transformation(
-            self,
-            (
-                KrausOp([root * k for k in plus.kraus], check=False),
-                KrausOp([root * k for k in minus.kraus], check=False),
-            ),
-            "",
-        )
+        plus, minus = (KrausOp(root * op.kraus, check=False) for op in t.payload)
+        return Transformation(self, (plus, minus), "")
 
     def complement(self, t: Transformation) -> Transformation:
         kp, km = self.effect_of(t).payload
@@ -421,9 +405,12 @@ class DSumModel(TheoryModel):
         return trace_norm(b1.rho_plus - b2.rho_plus) + trace_norm(b1.rho_minus - b2.rho_minus)
 
     def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
-        return max(
-            float(np.abs(_superoperator(t1.payload[0]) - _superoperator(t2.payload[0])).max()),
-            float(np.abs(_superoperator(t1.payload[1]) - _superoperator(t2.payload[1])).max()),
+        """Worst sector of :func:`~optheory.quantum.choi_distance`: the largest
+        entry of either block's Choi-matrix difference, equal by realignment
+        to the max-abs superoperator distance."""
+        return worst_defect(
+            choi_distance(t1.payload[0], t2.payload[0]),
+            choi_distance(t1.payload[1], t2.payload[1]),
         )
 
     def random_state(self, rng: np.random.Generator) -> State:

@@ -12,9 +12,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .boxes import Box, signaling_box
+from .boxes import Box
 from .linalg import matrix_from_json, matrix_to_json
 from .quantum import Instrument, KrausOp, singlet_state, x_instrument, z_instrument
 
@@ -69,25 +67,3 @@ def load_box(name_or_path: str) -> Box:
 
         return pr_box()
     return Box.from_json(_read_json(name_or_path))
-
-
-def write_builtin_fixtures(directory: str | Path) -> list[Path]:
-    """Materialize all named fixtures as JSON files (used to seed data/)."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def dump(name: str, obj) -> None:
-        path = out / name
-        path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
-        written.append(path)
-
-    dump("singlet.json", matrix_to_json(singlet_state()))
-    dump("z_instrument.json", instrument_to_json(z_instrument()))
-    dump("x_instrument.json", instrument_to_json(x_instrument()))
-    mutant = Instrument(
-        [KrausOp([np.sqrt(0.9) * np.eye(2)], check=False)], check=False
-    )
-    dump("mutant_instrument.json", instrument_to_json(mutant))
-    dump("signaling_box.json", signaling_box().to_json())
-    return written

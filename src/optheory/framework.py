@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import RANK_TOL
-from .report import VerificationReport
+from .report import VerificationReport, worst_defect
 from .sampling import (
     random_simplex_point,
     random_stochastic_split,
@@ -421,7 +421,7 @@ def no_signaling_check(
     witness = None
     for b in probe:
         eb = bip.embed_right(b)
-        defect = abs(prob(joint, compose(total, eb)) - prob(joint, eb))
+        defect = worst_defect(abs(prob(joint, compose(total, eb)) - prob(joint, eb)))
         if defect >= worst:
             worst = defect
             witness = {"probe": b.label or "probe"}
@@ -457,8 +457,9 @@ def determinism_equivalence_check(
     for b in probe:
         eb = bip.embed_right(b)
         defect = abs(prob(joint, compose(a, eb)) - prob(joint, eb))
-        worst = max(worst, defect)
-    violation = worst if abs(p_det - 1.0) <= tol else 0.0
+        worst = worst_defect(worst, defect)
+    # A NaN p_det is not "clearly non-deterministic", so the probe shifts still count.
+    violation = 0.0 if abs(p_det - 1.0) > tol else worst
     return VerificationReport(
         suite="determinism-equivalence",
         seed=seed,
@@ -505,13 +506,13 @@ def model_invariant_suite(
 
         action = model.random_action(rng, outcomes)
         total = sum(prob(omega, t) for t in action.transformations)
-        worst["completeness"] = max(worst["completeness"], abs(total - 1.0))
+        worst["completeness"] = worst_defect(worst["completeness"], abs(total - 1.0))
 
         pa = prob(omega, ta)
         if pa > 1e-6:
             chain = prob(condition(omega, ta), tb) * pa
             direct = prob(omega, compose(ta, tb))
-            worst["bayes_chain"] = max(worst["bayes_chain"], abs(chain - direct))
+            worst["bayes_chain"] = worst_defect(worst["bayes_chain"], abs(chain - direct))
 
         lam = rng.uniform(0.2, 0.8)
         mixed = model.mix_states(omega, omega2, lam, 1.0 - lam)
@@ -519,17 +520,17 @@ def model_invariant_suite(
         mix_applied = model.mix_states(
             model.apply(ta, omega), model.apply(ta, omega2), lam, 1.0 - lam
         )
-        worst["mixture_linearity"] = max(
+        worst["mixture_linearity"] = worst_defect(
             worst["mixture_linearity"], model.state_distance(applied_mix, mix_applied)
         )
 
-        worst["associativity"] = max(
+        worst["associativity"] = worst_defect(
             worst["associativity"],
             model.transformation_distance(
                 compose(compose(ta, tb), tc), compose(ta, compose(tb, tc))
             ),
         )
-        worst["identity_neutral"] = max(
+        worst["identity_neutral"] = worst_defect(
             worst["identity_neutral"],
             model.transformation_distance(compose(ta, ident), ta),
             model.transformation_distance(compose(ident, ta), ta),
@@ -538,24 +539,24 @@ def model_invariant_suite(
         sa = scale(lam, ta)
         sb = scale(1.0 - lam, tb)
         coarse = add_coexistent(sa, sb)
-        worst["distributivity"] = max(
+        worst["distributivity"] = worst_defect(
             worst["distributivity"],
             model.transformation_distance(
                 compose(coarse, tc), model.add_transformations(compose(sa, tc), compose(sb, tc))
             ),
         )
-        worst["additivity"] = max(
+        worst["additivity"] = worst_defect(
             worst["additivity"],
             abs(prob(omega, coarse) - prob(omega, sa) - prob(omega, sb)),
         )
 
         if prob(omega, ta) > 1e-6:
-            worst["scale_conditioning"] = max(
+            worst["scale_conditioning"] = worst_defect(
                 worst["scale_conditioning"],
                 model.state_distance(condition(omega, scale(0.3, ta)), condition(omega, ta)),
             )
 
-    max_defect = max(worst.values())
+    max_defect = worst_defect(*worst.values())
     return VerificationReport(
         suite=f"framework-invariants[{model.name}]",
         seed=seed,
@@ -685,13 +686,6 @@ class ClassicalModel(TheoryModel):
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, np.eye(self.n)[i]) for i in range(self.n)]
-
-    def point_observable(self) -> list[Transformation]:
-        """The n point transformations |i><i|, a complete readout action."""
-        return [
-            Transformation(self, np.diag(np.eye(self.n)[i]), f"point{i}")
-            for i in range(self.n)
-        ]
 
 
 @dataclass(frozen=True, eq=True)

@@ -32,12 +32,6 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a) -> float:
-    """max|A - A^dag|, the absolute deviation from Hermiticity."""
-    m = as_matrix(a, square=True)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
     m = as_matrix(a, square=True)

@@ -6,6 +6,20 @@ bottom certify, numerically, that complete local instruments never move the
 remote reduced state, that trace preservation on a given joint operator is
 equivalent to invariance of its reduction, and that selective outcomes may
 steer the remote conditional state without signaling on average.
+
+A :class:`KrausOp` stores its r Kraus operators as one ``(r, d_out, d_in)``
+array, so applying, composing, embedding and coarse-graining operations are
+single batched ``matmul``, ``kron`` or ``concatenate`` calls.
+
+Two operations are compared by the largest entry of the difference of their
+Choi matrices, ``J(A) - J(B)`` with ``J(A) = sum_k vec(A_k) vec(A_k)^dag``
+over row-major ``vec``.  The superoperator ``sum_k A_k (x) conj(A_k)`` holds
+the same entries in another order (realignment: Watrous, *Theory of Quantum
+Information*, section 2.2), so this is also the max-abs distance of the
+superoperators, and neither depends on the Kraus decomposition.  With
+``W = [vec(A_k); vec(B_k)]`` and ``S = [conj(vec(A_k)); -conj(vec(B_k))]``
+stacked as rows, ``J(A) - J(B) = W^T S`` takes one matrix product
+(:func:`choi_distance`).
 """
 
 from __future__ import annotations
@@ -64,21 +78,34 @@ class NotSelective(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KrausOp:
-    """A generally trace-decreasing quantum operation in Kraus form."""
+    """A generally trace-decreasing quantum operation in Kraus form.
 
-    kraus: tuple[np.ndarray, ...]
+    ``kraus`` is one complex array of shape ``(r, d_out, d_in)``;
+    ``kraus[k]`` is the k-th Kraus operator.  The constructor takes that
+    array or any sequence of equally shaped matrices and checks, once on the
+    stacked array, that the entries are finite and, when ``check`` is set,
+    that the operation does not increase the trace.
+    """
+
+    kraus: np.ndarray
 
     def __init__(self, kraus, check: bool = True):
-        mats = tuple(as_matrix(m) for m in kraus)
-        if not mats:
+        if not isinstance(kraus, np.ndarray):
+            kraus = list(kraus)
+            if len({np.shape(m) for m in kraus}) > 1:
+                raise ValueError("all Kraus operators must share one shape")
+        stacked = np.asarray(kraus, dtype=complex)
+        if stacked.size == 0:
             raise ValueError("a quantum operation needs at least one Kraus operator")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise ValueError("all Kraus operators must share one shape")
-        object.__setattr__(self, "kraus", mats)
+        if stacked.ndim != 3:
+            raise ValueError(
+                f"expected a stack of 2-D Kraus matrices, got shape {stacked.shape}"
+            )
+        if not np.isfinite(stacked).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        object.__setattr__(self, "kraus", stacked)
         if check:
-            k = self.trace_operator()
-            top = max_eig_herm(k)
+            top = max_eig_herm(self.trace_operator())
             if top > 1.0 + TOL_EFFECT:
                 raise ValueError(
                     f"sum of M^dag M has eigenvalue {top:.6f} > 1; not trace-nonincreasing"
@@ -86,15 +113,16 @@ class KrausOp:
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def trace_operator(self) -> np.ndarray:
         """K = sum_k M_k^dag M_k, the operator carrying all occurrence statistics."""
-        return require_hermitian(sum(m.conj().T @ m for m in self.kraus))
+        rows = self.kraus.reshape(-1, self.dim_in)
+        return require_hermitian(rows.conj().T @ rows)
 
     def __call__(self, rho) -> np.ndarray:
         return apply_quantum_op(self, rho)
@@ -132,7 +160,31 @@ def apply_quantum_op(m: KrausOp, rho) -> np.ndarray:
     r = as_matrix(rho, square=True)
     if r.shape[0] != m.dim_in:
         raise ValueError(f"operator dim {r.shape[0]} does not match Kraus dim {m.dim_in}")
-    return sum(k @ r @ k.conj().T for k in m.kraus)
+    k = m.kraus
+    return (k @ r @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def compose_kraus(first: KrausOp, then: KrausOp) -> KrausOp:
+    """``first`` followed by ``then``: the products N_j M_k, j major."""
+    products = then.kraus[:, None] @ first.kraus[None, :]
+    return KrausOp(products.reshape(-1, then.dim_out, first.dim_in), check=False)
+
+
+def choi_distance(a: KrausOp, b: KrausOp) -> float:
+    """max |J(a) - J(b)|, the largest entry of the difference of Choi matrices.
+
+    By realignment this equals the max-abs distance of the superoperators
+    ``sum_k K_k (x) conj(K_k)``; it is zero iff ``a`` and ``b`` are the same
+    map, whatever their Kraus decompositions.  One product of stacked,
+    row-major vectorized Kraus operators: ``W^T S`` with
+    ``W = [vec(a_k); vec(b_k)]`` and ``S = [conj(vec(a_k)); -conj(vec(b_k))]``.
+    """
+    if a.kraus.shape[1:] != b.kraus.shape[1:]:
+        raise ValueError(f"operations map {a.kraus.shape[1:]} and {b.kraus.shape[1:]}")
+    w = np.concatenate([a.kraus, b.kraus]).reshape(len(a.kraus) + len(b.kraus), -1)
+    s = w.conj()
+    s[len(a.kraus) :] *= -1
+    return float(np.abs(w.T @ s).max())
 
 
 def k_operator(m: KrausOp) -> np.ndarray:
@@ -142,11 +194,12 @@ def k_operator(m: KrausOp) -> np.ndarray:
 
 def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
     """Extend a local operation to the joint space by tensoring with identity."""
-    eye = np.eye(d_other)
+    # A leading axis of length 1 makes np.kron act blockwise on every Kraus operator.
+    eye = np.eye(d_other)[None]
     if side == 1:
-        return KrausOp([np.kron(k, eye) for k in m.kraus], check=False)
+        return KrausOp(np.kron(m.kraus, eye), check=False)
     if side == 2:
-        return KrausOp([np.kron(eye, k) for k in m.kraus], check=False)
+        return KrausOp(np.kron(eye, m.kraus), check=False)
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
@@ -282,6 +335,8 @@ def trace_biconditional_check(
                 violation = reduced_defect
         if reduced_defect > reduced_fail_tol and trace_defect <= trace_fail_tol:
             violation = max(violation, reduced_defect)
+        if np.isnan(trace_defect) or np.isnan(reduced_defect):
+            violation = np.inf  # a NaN defect fails, it never passes a comparison
         if violation > worst:
             worst = violation
             witness = {"trial": k, "trace_defect": trace_defect, "reduced_defect": reduced_defect}
@@ -403,19 +458,14 @@ class QuantumModel(TheoryModel):
         return float(np.trace(e.payload @ s.payload).real)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
-        kraus = [n @ m for n in then.payload.kraus for m in first.payload.kraus]
-        return Transformation(self, KrausOp(kraus, check=False), "")
+        return Transformation(self, compose_kraus(first.payload, then.payload), "")
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        return Transformation(
-            self, KrausOp(t1.payload.kraus + t2.payload.kraus, check=False), ""
-        )
+        kraus = np.concatenate([t1.payload.kraus, t2.payload.kraus])
+        return Transformation(self, KrausOp(kraus, check=False), "")
 
     def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
-        root = np.sqrt(lam)
-        return Transformation(
-            self, KrausOp([root * k for k in t.payload.kraus], check=False), ""
-        )
+        return Transformation(self, KrausOp(np.sqrt(lam) * t.payload.kraus, check=False), "")
 
     def complement(self, t: Transformation) -> Transformation:
         k = t.payload.trace_operator()
@@ -446,7 +496,9 @@ class QuantumModel(TheoryModel):
         return trace_norm(s1.payload - s2.payload)
 
     def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
-        return float(np.abs(_superoperator(t1.payload) - _superoperator(t2.payload)).max())
+        """Largest entry of the Choi-matrix difference (:func:`choi_distance`),
+        equal by realignment to the max-abs superoperator distance."""
+        return choi_distance(t1.payload, t2.payload)
 
     def random_state(self, rng: np.random.Generator) -> State:
         return State(self, ginibre_state(rng, self.d))
@@ -470,11 +522,6 @@ class QuantumModel(TheoryModel):
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, k) for k in minimal_ic_povm(self.d)]
-
-
-def _superoperator(m: KrausOp) -> np.ndarray:
-    # Row-major vec: vec(A rho A^dag) = (A (x) conj(A)) vec(rho).
-    return sum(np.kron(k, k.conj()) for k in m.kraus)
 
 
 @dataclass(frozen=True, eq=True)

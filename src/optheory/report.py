@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
+
+
+def worst_defect(*defects: float) -> float:
+    """Largest of ``defects`` (0.0 for none), counting NaN as +inf.
+
+    Python's ``max`` drops a NaN that is not its first argument and every
+    comparison with NaN is false, so a NaN defect would otherwise pass any
+    tolerance.  As +inf it fails every one.
+    """
+    return max((math.inf if math.isnan(d) else d for d in defects), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ def combine_reports(suite: str, reports: list[VerificationReport]) -> Verificati
         suite=suite,
         seed=reports[0].seed,
         trials=sum(r.trials for r in reports),
-        max_defect=max(r.max_defect for r in reports),
+        max_defect=worst_defect(*(r.max_defect for r in reports)),
         tol=min(r.tol for r in reports),
         passed=all(r.ok for r in reports),
         details={"sub_reports": [r.to_dict() for r in reports]},

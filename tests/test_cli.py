@@ -184,3 +184,42 @@ def test_main_all_suites(capsys):
     assert main(["--suite", "all", "--trials", "10"]) == 0
     out = capsys.readouterr().out
     assert "all: PASS" in out
+
+
+# Defects of the d=6 verdicts as computed by the superoperator (sum of
+# np.kron) kernel that choi_distance replaced.  A faster kernel may move them
+# by roundoff only.
+GOLDEN_D6 = {
+    "opcore": {
+        "framework-invariants[classical(6)]": 2.3592239273284576e-16,
+        "framework-invariants[quantum(6)]": 3.868898910159119e-16,
+        "framework-invariants[dsum(6+6)]": 2.778804785128387e-16,
+        "commutation-and-no-signaling[classical(36)]": 1.1102230246251565e-16,
+        "commutation-and-no-signaling[quantum(36)]": 1.1102230246251565e-16,
+        "commutation-and-no-signaling[dsum(6+6)]": 1.1102230246251565e-16,
+        "commutation-and-no-signaling[quantum(36)].commutation": 1.3904866443919908e-17,
+        "commutation-and-no-signaling[dsum(6+6)].commutation": 0.0,
+    },
+    "dsum": {
+        "dsum": 2.220446049250313e-16,
+        "dsum.commutation": 0.0,
+        "dsum.no_signaling": 2.220446049250313e-16,
+        "dsum.conditioning_quotient": 1.1102230246251565e-16,
+    },
+}
+
+
+@pytest.mark.parametrize("suite,trials", [("opcore", 5), ("dsum", 20)])
+def test_d6_defects_match_golden(suite, trials, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    argv = ["--suite", suite, "--d1", "6", "--d2", "6", "--trials", str(trials)]
+    assert main(argv + ["--seed", "0", "--json", str(path)]) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())["report"]
+    found = {}
+    for sub in report["details"].get("sub_reports", [report]):
+        found[sub["suite"]] = sub["max_defect"]
+        for key, value in sub.get("details", {}).items():
+            found[f"{sub['suite']}.{key}"] = value
+    for name, expected in GOLDEN_D6[suite].items():
+        assert abs(found[name] - expected) <= 1e-14, name

@@ -25,6 +25,7 @@ from optheory.framework import Action, IncompleteAction, prob
 from optheory.quantum import KrausOp, apply_quantum_op
 from optheory.sampling import ginibre_state, haar_isometry_blocks, trial_rng
 
+I2 = np.eye(2)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -115,6 +116,13 @@ class TestCommutation:
             a = ds_random_local_op(rng, 1, d1)
             b = ds_random_local_op(rng, 2, d2)
             assert ds_commutation_defect(a, b, d1, d2) <= 1e-12
+
+    def test_noncommuting_pair_detected(self):
+        # Planted defect: two side-1 filters whose products P0 P+ and P+ P0 differ.
+        plus = (I2 + np.array([[0.0, 1.0], [1.0, 0.0]])) / 2
+        a = DSumLocalOp(1, KrausOp([P0]), 0.5)
+        b = DSumLocalOp(1, KrausOp([plus]), 0.5)
+        assert ds_commutation_defect(a, b, 2, 2) > 1e-3
 
 
 class TestCondition:

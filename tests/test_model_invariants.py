@@ -5,6 +5,8 @@ composite whose embedded local transformations commute leaves remote
 states untouched under complete local actions.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from optheory.framework import (
     prob,
 )
 from optheory.quantum import QuantumBipartite, QuantumModel
+from optheory.report import worst_defect
 from optheory.sampling import trial_rng
 
 MODELS = [
@@ -43,6 +46,27 @@ COMPOSITES = [
 def test_framework_invariants(model):
     report = model_invariant_suite(model, seed=7, trials=40, outcomes=3, tol=1e-9)
     assert report.passed, report.details
+
+
+class NaNDistanceModel(ClassicalModel):
+    """Planted defect: a transformation distance that is always NaN."""
+
+    def transformation_distance(self, t1, t2):
+        return float("nan")
+
+
+def test_nan_defect_fails_the_invariant_suite():
+    report = model_invariant_suite(NaNDistanceModel(3), seed=7, trials=3)
+    assert not report.passed
+    assert report.max_defect == math.inf
+    assert report.details["per_invariant"]["associativity"] == math.inf
+
+
+def test_worst_defect_counts_nan_as_inf():
+    assert worst_defect() == 0.0
+    assert worst_defect(1e-16, 3e-16) == 3e-16
+    assert worst_defect(0.0, float("nan")) == math.inf
+    assert worst_defect(float("nan"), 1.0) == math.inf
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from optheory.framework import Transformation, commutation_defect
 from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.quantum import (
+    PAULI_X,
     IncompleteInstrument,
     Instrument,
     KrausOp,
@@ -12,6 +14,7 @@ from optheory.quantum import (
     QuantumBipartite,
     QuantumModel,
     apply_quantum_op,
+    choi_distance,
     k_operator,
     local_embed,
     local_state,
@@ -40,6 +43,93 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 def random_op(rng, d):
     blocks = haar_isometry_blocks(rng, d, 3)
     return KrausOp(blocks[: int(rng.integers(1, 3))], check=False)
+
+
+def superoperator(m: KrausOp) -> np.ndarray:
+    """Reference kernel: sum_k K_k (x) conj(K_k), with row-major vec."""
+    return sum(np.kron(k, k.conj()) for k in m.kraus)
+
+
+class TestKrausOpArray:
+    def test_stacked_contract(self):
+        blocks = haar_isometry_blocks(trial_rng(55), 3, 2)
+        op = KrausOp(blocks)
+        assert op.kraus.shape == (2, 3, 3) and op.kraus.dtype == complex
+        assert len(op.kraus) == 2 and op.dim_in == op.dim_out == 3
+        for k, b in enumerate(blocks):
+            assert np.array_equal(op.kraus[k], b)
+        again = KrausOp(op.kraus)
+        assert np.array_equal(again.kraus, op.kraus)
+
+    def test_rectangular_dims(self):
+        op = KrausOp([np.ones((2, 3)) / 3], check=False)
+        assert (op.dim_out, op.dim_in) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            [],
+            np.zeros((0, 2, 2)),
+            [I2, np.eye(3)],
+            np.eye(2),
+            [np.ones(2)],
+            [np.array([[np.nan, 0.0], [0.0, 1.0]])],
+            [np.array([[np.inf, 0.0], [0.0, 1.0]])],
+        ],
+        ids=["empty-list", "empty-array", "ragged", "bare-matrix", "vectors", "nan", "inf"],
+    )
+    def test_rejects_malformed(self, kraus):
+        with pytest.raises(ValueError):
+            KrausOp(kraus, check=False)
+
+
+class TestChoiDistance:
+    """``choi_distance`` against the superoperator kernel it replaces."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_matches_superoperator_distance(self, d):
+        for k in range(8):
+            rng = trial_rng(56, k)
+            r1 = int(rng.integers(1, 4))
+            r2 = r1 % 3 + 1  # never equal to r1
+            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:r1], check=False)
+            b = KrausOp(haar_isometry_blocks(rng, d, 3)[:r2], check=False)
+            reference = float(np.abs(superoperator(a) - superoperator(b)).max())
+            assert reference > 1e-3
+            assert abs(choi_distance(a, b) - reference) <= 1e-14
+
+    def test_matches_superoperator_distance_on_the_joint(self):
+        rng = trial_rng(57)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 3), check=False)
+        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
+        reference = float(np.abs(superoperator(a) - superoperator(b)).max())
+        assert abs(choi_distance(a, b) - reference) <= 1e-14
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            choi_distance(KrausOp([I2]), KrausOp([np.eye(3)]))
+
+
+class LeakyBipartite(QuantumBipartite):
+    """Planted defect: embedding a right operation also flips side 1."""
+
+    def embed_right(self, t):
+        embedded = super().embed_right(t)
+        flip = np.kron(PAULI_X, np.eye(self.d2))
+        return Transformation(self.joint, KrausOp(embedded.payload.kraus @ flip), t.label)
+
+
+def test_commutation_defect_catches_leaky_embedding():
+    bip = LeakyBipartite(2, 2)
+    worst = 0.0
+    for k in range(5):
+        rng = trial_rng(58, k)
+        defect = commutation_defect(
+            bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
+        )
+        assert defect > 1e-3
+        worst = max(worst, defect)
+    assert not worst <= 1e-10  # the opcore gate
 
 
 class TestApply:
