@@ -74,9 +74,7 @@ from .quantum import (
     QuantumBipartite,
     QuantumModel,
     apply_quantum_op,
-    k_operator,
     local_embed,
-    local_state,
     quantum_no_signaling_check,
     reduced_positivity_min_eig,
     singlet_state,

@@ -33,6 +33,8 @@ class Box:
         if t.shape != (2, 2, 2, 2):
             raise ValueError(f"box table must have shape (2, 2, 2, 2), got {t.shape}")
         if check:
+            if not np.isfinite(t).all():
+                raise ValueError("box probabilities must be finite (no NaN/Inf)")
             if t.min() < 0.0:
                 raise ValueError("box probabilities must be nonnegative")
             sums = t.sum(axis=(2, 3))

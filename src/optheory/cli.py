@@ -23,24 +23,19 @@ from .boxes import (
     pr_box,
     singlet_box,
 )
-from .directsum import (
-    DSumBipartite,
-    DSumModel,
-    ds_commutation_defect,
-    ds_condition,
-    ds_joint_prob,
-    ds_local_prob,
-    ds_nosig_check,
-    ds_random_action,
-    ds_random_local_op,
-)
+from .directsum import DSumBipartite, DSumModel, ds_random_action, ds_random_local_op
 from .framework import (
+    Action,
     ClassicalBipartite,
     ClassicalModel,
     IncompleteAction,
     commutation_defect,
+    condition,
     model_invariant_suite,
     no_signaling_check,
+    prob,
+    probe_shifts,
+    total_of_action,
 )
 from .quantum import (
     IncompleteInstrument,
@@ -239,27 +234,32 @@ def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
+    """Commutation, no-signaling and the Bayes quotient of direct-sum local
+    operations (free sector weight p), all through :class:`DSumModel`."""
+    model = DSumModel(cfg.d1, cfg.d2)
     worst_commute = 0.0
     worst_nosig = 0.0
     worst_quotient = 0.0
     for k in range(cfg.trials):
         rng = trial_rng(cfg.seed, k)
-        a = ds_random_local_op(rng, 1, cfg.d1)
-        b = ds_random_local_op(rng, 2, cfg.d2)
-        worst_commute = worst_defect(worst_commute, ds_commutation_defect(a, b, cfg.d1, cfg.d2))
+        a = model.from_local(ds_random_local_op(rng, 1, cfg.d1))
+        b = model.from_local(ds_random_local_op(rng, 2, cfg.d2))
+        ab = model.compose(a, b)
+        worst_commute = worst_defect(
+            worst_commute, model.transformation_distance(ab, model.compose(b, a))
+        )
 
-        omega = DSumModel(cfg.d1, cfg.d2).random_state(rng).payload
-        action = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
-        probes = [ds_random_local_op(rng, 2, cfg.d2) for _ in range(3)]
-        rep = ds_nosig_check(omega, action, probes, tol=cfg.tol, seed=cfg.seed)
-        worst_nosig = worst_defect(worst_nosig, rep.max_defect)
+        omega = model.random_state(rng)
+        outcomes = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
+        total = total_of_action(Action(map(model.from_local, outcomes), check=False))
+        probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
+        worst_nosig = worst_defect(worst_nosig, *probe_shifts(omega, total, probes))
 
-        norm = ds_local_prob(omega, a)
-        if norm > 1e-6:
-            conditioned = ds_condition(omega, a)
-            quotient = ds_joint_prob(omega, a, b) / norm
+        pa = prob(omega, a)
+        if pa > 1e-6:
+            quotient = prob(omega, ab) / pa
             worst_quotient = worst_defect(
-                worst_quotient, abs(ds_local_prob(conditioned, b) - quotient)
+                worst_quotient, abs(prob(condition(omega, a), b) - quotient)
             )
     passed = worst_commute <= 1e-12 and worst_nosig <= cfg.tol and worst_quotient <= 1e-10
     return VerificationReport(

@@ -8,6 +8,11 @@ dynamically independent and no-signaling, yet the joint effects reachable
 by local operations are all block-diagonal.  Their span has dimension
 d1^2 + d2^2, strictly below the (d1+d2)^2 of the ambient composite, which
 is why this composition rule fails local tomography.
+
+:class:`DSumModel` is the one implementation of the composite: local
+operations enter it through :meth:`DSumModel.from_local`, and the ``ds_*``
+helpers are thin wrappers over its methods and the framework verifiers.
+``DSumState(..., check=False)`` stores model-computed blocks as given.
 """
 
 from __future__ import annotations
@@ -20,12 +25,15 @@ from .framework import (
     Action,
     BipartiteModel,
     Effect,
-    IncompleteAction,
     ModelMismatch,
     State,
     TheoryModel,
     TOL_EFFECT,
     Transformation,
+    condition,
+    effect_of,
+    probe_shifts,
+    total_of_action,
 )
 from .linalg import (
     PSD_SLACK,
@@ -36,8 +44,8 @@ from .linalg import (
     max_eig_herm,
     min_eig_herm,
     psd_sqrt,
+    rank_of_rows,
     require_hermitian,
-    span_rank,
     trace_norm,
 )
 from .quantum import KrausOp, QuantumModel, apply_quantum_op, choi_distance, compose_kraus
@@ -47,31 +55,28 @@ from .sampling import ginibre_state, haar_isometry_blocks, trial_rng
 
 @dataclass(frozen=True, eq=False)
 class DSumState:
-    """Block state rho_plus (+) rho_minus with Tr[rho_plus] + Tr[rho_minus] = 1."""
+    """Block state rho_plus (+) rho_minus with Tr[rho_plus] + Tr[rho_minus] = 1,
+    validated only with ``check``."""
 
     rho_plus: np.ndarray
     rho_minus: np.ndarray
 
     def __init__(self, rho_plus, rho_minus, check: bool = True):
-        rp = require_hermitian(rho_plus)
-        rm = require_hermitian(rho_minus)
         if check:
-            for name, block in (("rho_plus", rp), ("rho_minus", rm)):
+            rho_plus = require_hermitian(rho_plus)
+            rho_minus = require_hermitian(rho_minus)
+            for name, block in (("rho_plus", rho_plus), ("rho_minus", rho_minus)):
                 if min_eig_herm(block) < -PSD_SLACK * max(1.0, trace_norm(block)):
                     raise ValueError(f"{name} must be PSD")
-            total = float(np.trace(rp).real + np.trace(rm).real)
+            total = float(np.trace(rho_plus).real + np.trace(rho_minus).real)
             if abs(total - 1.0) > TOL_EFFECT:
                 raise ValueError(f"block traces sum to {total}, expected 1")
-        object.__setattr__(self, "rho_plus", rp)
-        object.__setattr__(self, "rho_minus", rm)
+        object.__setattr__(self, "rho_plus", rho_plus)
+        object.__setattr__(self, "rho_minus", rho_minus)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.rho_plus.shape[0], self.rho_minus.shape[0]
-
-    @property
-    def weight(self) -> float:
-        return float(np.trace(self.rho_plus).real + np.trace(self.rho_minus).real)
 
     def to_json(self) -> dict:
         return {
@@ -107,78 +112,37 @@ def ds_identity(side: int, d: int) -> DSumLocalOp:
     return DSumLocalOp(side, KrausOp([np.eye(d)], check=False), 1.0, "identity")
 
 
-def _blocks_of(op: DSumLocalOp, d_other: int) -> tuple[KrausOp, KrausOp]:
-    """Joint block maps (plus, minus) of a local operation."""
-    passive = KrausOp([np.sqrt(op.p) * np.eye(d_other)], check=False)
-    if op.side == 1:
-        return op.op_block, passive
-    return passive, op.op_block
+def _bind(omega: DSumState) -> tuple["DSumModel", State]:
+    model = DSumModel(*omega.dims)
+    return model, State(model, omega)
 
 
 def ds_local_prob(omega: DSumState, a: DSumLocalOp) -> float:
     """Probability of a single local operation, the other side untouched."""
-    d1, d2 = omega.dims
-    if a.side == 1:
-        if a.op_block.dim_in != d1:
-            raise ValueError("side-1 block dimension does not match the state")
-        moved = apply_quantum_op(a.op_block, omega.rho_plus)
-        return float(np.trace(moved).real + a.p * np.trace(omega.rho_minus).real)
-    if a.op_block.dim_in != d2:
-        raise ValueError("side-2 block dimension does not match the state")
-    moved = apply_quantum_op(a.op_block, omega.rho_minus)
-    return float(a.p * np.trace(omega.rho_plus).real + np.trace(moved).real)
+    model, state = _bind(omega)
+    return model.evaluate(model.effect_of(model.from_local(a)), state)
 
 
 def ds_joint_prob(omega: DSumState, a: DSumLocalOp, b: DSumLocalOp) -> float:
     """Probability of jointly performing local operations on both sides."""
     if a.side == b.side:
         raise ValueError("joint probability needs one operation per side")
-    if a.side == 2:
-        a, b = b, a
-    d1, d2 = omega.dims
-    moved_plus = apply_quantum_op(a.op_block, omega.rho_plus)
-    moved_minus = apply_quantum_op(b.op_block, omega.rho_minus)
-    return float(b.p * np.trace(moved_plus).real + a.p * np.trace(moved_minus).real)
+    model, state = _bind(omega)
+    both = model.compose(model.from_local(a), model.from_local(b))
+    return model.evaluate(model.effect_of(both), state)
 
 
-def ds_condition(omega: DSumState, a: DSumLocalOp, eps: float = 1e-12) -> DSumState:
+def ds_condition(omega: DSumState, a: DSumLocalOp) -> DSumState:
     """Bayes update of a block state on the occurrence of a local operation."""
-    norm = ds_local_prob(omega, a)
-    if norm <= eps:
-        raise ValueError(f"cannot condition on probability {norm:.3e}")
-    if a.side == 1:
-        plus = apply_quantum_op(a.op_block, omega.rho_plus) / norm
-        minus = a.p * omega.rho_minus / norm
-    else:
-        plus = a.p * omega.rho_plus / norm
-        minus = apply_quantum_op(a.op_block, omega.rho_minus) / norm
-    return DSumState(plus, minus, check=False)
-
-
-def ds_compose_joint(a: DSumLocalOp, b: DSumLocalOp, d1: int, d2: int) -> tuple[KrausOp, KrausOp]:
-    """Blockwise composition of two local operations (a first, then b)."""
-    a_plus, a_minus = _blocks_of(a, d2 if a.side == 1 else d1)
-    b_plus, b_minus = _blocks_of(b, d2 if b.side == 1 else d1)
-    return compose_kraus(a_plus, b_plus), compose_kraus(a_minus, b_minus)
+    model, state = _bind(omega)
+    return condition(state, model.from_local(a)).payload
 
 
 def ds_commutation_defect(a: DSumLocalOp, b: DSumLocalOp, d1: int, d2: int) -> float:
-    """Distance between the two orders of composing opposite-side local ops."""
-    ab = ds_compose_joint(a, b, d1, d2)
-    ba = ds_compose_joint(b, a, d1, d2)
-    return worst_defect(choi_distance(ab[0], ba[0]), choi_distance(ab[1], ba[1]))
-
-
-def ds_completeness_defect(action: list[DSumLocalOp], d: int) -> float:
-    """Deviation of a same-side action from completeness (sum K = I, sum p = 1)."""
-    if not action:
-        raise ValueError("empty action")
-    sides = {op.side for op in action}
-    if len(sides) != 1:
-        raise ValueError("an action must act on a single side")
-    k_total = sum(op.op_block.trace_operator() for op in action)
-    p_total = sum(op.p for op in action)
-    return max(float(np.abs(k_total - np.eye(d)).max()), abs(p_total - 1.0))
+    """Distance between the two orders of composing two local operations."""
+    model = DSumModel(d1, d2)
+    ta, tb = model.from_local(a), model.from_local(b)
+    return model.transformation_distance(model.compose(ta, tb), model.compose(tb, ta))
 
 
 def ds_nosig_check(
@@ -189,19 +153,12 @@ def ds_nosig_check(
     seed: int = 0,
 ) -> VerificationReport:
     """No-signaling in the block model: a complete side-1 action is invisible
-    to every side-2 probe."""
-    d1, d2 = omega.dims
-    defect = ds_completeness_defect(action, d1)
-    if defect > TOL_EFFECT:
-        raise IncompleteAction(f"direct-sum action incomplete: defect {defect:.3e}")
-    ident = ds_identity(1, d1)
-    worst = 0.0
-    for b in probe:
-        if b.side != 2:
-            raise ValueError("probes must act on side 2")
-        with_action = sum(ds_joint_prob(omega, a, b) for a in action)
-        untouched = ds_joint_prob(omega, ident, b)
-        worst = worst_defect(worst, abs(with_action - untouched))
+    to every side-2 probe (:func:`~optheory.framework.probe_shifts`)."""
+    if any(a.side != 1 for a in action) or any(b.side != 2 for b in probe):
+        raise ValueError("the action must act on side 1 and the probes on side 2")
+    model, state = _bind(omega)
+    total = total_of_action(Action([model.from_local(a) for a in action], check=False))
+    worst = worst_defect(*probe_shifts(state, total, [model.from_local(b) for b in probe]))
     return VerificationReport(
         suite="dsum-no-signaling",
         seed=seed,
@@ -232,15 +189,6 @@ def ds_random_action(rng: np.random.Generator, side: int, d: int, outcomes: int)
     ]
 
 
-def ds_product_effect_matrix(a: DSumLocalOp, b: DSumLocalOp) -> np.ndarray:
-    """Joint effect of a side-1/side-2 pair as a block-diagonal Hermitian."""
-    if a.side == b.side:
-        raise ValueError("product effect needs one operation per side")
-    if a.side == 2:
-        a, b = b, a
-    return direct_sum(b.p * a.op_block.trace_operator(), a.p * b.op_block.trace_operator())
-
-
 def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
     """Rank of the joint effects generated by local operation pairs.
 
@@ -250,13 +198,9 @@ def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
     """
     if samples < (d1 + d2) ** 2:
         raise ValueError(f"need at least {(d1 + d2) ** 2} samples for a decisive rank")
-    effects = []
-    for k in range(samples):
-        rng = trial_rng(seed, k)
-        a = ds_random_local_op(rng, 1, d1)
-        b = ds_random_local_op(rng, 2, d2)
-        effects.append(ds_product_effect_matrix(a, b))
-    return span_rank(effects)
+    bip = DSumBipartite(d1, d2)
+    effects = (bip.random_product_effect(trial_rng(seed, k)) for k in range(samples))
+    return rank_of_rows([bip.ambient_effect_coords(e) for e in effects])
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +245,16 @@ class DSumModel(TheoryModel):
         return Transformation(self, (plus, minus), label)
 
     def from_local(self, op: DSumLocalOp) -> Transformation:
+        """A local operation: its block map on its own sector, sqrt(p) I on the other."""
         d_other = self.d2 if op.side == 1 else self.d1
-        plus, minus = _blocks_of(op, d_other)
-        return Transformation(self, (plus, minus), op.label)
+        passive = KrausOp(np.sqrt(op.p) * np.eye(d_other)[None], check=False)
+        if op.side == 1:
+            return self.transformation(op.op_block, passive, op.label)
+        return self.transformation(passive, op.op_block, op.label)
 
     # -- interface ----------------------------------------------------------
     def identity(self) -> Transformation:
-        return self.transformation(
-            KrausOp([np.eye(self.d1)], check=False),
-            KrausOp([np.eye(self.d2)], check=False),
-            "identity",
-        )
+        return self.from_local(ds_identity(1, self.d1))
 
     def unit_effect(self) -> Effect:
         return Effect(self, (np.eye(self.d1), np.eye(self.d2)))
@@ -333,11 +276,11 @@ class DSumModel(TheoryModel):
         )
 
     def evaluate(self, e: Effect, s: State) -> float:
+        """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
+        real part of each trace is the Hilbert-Schmidt product ``vdot(K, rho)``."""
         kp, km = e.payload
         block = s.payload
-        return float(
-            np.trace(kp @ block.rho_plus).real + np.trace(km @ block.rho_minus).real
-        )
+        return float(np.vdot(kp, block.rho_plus).real + np.vdot(km, block.rho_minus).real)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         fp, fm = first.payload
@@ -458,8 +401,9 @@ class DSumBipartite(BipartiteModel):
     """Bipartite structure of the direct-sum composite.
 
     Embedding a component operation needs an occurrence probability for the
-    opposite sector; the canonical choice p = Tr[K]/d maps complete local
-    actions to complete joint actions and the identity to the identity.
+    opposite sector; the canonical choice p = Tr[K]/d, the operation's
+    probability on the maximally mixed state, maps complete local actions to
+    complete joint actions and the identity to the identity.
     """
 
     d1: int
@@ -471,10 +415,8 @@ class DSumBipartite(BipartiteModel):
         object.__setattr__(self, "joint", DSumModel(self.d1, self.d2))
 
     def _local(self, t: Transformation, side: int) -> DSumLocalOp:
-        op: KrausOp = t.payload
-        d = self.d1 if side == 1 else self.d2
-        p = float(np.trace(op.trace_operator()).real) / d
-        return DSumLocalOp(side, op, min(p, 1.0), t.label)
+        p = _mixed_state_prob(effect_of(t))
+        return DSumLocalOp(side, t.payload, min(p, 1.0), t.label)
 
     def embed_left(self, t: Transformation) -> Transformation:
         if t.model != self.left:
@@ -489,8 +431,8 @@ class DSumBipartite(BipartiteModel):
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         kl = require_hermitian(e_left.payload)
         kr = require_hermitian(e_right.payload)
-        p = float(np.trace(kl).real) / self.d1
-        q = float(np.trace(kr).real) / self.d2
+        p = _mixed_state_prob(e_left)
+        q = _mixed_state_prob(e_right)
         return Effect(self.joint, (q * kl, p * kr))
 
     @property
@@ -501,9 +443,12 @@ class DSumBipartite(BipartiteModel):
         return hermitian_coords(direct_sum(e.payload[0], e.payload[1]))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
-        a = ds_random_local_op(rng, 1, self.d1)
-        b = ds_random_local_op(rng, 2, self.d2)
-        return Effect(
-            self.joint,
-            (b.p * a.op_block.trace_operator(), a.p * b.op_block.trace_operator()),
-        )
+        a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))
+        b = self.joint.from_local(ds_random_local_op(rng, 2, self.d2))
+        return self.joint.effect_of(self.joint.compose(a, b))
+
+
+def _mixed_state_prob(e: Effect) -> float:
+    """Value Tr[K]/d of a component effect on the maximally mixed state."""
+    model = e.model
+    return model.evaluate(e, State(model, np.eye(model.d) / model.d))

@@ -400,6 +400,23 @@ def commutation_defect(bip: BipartiteModel, t_left: Transformation, t_right: Tra
 # Verifiers
 # ---------------------------------------------------------------------------
 
+def probe_shifts(
+    joint: State, total: Transformation, probes: Sequence[Transformation]
+) -> list[float]:
+    """|P(total, then B) - P(B)| on ``joint`` for every joint probe B: the
+    no-signaling comparison once the local operations are embedded.  The
+    joint state's weight is read once."""
+    model = _require_same_model(joint, total)
+    w = joint.weight
+    if w <= EPS_COND:
+        raise ZeroProbability("probability rule of a zero-weight state is undefined")
+
+    def p(t: Transformation) -> float:
+        return model.evaluate(model.effect_of(t), joint) / w
+
+    return [abs(p(compose(total, b)) - p(b)) for b in probes]
+
+
 def no_signaling_check(
     joint: State,
     action: Action,
@@ -412,16 +429,16 @@ def no_signaling_check(
 
     For every probe transformation B on side 2, compares the joint
     probability of (total of the embedded action, B) with that of
-    (identity, B).  The worst absolute difference is the reported defect.
+    (identity, B) (:func:`probe_shifts`).  The worst absolute difference is
+    the reported defect.
     """
     action.require_complete()
-    embedded = [bip.embed_left(t) for t in action.transformations]
-    total = reduce(bip.joint.add_transformations, embedded)
+    total = reduce(bip.joint.add_transformations, map(bip.embed_left, action.transformations))
+    shifts = probe_shifts(joint, total, [bip.embed_right(b) for b in probe])
     worst = 0.0
     witness = None
-    for b in probe:
-        eb = bip.embed_right(b)
-        defect = worst_defect(abs(prob(joint, compose(total, eb)) - prob(joint, eb)))
+    for b, shift in zip(probe, shifts):
+        defect = worst_defect(shift)
         if defect >= worst:
             worst = defect
             witness = {"probe": b.label or "probe"}
@@ -453,11 +470,7 @@ def determinism_equivalence_check(
     """
     a = bip.embed_left(t)
     p_det = prob(joint, a)
-    worst = 0.0
-    for b in probe:
-        eb = bip.embed_right(b)
-        defect = abs(prob(joint, compose(a, eb)) - prob(joint, eb))
-        worst = worst_defect(worst, defect)
+    worst = worst_defect(*probe_shifts(joint, a, [bip.embed_right(b) for b in probe]))
     # A NaN p_det is not "clearly non-deterministic", so the probe shifts still count.
     violation = 0.0 if abs(p_det - 1.0) > tol else worst
     return VerificationReport(

@@ -94,12 +94,6 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
-def is_psd(a, slack: float = PSD_SLACK) -> bool:
-    """PSD test with the slack scaled by max(1, trace norm)."""
-    m = require_hermitian(a)
-    return min_eig_herm(m) >= -slack * max(1.0, trace_norm(m))
-
-
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian square root, clipping slightly negative eigenvalues to zero."""
     m = require_hermitian(a)
@@ -140,6 +134,12 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, row-major."""
+    return np.triu_indices(d, k=1)
+
+
 def hermitian_coords(a) -> np.ndarray:
     """Real coordinate vector of a Hermitian matrix in ``hermitian_basis``.
 
@@ -148,9 +148,7 @@ def hermitian_coords(a) -> np.ndarray:
     the orderings coincide.
     """
     m = require_hermitian(a)
-    d = m.shape[0]
-    rows, cols = np.triu_indices(d, k=1)
-    upper = m[rows, cols]
+    upper = m[_strict_upper(m.shape[0])]
     return np.concatenate(
         [m.diagonal().real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag]
     )

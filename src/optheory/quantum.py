@@ -120,9 +120,13 @@ class KrausOp:
         return self.kraus.shape[1]
 
     def trace_operator(self) -> np.ndarray:
-        """K = sum_k M_k^dag M_k, the operator carrying all occurrence statistics."""
+        """K = sum_k M_k^dag M_k, the operator carrying all occurrence statistics.
+
+        Hermitian by construction: symmetrized against roundoff, not re-checked.
+        """
         rows = self.kraus.reshape(-1, self.dim_in)
-        return require_hermitian(rows.conj().T @ rows)
+        k = rows.conj().T @ rows
+        return (k + k.conj().T) / 2
 
     def __call__(self, rho) -> np.ndarray:
         return apply_quantum_op(self, rho)
@@ -187,11 +191,6 @@ def choi_distance(a: KrausOp, b: KrausOp) -> float:
     return float(np.abs(w.T @ s).max())
 
 
-def k_operator(m: KrausOp) -> np.ndarray:
-    """The Hermitian K with Tr[m(rho)] = Tr[K rho] for every rho."""
-    return m.trace_operator()
-
-
 def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
     """Extend a local operation to the joint space by tensoring with identity."""
     # A leading axis of length 1 makes np.kron act blockwise on every Kraus operator.
@@ -201,15 +200,6 @@ def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
     if side == 2:
         return KrausOp(np.kron(eye, m.kraus), check=False)
     raise ValueError(f"side must be 1 or 2, got {side!r}")
-
-
-def local_state(r, d1: int, d2: int, keep: int) -> np.ndarray:
-    """Reduced operator of the kept factor; preserves the total weight."""
-    if keep == 1:
-        return partial_trace(r, d1, d2, side=2)
-    if keep == 2:
-        return partial_trace(r, d1, d2, side=1)
-    raise ValueError(f"keep must be 1 or 2, got {keep!r}")
 
 
 def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:

@@ -30,6 +30,13 @@ class TestBoxType:
         with pytest.raises(ValueError):
             Box(t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        t = pr_box().table.copy()
+        t[1, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box(t)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             Box(np.full((2, 2, 2, 2), 0.3))

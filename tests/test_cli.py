@@ -14,7 +14,9 @@ from optheory.fixtures import (
     load_instrument,
     load_state,
 )
-from optheory.quantum import singlet_state, z_instrument
+from optheory.boxes import pr_box
+from optheory.directsum import DSumModel
+from optheory.quantum import PAULI_X, KrausOp, singlet_state, z_instrument
 from optheory.report import VerificationReport
 
 
@@ -115,6 +117,33 @@ class TestMutantDetection:
         assert code == 1
         capsys.readouterr()
 
+    def test_nan_box_fixture_rejected_at_load(self, tmp_path, capsys):
+        # A Popescu-Rohrlich box with one NaN entry is bad input, not a signaling box.
+        entries = pr_box().to_json()
+        entries[12] = float("nan")
+        box_path = tmp_path / "nan_box.json"
+        box_path.write_text(json.dumps({"p": entries}))
+        out_path = tmp_path / "out.json"
+        code = main(["--suite", "boxworld", "--box", str(box_path), "--json", str(out_path)])
+        assert code == 1
+        capsys.readouterr()
+        (sub,) = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
+        assert sub["witness"]["rejected_fixture"] == str(box_path)
+        assert "finite" in sub["witness"]["reason"]
+
+    def test_dsum_suite_runs_on_from_local(self, monkeypatch, capsys):
+        # Planted defect: the passive sector gets sqrt(p) X instead of sqrt(p) I
+        # (qubit sectors, the default), so opposite-side operations stop
+        # commuting.  The suite must see it.
+        def leaky_from_local(self, op):
+            passive = KrausOp([np.sqrt(op.p) * PAULI_X], check=False)
+            blocks = (op.op_block, passive) if op.side == 1 else (passive, op.op_block)
+            return self.transformation(*blocks, op.label)
+
+        monkeypatch.setattr(DSumModel, "from_local", leaky_from_local)
+        assert main(["--suite", "dsum", "--trials", "5"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_valid_fixture_instrument_passes(self, capsys):
         code = main(["--suite", "quantum-nosig", "--fixture", "z-instrument", "--trials", "5"])
         assert code == 0
@@ -187,10 +216,11 @@ def test_main_all_suites(capsys):
 
 
 # Defects of the d=6 verdicts as computed by the superoperator (sum of
-# np.kron) kernel that choi_distance replaced.  A faster kernel may move them
-# by roundoff only.
-GOLDEN_D6 = {
-    "opcore": {
+# np.kron) kernel that choi_distance replaced, and of the d=2 dsum verdict as
+# computed by the hand-written block formulas that DSumModel replaced.  A
+# faster kernel or a refactor may move them by roundoff only.
+GOLDEN = {
+    ("opcore", 6, 5): {
         "framework-invariants[classical(6)]": 2.3592239273284576e-16,
         "framework-invariants[quantum(6)]": 3.868898910159119e-16,
         "framework-invariants[dsum(6+6)]": 2.778804785128387e-16,
@@ -200,19 +230,29 @@ GOLDEN_D6 = {
         "commutation-and-no-signaling[quantum(36)].commutation": 1.3904866443919908e-17,
         "commutation-and-no-signaling[dsum(6+6)].commutation": 0.0,
     },
-    "dsum": {
+    ("dsum", 6, 20): {
         "dsum": 2.220446049250313e-16,
         "dsum.commutation": 0.0,
         "dsum.no_signaling": 2.220446049250313e-16,
         "dsum.conditioning_quotient": 1.1102230246251565e-16,
     },
+    ("dsum", 2, 100): {
+        "dsum": 4.440892098500626e-16,
+        "dsum.commutation": 4.530366969944047e-17,
+        "dsum.no_signaling": 4.440892098500626e-16,
+        "dsum.conditioning_quotient": 2.220446049250313e-16,
+    },
 }
 
 
-@pytest.mark.parametrize("suite,trials", [("opcore", 5), ("dsum", 20)])
-def test_d6_defects_match_golden(suite, trials, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "suite,d,trials",
+    [("opcore", 6, 5), ("dsum", 6, 20), ("dsum", 2, 100)],
+    ids=["opcore-5", "dsum-20", "dsum-d2-100"],
+)
+def test_d6_defects_match_golden(suite, d, trials, tmp_path, capsys):
     path = tmp_path / "out.json"
-    argv = ["--suite", suite, "--d1", "6", "--d2", "6", "--trials", str(trials)]
+    argv = ["--suite", suite, "--d1", str(d), "--d2", str(d), "--trials", str(trials)]
     assert main(argv + ["--seed", "0", "--json", str(path)]) == 0
     capsys.readouterr()
     report = json.loads(path.read_text())["report"]
@@ -221,5 +261,5 @@ def test_d6_defects_match_golden(suite, trials, tmp_path, capsys):
         found[sub["suite"]] = sub["max_defect"]
         for key, value in sub.get("details", {}).items():
             found[f"{sub['suite']}.{key}"] = value
-    for name, expected in GOLDEN_D6[suite].items():
+    for name, expected in GOLDEN[suite, d, trials].items():
         assert abs(found[name] - expected) <= 1e-14, name

@@ -10,8 +10,6 @@ from optheory.directsum import (
     DSumModel,
     DSumState,
     ds_commutation_defect,
-    ds_completeness_defect,
-    ds_compose_joint,
     ds_condition,
     ds_identity,
     ds_joint_prob,
@@ -84,6 +82,7 @@ class TestJointProb:
 
     def test_order_swap(self):
         omega = block_state()
+        model = DSumModel(2, 2)
         for k in range(20):
             rng = trial_rng(66, k)
             a = ds_random_local_op(rng, 1, 2)
@@ -96,8 +95,9 @@ class TestJointProb:
                     + np.trace(apply_quantum_op(minus, omega.rho_minus)).real
                 )
 
-            ab = prob_of(ds_compose_joint(a, b, 2, 2))
-            ba = prob_of(ds_compose_joint(b, a, 2, 2))
+            ta, tb = model.from_local(a), model.from_local(b)
+            ab = prob_of(model.compose(ta, tb).payload)
+            ba = prob_of(model.compose(tb, ta).payload)
             formula = ds_joint_prob(omega, a, b)
             assert abs(ab - ba) <= 1e-12
             assert formula == pytest.approx(ab, abs=1e-12)
@@ -170,7 +170,8 @@ class TestNoSignaling:
 
     def test_projective_action(self):
         action = [DSumLocalOp(1, KrausOp([P0]), 0.5), DSumLocalOp(1, KrausOp([P1]), 0.5)]
-        assert ds_completeness_defect(action, 2) <= 1e-15
+        model = DSumModel(2, 2)
+        assert Action([model.from_local(op) for op in action]).completeness_defect() <= 1e-15
         probes = [ds_random_local_op(trial_rng(72, k), 2, 2) for k in range(5)]
         report = ds_nosig_check(block_state(), action, probes)
         assert report.passed and report.max_defect <= 1e-12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from optheory.framework import Transformation, commutation_defect
+from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
 from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.quantum import (
     PAULI_X,
@@ -15,9 +15,7 @@ from optheory.quantum import (
     QuantumModel,
     apply_quantum_op,
     choi_distance,
-    k_operator,
     local_embed,
-    local_state,
     minimal_ic_povm,
     quantum_no_signaling_check,
     reduced_positivity_min_eig,
@@ -132,6 +130,18 @@ def test_commutation_defect_catches_leaky_embedding():
     assert not worst <= 1e-10  # the opcore gate
 
 
+def test_probe_shifts_catches_a_same_side_probe():
+    # Planted defect: the "probe" acts on side 1, where a complete Z measurement
+    # dephases |+><+|, so the measurement is visible to it.
+    bip = QuantumBipartite(2, 2)
+    plus = np.full((2, 2), 0.5)
+    joint = bip.joint.state(tensor(plus, I2 / 2))
+    probe = bip.embed_left(bip.left.operation([plus]))
+    z_total = total_of_action(bip.left.action_from_instrument(z_instrument()))
+    assert probe_shifts(joint, bip.embed_left(z_total), [probe]) == pytest.approx([0.5], abs=1e-12)
+    assert probe_shifts(joint, bip.embed_left(bip.left.identity()), [probe])[0] <= 1e-15
+
+
 class TestApply:
     def test_identity(self):
         rng = trial_rng(40)
@@ -158,10 +168,10 @@ class TestApply:
 class TestKOperator:
     def test_trace_preserving_channel(self):
         blocks = haar_isometry_blocks(trial_rng(42), 2, 3)
-        assert np.allclose(k_operator(KrausOp(blocks)), I2, atol=1e-12)
+        assert np.allclose(KrausOp(blocks).trace_operator(), I2, atol=1e-12)
 
     def test_scaled_identity(self):
-        assert np.allclose(k_operator(KrausOp([np.sqrt(0.3) * I2])), 0.3 * I2, atol=1e-14)
+        assert np.allclose(KrausOp([np.sqrt(0.3) * I2]).trace_operator(), 0.3 * I2, atol=1e-14)
 
     def test_trace_pairing(self):
         for k in range(25):
@@ -169,7 +179,7 @@ class TestKOperator:
             m = random_op(rng, 2)
             rho = ginibre_state(rng, 2)
             via_apply = np.trace(apply_quantum_op(m, rho)).real
-            via_k = np.trace(k_operator(m) @ rho).real
+            via_k = np.trace(m.trace_operator() @ rho).real
             assert abs(via_apply - via_k) <= 1e-12
 
     def test_rejects_trace_increasing(self):
@@ -204,17 +214,17 @@ class TestLocalState:
         rng = trial_rng(45)
         rho = ginibre_state(rng, 2)
         sigma = ginibre_state(rng, 3)
-        assert np.allclose(local_state(tensor(rho, sigma), 2, 3, keep=2), sigma, atol=1e-12)
+        assert np.allclose(partial_trace(tensor(rho, sigma), 2, 3, side=1), sigma, atol=1e-12)
 
     def test_singlet_is_maximally_mixed(self):
-        assert np.allclose(local_state(singlet_state(), 2, 2, keep=2), I2 / 2, atol=1e-14)
+        assert np.allclose(partial_trace(singlet_state(), 2, 2, side=1), I2 / 2, atol=1e-14)
 
     def test_weight_preserved(self):
         for k in range(10):
             rng = trial_rng(46, k)
             r = ginibre_positive(rng, 6)
-            for keep in (1, 2):
-                assert np.trace(local_state(r, 2, 3, keep)).real == pytest.approx(
+            for side in (1, 2):
+                assert np.trace(partial_trace(r, 2, 3, side)).real == pytest.approx(
                     np.trace(r).real, abs=1e-10
                 )
 
@@ -343,7 +353,7 @@ class TestModelInterface:
         model = QuantumModel(2)
         t = model.operation([np.sqrt(0.3) * I2], "weak")
         comp = model.complement(t)
-        assert np.allclose(k_operator(comp.payload), 0.7 * I2, atol=1e-12)
+        assert np.allclose(comp.payload.trace_operator(), 0.7 * I2, atol=1e-12)
 
     def test_superoperator_distance_ignores_kraus_gauge(self):
         model = QuantumModel(2)
