@@ -53,6 +53,8 @@ from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
 SUITES = ("opcore", "quantum-nosig", "lemma", "dsum", "tomo-audit", "boxworld", "all")
+# Flags a suite parses but ignores; its JSON config leaves them out.
+IGNORED_FLAGS = {"tomo-audit": ("trials",), "lemma": ("tol",), "boxworld": ("seed", "trials")}
 
 
 class UsageError(ValueError):
@@ -420,8 +422,9 @@ def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
         _print_tomo_table(report.details["rows"])
     print(report.summary())
     if cfg.json_path:
+        ignored = ("json_path", *IGNORED_FLAGS.get(cfg.suite, ()))
         payload = {
-            "config": {k: v for k, v in asdict(cfg).items() if k != "json_path"},
+            "config": {k: v for k, v in asdict(cfg).items() if k not in ignored},
             "report": report.to_dict(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }

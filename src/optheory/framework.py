@@ -100,6 +100,13 @@ class State:
         return State(self.model, self.model.scale_state_payload(self.payload, 1.0 / w))
 
 
+def unit_sum_defect(model: "TheoryModel", effects) -> float:
+    """Max-abs effect-coordinate gap between the sum of ``effects`` and the unit."""
+    total = reduce(model.add_effects, effects)
+    unit = model.unit_effect()
+    return float(np.abs(model.effect_coords(total) - model.effect_coords(unit)).max())
+
+
 @dataclass(frozen=True, eq=False)
 class Action:
     """A finite complete set of mutually exclusive transformations."""
@@ -121,12 +128,7 @@ class Action:
         return self.transformations[0].model
 
     def completeness_defect(self) -> float:
-        model = self.model
-        total = reduce(model.add_effects, (effect_of(t) for t in self.transformations))
-        unit = model.unit_effect()
-        return float(
-            np.abs(model.effect_coords(total) - model.effect_coords(unit)).max()
-        )
+        return unit_sum_defect(self.model, (effect_of(t) for t in self.transformations))
 
     def require_complete(self, tol: float = TOL_EFFECT) -> None:
         defect = self.completeness_defect()

@@ -79,6 +79,27 @@ class TestDeterminism:
         ]
         assert lines[0] == lines[1]
 
+    @pytest.mark.parametrize(
+        "suite,ignored",
+        [
+            ("opcore", set()),
+            ("quantum-nosig", set()),
+            ("lemma", {"tol"}),
+            ("dsum", set()),
+            ("tomo-audit", {"trials"}),
+            ("boxworld", {"seed", "trials"}),
+            ("all", set()),
+        ],
+    )
+    def test_config_echoes_only_flags_that_matter(self, suite, ignored, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        assert main(["--suite", suite, "--trials", "5", "--seed", "1", "--json", str(path)]) == 0
+        capsys.readouterr()
+        config = json.loads(path.read_text())["config"]
+        flags = {"suite", "seed", "trials", "d1", "d2", "outcomes", "tol", "fixture", "box"}
+        assert set(config) == flags - ignored
+        assert config["suite"] == suite
+
     def test_seed_changes_report(self):
         a = run_suite(SuiteConfig(suite="quantum-nosig", trials=10, seed=1))
         b = run_suite(SuiteConfig(suite="quantum-nosig", trials=10, seed=2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optheory.directsum import DSumBipartite, DSumModel
-from optheory.framework import ClassicalBipartite, ClassicalModel, Effect
+from optheory.framework import BipartiteModel, ClassicalBipartite, ClassicalModel, Effect
 from optheory.quantum import QuantumBipartite, QuantumModel
 from optheory.tomography import (
     ICCertificate,
@@ -175,6 +175,38 @@ class TestObservabilityAudit:
         # A single tied product observable spans one dimension less than the
         # full block space: completeness couples the two sectors.
         assert report.details["product_observable_rank"] == rank - 1
+        # The deficient product rank sends the audit through the sampled batch.
+        assert report.trials == report.details["product_outcomes"] + ambient + 32
+
+    @pytest.mark.parametrize(
+        "bip", [QuantumBipartite(3, 3), ClassicalBipartite(2, 3)], ids=["quantum", "classical"]
+    )
+    def test_full_product_rank_draws_no_samples(self, bip, monkeypatch):
+        def no_sampling(self, rng):
+            raise AssertionError("a full product rank needs no sampled effects")
+
+        monkeypatch.setattr(BipartiteModel, "random_product_effect", no_sampling)
+        report = local_observability_audit(bip, seed=2)
+        d = report.details
+        assert report.passed
+        assert d["rank"] == d["product_observable_rank"] == d["ambient_effect_dim"]
+        assert report.trials == d["product_outcomes"]
+
+    def test_planted_defect_takes_the_sampled_path(self):
+        # Planted defect: the right factor of every product effect is replaced
+        # by its value on the maximally mixed state, Tr[e] I/d2.  The product
+        # observable stays complete, but it spans only d1^2 of (d1 d2)^2
+        # dimensions, so the audit must sample and still fail.
+        class Depolarized(QuantumBipartite):
+            def product_effect(self, e_left, e_right):
+                mixed = np.trace(e_right.payload) * np.eye(self.d2) / self.d2
+                return Effect(self.joint, np.kron(e_left.payload, mixed))
+
+        report = local_observability_audit(Depolarized(2, 3), seed=0)
+        d = report.details
+        assert not report.passed
+        assert d["product_observable_rank"] == d["rank"] == 4 < d["ambient_effect_dim"] == 36
+        assert report.trials == d["product_outcomes"] + 36 + 32
 
 
 class TestDimensionIdentity:
@@ -216,6 +248,48 @@ class TestDimensionIdentity:
         assert report.details["adm_joint"] == 7 and report.details["formula"] == 15
 
 
+    @pytest.mark.parametrize(
+        "bip",
+        [ClassicalBipartite(2, 3), QuantumBipartite(2, 3), DSumBipartite(2, 3)],
+        ids=["classical", "quantum", "dsum"],
+    )
+    def test_given_audit_matches_own_audit(self, bip):
+        lop = local_observability_audit(bip, seed=1)
+        given = dimension_identity_check(bip, seed=1, audit=lop)
+        own = dimension_identity_check(bip, seed=1)
+        assert given.details == own.details
+        assert (given.passed, given.expected_failure) == (own.passed, own.expected_failure)
+
+
+ROW_KEYS = (
+    "model", "adm_states", "adm_effects", "lop_rank", "lop_ambient",
+    "lop_pass", "lop_ok", "identity_pass", "identity_ok", "expected_failure",
+)
+# audit_rows as computed when every audit also drew the sampled batch (the
+# same rows at seeds 0 and 1).  Skipping the batch at full product rank must
+# leave every field unchanged.
+GOLDEN_ROWS = {
+    (2, 3): [
+        ("classical 2x3", 5, 6, 6, 6, True, True, True, True, False),
+        ("quantum 2x3", 35, 36, 36, 36, True, True, True, True, False),
+        ("dsum 2+3", 12, 13, 13, 25, False, True, False, True, True),
+    ],
+    (5, 6): [
+        ("classical 5x6", 29, 30, 30, 30, True, True, True, True, False),
+        ("quantum 5x6", 899, 900, 900, 900, True, True, True, True, False),
+        ("dsum 5+6", 60, 61, 61, 121, False, True, False, True, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d1,d2", sorted(GOLDEN_ROWS))
+def test_audit_rows_match_golden(d1, d2, seed):
+    assert audit_rows(d1, d2, seed=seed) == [
+        dict(zip(ROW_KEYS, row)) for row in GOLDEN_ROWS[d1, d2]
+    ]
+
+
 def test_audit_rows_structure():
     rows = audit_rows(2, 2, seed=0)
     assert [r["model"] for r in rows] == ["classical 2x2", "quantum 2x2", "dsum 2+2"]
@@ -229,6 +303,11 @@ def test_certificate_dataclass_consistency():
     cert = ic_rank(obs)
     assert isinstance(cert, ICCertificate)
     assert cert.rank <= cert.effect_space_dim
+
+
+def test_incomplete_observable_rejected():
+    with pytest.raises(ValueError, match="effects do not sum to the unit: defect 1.000e"):
+        Observable([Effect(qubit, P0)])
 
 
 def test_model_without_dual_coordinates_rejected():
