@@ -1,6 +1,8 @@
 """Suite runner: exit codes, determinism, fixtures, JSON schema."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +286,35 @@ def test_d6_defects_match_golden(suite, d, trials, tmp_path, capsys):
             found[f"{sub['suite']}.{key}"] = value
     for name, expected in GOLDEN[suite, d, trials].items():
         assert abs(found[name] - expected) <= 1e-14, name
+
+
+# The whole --json report of `--suite all --trials 10 --seed 0` at (2, 2) and
+# (2, 3), captured before the direct sum was rebuilt on the quantum kernels.
+# A refactor keeps every non-float field and moves floats by roundoff only.
+PARITY_GOLDEN = Path(__file__).parent / "golden" / "all_trials10_seed0.json"
+
+
+def _assert_parity(found, expected, where="report"):
+    assert type(found) is type(expected), where
+    if isinstance(expected, dict):
+        assert found.keys() == expected.keys(), where
+        for key in expected:
+            _assert_parity(found[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(found) == len(expected), where
+        for k, (f, e) in enumerate(zip(found, expected)):
+            _assert_parity(f, e, f"{where}[{k}]")
+    elif isinstance(expected, float) and math.isfinite(expected):
+        assert abs(found - expected) <= 1e-14, where
+    else:
+        assert found == expected, where
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3)], ids=["2x2", "2x3"])
+def test_all_suites_report_matches_golden(d1, d2, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    argv = ["--suite", "all", "--trials", "10", "--seed", "0", "--d1", str(d1), "--d2", str(d2)]
+    assert main(argv + ["--json", str(path)]) == 0
+    capsys.readouterr()
+    expected = json.loads(PARITY_GOLDEN.read_text())[f"{d1}x{d2}"]
+    _assert_parity(json.loads(path.read_text())["report"], expected)
