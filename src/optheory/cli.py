@@ -28,7 +28,6 @@ from .framework import (
     Action,
     ClassicalBipartite,
     ClassicalModel,
-    IncompleteAction,
     commutation_defect,
     condition,
     model_invariant_suite,
@@ -38,7 +37,6 @@ from .framework import (
     total_of_action,
 )
 from .quantum import (
-    IncompleteInstrument,
     QuantumBipartite,
     QuantumModel,
     quantum_no_signaling_check,
@@ -53,8 +51,17 @@ from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
 SUITES = ("opcore", "quantum-nosig", "lemma", "dsum", "tomo-audit", "boxworld", "all")
-# Flags a suite parses but ignores; its JSON config leaves them out.
-IGNORED_FLAGS = {"tomo-audit": ("trials",), "lemma": ("tol",), "boxworld": ("seed", "trials")}
+# The flags each suite reads; its JSON config echoes only these (and the suite).
+SUITE_FLAGS = {
+    "opcore": ("seed", "trials", "d1", "d2", "outcomes", "tol"),
+    "quantum-nosig": ("seed", "trials", "d1", "d2", "tol", "fixture"),
+    "lemma": ("seed", "trials", "d1", "d2"),
+    "dsum": ("seed", "trials", "d1", "d2", "outcomes", "tol"),
+    "tomo-audit": ("seed", "d1", "d2"),
+    "boxworld": ("box",),
+}
+# `all` runs every suite, so it reads every flag any of them reads.
+SUITE_FLAGS["all"] = tuple(dict.fromkeys(f for flags in SUITE_FLAGS.values() for f in flags))
 
 
 class UsageError(ValueError):
@@ -97,6 +104,22 @@ def exit_code(report: VerificationReport) -> int:
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
+
+def _rejected(
+    suite: str, cfg: SuiteConfig, source: str, tol: float, exc: ValueError
+) -> VerificationReport:
+    """A fixture that failed parsing or validation: an infinite defect and a
+    witness naming the fixture and the reason."""
+    return VerificationReport(
+        suite=suite,
+        seed=cfg.seed,
+        trials=1,
+        max_defect=float("inf"),
+        tol=tol,
+        passed=False,
+        witness={"rejected_fixture": source, "reason": str(exc)},
+    )
+
 
 def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
     """Generic framework invariants on all three models, plus the implication
@@ -160,20 +183,11 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
             reports.append(
                 quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
             )
-        except (IncompleteInstrument, IncompleteAction, ValueError) as exc:
-            if isinstance(exc, UsageError):
-                raise
-            reports.append(
-                VerificationReport(
-                    suite="quantum-no-signaling[fixture]",
-                    seed=cfg.seed,
-                    trials=1,
-                    max_defect=float("inf"),
-                    tol=cfg.tol,
-                    passed=False,
-                    witness={"rejected_fixture": cfg.fixture, "reason": str(exc)},
-                )
-            )
+        except UsageError:
+            raise
+        except ValueError as exc:  # IncompleteInstrument is a ValueError too
+            suite = "quantum-no-signaling[fixture]"
+            reports.append(_rejected(suite, cfg, cfg.fixture, cfg.tol, exc))
     else:
         model = QuantumModel(cfg.d1)
         worst = 0.0
@@ -314,17 +328,7 @@ def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
                 )
             )
         except ValueError as exc:
-            reports.append(
-                VerificationReport(
-                    suite="boxworld[fixture]",
-                    seed=cfg.seed,
-                    trials=1,
-                    max_defect=float("inf"),
-                    tol=0.0,
-                    passed=False,
-                    witness={"rejected_fixture": cfg.box, "reason": str(exc)},
-                )
-            )
+            reports.append(_rejected("boxworld[fixture]", cfg, cfg.box, 0.0, exc))
     else:
         classical = classical_chsh_max()
         pr = pr_box()
@@ -422,9 +426,9 @@ def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
         _print_tomo_table(report.details["rows"])
     print(report.summary())
     if cfg.json_path:
-        ignored = ("json_path", *IGNORED_FLAGS.get(cfg.suite, ()))
+        echoed = ("suite", *SUITE_FLAGS[cfg.suite])
         payload = {
-            "config": {k: v for k, v in asdict(cfg).items() if k not in ignored},
+            "config": {k: v for k, v in asdict(cfg).items() if k in echoed},
             "report": report.to_dict(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
@@ -464,18 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = SuiteConfig(
-        suite=args.suite,
-        seed=args.seed,
-        trials=args.trials,
-        d1=args.d1,
-        d2=args.d2,
-        outcomes=args.outcomes,
-        tol=args.tol,
-        json_path=args.json_path,
-        fixture=args.fixture,
-        box=args.box,
-    )
+    cfg = SuiteConfig(**vars(args))
     try:
         report = run_suite(cfg)
     except (UsageError, FileNotFoundError) as exc:

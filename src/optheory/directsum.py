@@ -9,15 +9,18 @@ by local operations are all block-diagonal.  Their span has dimension
 d1^2 + d2^2, strictly below the (d1+d2)^2 of the ambient composite, which
 is why this composition rule fails local tomography.
 
-:class:`DSumModel` is the one implementation of the composite: local
-operations enter it through :meth:`DSumModel.from_local`, and the ``ds_*``
-helpers are thin wrappers over its methods and the framework verifiers.
+:class:`DSumModel` is the one implementation of the composite: two quantum
+sectors, each method mapping a kernel of :mod:`optheory.quantum` (or a
+``QuantumModel`` sector) over the (plus, minus) pair.  Local operations
+enter it through :meth:`DSumModel.from_local`; the ``ds_*`` helpers are
+thin wrappers over its methods and the framework verifiers.
 ``DSumState(..., check=False)`` stores model-computed blocks as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,21 +39,33 @@ from .framework import (
     total_of_action,
 )
 from .linalg import (
-    PSD_SLACK,
     direct_sum,
     hermitian_coords,
     matrix_from_json,
     matrix_to_json,
-    max_eig_herm,
-    min_eig_herm,
-    psd_sqrt,
     rank_of_rows,
     require_hermitian,
+    require_psd,
     trace_norm,
 )
-from .quantum import KrausOp, QuantumModel, apply_quantum_op, choi_distance, compose_kraus
+from .quantum import (
+    KrausOp,
+    QuantumModel,
+    apply_quantum_op,
+    choi_distance,
+    coarse_grain_kraus,
+    complement_kraus,
+    compose_kraus,
+    random_kraus,
+    scale_kraus,
+)
 from .report import VerificationReport, worst_defect
-from .sampling import ginibre_state, haar_isometry_blocks, trial_rng
+from .sampling import random_simplex_point, trial_rng
+
+
+def _each(f, *pairs) -> tuple:
+    """``f`` applied sector by sector: (f(plus...), f(minus...))."""
+    return tuple(map(f, *pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +78,17 @@ class DSumState:
 
     def __init__(self, rho_plus, rho_minus, check: bool = True):
         if check:
-            rho_plus = require_hermitian(rho_plus)
-            rho_minus = require_hermitian(rho_minus)
-            for name, block in (("rho_plus", rho_plus), ("rho_minus", rho_minus)):
-                if min_eig_herm(block) < -PSD_SLACK * max(1.0, trace_norm(block)):
-                    raise ValueError(f"{name} must be PSD")
+            rho_plus = require_psd(rho_plus, "rho_plus must be PSD")
+            rho_minus = require_psd(rho_minus, "rho_minus must be PSD")
             total = float(np.trace(rho_plus).real + np.trace(rho_minus).real)
             if abs(total - 1.0) > TOL_EFFECT:
                 raise ValueError(f"block traces sum to {total}, expected 1")
         object.__setattr__(self, "rho_plus", rho_plus)
         object.__setattr__(self, "rho_minus", rho_minus)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rho_plus, self.rho_minus
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -170,22 +186,19 @@ def ds_nosig_check(
 
 
 def ds_random_local_op(rng: np.random.Generator, side: int, d: int) -> DSumLocalOp:
-    blocks = haar_isometry_blocks(rng, d, 3)
-    keep = int(rng.integers(1, 3))
-    lam = rng.uniform(0.2, 1.0)
-    op = KrausOp([np.sqrt(lam) * b for b in blocks[:keep]], check=False)
-    return DSumLocalOp(side, op, float(rng.uniform()), "random")
+    return DSumLocalOp(side, random_kraus(rng, d, 0.2), float(rng.uniform()), "random")
 
 
-def ds_random_action(rng: np.random.Generator, side: int, d: int, outcomes: int) -> list[DSumLocalOp]:
+def ds_random_action(
+    rng: np.random.Generator, side: int, d: int, outcomes: int
+) -> list[DSumLocalOp]:
     """A complete local action: Haar instrument blocks paired with a random
     probability vector summing to one."""
-    blocks = haar_isometry_blocks(rng, d, outcomes)
-    probs = rng.exponential(size=outcomes)
-    probs = probs / probs.sum()
+    blocks = QuantumModel(d).random_instrument(rng, outcomes).outcomes
+    probs = random_simplex_point(rng, outcomes)
     return [
-        DSumLocalOp(side, KrausOp([b], check=False), float(p), f"outcome{j}")
-        for j, (b, p) in enumerate(zip(blocks, probs))
+        DSumLocalOp(side, op, float(p), f"outcome{j}")
+        for j, (op, p) in enumerate(zip(blocks, probs))
     ]
 
 
@@ -213,25 +226,29 @@ class DSumModel(TheoryModel):
 
     State payloads are :class:`DSumState`; transformation payloads are
     (plus, minus) pairs of :class:`KrausOp` acting sector-wise; effect
-    payloads are (K_plus, K_minus) Hermitian pairs.
+    payloads are (K_plus, K_minus) Hermitian pairs.  ``sectors`` holds the
+    two :class:`~optheory.quantum.QuantumModel` sectors.
     """
 
     d1: int
     d2: int
     name: str = field(default="dsum", compare=False)
+    sectors: tuple[QuantumModel, QuantumModel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("sector dimensions must be positive")
         object.__setattr__(self, "name", f"dsum({self.d1}+{self.d2})")
-
-    @property
-    def state_dim(self) -> int:
-        return self.d1 ** 2 + self.d2 ** 2 - 1
+        object.__setattr__(self, "sectors", (QuantumModel(self.d1), QuantumModel(self.d2)))
 
     @property
     def effect_dim(self) -> int:
         return self.d1 ** 2 + self.d2 ** 2
+
+    @cached_property
+    def _identities(self) -> tuple[KrausOp, KrausOp]:
+        """The sectors' identity operations, built once per model."""
+        return tuple(q.identity().payload for q in self.sectors)
 
     # -- factories ----------------------------------------------------------
     def state(self, block_state: DSumState) -> State:
@@ -246,153 +263,94 @@ class DSumModel(TheoryModel):
 
     def from_local(self, op: DSumLocalOp) -> Transformation:
         """A local operation: its block map on its own sector, sqrt(p) I on the other."""
-        d_other = self.d2 if op.side == 1 else self.d1
-        passive = KrausOp(np.sqrt(op.p) * np.eye(d_other)[None], check=False)
+        passive = scale_kraus(op.p, self._identities[2 - op.side])
         if op.side == 1:
             return self.transformation(op.op_block, passive, op.label)
         return self.transformation(passive, op.op_block, op.label)
 
     # -- interface ----------------------------------------------------------
     def identity(self) -> Transformation:
-        return self.from_local(ds_identity(1, self.d1))
+        return Transformation(self, self._identities, "identity")
 
     def unit_effect(self) -> Effect:
         return Effect(self, (np.eye(self.d1), np.eye(self.d2)))
 
     def effect_of(self, t: Transformation) -> Effect:
-        plus, minus = t.payload
-        return Effect(self, (plus.trace_operator(), minus.trace_operator()))
+        return Effect(self, _each(KrausOp.trace_operator, t.payload))
 
     def apply(self, t: Transformation, s: State) -> State:
-        plus, minus = t.payload
-        block = s.payload
-        return State(
-            self,
-            DSumState(
-                apply_quantum_op(plus, block.rho_plus),
-                apply_quantum_op(minus, block.rho_minus),
-                check=False,
-            ),
-        )
+        blocks = _each(apply_quantum_op, t.payload, s.payload.blocks)
+        return State(self, DSumState(*blocks, check=False))
 
     def evaluate(self, e: Effect, s: State) -> float:
         """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
         real part of each trace is the Hilbert-Schmidt product ``vdot(K, rho)``."""
         kp, km = e.payload
-        block = s.payload
-        return float(np.vdot(kp, block.rho_plus).real + np.vdot(km, block.rho_minus).real)
+        rp, rm = s.payload.blocks
+        return float(np.vdot(kp, rp).real + np.vdot(km, rm).real)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
-        fp, fm = first.payload
-        tp, tm = then.payload
-        return Transformation(self, (compose_kraus(fp, tp), compose_kraus(fm, tm)), "")
+        return Transformation(self, _each(compose_kraus, first.payload, then.payload), "")
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        plus, minus = (
-            KrausOp(np.concatenate([a.kraus, b.kraus]), check=False)
-            for a, b in zip(t1.payload, t2.payload)
-        )
-        return Transformation(self, (plus, minus), "")
+        return Transformation(self, _each(coarse_grain_kraus, t1.payload, t2.payload), "")
 
     def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
-        root = np.sqrt(lam)
-        plus, minus = (KrausOp(root * op.kraus, check=False) for op in t.payload)
-        return Transformation(self, (plus, minus), "")
+        return Transformation(self, _each(partial(scale_kraus, lam), t.payload), "")
 
     def complement(self, t: Transformation) -> Transformation:
-        kp, km = self.effect_of(t).payload
-        return Transformation(
-            self,
-            (
-                KrausOp([psd_sqrt(np.eye(self.d1) - kp)], check=False),
-                KrausOp([psd_sqrt(np.eye(self.d2) - km)], check=False),
-            ),
-            f"~{t.label}",
-        )
+        return Transformation(self, _each(complement_kraus, t.payload), f"~{t.label}")
 
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
-        return Effect(self, (e1.payload[0] + e2.payload[0], e1.payload[1] + e2.payload[1]))
+        return Effect(self, _each(np.add, e1.payload, e2.payload))
 
     def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
-        for k in e.payload:
-            km = require_hermitian(k)
-            if min_eig_herm(km) < -tol or max_eig_herm(km) > 1.0 + tol:
-                return False
-        return True
+        return all(q.effect_leq_unit(Effect(q, k), tol) for q, k in zip(self.sectors, e.payload))
 
     def effect_coords(self, e: Effect) -> np.ndarray:
-        return np.concatenate([hermitian_coords(e.payload[0]), hermitian_coords(e.payload[1])])
+        return np.concatenate(_each(hermitian_coords, e.payload))
 
     def state_coords(self, s: State) -> np.ndarray:
-        block = s.payload
-        return np.concatenate(
-            [hermitian_coords(block.rho_plus), hermitian_coords(block.rho_minus)]
-        )
+        return np.concatenate(_each(hermitian_coords, s.payload.blocks))
 
     def scale_state_payload(self, payload: DSumState, factor: float) -> DSumState:
         return DSumState(factor * payload.rho_plus, factor * payload.rho_minus, check=False)
 
     def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
-        b1, b2 = s1.payload, s2.payload
-        return State(
-            self,
-            DSumState(
-                w1 * b1.rho_plus + w2 * b2.rho_plus,
-                w1 * b1.rho_minus + w2 * b2.rho_minus,
-                check=False,
-            ),
-        )
+        blocks = _each(lambda a, b: w1 * a + w2 * b, s1.payload.blocks, s2.payload.blocks)
+        return State(self, DSumState(*blocks, check=False))
 
     def state_distance(self, s1: State, s2: State) -> float:
-        b1, b2 = s1.payload, s2.payload
-        return trace_norm(b1.rho_plus - b2.rho_plus) + trace_norm(b1.rho_minus - b2.rho_minus)
+        return sum(_each(trace_norm, _each(np.subtract, s1.payload.blocks, s2.payload.blocks)))
 
     def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
         """Worst sector of :func:`~optheory.quantum.choi_distance`: the largest
         entry of either block's Choi-matrix difference, equal by realignment
         to the max-abs superoperator distance."""
-        return worst_defect(
-            choi_distance(t1.payload[0], t2.payload[0]),
-            choi_distance(t1.payload[1], t2.payload[1]),
-        )
+        return worst_defect(*_each(choi_distance, t1.payload, t2.payload))
 
     def random_state(self, rng: np.random.Generator) -> State:
         w = rng.uniform(0.1, 0.9)
-        return State(
-            self,
-            DSumState(
-                w * ginibre_state(rng, self.d1),
-                (1.0 - w) * ginibre_state(rng, self.d2),
-                check=False,
-            ),
-        )
+        q1, q2 = self.sectors
+        plus = w * q1.random_state(rng).payload
+        minus = (1.0 - w) * q2.random_state(rng).payload
+        return State(self, DSumState(plus, minus, check=False))
 
     def random_transformation(self, rng: np.random.Generator) -> Transformation:
-        qp = QuantumModel(self.d1).random_transformation(rng)
-        qm = QuantumModel(self.d2).random_transformation(rng)
-        return Transformation(self, (qp.payload, qm.payload), "random")
+        payload = tuple(q.random_transformation(rng).payload for q in self.sectors)
+        return Transformation(self, payload, "random")
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        plus_blocks = haar_isometry_blocks(rng, self.d1, outcomes)
-        minus_blocks = haar_isometry_blocks(rng, self.d2, outcomes)
-        return Action(
-            [
-                Transformation(
-                    self,
-                    (KrausOp([p], check=False), KrausOp([m], check=False)),
-                    f"outcome{j}",
-                )
-                for j, (p, m) in enumerate(zip(plus_blocks, minus_blocks))
-            ]
-        )
+        plus, minus = (q.random_instrument(rng, outcomes).outcomes for q in self.sectors)
+        pairs = enumerate(zip(plus, minus))
+        return Action([Transformation(self, pair, f"outcome{j}") for j, pair in pairs])
 
     def minimal_ic_effects(self) -> list[Effect]:
-        from .quantum import minimal_ic_povm
-
-        zero_plus = np.zeros((self.d1, self.d1))
-        zero_minus = np.zeros((self.d2, self.d2))
-        effects = [Effect(self, (k, zero_minus)) for k in minimal_ic_povm(self.d1)]
-        effects += [Effect(self, (zero_plus, k)) for k in minimal_ic_povm(self.d2)]
+        """The sectors' minimal IC effects, each padded with zero on the other sector."""
+        q1, q2 = self.sectors
+        zero1, zero2 = np.zeros((self.d1, self.d1)), np.zeros((self.d2, self.d2))
+        effects = [Effect(self, (e.payload, zero2)) for e in q1.minimal_ic_effects()]
+        effects += [Effect(self, (zero1, e.payload)) for e in q2.minimal_ic_effects()]
         return effects
 
 
@@ -440,7 +398,7 @@ class DSumBipartite(BipartiteModel):
         return (self.d1 + self.d2) ** 2
 
     def ambient_effect_coords(self, e: Effect) -> np.ndarray:
-        return hermitian_coords(direct_sum(e.payload[0], e.payload[1]))
+        return hermitian_coords(direct_sum(*e.payload))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))

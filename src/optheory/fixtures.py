@@ -3,7 +3,8 @@
 Fixture names resolve to built-in objects ("singlet", "z-instrument",
 "x-instrument") or to packaged JSON files ("mutant-instrument",
 "signaling-box", used to prove the verifiers are not vacuous).  Anything
-else is treated as a filesystem path.
+else is treated as a filesystem path.  A file that parses as JSON but lacks
+the expected structure raises ``ValueError``, like one with invalid entries.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .boxes import Box
 from .linalg import matrix_from_json, matrix_to_json
@@ -42,6 +45,16 @@ def _read_json(source: str):
     raise FileNotFoundError(f"fixture file not found: {source}")
 
 
+def _parse(build, source: str):
+    """``build`` applied to the JSON file at ``source``; a missing key, wrong
+    type or short list in it raises ``ValueError``."""
+    obj = _read_json(source)
+    try:
+        return build(obj)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed fixture {source}: {type(exc).__name__} {exc}") from exc
+
+
 def load_state(name_or_path: str) -> np.ndarray:
     if name_or_path == "singlet":
         return singlet_state()
@@ -56,7 +69,7 @@ def load_instrument(name_or_path: str) -> Instrument:
         return x_instrument()
     if name_or_path == "mutant-instrument":
         return instrument_from_json(json.loads(_data_text("mutant_instrument.json")))
-    return instrument_from_json(_read_json(name_or_path))
+    return _parse(instrument_from_json, name_or_path)
 
 
 def load_box(name_or_path: str) -> Box:
@@ -66,4 +79,4 @@ def load_box(name_or_path: str) -> Box:
         from .boxes import pr_box
 
         return pr_box()
-    return Box.from_json(_read_json(name_or_path))
+    return _parse(Box.from_json, name_or_path)

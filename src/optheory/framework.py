@@ -145,13 +145,9 @@ class TheoryModel(ABC):
 
     @property
     @abstractmethod
-    def state_dim(self) -> int:
-        """Affine dimension of the set of normalized states."""
-
-    @property
-    @abstractmethod
     def effect_dim(self) -> int:
-        """Linear dimension of the effect space (state_dim + 1 by duality)."""
+        """Linear dimension of the effect space; by duality the normalized
+        states span an affine space of one dimension less."""
 
     @abstractmethod
     def identity(self) -> Transformation: ...
@@ -599,10 +595,6 @@ class ClassicalModel(TheoryModel):
         if self.n < 1:
             raise ValueError("outcome count must be positive")
         object.__setattr__(self, "name", f"classical({self.n})")
-
-    @property
-    def state_dim(self) -> int:
-        return self.n - 1
 
     @property
     def effect_dim(self) -> int:

@@ -94,6 +94,15 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
+def require_psd(a, message: str) -> np.ndarray:
+    """Validate a PSD operator and return it symmetrized; raise ``ValueError(message)``
+    when its smallest eigenvalue falls below ``-PSD_SLACK * max(1, trace norm)``."""
+    m = require_hermitian(a)
+    if min_eig_herm(m) < -PSD_SLACK * max(1.0, trace_norm(m)):
+        raise ValueError(message)
+    return m
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian square root, clipping slightly negative eigenvalues to zero."""
     m = require_hermitian(a)

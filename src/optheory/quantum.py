@@ -41,7 +41,6 @@ from .framework import (
     Transformation,
 )
 from .linalg import (
-    PSD_SLACK,
     as_matrix,
     hermitian_coords,
     max_eig_herm,
@@ -49,6 +48,7 @@ from .linalg import (
     partial_trace,
     psd_sqrt,
     require_hermitian,
+    require_psd,
     span_rank,
     tensor,
     trace_norm,
@@ -59,7 +59,6 @@ from .sampling import (
     ginibre_positive,
     ginibre_state,
     haar_isometry_blocks,
-    random_pure_state,
     trial_rng,
 )
 
@@ -128,9 +127,6 @@ class KrausOp:
         k = rows.conj().T @ rows
         return (k + k.conj().T) / 2
 
-    def __call__(self, rho) -> np.ndarray:
-        return apply_quantum_op(self, rho)
-
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
@@ -174,6 +170,29 @@ def compose_kraus(first: KrausOp, then: KrausOp) -> KrausOp:
     return KrausOp(products.reshape(-1, then.dim_out, first.dim_in), check=False)
 
 
+def coarse_grain_kraus(a: KrausOp, b: KrausOp) -> KrausOp:
+    """The coarse-graining a + b: one operation holding both Kraus lists."""
+    return KrausOp(np.concatenate([a.kraus, b.kraus]), check=False)
+
+
+def scale_kraus(lam: float, m: KrausOp) -> KrausOp:
+    """lam * m: every Kraus operator scaled by sqrt(lam)."""
+    return KrausOp(np.sqrt(lam) * m.kraus, check=False)
+
+
+def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
+    """One or two blocks of a Haar instrument, scaled by sqrt(lam) for lam
+    uniform in [lam_low, 1): a random trace-decreasing operation."""
+    blocks = haar_isometry_blocks(rng, d, 3)
+    keep = int(rng.integers(1, 3))
+    return scale_kraus(rng.uniform(lam_low, 1.0), KrausOp(blocks[:keep], check=False))
+
+
+def complement_kraus(m: KrausOp) -> KrausOp:
+    """The one-Kraus operation sqrt(I - K), whose trace operator completes m's K to I."""
+    return KrausOp([psd_sqrt(np.eye(m.dim_in) - m.trace_operator())], check=False)
+
+
 def choi_distance(a: KrausOp, b: KrausOp) -> float:
     """max |J(a) - J(b)|, the largest entry of the difference of Choi matrices.
 
@@ -185,7 +204,7 @@ def choi_distance(a: KrausOp, b: KrausOp) -> float:
     """
     if a.kraus.shape[1:] != b.kraus.shape[1:]:
         raise ValueError(f"operations map {a.kraus.shape[1:]} and {b.kraus.shape[1:]}")
-    w = np.concatenate([a.kraus, b.kraus]).reshape(len(a.kraus) + len(b.kraus), -1)
+    w = coarse_grain_kraus(a, b).kraus.reshape(len(a.kraus) + len(b.kraus), -1)
     s = w.conj()
     s[len(a.kraus) :] *= -1
     return float(np.abs(w.T @ s).max())
@@ -209,12 +228,8 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     positive local filter cannot push the remote reduction out of the
     positive cone.
     """
-    am = require_hermitian(a)
-    rm = require_hermitian(r)
-    if min_eig_herm(am) < -PSD_SLACK * max(1.0, trace_norm(am)):
-        raise ValueError("local operator A must be PSD")
-    if min_eig_herm(rm) < -PSD_SLACK * max(1.0, trace_norm(rm)):
-        raise ValueError("joint operator R must be PSD")
+    am = require_psd(a, "local operator A must be PSD")
+    rm = require_psd(r, "joint operator R must be PSD")
     reduced = partial_trace(tensor(am, np.eye(d2)) @ rm, d1, d2, side=1)
     return min_eig_herm(reduced)
 
@@ -364,8 +379,7 @@ def steering_witness(
     conditional = partial_trace(joint, d1, d2, side=1) / weight
     conditional_distance = trace_norm(conditional - unconditional)
 
-    residual = KrausOp([psd_sqrt(np.eye(d1) - m.trace_operator())], check=False)
-    inst = Instrument([m, residual])
+    inst = Instrument([m, complement_kraus(m)])
     avg = quantum_no_signaling_check(r, inst, d1, d2, tol=tol, seed=seed)
     return VerificationReport(
         suite="steering-witness",
@@ -399,10 +413,6 @@ class QuantumModel(TheoryModel):
         object.__setattr__(self, "name", f"quantum({self.d})")
 
     @property
-    def state_dim(self) -> int:
-        return self.d * self.d - 1
-
-    @property
     def effect_dim(self) -> int:
         return self.d * self.d
 
@@ -411,8 +421,7 @@ class QuantumModel(TheoryModel):
         m = require_hermitian(matrix)
         if m.shape[0] != self.d:
             raise ValueError(f"state must be {self.d}x{self.d}")
-        if min_eig_herm(m) < -PSD_SLACK * max(1.0, trace_norm(m)):
-            raise ValueError("density operator must be PSD")
+        require_psd(m, "density operator must be PSD")
         tr = float(np.trace(m).real)
         if normalize:
             m = m / tr
@@ -451,17 +460,13 @@ class QuantumModel(TheoryModel):
         return Transformation(self, compose_kraus(first.payload, then.payload), "")
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        kraus = np.concatenate([t1.payload.kraus, t2.payload.kraus])
-        return Transformation(self, KrausOp(kraus, check=False), "")
+        return Transformation(self, coarse_grain_kraus(t1.payload, t2.payload), "")
 
     def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
-        return Transformation(self, KrausOp(np.sqrt(lam) * t.payload.kraus, check=False), "")
+        return Transformation(self, scale_kraus(lam, t.payload), "")
 
     def complement(self, t: Transformation) -> Transformation:
-        k = t.payload.trace_operator()
-        return Transformation(
-            self, KrausOp([psd_sqrt(np.eye(self.d) - k)], check=False), f"~{t.label}"
-        )
+        return Transformation(self, complement_kraus(t.payload), f"~{t.label}")
 
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, e1.payload + e2.payload)
@@ -493,15 +498,8 @@ class QuantumModel(TheoryModel):
     def random_state(self, rng: np.random.Generator) -> State:
         return State(self, ginibre_state(rng, self.d))
 
-    def random_pure_state(self, rng: np.random.Generator) -> State:
-        return State(self, random_pure_state(rng, self.d))
-
     def random_transformation(self, rng: np.random.Generator) -> Transformation:
-        blocks = haar_isometry_blocks(rng, self.d, 3)
-        keep = int(rng.integers(1, 3))
-        lam = rng.uniform(0.3, 1.0)
-        kraus = [np.sqrt(lam) * b for b in blocks[:keep]]
-        return Transformation(self, KrausOp(kraus, check=False), "random")
+        return Transformation(self, random_kraus(rng, self.d, 0.3), "random")
 
     def random_instrument(self, rng: np.random.Generator, outcomes: int) -> Instrument:
         blocks = haar_isometry_blocks(rng, self.d, outcomes)
@@ -538,9 +536,6 @@ class QuantumBipartite(BipartiteModel):
 
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         return Effect(self.joint, np.kron(e_left.payload, e_right.payload))
-
-    def joint_state(self, matrix, normalize: bool = False) -> State:
-        return self.joint.state(matrix, normalize=normalize)
 
 
 # ---------------------------------------------------------------------------

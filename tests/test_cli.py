@@ -82,24 +82,23 @@ class TestDeterminism:
         assert lines[0] == lines[1]
 
     @pytest.mark.parametrize(
-        "suite,ignored",
+        "suite,read",
         [
-            ("opcore", set()),
-            ("quantum-nosig", set()),
-            ("lemma", {"tol"}),
-            ("dsum", set()),
-            ("tomo-audit", {"trials"}),
-            ("boxworld", {"seed", "trials"}),
-            ("all", set()),
+            ("opcore", {"seed", "trials", "d1", "d2", "outcomes", "tol"}),
+            ("quantum-nosig", {"seed", "trials", "d1", "d2", "tol", "fixture"}),
+            ("lemma", {"seed", "trials", "d1", "d2"}),
+            ("dsum", {"seed", "trials", "d1", "d2", "outcomes", "tol"}),
+            ("tomo-audit", {"seed", "d1", "d2"}),
+            ("boxworld", {"box"}),
+            ("all", {"seed", "trials", "d1", "d2", "outcomes", "tol", "fixture", "box"}),
         ],
     )
-    def test_config_echoes_only_flags_that_matter(self, suite, ignored, tmp_path, capsys):
+    def test_config_echoes_only_flags_that_matter(self, suite, read, tmp_path, capsys):
         path = tmp_path / "out.json"
         assert main(["--suite", suite, "--trials", "5", "--seed", "1", "--json", str(path)]) == 0
         capsys.readouterr()
         config = json.loads(path.read_text())["config"]
-        flags = {"suite", "seed", "trials", "d1", "d2", "outcomes", "tol", "fixture", "box"}
-        assert set(config) == flags - ignored
+        assert set(config) == {"suite"} | read
         assert config["suite"] == suite
 
     def test_seed_changes_report(self):
@@ -153,6 +152,35 @@ class TestMutantDetection:
         (sub,) = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
         assert sub["witness"]["rejected_fixture"] == str(box_path)
         assert "finite" in sub["witness"]["reason"]
+
+    @pytest.mark.parametrize(
+        "flag,suite,content",
+        [
+            ("--fixture", "quantum-nosig", [[{"rows": 2}]]),
+            ("--fixture", "quantum-nosig", [1]),
+            ("--box", "boxworld", {"a": 1}),
+            ("--box", "boxworld", {"p": {"x": 1}}),
+        ],
+        ids=[
+            "instrument-missing-key",
+            "instrument-wrong-type",
+            "box-missing-key",
+            "box-wrong-type",
+        ],
+    )
+    def test_malformed_fixture_rejected_at_load(self, flag, suite, content, tmp_path, capsys):
+        # Valid JSON without the expected structure is bad input: exit 1 with
+        # a rejected_fixture witness, not a traceback.
+        fixture_path = tmp_path / "malformed.json"
+        fixture_path.write_text(json.dumps(content))
+        out_path = tmp_path / "out.json"
+        code = main(["--suite", suite, flag, str(fixture_path), "--json", str(out_path)])
+        assert code == 1
+        capsys.readouterr()
+        subs = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
+        (witness,) = [s["witness"] for s in subs if s["witness"]]
+        assert witness["rejected_fixture"] == str(fixture_path)
+        assert witness["reason"].startswith("malformed fixture")
 
     def test_dsum_suite_runs_on_from_local(self, monkeypatch, capsys):
         # Planted defect: the passive sector gets sqrt(p) X instead of sqrt(p) I

@@ -14,11 +14,13 @@ from optheory.linalg import (
     partial_trace,
     rank_of_rows,
     require_hermitian,
+    require_psd,
     span_rank,
     tensor,
     trace_norm,
 )
-from optheory.quantum import PAULI_X, PAULI_Y, PAULI_Z
+from optheory.directsum import DSumState
+from optheory.quantum import PAULI_X, PAULI_Y, PAULI_Z, QuantumModel, reduced_positivity_min_eig
 from optheory.sampling import complex_gaussian, ginibre_positive, trial_rng
 
 I2 = np.eye(2)
@@ -132,6 +134,35 @@ class TestEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             min_eig_herm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestRequirePSD:
+    def test_accepts_psd_within_slack(self):
+        # A -1e-12 eigenvalue is roundoff at trace norm 1: PSD_SLACK is 1e-10.
+        m = np.diag([1.0, -1e-12])
+        assert np.array_equal(require_psd(m, "unused"), m)
+
+    def test_returns_the_symmetrized_matrix(self):
+        m = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
+        assert np.array_equal(require_psd(m, "unused"), require_hermitian(m))
+
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (lambda bad: require_psd(bad, "custom message"), "custom message"),
+            (lambda bad: DSumState(bad, np.zeros((2, 2))), "rho_plus must be PSD"),
+            (lambda bad: DSumState(np.zeros((2, 2)), bad), "rho_minus must be PSD"),
+            (lambda bad: QuantumModel(2).state(bad), "density operator must be PSD"),
+            (lambda bad: reduced_positivity_min_eig(bad, np.eye(4), 2, 2), "local operator A"),
+            (lambda bad: reduced_positivity_min_eig(I2, tensor(bad, I2), 2, 2), "joint operator R"),
+        ],
+        ids=["kernel", "dsum-plus", "dsum-minus", "quantum-state", "lemma-A", "lemma-R"],
+    )
+    def test_each_caller_keeps_its_message(self, check, message):
+        # Unit trace, eigenvalues 1.5 and -0.5: far below the slack.
+        bad = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match=message):
+            check(bad)
 
 
 class TestHermitianBasis:

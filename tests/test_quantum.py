@@ -15,10 +15,14 @@ from optheory.quantum import (
     QuantumModel,
     apply_quantum_op,
     choi_distance,
+    coarse_grain_kraus,
+    complement_kraus,
     local_embed,
     minimal_ic_povm,
     quantum_no_signaling_check,
+    random_kraus,
     reduced_positivity_min_eig,
+    scale_kraus,
     singlet_state,
     steering_witness,
     trace_biconditional_check,
@@ -106,6 +110,25 @@ class TestChoiDistance:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             choi_distance(KrausOp([I2]), KrausOp([np.eye(3)]))
+
+
+class TestKrausKernels:
+    """The coarse-graining, scaling and complement kernels act on trace
+    operators as K_a + K_b, lam K and I - K."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trace_operators(self, d):
+        for k in range(5):
+            rng = trial_rng(58, k)
+            a, b = random_kraus(rng, d, 0.3), random_kraus(rng, d, 0.3)
+            ka, kb = a.trace_operator(), b.trace_operator()
+            both = coarse_grain_kraus(a, b)
+            assert len(both.kraus) == len(a.kraus) + len(b.kraus)
+            assert np.abs(both.trace_operator() - (ka + kb)).max() <= 1e-14
+            assert np.abs(scale_kraus(0.25, a).trace_operator() - 0.25 * ka).max() <= 1e-14
+            rest = complement_kraus(a)
+            assert len(rest.kraus) == 1
+            assert np.abs(rest.trace_operator() + ka - np.eye(d)).max() <= 1e-12
 
 
 class LeakyBipartite(QuantumBipartite):
