@@ -58,8 +58,7 @@ def _parse(build, source: str):
 def load_state(name_or_path: str) -> np.ndarray:
     if name_or_path == "singlet":
         return singlet_state()
-    obj = _read_json(name_or_path)
-    return matrix_from_json(obj)
+    return _parse(matrix_from_json, name_or_path)
 
 
 def load_instrument(name_or_path: str) -> Instrument:

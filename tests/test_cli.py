@@ -82,23 +82,24 @@ class TestDeterminism:
         assert lines[0] == lines[1]
 
     @pytest.mark.parametrize(
-        "suite,read",
+        "suite,ignored",
         [
-            ("opcore", {"seed", "trials", "d1", "d2", "outcomes", "tol"}),
-            ("quantum-nosig", {"seed", "trials", "d1", "d2", "tol", "fixture"}),
-            ("lemma", {"seed", "trials", "d1", "d2"}),
-            ("dsum", {"seed", "trials", "d1", "d2", "outcomes", "tol"}),
-            ("tomo-audit", {"seed", "d1", "d2"}),
-            ("boxworld", {"box"}),
-            ("all", {"seed", "trials", "d1", "d2", "outcomes", "tol", "fixture", "box"}),
+            ("opcore", {"fixture", "box"}),
+            ("quantum-nosig", {"outcomes", "box"}),
+            ("lemma", {"outcomes", "tol", "fixture", "box"}),
+            ("dsum", {"fixture", "box"}),
+            ("tomo-audit", {"trials", "outcomes", "tol", "fixture", "box"}),
+            ("boxworld", {"seed", "trials", "d1", "d2", "outcomes", "tol", "fixture"}),
+            ("all", set()),
         ],
     )
-    def test_config_echoes_only_flags_that_matter(self, suite, read, tmp_path, capsys):
+    def test_config_echoes_only_flags_that_matter(self, suite, ignored, tmp_path, capsys):
         path = tmp_path / "out.json"
         assert main(["--suite", suite, "--trials", "5", "--seed", "1", "--json", str(path)]) == 0
         capsys.readouterr()
         config = json.loads(path.read_text())["config"]
-        assert set(config) == {"suite"} | read
+        flags = {"suite", "seed", "trials", "d1", "d2", "outcomes", "tol", "fixture", "box"}
+        assert set(config) == flags - ignored
         assert config["suite"] == suite
 
     def test_seed_changes_report(self):
@@ -250,6 +251,17 @@ class TestFixtures:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_instrument("/nonexistent/inst.json")
+
+    @pytest.mark.parametrize(
+        "load,content",
+        [(load_state, {"rows": 2}), (load_instrument, [[{"rows": 2}]]), (load_box, {"a": 1})],
+        ids=["state", "instrument", "box"],
+    )
+    def test_malformed_file_raises_value_error(self, load, content, tmp_path):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match="malformed fixture"):
+            load(str(path))
 
 
 def test_report_json_schema():

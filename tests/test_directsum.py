@@ -233,3 +233,49 @@ class TestBipartiteAdapter:
         emb = bip.embed_left(bip.left.identity())
         omega = bip.joint.random_state(trial_rng(76))
         assert prob(omega, emb) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSectorDrawsKeepTheirStream:
+    """The sector-wise draws against the block formulas they replaced, written
+    out here as the reference: same RNG stream, same order, equal arrays.
+    Every suite defect is roundoff, so a reordered draw would otherwise move
+    no reported number beyond 1e-14."""
+
+    @staticmethod
+    def scaled_blocks(rng, d, lam_low):
+        blocks = haar_isometry_blocks(rng, d, 3)
+        keep = int(rng.integers(1, 3))
+        lam = rng.uniform(lam_low, 1.0)
+        return np.array([np.sqrt(lam) * b for b in blocks[:keep]])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_model_draws(self, seed):
+        model, rng, ref = DSumModel(2, 3), trial_rng(77, seed), trial_rng(77, seed)
+        state = model.random_state(rng).payload
+        w = ref.uniform(0.1, 0.9)
+        assert np.array_equal(state.rho_plus, w * ginibre_state(ref, 2))
+        assert np.array_equal(state.rho_minus, (1.0 - w) * ginibre_state(ref, 3))
+        plus, minus = model.random_transformation(rng).payload
+        assert np.array_equal(plus.kraus, self.scaled_blocks(ref, 2, 0.3))
+        assert np.array_equal(minus.kraus, self.scaled_blocks(ref, 3, 0.3))
+        action = model.random_action(rng, 3)
+        ref_plus, ref_minus = haar_isometry_blocks(ref, 2, 3), haar_isometry_blocks(ref, 3, 3)
+        for t, p, m in zip(action.transformations, ref_plus, ref_minus):
+            assert np.array_equal(t.payload[0].kraus[0], p)
+            assert np.array_equal(t.payload[1].kraus[0], m)
+        assert rng.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_local_op_draws(self, seed):
+        rng, ref = trial_rng(78, seed), trial_rng(78, seed)
+        op = ds_random_local_op(rng, 2, 3)
+        assert np.array_equal(op.op_block.kraus, self.scaled_blocks(ref, 3, 0.2))
+        assert op.p == ref.uniform()
+        outcomes = ds_random_action(rng, 1, 2, 4)
+        blocks = haar_isometry_blocks(ref, 2, 4)
+        probs = ref.exponential(size=4)
+        probs = probs / probs.sum()
+        for o, b, p in zip(outcomes, blocks, probs):
+            assert np.array_equal(o.op_block.kraus[0], b)
+            assert o.p == p
+        assert rng.uniform() == ref.uniform()
