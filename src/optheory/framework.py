@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import RANK_TOL
+from .linalg import rank_of_rows
 from .report import VerificationReport, worst_defect
 from .sampling import (
     random_simplex_point,
@@ -336,9 +336,7 @@ def _probe_coords(model: TheoryModel, probes: Sequence[State]) -> np.ndarray:
 
 
 def _require_spanning(model: TheoryModel, probes: Sequence[State]) -> None:
-    coords = _probe_coords(model, probes)
-    svals = np.linalg.svd(coords, compute_uv=False)
-    rank = int(np.sum(svals > RANK_TOL * svals.max(initial=0.0)))
+    rank = rank_of_rows(_probe_coords(model, probes))
     if rank < model.effect_dim:
         raise IndeterminateSpan(
             f"probe states span {rank} < {model.effect_dim} effect dimensions"

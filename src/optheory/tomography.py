@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import BipartiteModel, Effect, TheoryModel, TOL_EFFECT, unit_sum_defect
-from .linalg import rank_of_rows
+from .linalg import full_rank_bound, rank_of_rows
 from .report import VerificationReport
 from .sampling import trial_rng
 
@@ -74,15 +74,18 @@ class ICCertificate:
         return self.informationally_complete
 
 
-def ic_rank(obs: Observable) -> ICCertificate:
-    """Rank of the observable's effects under real-linear combinations."""
+def _coordinate_rows(obs: Observable) -> np.ndarray:
     try:
-        rows = obs.coordinate_rows()
+        return obs.coordinate_rows()
     except NotImplementedError as exc:
         raise ValueError("model does not expose dual effect coordinates") from exc
+
+
+def ic_rank(obs: Observable) -> ICCertificate:
+    """Rank of the observable's effects under real-linear combinations."""
     return ICCertificate(
         observable=obs,
-        rank=rank_of_rows(rows),
+        rank=rank_of_rows(_coordinate_rows(obs)),
         effect_space_dim=obs.model.effect_dim,
     )
 
@@ -96,12 +99,10 @@ def expand_in_ic(effect: Effect, obs: Observable, tol: float = 1e-9) -> np.ndarr
     """
     if effect.model != obs.model:
         raise ValueError("effect and observable belong to different models")
-    cert = ic_rank(obs)
-    if not cert.informationally_complete:
-        raise NotInformationallyComplete(
-            f"observable has rank {cert.rank} < {cert.effect_space_dim}"
-        )
-    rows = obs.coordinate_rows()
+    rows = _coordinate_rows(obs)
+    rank, dim = rank_of_rows(rows), obs.model.effect_dim
+    if rank != dim:
+        raise NotInformationallyComplete(f"observable has rank {rank} < {dim}")
     target = obs.model.effect_coords(effect)
     coeffs, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.abs(rows.T @ coeffs - target).max())
@@ -132,6 +133,14 @@ def product_observable(o1: Observable, o2: Observable, bip: BipartiteModel) -> O
     )
 
 
+def _ambient_rows(bip: BipartiteModel, effects, n: int) -> np.ndarray:
+    """Ambient coordinates of ``n`` effects, one per row, in one preallocated array."""
+    out = np.empty((n, bip.ambient_effect_dim))
+    for i, e in enumerate(effects):
+        out[i] = bip.ambient_effect_coords(e)
+    return out
+
+
 def local_observability_audit(
     bip: BipartiteModel,
     seed: int = 0,
@@ -151,20 +160,25 @@ def local_observability_audit(
     rank is deficient.  Passing means the span covers the full ambient
     effect space, i.e. some locally assembled observable is IC for the
     composite.  The report's ``trials`` counts the rows actually audited.
+    Its details record ``linalg.full_rank_bound`` of the product rows and,
+    when drawn, of the union: above ``FULL_RANK_MARGIN * RANK_TOL`` it
+    certified full rank without an SVD; otherwise the SVD decided (0.0: the
+    certificate declined without a bound).
     """
     obs = product_observable(
         minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip
     )
-    rows = [bip.ambient_effect_coords(e) for e in obs.effects]
     ambient = bip.ambient_effect_dim
-    product_rank = rank = rank_of_rows(np.array(rows))
+    rows = _ambient_rows(bip, obs.effects, len(obs))
+    product_bound = full_rank_bound(rows)
+    product_rank = rank = rank_of_rows(rows, bound=product_bound)
+    bounds = {"product_full_rank_bound": product_bound}
     if product_rank < ambient:
         n_samples = samples if samples is not None else ambient + 32
-        rows += [
-            bip.ambient_effect_coords(bip.random_product_effect(trial_rng(seed, k)))
-            for k in range(n_samples)
-        ]
-        rank = rank_of_rows(np.array(rows))
+        drawn = (bip.random_product_effect(trial_rng(seed, k)) for k in range(n_samples))
+        rows = np.concatenate([rows, _ambient_rows(bip, drawn, n_samples)])
+        bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
+        rank = rank_of_rows(rows, bound=union_bound)
     passed = rank == ambient
     return VerificationReport(
         suite="local-observability",
@@ -179,6 +193,7 @@ def local_observability_audit(
             "ambient_effect_dim": ambient,
             "product_observable_rank": product_rank,
             "product_outcomes": len(obs),
+            **bounds,
         },
     )
 

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optheory.linalg import (
+    FULL_RANK_MARGIN,
+    RANK_TOL,
     direct_sum,
+    full_rank_bound,
     hermitian_basis,
     hermitian_coords,
     hermitian_from_coords,
@@ -213,6 +218,113 @@ class TestSpanRank:
 
     def test_rank_of_rows_zero(self):
         assert rank_of_rows(np.zeros((3, 4))) == 0
+
+
+def svd_rank(a, tol=RANK_TOL) -> int:
+    """Reference count: singular values above tol * sigma_max."""
+    svals = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
+    smax = svals.max(initial=0.0)
+    return 0 if smax == 0.0 else int(np.sum(svals > tol * smax))
+
+
+def planted(rng, m, n, ratio) -> np.ndarray:
+    """An m x n matrix with singular values logarithmically spaced from 1 to ``ratio``."""
+    k = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (u * np.geomspace(1.0, ratio, k)) @ v.T
+
+
+# Either side of RANK_TOL (1e-7) and of FULL_RANK_MARGIN * RANK_TOL (1e-6).
+PLANTED_RATIOS = [1e-8, 5e-8, 3e-7, 2e-6, 1e-3]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count calls of np.linalg.svd, which rank_of_rows reaches only when it declines."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestFullRankCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        extra=st.integers(0, 30),
+        orientation=st.sampled_from(["tall", "square", "wide"]),
+        ratio=st.sampled_from(PLANTED_RATIOS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_matches_svd_count(self, k, extra, orientation, ratio, seed):
+        rng = np.random.default_rng(seed)
+        m, n = {"tall": (k + extra, k), "square": (k, k), "wide": (k, k + extra)}[orientation]
+        a = planted(rng, m, n, ratio)
+        assert rank_of_rows(a) == svd_rank(a)
+
+    @pytest.mark.parametrize("shape", [(30, 30), (45, 30), (30, 45)])
+    def test_near_deficient_rows_go_to_the_svd(self, shape, svd_calls):
+        # sigma_min / sigma_max = 3e-7 clears RANK_TOL but not the certificate's margin.
+        a = planted(trial_rng(60), *shape, 3e-7)
+        assert full_rank_bound(a) <= FULL_RANK_MARGIN * RANK_TOL
+        assert rank_of_rows(a) == 30
+        assert svd_calls == [shape]
+
+    @pytest.mark.parametrize("shape", [(30, 30), (45, 30), (30, 45), (1, 5)])
+    def test_well_conditioned_rows_skip_the_svd(self, shape, svd_calls):
+        a = planted(trial_rng(61), *shape, 1e-3)
+        assert full_rank_bound(a) > FULL_RANK_MARGIN * RANK_TOL
+        assert rank_of_rows(a) == min(shape)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_bound_formula(self, n):
+        # 65 and 200 rows run the blocked inverse past its first leaf.
+        a = planted(trial_rng(62), n + 7, n, 1e-3)
+        r = np.linalg.qr(a, mode="r")
+        expected = 1.0 / (np.linalg.norm(a) * np.linalg.norm(np.linalg.inv(r)))
+        assert full_rank_bound(a) == pytest.approx(expected, rel=1e-9)
+        assert full_rank_bound(a.T) == pytest.approx(expected, rel=1e-9)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert full_rank_bound(a) <= s.min() / s.max()
+
+    def test_rows_are_not_mutated(self):
+        a = planted(trial_rng(63), 150, 100, 1e-2)
+        kept = a.copy()
+        full_rank_bound(a)
+        full_rank_bound(a.T)
+        assert np.array_equal(a, kept)
+
+    def test_exact_deficit_declines_without_inverting(self, monkeypatch):
+        a = planted(trial_rng(64), 20, 12, 1e-2)
+        a[:, 5] = a[:, 3]
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("a deficient R must not be inverted")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        assert full_rank_bound(a) == 0.0
+        assert rank_of_rows(a) == 11
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 4)), np.zeros((0, 4)), np.zeros((4, 0))])
+    def test_empty_and_zero_rows_decline(self, rows):
+        assert full_rank_bound(rows) == 0.0
+        assert rank_of_rows(rows) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 4), (4, 7)])
+    def test_nonfinite_rows_raise(self, bad, shape):
+        a = planted(trial_rng(65), *shape, 1e-2)
+        a[1, 2] = bad
+        assert full_rank_bound(a) == 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            rank_of_rows(a)
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import pytest
 
 from optheory.directsum import DSumBipartite, DSumModel
 from optheory.framework import BipartiteModel, ClassicalBipartite, ClassicalModel, Effect
+from optheory.linalg import FULL_RANK_MARGIN, RANK_TOL
 from optheory.quantum import QuantumBipartite, QuantumModel
 from optheory.tomography import (
     ICCertificate,
@@ -72,6 +73,18 @@ class TestExpandInIC:
         coeffs = expand_in_ic(Effect(qubit, PLUS), self.sic)
         rebuilt = sum(c * e.payload for c, e in zip(coeffs, self.sic.effects))
         assert np.abs(rebuilt - PLUS).max() <= 1e-10
+
+    def test_builds_the_rows_once(self, monkeypatch):
+        calls = []
+        rows = Observable.coordinate_rows
+
+        def counted(obs):
+            calls.append(obs)
+            return rows(obs)
+
+        monkeypatch.setattr(Observable, "coordinate_rows", counted)
+        expand_in_ic(Effect(qubit, PLUS), self.sic)
+        assert calls == [self.sic]
 
     def test_incomplete_observable_rejected(self):
         obs = Observable([Effect(qubit, P0), Effect(qubit, P1)])
@@ -207,6 +220,35 @@ class TestObservabilityAudit:
         assert not report.passed
         assert d["product_observable_rank"] == d["rank"] == 4 < d["ambient_effect_dim"] == 36
         assert report.trials == d["product_outcomes"] + 36 + 32
+
+
+class TestFullRankCertificateInAudit:
+    def test_tensor_audit_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("full rank should be certified without an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        report = local_observability_audit(QuantumBipartite(3, 3), seed=0)
+        d = report.details
+        assert report.passed and d["rank"] == d["ambient_effect_dim"] == 81
+        assert d["product_full_rank_bound"] > FULL_RANK_MARGIN * RANK_TOL
+        assert "union_full_rank_bound" not in d
+
+    def test_dsum_audit_is_decided_by_the_svd(self, monkeypatch):
+        svd = np.linalg.svd
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report = local_observability_audit(DSumBipartite(2, 3), seed=0)
+        d = report.details
+        assert not report.passed and d["rank"] == 13
+        # Both the product rows and their union with the sampled batch decline.
+        assert shapes == [(36, 25), (36 + 25 + 32, 25)]
+        assert d["product_full_rank_bound"] == d["union_full_rank_bound"] == 0.0
 
 
 class TestDimensionIdentity:
