@@ -86,10 +86,6 @@ def chsh_value(box: Box) -> float:
     )
 
 
-def uniform_box() -> Box:
-    return Box(np.full((2, 2, 2, 2), 0.25))
-
-
 def pr_box() -> Box:
     """The extremal no-signaling table: a xor b = x and y, uniformly."""
     t = np.zeros((2, 2, 2, 2))
@@ -121,10 +117,6 @@ def classical_chsh_max() -> float:
     for a0, a1, b0, b1 in product(range(2), repeat=4):
         best = max(best, chsh_value(deterministic_box((a0, a1), (b0, b1))))
     return float(best)
-
-
-def mix_boxes(b1: Box, b2: Box, lam: float) -> Box:
-    return Box(lam * b1.table + (1.0 - lam) * b2.table)
 
 
 def singlet_box(angles: tuple[float, float, float, float]) -> Box:

@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .framework import (
     total_of_action,
 )
 from .quantum import (
+    REDUCED_TOL,
     QuantumBipartite,
     QuantumModel,
     quantum_no_signaling_check,
@@ -46,7 +48,7 @@ from .quantum import (
     x_instrument,
     z_instrument,
 )
-from .report import VerificationReport, combine_reports, worst_defect
+from .report import VerificationReport, combine_reports, run_trials, worst_defect
 from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
@@ -121,6 +123,29 @@ def _rejected(
     )
 
 
+def _from_trials(suite, cfg, trials, trial, tols) -> VerificationReport:
+    """Report of ``trial`` run on trials 0..trials-1, with ``cfg.tol`` as its
+    headline tolerance."""
+    checks = run_trials(cfg.seed, range(trials), trial, tols)
+    return VerificationReport.from_checks(suite, cfg.seed, trials, checks, cfg.tol)
+
+
+def _defects(report: VerificationReport) -> VerificationReport:
+    """``report`` with its check defects as details, by name."""
+    return replace(report, details={c.name: c.defect for c in report.checks})
+
+
+def _composite_trial(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) -> dict:
+    commute = commutation_defect(
+        bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
+    )
+    joint = bip.joint.random_state(rng)
+    action = bip.left.random_action(rng, max(cfg.outcomes, 2))
+    probes = [bip.right.random_transformation(rng) for _ in range(3)]
+    rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
+    return {"commutation": commute, "no_signaling": rep.max_defect}
+
+
 def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
     """Generic framework invariants on all three models, plus the implication
     "embedded local transformations commute, hence no signaling"."""
@@ -136,36 +161,20 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
         QuantumBipartite(cfg.d1, cfg.d2),
         DSumBipartite(cfg.d1, cfg.d2),
     ]
-    nosig_trials = max(cfg.trials // 5, 5)
+    tols = {"commutation": 1e-10, "no_signaling": cfg.tol}
     for bip in composites:
-        worst_commute = 0.0
-        worst_nosig = 0.0
-        for k in range(nosig_trials):
-            rng = trial_rng(cfg.seed, k)
-            worst_commute = worst_defect(
-                worst_commute,
-                commutation_defect(
-                    bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
-                ),
-            )
-            joint = bip.joint.random_state(rng)
-            action = bip.left.random_action(rng, max(cfg.outcomes, 2))
-            probes = [bip.right.random_transformation(rng) for _ in range(3)]
-            rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
-            worst_nosig = worst_defect(worst_nosig, rep.max_defect)
-        defect = worst_defect(worst_commute, worst_nosig)
-        reports.append(
-            VerificationReport(
-                suite=f"commutation-and-no-signaling[{bip.joint.name}]",
-                seed=cfg.seed,
-                trials=nosig_trials,
-                max_defect=defect,
-                tol=cfg.tol,
-                passed=worst_commute <= 1e-10 and worst_nosig <= cfg.tol,
-                details={"commutation": worst_commute, "no_signaling": worst_nosig},
-            )
-        )
+        suite = f"commutation-and-no-signaling[{bip.joint.name}]"
+        trial = partial(_composite_trial, cfg, bip)
+        reports.append(_defects(_from_trials(suite, cfg, max(cfg.trials // 5, 5), trial, tols)))
     return combine_reports("opcore", reports)
+
+
+def _quantum_nosig_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> dict:
+    rho = ginibre_state(rng, cfg.d1 * cfg.d2)
+    n_out = int(rng.integers(2, 5))
+    inst = model.random_instrument(rng, n_out)
+    rep = quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
+    return {c.name: c.defect for c in rep.checks}
 
 
 def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
@@ -189,39 +198,17 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
             suite = "quantum-no-signaling[fixture]"
             reports.append(_rejected(suite, cfg, cfg.fixture, cfg.tol, exc))
     else:
-        model = QuantumModel(cfg.d1)
-        worst = 0.0
-        for k in range(cfg.trials):
-            rng = trial_rng(cfg.seed, k)
-            rho = ginibre_state(rng, cfg.d1 * cfg.d2)
-            n_out = int(rng.integers(2, 5))
-            inst = model.random_instrument(rng, n_out)
-            rep = quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
-            worst = worst_defect(worst, rep.max_defect)
-        reports.append(
-            VerificationReport(
-                suite="quantum-no-signaling[random]",
-                seed=cfg.seed,
-                trials=cfg.trials,
-                max_defect=worst,
-                tol=cfg.tol,
-                passed=worst <= cfg.tol,
-            )
-        )
+        trial = partial(_quantum_nosig_trial, cfg, QuantumModel(cfg.d1))
+        tols = {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL}
+        random = _from_trials("quantum-no-signaling[random]", cfg, cfg.trials, trial, tols)
+        # Its headline defect stays the averaged-instrument one.
+        reports.append(replace(random, max_defect=random.checks[0].defect))
         if cfg.d1 == 2 and cfg.d2 == 2:
             rho = singlet_state()
             for name, inst in (("z", z_instrument()), ("x", x_instrument())):
                 rep = quantum_no_signaling_check(rho, inst, 2, 2, tol=1e-12, seed=cfg.seed)
-                reports.append(
-                    VerificationReport(
-                        suite=f"quantum-no-signaling[singlet-{name}]",
-                        seed=cfg.seed,
-                        trials=1,
-                        max_defect=rep.max_defect,
-                        tol=1e-12,
-                        passed=rep.passed,
-                    )
-                )
+                suite = f"quantum-no-signaling[singlet-{name}]"
+                reports.append(replace(rep, suite=suite, trials=1, details={}))
         reports.append(
             trace_biconditional_check(
                 trials=cfg.trials, d1=cfg.d1, d2=cfg.d2, seed=cfg.seed
@@ -230,67 +217,45 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
     return combine_reports("quantum-nosig", reports)
 
 
+def _lemma_trial(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> dict:
+    a = ginibre_positive(rng, cfg.d1)
+    r = ginibre_positive(rng, cfg.d1 * cfg.d2)
+    low = reduced_positivity_min_eig(a, r, cfg.d1, cfg.d2)
+    return {"reduced_positivity": -min(low, 0.0)}  # min keeps a NaN low
+
+
 def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
     """Positivity of remote reductions under local positive filters."""
-    worst = 0.0
-    for k in range(cfg.trials):
-        rng = trial_rng(cfg.seed, k)
-        a = ginibre_positive(rng, cfg.d1)
-        r = ginibre_positive(rng, cfg.d1 * cfg.d2)
-        low = reduced_positivity_min_eig(a, r, cfg.d1, cfg.d2)
-        worst = worst_defect(worst, -min(low, 0.0))  # min keeps a NaN low
-    return VerificationReport(
-        suite="lemma",
-        seed=cfg.seed,
-        trials=cfg.trials,
-        max_defect=worst,
-        tol=1e-10,
-        passed=worst <= 1e-10,
-    )
+    tols = {"reduced_positivity": 1e-10}
+    checks = run_trials(cfg.seed, range(cfg.trials), partial(_lemma_trial, cfg), tols)
+    return VerificationReport.from_checks("lemma", cfg.seed, cfg.trials, checks, 1e-10)
+
+
+def _dsum_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> dict:
+    a = model.from_local(ds_random_local_op(rng, 1, cfg.d1))
+    b = model.from_local(ds_random_local_op(rng, 2, cfg.d2))
+    ab = model.compose(a, b)
+    defects = {"commutation": model.transformation_distance(ab, model.compose(b, a))}
+
+    omega = model.random_state(rng)
+    outcomes = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
+    total = total_of_action(Action(map(model.from_local, outcomes), check=False))
+    probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
+    defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))
+
+    pa = prob(omega, a)
+    if pa > 1e-6:
+        quotient = prob(omega, ab) / pa
+        defects["conditioning_quotient"] = abs(prob(condition(omega, a), b) - quotient)
+    return defects
 
 
 def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
     """Commutation, no-signaling and the Bayes quotient of direct-sum local
     operations (free sector weight p), all through :class:`DSumModel`."""
-    model = DSumModel(cfg.d1, cfg.d2)
-    worst_commute = 0.0
-    worst_nosig = 0.0
-    worst_quotient = 0.0
-    for k in range(cfg.trials):
-        rng = trial_rng(cfg.seed, k)
-        a = model.from_local(ds_random_local_op(rng, 1, cfg.d1))
-        b = model.from_local(ds_random_local_op(rng, 2, cfg.d2))
-        ab = model.compose(a, b)
-        worst_commute = worst_defect(
-            worst_commute, model.transformation_distance(ab, model.compose(b, a))
-        )
-
-        omega = model.random_state(rng)
-        outcomes = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
-        total = total_of_action(Action(map(model.from_local, outcomes), check=False))
-        probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
-        worst_nosig = worst_defect(worst_nosig, *probe_shifts(omega, total, probes))
-
-        pa = prob(omega, a)
-        if pa > 1e-6:
-            quotient = prob(omega, ab) / pa
-            worst_quotient = worst_defect(
-                worst_quotient, abs(prob(condition(omega, a), b) - quotient)
-            )
-    passed = worst_commute <= 1e-12 and worst_nosig <= cfg.tol and worst_quotient <= 1e-10
-    return VerificationReport(
-        suite="dsum",
-        seed=cfg.seed,
-        trials=cfg.trials,
-        max_defect=worst_defect(worst_commute, worst_nosig, worst_quotient),
-        tol=cfg.tol,
-        passed=passed,
-        details={
-            "commutation": worst_commute,
-            "no_signaling": worst_nosig,
-            "conditioning_quotient": worst_quotient,
-        },
-    )
+    trial = partial(_dsum_trial, cfg, DSumModel(cfg.d1, cfg.d2))
+    tols = {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10}
+    return _defects(_from_trials("dsum", cfg, cfg.trials, trial, tols))
 
 
 def _run_tomo_audit(cfg: SuiteConfig) -> VerificationReport:
@@ -408,20 +373,36 @@ def _print_box_table(name: str, entries: list[float]) -> None:
             print(f"  x={x} y={y}:  {row}")
 
 
+def _print_checks(report: dict, indent: str) -> None:
+    for c in report.get("checks", ()):
+        verdict = "ok" if c["defect"] <= c["tol"] else "FAIL"
+        print(
+            f"{indent}{verdict:<4} {c['name']:<28} defect={c['defect']:.3e} "
+            f"tol={c['tol']:.1e} worst_trial={c['worst_trial']}"
+        )
+
+
+def _print_sub_report(sub: dict, cfg: SuiteConfig, indent: str) -> None:
+    verdict = "PASS" if sub["pass"] else "FAIL"
+    if sub.get("expected_failure"):
+        verdict += " (expected)" if not sub["pass"] else " (unexpected)"
+    print(f"{indent}{verdict:<18} {sub['suite']:<42} max_defect={sub['max_defect']:.3e}")
+    _print_checks(sub, indent + "    ")
+    for nested in sub.get("details", {}).get("sub_reports", ()):
+        _print_sub_report(nested, cfg, indent + "  ")
+    if cfg.suite == "boxworld" and sub.get("details"):
+        for key, value in sub["details"].items():
+            print(f"      {key} = {value:.10f}")
+    if cfg.suite == "boxworld" and sub.get("witness"):
+        for key, value in sub["witness"].items():
+            if isinstance(value, list) and len(value) == 16:
+                _print_box_table(key, value)
+
+
 def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
-    if report.details.get("sub_reports"):
-        for sub in report.details["sub_reports"]:
-            verdict = "PASS" if sub["pass"] else "FAIL"
-            if sub.get("expected_failure"):
-                verdict += " (expected)" if not sub["pass"] else " (unexpected)"
-            print(f"  {verdict:<18} {sub['suite']:<42} max_defect={sub['max_defect']:.3e}")
-            if cfg.suite == "boxworld" and sub.get("details"):
-                for key, value in sub["details"].items():
-                    print(f"      {key} = {value:.10f}")
-            if cfg.suite == "boxworld" and sub.get("witness"):
-                for key, value in sub["witness"].items():
-                    if isinstance(value, list) and len(value) == 16:
-                        _print_box_table(key, value)
+    for sub in report.details.get("sub_reports", ()):
+        _print_sub_report(sub, cfg, "  ")
+    _print_checks(report.to_dict(), "  ")
     if cfg.suite == "tomo-audit":
         _print_tomo_table(report.details["rows"])
     print(report.summary())

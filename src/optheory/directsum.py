@@ -124,10 +124,6 @@ class DSumLocalOp:
             raise ValueError(f"sector probability must lie in [0, 1], got {self.p}")
 
 
-def ds_identity(side: int, d: int) -> DSumLocalOp:
-    return DSumLocalOp(side, KrausOp([np.eye(d)], check=False), 1.0, "identity")
-
-
 def _bind(omega: DSumState) -> tuple["DSumModel", State]:
     model = DSumModel(*omega.dims)
     return model, State(model, omega)

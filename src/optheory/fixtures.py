@@ -1,7 +1,7 @@
-"""Named fixtures and JSON loaders for states, instruments, and boxes.
+"""Named fixtures and JSON loaders for instruments and boxes.
 
-Fixture names resolve to built-in objects ("singlet", "z-instrument",
-"x-instrument") or to packaged JSON files ("mutant-instrument",
+Fixture names resolve to built-in objects ("z-instrument", "x-instrument",
+"pr-box") or to packaged JSON files ("mutant-instrument",
 "signaling-box", used to prove the verifiers are not vacuous).  Anything
 else is treated as a filesystem path.  A file that parses as JSON but lacks
 the expected structure raises ``ValueError``, like one with invalid entries.
@@ -13,11 +13,9 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .boxes import Box
 from .linalg import matrix_from_json, matrix_to_json
-from .quantum import Instrument, KrausOp, singlet_state, x_instrument, z_instrument
+from .quantum import Instrument, KrausOp, x_instrument, z_instrument
 
 
 def instrument_to_json(inst: Instrument) -> list:
@@ -34,11 +32,6 @@ def _data_text(name: str) -> str:
     return resources.files("optheory").joinpath("data", name).read_text()
 
 
-def data_path(name: str) -> Path:
-    """Filesystem path of a packaged fixture file."""
-    return Path(str(resources.files("optheory").joinpath("data", name)))
-
-
 def _read_json(source: str):
     if Path(source).exists():
         return json.loads(Path(source).read_text())
@@ -53,12 +46,6 @@ def _parse(build, source: str):
         return build(obj)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed fixture {source}: {type(exc).__name__} {exc}") from exc
-
-
-def load_state(name_or_path: str) -> np.ndarray:
-    if name_or_path == "singlet":
-        return singlet_state()
-    return _parse(matrix_from_json, name_or_path)
 
 
 def load_instrument(name_or_path: str) -> Instrument:

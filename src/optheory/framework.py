@@ -27,12 +27,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import rank_of_rows
-from .report import VerificationReport, worst_defect
+from .report import VerificationReport, run_trials, worst_defect
 from .sampling import (
     random_simplex_point,
     random_stochastic_split,
     random_substochastic,
-    trial_rng,
 )
 
 # Conditioning on events rarer than this raises ZeroProbability.
@@ -480,6 +479,18 @@ def determinism_equivalence_check(
     )
 
 
+_INVARIANTS = (
+    "completeness",
+    "bayes_chain",
+    "mixture_linearity",
+    "associativity",
+    "identity_neutral",
+    "distributivity",
+    "additivity",
+    "scale_conditioning",
+)
+
+
 def model_invariant_suite(
     model: TheoryModel,
     seed: int = 0,
@@ -494,18 +505,8 @@ def model_invariant_suite(
     distributivity of composition over coarse-graining, and additivity of
     coarse-grained probabilities.
     """
-    worst: dict[str, float] = {
-        "completeness": 0.0,
-        "bayes_chain": 0.0,
-        "mixture_linearity": 0.0,
-        "associativity": 0.0,
-        "identity_neutral": 0.0,
-        "distributivity": 0.0,
-        "additivity": 0.0,
-        "scale_conditioning": 0.0,
-    }
-    for k in range(trials):
-        rng = trial_rng(seed, k)
+
+    def trial(rng: np.random.Generator, k: int) -> dict[str, float]:
         omega = model.random_state(rng)
         omega2 = model.random_state(rng)
         ta = model.random_transformation(rng)
@@ -515,13 +516,13 @@ def model_invariant_suite(
 
         action = model.random_action(rng, outcomes)
         total = sum(prob(omega, t) for t in action.transformations)
-        worst["completeness"] = worst_defect(worst["completeness"], abs(total - 1.0))
+        defects = {"completeness": abs(total - 1.0)}
 
         pa = prob(omega, ta)
         if pa > 1e-6:
             chain = prob(condition(omega, ta), tb) * pa
             direct = prob(omega, compose(ta, tb))
-            worst["bayes_chain"] = worst_defect(worst["bayes_chain"], abs(chain - direct))
+            defects["bayes_chain"] = abs(chain - direct)
 
         lam = rng.uniform(0.2, 0.8)
         mixed = model.mix_states(omega, omega2, lam, 1.0 - lam)
@@ -529,18 +530,12 @@ def model_invariant_suite(
         mix_applied = model.mix_states(
             model.apply(ta, omega), model.apply(ta, omega2), lam, 1.0 - lam
         )
-        worst["mixture_linearity"] = worst_defect(
-            worst["mixture_linearity"], model.state_distance(applied_mix, mix_applied)
-        )
+        defects["mixture_linearity"] = model.state_distance(applied_mix, mix_applied)
 
-        worst["associativity"] = worst_defect(
-            worst["associativity"],
-            model.transformation_distance(
-                compose(compose(ta, tb), tc), compose(ta, compose(tb, tc))
-            ),
+        defects["associativity"] = model.transformation_distance(
+            compose(compose(ta, tb), tc), compose(ta, compose(tb, tc))
         )
-        worst["identity_neutral"] = worst_defect(
-            worst["identity_neutral"],
+        defects["identity_neutral"] = worst_defect(
             model.transformation_distance(compose(ta, ident), ta),
             model.transformation_distance(compose(ident, ta), ta),
         )
@@ -548,32 +543,25 @@ def model_invariant_suite(
         sa = scale(lam, ta)
         sb = scale(1.0 - lam, tb)
         coarse = add_coexistent(sa, sb)
-        worst["distributivity"] = worst_defect(
-            worst["distributivity"],
-            model.transformation_distance(
-                compose(coarse, tc), model.add_transformations(compose(sa, tc), compose(sb, tc))
-            ),
+        defects["distributivity"] = model.transformation_distance(
+            compose(coarse, tc), model.add_transformations(compose(sa, tc), compose(sb, tc))
         )
-        worst["additivity"] = worst_defect(
-            worst["additivity"],
-            abs(prob(omega, coarse) - prob(omega, sa) - prob(omega, sb)),
-        )
+        defects["additivity"] = abs(prob(omega, coarse) - prob(omega, sa) - prob(omega, sb))
 
         if prob(omega, ta) > 1e-6:
-            worst["scale_conditioning"] = worst_defect(
-                worst["scale_conditioning"],
-                model.state_distance(condition(omega, scale(0.3, ta)), condition(omega, ta)),
+            defects["scale_conditioning"] = model.state_distance(
+                condition(omega, scale(0.3, ta)), condition(omega, ta)
             )
+        return defects
 
-    max_defect = worst_defect(*worst.values())
-    return VerificationReport(
-        suite=f"framework-invariants[{model.name}]",
-        seed=seed,
-        trials=trials,
-        max_defect=max_defect,
-        tol=tol,
-        passed=max_defect <= tol,
-        details={"per_invariant": worst},
+    checks = run_trials(seed, range(trials), trial, dict.fromkeys(_INVARIANTS, tol))
+    return VerificationReport.from_checks(
+        f"framework-invariants[{model.name}]",
+        seed,
+        trials,
+        checks,
+        tol,
+        details={"per_invariant": {c.name: c.defect for c in checks}},
     )
 
 

@@ -53,7 +53,7 @@ from .linalg import (
     tensor,
     trace_norm,
 )
-from .report import VerificationReport
+from .report import Check, VerificationReport, run_trials, worst_defect
 from .sampling import (
     complex_gaussian,
     ginibre_positive,
@@ -234,13 +234,17 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     return min_eig_herm(reduced)
 
 
+# Largest reduced-state defect a trace-preserving outcome may show.
+REDUCED_TOL = 1e-8
+
+
 def quantum_no_signaling_check(
     rho,
     inst: Instrument,
     d1: int,
     d2: int,
     tol: float = 1e-10,
-    reduced_tol: float = 1e-8,
+    reduced_tol: float = REDUCED_TOL,
     seed: int = 0,
 ) -> VerificationReport:
     """Certify that an instrument on side 1 leaves side 2's reduction fixed.
@@ -270,15 +274,17 @@ def quantum_no_signaling_check(
         outcome_defects.append({"trace_defect": trace_defect, "reduced_defect": reduced_defect})
         if trace_defect <= tol:
             preserved_defects.append(reduced_defect)
-    total_defect = trace_norm(after - before)
-    passed = total_defect <= tol and all(d <= reduced_tol for d in preserved_defects)
-    return VerificationReport(
-        suite="quantum-no-signaling",
-        seed=seed,
-        trials=len(inst.outcomes),
-        max_defect=total_defect,
-        tol=tol,
-        passed=passed,
+    checks = [
+        Check("no_signaling", trace_norm(after - before), tol),
+        Check("trace_preserving_outcomes", worst_defect(*preserved_defects), reduced_tol),
+    ]
+    return VerificationReport.from_checks(
+        "quantum-no-signaling",
+        seed,
+        len(inst.outcomes),
+        checks,
+        tol,
+        max_defect=checks[0].defect,
         details={
             "outcomes": outcome_defects,
             "trace_preserved_outcomes": len(preserved_defects),
@@ -305,11 +311,9 @@ def trace_biconditional_check(
     and selective operations whose filter is aligned with the state support
     (so the trace-preserved branch is exercised nontrivially).
     """
-    worst = 0.0
-    preserved_cases = 0
-    witness = None
-    for k in range(trials):
-        rng = trial_rng(seed, k)
+    samples: dict[int, dict[str, float]] = {}
+
+    def trial(rng: np.random.Generator, k: int) -> dict[str, float]:
         kind = k % 3
         if kind == 0:
             r = ginibre_positive(rng, d1 * d2)
@@ -333,25 +337,23 @@ def trace_biconditional_check(
         reduced_defect = trace_norm(
             partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
         )
-        violation = 0.0
-        if trace_defect <= trace_tol:
-            preserved_cases += 1
-            if reduced_defect > reduced_pass_tol:
-                violation = reduced_defect
-        if reduced_defect > reduced_fail_tol and trace_defect <= trace_fail_tol:
-            violation = max(violation, reduced_defect)
+        samples[k] = {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
+        broken = (trace_defect <= trace_tol and reduced_defect > reduced_pass_tol) or (
+            trace_defect <= trace_fail_tol and reduced_defect > reduced_fail_tol
+        )
         if np.isnan(trace_defect) or np.isnan(reduced_defect):
-            violation = np.inf  # a NaN defect fails, it never passes a comparison
-        if violation > worst:
-            worst = violation
-            witness = {"trial": k, "trace_defect": trace_defect, "reduced_defect": reduced_defect}
-    return VerificationReport(
-        suite="trace-biconditional",
-        seed=seed,
-        trials=trials,
-        max_defect=worst,
-        tol=reduced_pass_tol,
-        passed=worst <= reduced_pass_tol and preserved_cases > 0,
+            return {"biconditional": np.nan}  # counts as +inf: a NaN never passes
+        return {"biconditional": reduced_defect if broken else 0.0}
+
+    (violation,) = run_trials(seed, range(trials), trial, {"biconditional": reduced_pass_tol})
+    worst = violation.worst_trial
+    witness = {"trial": worst, **samples[worst]} if violation.defect > 0.0 else None
+    preserved_cases = sum(s["trace_defect"] <= trace_tol for s in samples.values())
+    # The trace-preserved branch must be exercised, or the audit is vacuous.
+    checks = [violation, Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0)]
+    return VerificationReport.from_checks(
+        "trace-biconditional", seed, trials, checks, reduced_pass_tol,
+        max_defect=violation.defect,
         witness=witness,
         details={"trace_preserved_cases": preserved_cases},
     )

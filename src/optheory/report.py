@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import asdict, dataclass, field
 from typing import Any
+
+from .sampling import trial_rng
 
 
 def worst_defect(*defects: float) -> float:
@@ -19,13 +22,52 @@ def worst_defect(*defects: float) -> float:
 
 
 @dataclass(frozen=True)
+class Check:
+    """One named gate of a report: its worst defect, its tolerance, and the
+    earliest trial that reached that defect (None when no trial evaluated
+    the check, or when the check is made once per report)."""
+
+    name: str
+    defect: float
+    tol: float
+    worst_trial: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.defect <= self.tol  # False for NaN
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+
+def run_trials(
+    seed: int, indices: Iterable[int], trial: Callable[..., Mapping[str, float]], tols: dict
+) -> list[Check]:
+    """Run ``trial(trial_rng(seed, k), k)`` for every ``k`` in ``indices``.
+
+    ``trial`` returns ``{check_name: defect}`` for the checks that trial
+    evaluated; ``tols`` names every check, in report order, with its
+    tolerance.  Each check's defects are folded with :func:`worst_defect`.
+    """
+    worst = dict.fromkeys(tols, 0.0)
+    at: dict[str, int | None] = dict.fromkeys(tols)
+    for k in indices:
+        for name, defect in trial(trial_rng(seed, k), k).items():
+            folded = worst_defect(worst[name], defect)
+            if at[name] is None or folded > worst[name]:
+                worst[name], at[name] = folded, k
+    return [Check(name, worst[name], tol, at[name]) for name, tol in tols.items()]
+
+
+@dataclass(frozen=True)
 class VerificationReport:
     """Result of one randomized check: worst defect over all trials vs a tolerance.
 
     ``expected_failure`` marks checks that are supposed to fail (the report
     then counts as OK when the underlying check indeed failed).  ``witness``
     carries an optional machine-readable fixture describing the worst trial
-    or auxiliary measurements.
+    or auxiliary measurements.  A report built by :meth:`from_checks` lists
+    the named gates that decided ``passed``.
     """
 
     suite: str
@@ -37,6 +79,16 @@ class VerificationReport:
     expected_failure: bool = False
     witness: dict[str, Any] | None = None
     details: dict[str, Any] = field(default_factory=dict)
+    checks: tuple[Check, ...] = ()
+
+    @classmethod
+    def from_checks(cls, suite, seed, trials, checks, tol, **extra) -> VerificationReport:
+        """The report that passes when every check does; ``max_defect``
+        defaults to the worst defect of the checks."""
+        checks = tuple(checks)
+        extra.setdefault("max_defect", worst_defect(*(c.defect for c in checks)))
+        passed = all(c.passed for c in checks)
+        return cls(suite, seed, trials, tol=tol, passed=passed, checks=checks, **extra)
 
     @property
     def ok(self) -> bool:
@@ -57,6 +109,8 @@ class VerificationReport:
             out["expected_failure"] = True
         if self.details:
             out["details"] = self.details
+        if self.checks:
+            out["checks"] = [c.to_dict() for c in self.checks]
         return out
 
     def to_json(self) -> str:

@@ -31,13 +31,6 @@ def ginibre_state(rng: np.random.Generator, d: int) -> np.ndarray:
     return p / np.trace(p).real
 
 
-def random_pure_state(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Projector onto a Gaussian random unit vector."""
-    v = complex_gaussian(rng, d, 1)[:, 0]
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def haar_isometry_blocks(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
     """Slice a Haar-random (n*d) x d isometry into n square blocks.
 

@@ -69,10 +69,6 @@ class ICCertificate:
     def minimal(self) -> bool:
         return self.informationally_complete and self.rank == len(self.observable)
 
-    @property
-    def coefficients_available(self) -> bool:
-        return self.informationally_complete
-
 
 def _coordinate_rows(obs: Observable) -> np.ndarray:
     try:

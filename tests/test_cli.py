@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +10,17 @@ import pytest
 
 from optheory.cli import SuiteConfig, UsageError, exit_code, main, run_suite
 from optheory.fixtures import (
-    data_path,
     instrument_from_json,
     instrument_to_json,
     load_box,
     load_instrument,
-    load_state,
 )
 from optheory.boxes import pr_box
 from optheory.directsum import DSumModel
-from optheory.quantum import PAULI_X, KrausOp, singlet_state, z_instrument
+from optheory.quantum import PAULI_X, KrausOp, z_instrument
 from optheory.report import VerificationReport
+
+MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
 
 
 class TestSuiteConfig:
@@ -127,7 +128,7 @@ class TestMutantDetection:
                 "--suite",
                 "quantum-nosig",
                 "--fixture",
-                str(data_path("mutant_instrument.json")),
+                str(MUTANT_FILE),
                 "--trials",
                 "5",
             ]
@@ -222,9 +223,6 @@ class TestUsageErrors:
 
 
 class TestFixtures:
-    def test_named_state(self):
-        assert np.allclose(load_state("singlet"), singlet_state())
-
     def test_named_instruments(self):
         for name in ("z-instrument", "x-instrument"):
             inst = load_instrument(name)
@@ -239,7 +237,7 @@ class TestFixtures:
             assert np.allclose(a.kraus[0], b.kraus[0])
 
     def test_mutant_file_contents(self):
-        obj = json.loads(data_path("mutant_instrument.json").read_text())
+        obj = json.loads(MUTANT_FILE.read_text())
         with pytest.raises(Exception):
             instrument_from_json(obj)
 
@@ -254,8 +252,8 @@ class TestFixtures:
 
     @pytest.mark.parametrize(
         "load,content",
-        [(load_state, {"rows": 2}), (load_instrument, [[{"rows": 2}]]), (load_box, {"a": 1})],
-        ids=["state", "instrument", "box"],
+        [(load_instrument, [[{"rows": 2}]]), (load_box, {"a": 1})],
+        ids=["instrument", "box"],
     )
     def test_malformed_file_raises_value_error(self, load, content, tmp_path):
         path = tmp_path / "malformed.json"

@@ -11,7 +11,6 @@ from optheory.directsum import (
     DSumState,
     ds_commutation_defect,
     ds_condition,
-    ds_identity,
     ds_joint_prob,
     ds_local_effect_span,
     ds_local_prob,
@@ -33,6 +32,10 @@ def block_state(w_plus=0.6, seed=60, d1=2, d2=2):
     return DSumState(
         w_plus * ginibre_state(rng, d1), (1.0 - w_plus) * ginibre_state(rng, d2)
     )
+
+
+def ds_identity(side, d):
+    return DSumLocalOp(side, KrausOp([np.eye(d)], check=False), 1.0, "identity")
 
 
 def tp_channel(rng, d):

@@ -32,8 +32,8 @@ from optheory.quantum import (
 from optheory.sampling import (
     ginibre_positive,
     ginibre_state,
+    complex_gaussian,
     haar_isometry_blocks,
-    random_pure_state,
     trial_rng,
 )
 
@@ -50,6 +50,13 @@ def random_op(rng, d):
 def superoperator(m: KrausOp) -> np.ndarray:
     """Reference kernel: sum_k K_k (x) conj(K_k), with row-major vec."""
     return sum(np.kron(k, k.conj()) for k in m.kraus)
+
+
+def random_pure_state(rng, d):
+    """Projector onto a Gaussian random unit vector."""
+    v = complex_gaussian(rng, d, 1)[:, 0]
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 class TestKrausOpArray:

@@ -42,7 +42,6 @@ class TestICRank:
         cert = ic_rank(minimal_ic_observable(qubit))
         assert cert.rank == 4 == cert.effect_space_dim
         assert cert.informationally_complete and cert.minimal
-        assert cert.coefficients_available
 
     def test_qutrit_orbit_is_minimal(self):
         cert = ic_rank(minimal_ic_observable(qutrit))

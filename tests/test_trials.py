@@ -1,0 +1,192 @@
+"""The trial runner and the named checks every trial-based report lists."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optheory import cli, framework, quantum
+from optheory.cli import SUITES, SuiteConfig, main, run_suite
+from optheory.report import Check, VerificationReport, run_trials
+
+
+class TestRunTrials:
+    def test_folds_each_check_and_keeps_the_earliest_worst_trial(self):
+        defects = [0.5, 2.0, 1.0, 2.0]
+        checks = run_trials(
+            0, range(4), lambda rng, k: {"a": defects[k], "b": 0.0}, {"a": 1.0, "b": 1.0}
+        )
+        assert checks == [Check("a", 2.0, 1.0, 1), Check("b", 0.0, 1.0, 0)]
+        assert [c.passed for c in checks] == [False, True]
+
+    def test_check_never_evaluated_has_no_worst_trial(self):
+        (check,) = run_trials(3, range(5), lambda rng, k: {}, {"rare": 1e-9})
+        assert check == Check("rare", 0.0, 1e-9, None)
+
+    def test_nan_counts_as_inf(self):
+        values = [0.1, math.nan, math.inf]
+        (check,) = run_trials(0, range(3), lambda rng, k: {"x": values[k]}, {"x": 1.0})
+        assert check.defect == math.inf and check.worst_trial == 1
+        assert not check.passed
+
+    def test_trial_draws_from_its_own_generator(self):
+        def draws(indices):
+            seen = {}
+
+            def trial(rng, k):
+                seen[k] = rng.uniform()
+                return {}
+
+            run_trials(7, indices, trial, {})
+            return seen
+
+        everything = draws(range(5))
+        assert draws([4, 2]) == {4: everything[4], 2: everything[2]}
+
+    def test_unnamed_check_raises(self):
+        with pytest.raises(KeyError):
+            run_trials(0, range(1), lambda rng, k: {"typo": 0.0}, {"name": 1.0})
+
+    def test_report_passes_when_every_check_does(self):
+        checks = [Check("a", 1e-12, 1e-10), Check("b", 5e-10, 1e-10)]
+        report = VerificationReport.from_checks("x", 0, 3, checks, 1e-8)
+        assert report.max_defect == 5e-10 and report.max_defect <= report.tol
+        assert not report.passed
+        assert report.to_dict()["checks"][1] == {
+            "name": "b", "defect": 5e-10, "tol": 1e-10, "worst_trial": None
+        }
+        assert "checks" not in VerificationReport("x", 0, 1, 0.0, 1.0, passed=True).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Sharding: trials are keyed on (seed, trial_index)
+# ---------------------------------------------------------------------------
+
+def _merge(first: list[Check], second: list[Check]) -> list[Check]:
+    """Per check, the worse of two shards; the earlier shard wins ties."""
+    return [
+        a if b.worst_trial is None or (a.worst_trial is not None and a.defect >= b.defect) else b
+        for a, b in zip(first, second)
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite,trial_functions",
+    [
+        ("opcore", {"model_invariant_suite", "_composite_trial"}),
+        ("quantum-nosig", {"_quantum_nosig_trial", "trace_biconditional_check"}),
+        ("lemma", {"_lemma_trial"}),
+        ("dsum", {"_dsum_trial"}),
+    ],
+)
+def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
+    calls = []
+
+    def spy(seed, indices, trial, tols):
+        indices = list(indices)
+        calls.append((seed, len(indices), trial, tols))
+        return run_trials(seed, indices, trial, tols)
+
+    for module in (cli, framework, quantum):
+        monkeypatch.setattr(module, "run_trials", spy)
+    run_suite(SuiteConfig(suite=suite, trials=10, d1=2, d2=3, seed=0))
+    # A trial is a closure or a partial of a module-level function.
+    names = [getattr(trial, "func", trial).__qualname__.split(".")[0] for _, _, trial, _ in calls]
+    assert set(names) == trial_functions
+    for (seed, n, trial, tols), name in zip(calls, names):
+        full = run_trials(seed, range(n), trial, tols)
+        halves = [run_trials(seed, range(a, b), trial, tols) for a, b in ((0, n // 2), (n // 2, n))]
+        assert _merge(*halves) == full, name
+
+
+# ---------------------------------------------------------------------------
+# `pass` follows from the printed checks
+# ---------------------------------------------------------------------------
+
+def _reports_with_checks(report: dict):
+    if "checks" in report:
+        yield report
+    for sub in (report.get("details") or {}).get("sub_reports", ()):
+        yield from _reports_with_checks(sub)
+
+
+def _json_report(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code = main(argv + ["--json", str(path)])
+    capsys.readouterr()
+    return code, json.loads(path.read_text())["report"]
+
+
+def test_opcore_gates_commutation_at_its_printed_tol(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "commutation_defect", lambda bip, a, b: 5e-10)
+    code, report = _json_report(["--suite", "opcore", "--trials", "5"], tmp_path, capsys)
+    assert code == 1
+    failing = [r for r in _reports_with_checks(report) if not r["pass"]]
+    assert [r["suite"].split("[")[0] for r in failing] == ["commutation-and-no-signaling"] * 3
+    for sub in failing:
+        assert sub["max_defect"] <= sub["tol"]  # the headline numbers alone would pass
+        assert {"name": "commutation", "defect": 5e-10, "tol": 1e-10, "worst_trial": 0} in sub[
+            "checks"
+        ]
+
+
+def test_dsum_gates_the_quotient_at_its_printed_tol(monkeypatch, tmp_path, capsys):
+    real_condition, real_prob = cli.condition, cli.prob
+    conditioned = []
+
+    def condition(omega, t):
+        conditioned.append(real_condition(omega, t))
+        return conditioned[-1]
+
+    def prob(state, t):
+        shift = 5e-10 if any(state is c for c in conditioned) else 0.0
+        return real_prob(state, t) + shift
+
+    monkeypatch.setattr(cli, "condition", condition)
+    monkeypatch.setattr(cli, "prob", prob)
+    code, report = _json_report(["--suite", "dsum", "--trials", "5"], tmp_path, capsys)
+    assert code == 1 and not report["pass"]
+    assert report["max_defect"] <= report["tol"]
+    quotient = {c["name"]: c for c in report["checks"]}["conditioning_quotient"]
+    assert quotient["defect"] == pytest.approx(5e-10, rel=1e-5)
+    assert quotient["tol"] == 1e-10
+
+
+def test_random_quantum_nosig_keeps_the_per_outcome_verdict(monkeypatch, tmp_path, capsys):
+    # A report that fails only on a trace-preserving outcome's reduced defect.
+    def stub(rho, inst, d1, d2, tol=1e-10, seed=0):
+        checks = [
+            Check("no_signaling", 0.0, tol),
+            Check("trace_preserving_outcomes", 1e-6, quantum.REDUCED_TOL),
+        ]
+        return VerificationReport.from_checks(
+            "quantum-no-signaling", seed, 2, checks, tol, max_defect=0.0
+        )
+
+    assert not stub(None, None, 2, 3).passed and stub(None, None, 2, 3).max_defect == 0.0
+    monkeypatch.setattr(cli, "quantum_no_signaling_check", stub)
+    argv = ["--suite", "quantum-nosig", "--trials", "5", "--d1", "2", "--d2", "3"]
+    code, report = _json_report(argv, tmp_path, capsys)
+    assert code == 1
+    random = report["details"]["sub_reports"][0]
+    assert random["suite"] == "quantum-no-signaling[random]"
+    assert not random["pass"] and random["max_defect"] == 0.0
+    assert {c["name"]: c["defect"] for c in random["checks"]}["trace_preserving_outcomes"] == 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    suite=st.sampled_from(SUITES),
+    d1=st.integers(2, 3),
+    d2=st.integers(2, 3),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    outcomes=st.integers(1, 4),
+    tol=st.sampled_from([1e-16, 1e-12, 1e-8, 1e-4]),
+)
+def test_pass_is_all_checks_within_tol(suite, d1, d2, trials, seed, outcomes, tol):
+    cfg = SuiteConfig(suite=suite, seed=seed, trials=trials, d1=d1, d2=d2, outcomes=outcomes, tol=tol)
+    for sub in _reports_with_checks(run_suite(cfg).to_dict()):
+        assert sub["pass"] == all(c["defect"] <= c["tol"] for c in sub["checks"]), sub["suite"]
