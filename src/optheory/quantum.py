@@ -252,7 +252,8 @@ def quantum_no_signaling_check(
     Reports (i) the trace-norm defect between the remote reduction before
     and after the averaged (completed) instrument, and (ii) for every
     outcome that happens to preserve the trace on this state, its individual
-    reduced-state defect.
+    reduced-state defect.  Each is a named check; (ii) is present only when
+    some outcome preserves the trace.
     """
     r = require_hermitian(rho)
     if r.shape[0] != d1 * d2:
@@ -274,10 +275,11 @@ def quantum_no_signaling_check(
         outcome_defects.append({"trace_defect": trace_defect, "reduced_defect": reduced_defect})
         if trace_defect <= tol:
             preserved_defects.append(reduced_defect)
-    checks = [
-        Check("no_signaling", trace_norm(after - before), tol),
-        Check("trace_preserving_outcomes", worst_defect(*preserved_defects), reduced_tol),
-    ]
+    checks = [Check("no_signaling", trace_norm(after - before), tol)]
+    if preserved_defects:
+        checks.append(
+            Check("trace_preserving_outcomes", worst_defect(*preserved_defects), reduced_tol)
+        )
     return VerificationReport.from_checks(
         "quantum-no-signaling",
         seed,
@@ -352,7 +354,11 @@ def trace_biconditional_check(
     # The trace-preserved branch must be exercised, or the audit is vacuous.
     checks = [violation, Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0)]
     return VerificationReport.from_checks(
-        "trace-biconditional", seed, trials, checks, reduced_pass_tol,
+        "trace-biconditional",
+        seed,
+        trials,
+        checks,
+        reduced_pass_tol,
         max_defect=violation.defect,
         witness=witness,
         details={"trace_preserved_cases": preserved_cases},

@@ -36,9 +36,6 @@ class Check:
     def passed(self) -> bool:
         return self.defect <= self.tol  # False for NaN
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def run_trials(
     seed: int, indices: Iterable[int], trial: Callable[..., Mapping[str, float]], tols: dict
@@ -82,7 +79,9 @@ class VerificationReport:
     checks: tuple[Check, ...] = ()
 
     @classmethod
-    def from_checks(cls, suite, seed, trials, checks, tol, **extra) -> VerificationReport:
+    def from_checks(
+        cls, suite: str, seed: int, trials: int, checks: Iterable[Check], tol: float, **extra: Any
+    ) -> VerificationReport:
         """The report that passes when every check does; ``max_defect``
         defaults to the worst defect of the checks."""
         checks = tuple(checks)
@@ -110,7 +109,7 @@ class VerificationReport:
         if self.details:
             out["details"] = self.details
         if self.checks:
-            out["checks"] = [c.to_dict() for c in self.checks]
+            out["checks"] = [asdict(c) for c in self.checks]
         return out
 
     def to_json(self) -> str:
