@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from optheory.linalg import (
     FULL_RANK_MARGIN,
+    PSD_SLACK,
     RANK_TOL,
     direct_sum,
     full_rank_bound,
@@ -150,6 +151,21 @@ class TestRequirePSD:
     def test_returns_the_symmetrized_matrix(self):
         m = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
         assert np.array_equal(require_psd(m, "unused"), require_hermitian(m))
+
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+    def test_slack_scales_with_the_trace_norm(self, factor, accepted):
+        # Eigenvalues 3, 2 and -x with x = factor * PSD_SLACK * (5 + x): the
+        # smallest sits at factor times the threshold of a trace norm 5 + x,
+        # five times the slack a unit trace norm would allow.
+        x = factor * PSD_SLACK * 5 / (1 - factor * PSD_SLACK)
+        q, _ = np.linalg.qr(complex_gaussian(trial_rng(17), 3, 3))
+        m = (q * [3.0, 2.0, -x]) @ q.conj().T
+        assert trace_norm(m) == pytest.approx(5 + x, abs=1e-12)
+        if accepted:
+            assert np.array_equal(require_psd(m, "unused"), require_hermitian(m))
+        else:
+            with pytest.raises(ValueError, match="rejected"):
+                require_psd(m, "rejected")
 
     @pytest.mark.parametrize(
         "check,message",

@@ -1,11 +1,15 @@
 """Quantum model: operations, instruments, reductions, and the verifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
 from optheory.linalg import min_eig_herm, partial_trace, tensor
+from optheory.report import run_trials
 from optheory.quantum import (
+    CHOI_BLOCK,
     PAULI_X,
     IncompleteInstrument,
     Instrument,
@@ -117,6 +121,90 @@ class TestChoiDistance:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             choi_distance(KrausOp([I2]), KrausOp([np.eye(3)]))
+
+
+def dense_choi_difference(a: KrausOp, b: KrausOp) -> np.ndarray:
+    """The whole ``D^2 x D^2`` product ``W^T S`` that the blocked kernel avoids."""
+    w = np.concatenate([a.kraus, b.kraus]).reshape(len(a.kraus) + len(b.kraus), -1)
+    s = w.conj()
+    s[len(a.kraus) :] *= -1
+    return w.T @ s
+
+
+def dense_choi_distance(a: KrausOp, b: KrausOp) -> float:
+    return float(np.abs(dense_choi_difference(a, b)).max())
+
+
+class TestBlockedChoiDistance:
+    """The upper block triangle, taken ``CHOI_BLOCK`` rows at a time, holds
+    the largest entry of the whole Hermitian difference."""
+
+    @pytest.mark.parametrize("d", [5, 9, 36])
+    def test_matches_the_dense_product(self, d):
+        assert (d * d) % CHOI_BLOCK != 0
+        for k in range(3):
+            rng = trial_rng(59, k)
+            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:2], check=False)
+            b = KrausOp(haar_isometry_blocks(rng, d, 2)[:1], check=False)
+            reference = dense_choi_distance(a, b)
+            assert 0.01 < reference < 1.0
+            assert abs(choi_distance(a, b) - reference) <= 1e-14
+
+    def test_rectangular_map(self):
+        # 9 x 12 Kraus operators: 108 entries, the last block partial.
+        rng = trial_rng(60)
+        a = KrausOp(0.3 * complex_gaussian(rng, 2 * 9, 12).reshape(2, 9, 12), check=False)
+        b = KrausOp(0.3 * complex_gaussian(rng, 3 * 9, 12).reshape(3, 9, 12), check=False)
+        reference = dense_choi_distance(a, b)
+        assert 0.01 < reference < 10.0
+        assert abs(choi_distance(a, b) - reference) <= 1e-14
+
+    def test_largest_entry_in_the_last_partial_block(self):
+        d = 9
+        last = (d * d - 1) // CHOI_BLOCK * CHOI_BLOCK
+        assert CHOI_BLOCK <= last < d * d
+        rng = trial_rng(61)
+        common = 0.05 * complex_gaussian(rng, 2 * d, d).reshape(2, d, d)
+        # An extra Kraus operator on two vec indices of the last block adds
+        # 0.3 to the four entries they span; elsewhere the difference is roundoff.
+        planted = np.zeros((1, d * d), dtype=complex)
+        planted[0, [last + 1, d * d - 1]] = np.sqrt(0.3)
+        a = KrausOp(np.concatenate([common, planted.reshape(1, d, d)]), check=False)
+        b = KrausOp(common, check=False)
+        top = np.unravel_index(np.abs(dense_choi_difference(a, b)).argmax(), (d * d, d * d))
+        assert min(top) >= last
+        assert abs(choi_distance(a, b) - dense_choi_distance(a, b)) <= 1e-14
+        assert choi_distance(a, b) == pytest.approx(0.3, abs=1e-14)
+
+    def test_never_builds_the_whole_product(self):
+        # The dense kernel peaks at about 40 MB here (two D^2 x D^2 arrays).
+        rng = trial_rng(62)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 3), check=False)
+        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            choi_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_nan_planted_after_construction_fails_the_check(self):
+        rng = trial_rng(63)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
+        b = KrausOp(a.kraus.copy(), check=False)
+        assert choi_distance(a, b) < 1e-14
+        a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
+        assert np.isnan(choi_distance(a, b))
+        [check] = run_trials(
+            0, range(3), lambda rng, k: {"commutation": choi_distance(a, b)}, {"commutation": 1e-10}
+        )
+        assert not check.passed
+        assert check.worst_trial == 0
 
 
 class TestKrausKernels:
