@@ -3,8 +3,9 @@
     python3 scripts/json_parity.py PARENT_ROOT [CHANGE_ROOT]
 
 Runs ``python -m optheory --json`` from each root's ``src`` directory for
-every case in ``CASES`` (100 trials, seeds 0-2), with BLAS pinned to one
-thread.  ``CHANGE_ROOT`` defaults to the checkout holding this script.
+every case in ``CASES`` (100 trials, seeds 0-2, plus the packaged fixtures
+at seed 0), with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
+the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
 every other value, and the exit code.  Prints each difference and a summary;
@@ -27,17 +28,25 @@ CASES = [
     for seed in range(3)
     for d1, d2 in ((2, 2), (2, 3), (3, 3), (6, 6))
     for suite in SUITES + (("all",) if d1 < 6 else ())
+] + [
+    (suite, 2, 2, 0, flag, name)
+    for suite, flag, name in (
+        ("quantum-nosig", "--fixture", "mutant-instrument"),
+        ("quantum-nosig", "--fixture", "z-instrument"),
+        ("boxworld", "--box", "signaling-box"),
+        ("boxworld", "--box", "pr-box"),
+    )
 ]
 TRIALS = 100
 
 
-def run(root: Path, suite: str, d1: int, d2: int, seed: int) -> tuple[int, dict]:
+def run(root: Path, suite: str, d1: int, d2: int, seed: int, *flags: str) -> tuple[int, dict]:
     """Exit code and report (without its timestamp) of one CLI run from ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     env.update(OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        args = ["--suite", suite, "--d1", str(d1), "--d2", str(d2), "--seed", str(seed)]
+        args = ["--suite", suite, "--d1", str(d1), "--d2", str(d2), "--seed", str(seed), *flags]
         proc = subprocess.run(
             [sys.executable, "-m", "optheory", *args, "--trials", str(TRIALS), "--json", str(out)],
             env=env,

@@ -28,18 +28,17 @@ class Box:
 
     table: np.ndarray
 
-    def __init__(self, table, check: bool = True):
+    def __init__(self, table):
         t = np.asarray(table, dtype=float)
         if t.shape != (2, 2, 2, 2):
             raise ValueError(f"box table must have shape (2, 2, 2, 2), got {t.shape}")
-        if check:
-            if not np.isfinite(t).all():
-                raise ValueError("box probabilities must be finite (no NaN/Inf)")
-            if t.min() < 0.0:
-                raise ValueError("box probabilities must be nonnegative")
-            sums = t.sum(axis=(2, 3))
-            if np.abs(sums - 1.0).max() > 1e-12:
-                raise ValueError("each setting pair must have normalized outcomes")
+        if not np.isfinite(t).all():
+            raise ValueError("box probabilities must be finite (no NaN/Inf)")
+        if t.min() < 0.0:
+            raise ValueError("box probabilities must be nonnegative")
+        sums = t.sum(axis=(2, 3))
+        if np.abs(sums - 1.0).max() > 1e-12:
+            raise ValueError("each setting pair must have normalized outcomes")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
@@ -52,13 +51,13 @@ class Box:
         return [float(v) for v in self.table.ravel()]
 
     @staticmethod
-    def from_json(entries, check: bool = True) -> "Box":
+    def from_json(entries) -> "Box":
         if isinstance(entries, dict):
             entries = entries["p"]
         values = np.asarray(entries, dtype=float)
         if values.shape != (16,):
             raise ValueError("box JSON must hold exactly 16 entries")
-        return Box(values.reshape(2, 2, 2, 2), check=check)
+        return Box(values.reshape(2, 2, 2, 2))
 
 
 def is_nosignaling_box(box: Box, tol: float = 1e-10) -> bool:

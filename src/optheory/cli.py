@@ -239,7 +239,7 @@ def _dsum_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> di
 
     omega = model.random_state(rng)
     outcomes = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
-    total = total_of_action(Action(map(model.from_local, outcomes), check=False))
+    total = total_of_action(Action(map(model.from_local, outcomes)))
     probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
     defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))
 

@@ -14,7 +14,8 @@ sectors, each method mapping a kernel of :mod:`optheory.quantum` (or a
 ``QuantumModel`` sector) over the (plus, minus) pair.  Local operations
 enter it through :meth:`DSumModel.from_local`; the ``ds_*`` helpers are
 thin wrappers over its methods and the framework verifiers.
-``DSumState(..., check=False)`` stores model-computed blocks as given.
+A :class:`DSumState` is validated where it is built; the model stores the
+blocks it computes from validated states with ``DSumState._trusted``.
 """
 
 from __future__ import annotations
@@ -70,21 +71,28 @@ def _each(f, *pairs) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DSumState:
-    """Block state rho_plus (+) rho_minus with Tr[rho_plus] + Tr[rho_minus] = 1,
-    validated only with ``check``."""
+    """Block state rho_plus (+) rho_minus with PSD blocks and
+    Tr[rho_plus] + Tr[rho_minus] = 1, checked by the constructor."""
 
     rho_plus: np.ndarray
     rho_minus: np.ndarray
 
-    def __init__(self, rho_plus, rho_minus, check: bool = True):
-        if check:
-            rho_plus = require_psd(rho_plus, "rho_plus must be PSD")
-            rho_minus = require_psd(rho_minus, "rho_minus must be PSD")
-            total = float(np.trace(rho_plus).real + np.trace(rho_minus).real)
-            if abs(total - 1.0) > TOL_EFFECT:
-                raise ValueError(f"block traces sum to {total}, expected 1")
+    def __init__(self, rho_plus, rho_minus):
+        rho_plus = require_psd(rho_plus, "rho_plus must be PSD")
+        rho_minus = require_psd(rho_minus, "rho_minus must be PSD")
+        total = float(np.trace(rho_plus).real + np.trace(rho_minus).real)
+        if abs(total - 1.0) > TOL_EFFECT:
+            raise ValueError(f"block traces sum to {total}, expected 1")
         object.__setattr__(self, "rho_plus", rho_plus)
         object.__setattr__(self, "rho_minus", rho_minus)
+
+    @classmethod
+    def _trusted(cls, rho_plus, rho_minus) -> "DSumState":
+        """Store model-computed, possibly subnormalized blocks unchecked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "rho_plus", rho_plus)
+        object.__setattr__(state, "rho_minus", rho_minus)
+        return state
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +177,7 @@ def ds_nosig_check(
     if any(a.side != 1 for a in action) or any(b.side != 2 for b in probe):
         raise ValueError("the action must act on side 1 and the probes on side 2")
     model, state = _bind(omega)
-    total = total_of_action(Action([model.from_local(a) for a in action], check=False))
+    total = total_of_action(Action([model.from_local(a) for a in action]))
     worst = worst_defect(*probe_shifts(state, total, [model.from_local(b) for b in probe]))
     return VerificationReport(
         suite="dsum-no-signaling",
@@ -276,7 +284,7 @@ class DSumModel(TheoryModel):
 
     def apply(self, t: Transformation, s: State) -> State:
         blocks = _each(apply_quantum_op, t.payload, s.payload.blocks)
-        return State(self, DSumState(*blocks, check=False))
+        return State(self, DSumState._trusted(*blocks))
 
     def evaluate(self, e: Effect, s: State) -> float:
         """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
@@ -310,11 +318,11 @@ class DSumModel(TheoryModel):
         return np.concatenate(_each(hermitian_coords, s.payload.blocks))
 
     def scale_state_payload(self, payload: DSumState, factor: float) -> DSumState:
-        return DSumState(factor * payload.rho_plus, factor * payload.rho_minus, check=False)
+        return DSumState._trusted(factor * payload.rho_plus, factor * payload.rho_minus)
 
     def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
         blocks = _each(lambda a, b: w1 * a + w2 * b, s1.payload.blocks, s2.payload.blocks)
-        return State(self, DSumState(*blocks, check=False))
+        return State(self, DSumState._trusted(*blocks))
 
     def state_distance(self, s1: State, s2: State) -> float:
         return sum(_each(trace_norm, _each(np.subtract, s1.payload.blocks, s2.payload.blocks)))
@@ -330,7 +338,7 @@ class DSumModel(TheoryModel):
         q1, q2 = self.sectors
         plus = w * q1.random_state(rng).payload
         minus = (1.0 - w) * q2.random_state(rng).payload
-        return State(self, DSumState(plus, minus, check=False))
+        return State(self, DSumState._trusted(plus, minus))
 
     def random_transformation(self, rng: np.random.Generator) -> Transformation:
         payload = tuple(q.random_transformation(rng).payload for q in self.sectors)

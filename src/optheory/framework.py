@@ -112,15 +112,18 @@ class Action:
 
     transformations: tuple[Transformation, ...]
 
-    def __init__(self, transformations: Sequence[Transformation], check: bool = True):
+    def __init__(self, transformations: Sequence[Transformation]):
         ts = tuple(transformations)
         if not ts:
             raise ValueError("an action needs at least one transformation")
         for t in ts[1:]:
             _require_same_model(ts[0], t)
         object.__setattr__(self, "transformations", ts)
-        if check:
-            self.require_complete()
+        defect = self.completeness_defect()
+        if defect > TOL_EFFECT:
+            raise IncompleteAction(
+                f"action effects do not sum to the unit: defect {defect:.3e}"
+            )
 
     @property
     def model(self) -> "TheoryModel":
@@ -128,13 +131,6 @@ class Action:
 
     def completeness_defect(self) -> float:
         return unit_sum_defect(self.model, (effect_of(t) for t in self.transformations))
-
-    def require_complete(self, tol: float = TOL_EFFECT) -> None:
-        defect = self.completeness_defect()
-        if defect > tol:
-            raise IncompleteAction(
-                f"action effects do not sum to the unit: defect {defect:.3e}"
-            )
 
 
 class TheoryModel(ABC):
@@ -316,7 +312,6 @@ def scale(lam: float, t: Transformation) -> Transformation:
 
 def total_of_action(action: Action) -> Transformation:
     """Sum of all transformations in a complete action (deterministic)."""
-    action.require_complete()
     return reduce(action.model.add_transformations, action.transformations)
 
 
@@ -427,7 +422,6 @@ def no_signaling_check(
     (identity, B) (:func:`probe_shifts`).  The worst absolute difference is
     the reported defect.
     """
-    action.require_complete()
     total = reduce(bip.joint.add_transformations, map(bip.embed_left, action.transformations))
     shifts = probe_shifts(joint, total, [bip.embed_right(b) for b in probe])
     worst = 0.0

@@ -28,7 +28,7 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

@@ -9,7 +9,9 @@ steer the remote conditional state without signaling on average.
 
 A :class:`KrausOp` stores its r Kraus operators as one ``(r, d_out, d_in)``
 array, so applying, composing, embedding and coarse-graining operations are
-single batched ``matmul``, ``kron`` or ``concatenate`` calls.
+single batched ``matmul``, ``kron`` or ``concatenate`` calls.  An operation is
+validated once, where it is built; kernel results derived from validated
+operations are stored without a second check.
 
 Two operations are compared by the largest entry of the difference of their
 Choi matrices, ``J(A) - J(B)`` with ``J(A) = sum_k vec(A_k) vec(A_k)^dag``
@@ -44,6 +46,7 @@ from .framework import (
 )
 from .linalg import (
     as_matrix,
+    eigvals_herm,
     hermitian_coords,
     max_eig_herm,
     min_eig_herm,
@@ -84,13 +87,14 @@ class KrausOp:
     ``kraus`` is one complex array of shape ``(r, d_out, d_in)``;
     ``kraus[k]`` is the k-th Kraus operator.  The constructor takes that
     array or any sequence of equally shaped matrices and checks, once on the
-    stacked array, that the entries are finite and, when ``check`` is set,
-    that the operation does not increase the trace.
+    stacked array, that the entries are finite and that the operation does
+    not increase the trace.  Kernels that derive an operation from validated
+    ones store it with ``_trusted``, which checks nothing.
     """
 
     kraus: np.ndarray
 
-    def __init__(self, kraus, check: bool = True):
+    def __init__(self, kraus):
         if not isinstance(kraus, np.ndarray):
             kraus = list(kraus)
             if len({np.shape(m) for m in kraus}) > 1:
@@ -105,12 +109,18 @@ class KrausOp:
         if not np.isfinite(stacked).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         object.__setattr__(self, "kraus", stacked)
-        if check:
-            top = max_eig_herm(self.trace_operator())
-            if top > 1.0 + TOL_EFFECT:
-                raise ValueError(
-                    f"sum of M^dag M has eigenvalue {top:.6f} > 1; not trace-nonincreasing"
-                )
+        top = max_eig_herm(self.trace_operator())
+        if top > 1.0 + TOL_EFFECT:
+            raise ValueError(
+                f"sum of M^dag M has eigenvalue {top:.6f} > 1; not trace-nonincreasing"
+            )
+
+    @classmethod
+    def _trusted(cls, kraus) -> "KrausOp":
+        """Store ``kraus`` unchecked: a stack derived from validated operations."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "kraus", np.asarray(kraus, dtype=complex))
+        return op
 
     @property
     def dim_in(self) -> int:
@@ -136,17 +146,16 @@ class Instrument:
 
     outcomes: tuple[KrausOp, ...]
 
-    def __init__(self, outcomes, check: bool = True):
+    def __init__(self, outcomes):
         ops = tuple(outcomes)
         if not ops:
             raise ValueError("an instrument needs at least one outcome")
         object.__setattr__(self, "outcomes", ops)
-        if check:
-            defect = self.completeness_defect()
-            if defect > TOL_EFFECT:
-                raise IncompleteInstrument(
-                    f"instrument trace operators sum away from I: defect {defect:.3e}"
-                )
+        defect = self.completeness_defect()
+        if defect > TOL_EFFECT:
+            raise IncompleteInstrument(
+                f"instrument trace operators sum away from I: defect {defect:.3e}"
+            )
 
     @property
     def dim(self) -> int:
@@ -169,17 +178,17 @@ def apply_quantum_op(m: KrausOp, rho) -> np.ndarray:
 def compose_kraus(first: KrausOp, then: KrausOp) -> KrausOp:
     """``first`` followed by ``then``: the products N_j M_k, j major."""
     products = then.kraus[:, None] @ first.kraus[None, :]
-    return KrausOp(products.reshape(-1, then.dim_out, first.dim_in), check=False)
+    return KrausOp._trusted(products.reshape(-1, then.dim_out, first.dim_in))
 
 
 def coarse_grain_kraus(a: KrausOp, b: KrausOp) -> KrausOp:
     """The coarse-graining a + b: one operation holding both Kraus lists."""
-    return KrausOp(np.concatenate([a.kraus, b.kraus]), check=False)
+    return KrausOp._trusted(np.concatenate([a.kraus, b.kraus]))
 
 
 def scale_kraus(lam: float, m: KrausOp) -> KrausOp:
     """lam * m: every Kraus operator scaled by sqrt(lam)."""
-    return KrausOp(np.sqrt(lam) * m.kraus, check=False)
+    return KrausOp._trusted(np.sqrt(lam) * m.kraus)
 
 
 def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
@@ -187,12 +196,12 @@ def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
     uniform in [lam_low, 1): a random trace-decreasing operation."""
     blocks = haar_isometry_blocks(rng, d, 3)
     keep = int(rng.integers(1, 3))
-    return scale_kraus(rng.uniform(lam_low, 1.0), KrausOp(blocks[:keep], check=False))
+    return scale_kraus(rng.uniform(lam_low, 1.0), KrausOp._trusted(blocks[:keep]))
 
 
 def complement_kraus(m: KrausOp) -> KrausOp:
     """The one-Kraus operation sqrt(I - K), whose trace operator completes m's K to I."""
-    return KrausOp([psd_sqrt(np.eye(m.dim_in) - m.trace_operator())], check=False)
+    return KrausOp._trusted([psd_sqrt(np.eye(m.dim_in) - m.trace_operator())])
 
 
 # Rows of W^T per product in choi_distance.  At D = 36, 32 and 64 rows run
@@ -236,9 +245,9 @@ def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
     # A leading axis of length 1 makes np.kron act blockwise on every Kraus operator.
     eye = np.eye(d_other)[None]
     if side == 1:
-        return KrausOp(np.kron(m.kraus, eye), check=False)
+        return KrausOp._trusted(np.kron(m.kraus, eye))
     if side == 2:
-        return KrausOp(np.kron(eye, m.kraus), check=False)
+        return KrausOp._trusted(np.kron(eye, m.kraus))
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
@@ -279,9 +288,6 @@ def quantum_no_signaling_check(
     r = require_hermitian(rho)
     if r.shape[0] != d1 * d2:
         raise ValueError("joint state dimension does not match d1*d2")
-    defect = inst.completeness_defect()
-    if defect > TOL_EFFECT:
-        raise IncompleteInstrument(f"instrument incomplete: defect {defect:.3e}")
     before = partial_trace(r, d1, d2, side=1)
     total_weight = float(np.trace(r).real)
     after = np.zeros_like(before)
@@ -342,10 +348,10 @@ def trace_biconditional_check(
             r = ginibre_positive(rng, d1 * d2)
             r /= np.trace(r).real
             blocks = haar_isometry_blocks(rng, d1, 3)
-            m = KrausOp(blocks[: int(rng.integers(1, 3))], check=False)
+            m = KrausOp._trusted(blocks[: int(rng.integers(1, 3))])
         elif kind == 1:
             r = ginibre_state(rng, d1 * d2)
-            m = KrausOp(haar_isometry_blocks(rng, d1, 2), check=False)
+            m = KrausOp._trusted(haar_isometry_blocks(rng, d1, 2))
         else:
             rank = int(rng.integers(1, d1))
             basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
@@ -354,7 +360,7 @@ def trace_biconditional_check(
             proj = tensor(p, np.eye(d2))
             r = proj @ g @ proj
             r /= np.trace(r).real
-            m = KrausOp([p], check=False)
+            m = KrausOp._trusted([p])
         joint = apply_quantum_op(local_embed(m, d2, side=1), r)
         trace_defect = abs(float(np.trace(joint).real) - float(np.trace(r).real))
         reduced_defect = trace_norm(
@@ -447,10 +453,9 @@ class QuantumModel(TheoryModel):
 
     # -- factories ----------------------------------------------------------
     def state(self, matrix, normalize: bool = False) -> State:
-        m = require_hermitian(matrix)
+        m = require_psd(matrix, "density operator must be PSD")
         if m.shape[0] != self.d:
             raise ValueError(f"state must be {self.d}x{self.d}")
-        require_psd(m, "density operator must be PSD")
         tr = float(np.trace(m).real)
         if normalize:
             m = m / tr
@@ -471,7 +476,7 @@ class QuantumModel(TheoryModel):
 
     # -- interface ----------------------------------------------------------
     def identity(self) -> Transformation:
-        return Transformation(self, KrausOp([np.eye(self.d)], check=False), "identity")
+        return Transformation(self, KrausOp._trusted([np.eye(self.d)]), "identity")
 
     def unit_effect(self) -> Effect:
         return Effect(self, np.eye(self.d))
@@ -501,8 +506,8 @@ class QuantumModel(TheoryModel):
         return Effect(self, e1.payload + e2.payload)
 
     def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
-        k = require_hermitian(e.payload)
-        return min_eig_herm(k) >= -tol and max_eig_herm(k) <= 1.0 + tol
+        eigs = eigvals_herm(e.payload)
+        return bool(eigs[0] >= -tol and eigs[-1] <= 1.0 + tol)
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)
@@ -532,7 +537,7 @@ class QuantumModel(TheoryModel):
 
     def random_instrument(self, rng: np.random.Generator, outcomes: int) -> Instrument:
         blocks = haar_isometry_blocks(rng, self.d, outcomes)
-        return Instrument([KrausOp([b], check=False) for b in blocks], check=False)
+        return Instrument([KrausOp._trusted([b]) for b in blocks])
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
         return self.action_from_instrument(self.random_instrument(rng, outcomes))
@@ -584,8 +589,7 @@ def bloch_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def projective_instrument(theta: float) -> Instrument:
-    p_plus, p_minus = bloch_projectors(theta)
-    return Instrument([KrausOp([p_plus], check=False), KrausOp([p_minus], check=False)])
+    return Instrument([KrausOp([p]) for p in bloch_projectors(theta)])
 
 
 def z_instrument() -> Instrument:

@@ -32,7 +32,7 @@ class Observable:
     model: TheoryModel
     effects: tuple[Effect, ...]
 
-    def __init__(self, effects, check: bool = True):
+    def __init__(self, effects):
         effs = tuple(effects)
         if not effs:
             raise ValueError("an observable needs at least one effect")
@@ -41,10 +41,12 @@ class Observable:
             raise ValueError("all effects must be bound to one model")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "effects", effs)
-        if check:
+        try:
             defect = unit_sum_defect(model, effs)
-            if defect > TOL_EFFECT:
-                raise ValueError(f"effects do not sum to the unit: defect {defect:.3e}")
+        except NotImplementedError as exc:
+            raise ValueError("model does not expose dual effect coordinates") from exc
+        if defect > TOL_EFFECT:
+            raise ValueError(f"effects do not sum to the unit: defect {defect:.3e}")
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -70,18 +72,11 @@ class ICCertificate:
         return self.informationally_complete and self.rank == len(self.observable)
 
 
-def _coordinate_rows(obs: Observable) -> np.ndarray:
-    try:
-        return obs.coordinate_rows()
-    except NotImplementedError as exc:
-        raise ValueError("model does not expose dual effect coordinates") from exc
-
-
 def ic_rank(obs: Observable) -> ICCertificate:
     """Rank of the observable's effects under real-linear combinations."""
     return ICCertificate(
         observable=obs,
-        rank=rank_of_rows(_coordinate_rows(obs)),
+        rank=rank_of_rows(obs.coordinate_rows()),
         effect_space_dim=obs.model.effect_dim,
     )
 
@@ -95,7 +90,7 @@ def expand_in_ic(effect: Effect, obs: Observable, tol: float = 1e-9) -> np.ndarr
     """
     if effect.model != obs.model:
         raise ValueError("effect and observable belong to different models")
-    rows = _coordinate_rows(obs)
+    rows = obs.coordinate_rows()
     rank, dim = rank_of_rows(rows), obs.model.effect_dim
     if rank != dim:
         raise NotInformationallyComplete(f"observable has rank {rank} < {dim}")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from optheory import cli
 from optheory.cli import SuiteConfig, UsageError, exit_code, main, run_suite
 from optheory.fixtures import (
     instrument_from_json,
@@ -16,7 +17,7 @@ from optheory.fixtures import (
     load_instrument,
 )
 from optheory.boxes import pr_box
-from optheory.directsum import DSumModel
+from optheory.directsum import DSumModel, ds_random_local_op
 from optheory.quantum import PAULI_X, KrausOp, z_instrument
 from optheory.report import VerificationReport
 
@@ -189,13 +190,35 @@ class TestMutantDetection:
         # (qubit sectors, the default), so opposite-side operations stop
         # commuting.  The suite must see it.
         def leaky_from_local(self, op):
-            passive = KrausOp([np.sqrt(op.p) * PAULI_X], check=False)
+            passive = KrausOp([np.sqrt(op.p) * PAULI_X])
             blocks = (op.op_block, passive) if op.side == 1 else (passive, op.op_block)
             return self.transformation(*blocks, op.label)
 
         monkeypatch.setattr(DSumModel, "from_local", leaky_from_local)
         assert main(["--suite", "dsum", "--trials", "5"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_in_a_model_built_payload_fails_its_check(self, monkeypatch, tmp_path, capsys):
+        # Kernels store what they derive from a validated operation unchecked,
+        # so a NaN planted in the first drawn block must reach the named
+        # commutation check (as +inf) instead of raising in compose_kraus.
+        draws = []
+
+        def planted(rng, side, d):
+            op = ds_random_local_op(rng, side, d)
+            if not draws:
+                op.op_block.kraus[0, 0, 0] = np.nan
+            draws.append(op)
+            return op
+
+        monkeypatch.setattr(cli, "ds_random_local_op", planted)
+        out = tmp_path / "out.json"
+        assert main(["--suite", "dsum", "--trials", "3", "--json", str(out)]) == 1
+        capsys.readouterr()
+        report = json.loads(out.read_text())["report"]
+        commutation = next(c for c in report["checks"] if c["name"] == "commutation")
+        assert commutation["defect"] == math.inf and commutation["worst_trial"] == 0
+        assert not report["pass"]
 
     def test_valid_fixture_instrument_passes(self, capsys):
         code = main(["--suite", "quantum-nosig", "--fixture", "z-instrument", "--trials", "5"])

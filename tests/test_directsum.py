@@ -35,7 +35,7 @@ def block_state(w_plus=0.6, seed=60, d1=2, d2=2):
 
 
 def ds_identity(side, d):
-    return DSumLocalOp(side, KrausOp([np.eye(d)], check=False), 1.0, "identity")
+    return DSumLocalOp(side, KrausOp([np.eye(d)]), 1.0, "identity")
 
 
 def tp_channel(rng, d):

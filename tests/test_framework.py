@@ -174,9 +174,7 @@ class TestTotalOfAction:
     def test_incomplete_action_rejected(self):
         lone = classical(np.diag([0.5, 0.5]))
         with pytest.raises(IncompleteAction):
-            Action([lone])
-        with pytest.raises(IncompleteAction):
-            total_of_action(Action([lone], check=False))
+            total_of_action(Action([lone]))
 
 
 class TestComplement:
@@ -283,11 +281,6 @@ class TestNoSignaling:
             probes = [self.bip.right.random_transformation(rng) for _ in range(3)]
             report = no_signaling_check(joint, action, self.bip, probes)
             assert report.max_defect <= 1e-12
-
-    def test_incomplete_action_rejected(self):
-        bad = Action([self.bip.left.transformation(np.diag([0.5, 0.5]))], check=False)
-        with pytest.raises(IncompleteAction):
-            no_signaling_check(self.correlated(), bad, self.bip, self.probes())
 
 
 class TestDeterminismEquivalence:

@@ -48,7 +48,7 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 
 def random_op(rng, d):
     blocks = haar_isometry_blocks(rng, d, 3)
-    return KrausOp(blocks[: int(rng.integers(1, 3))], check=False)
+    return KrausOp(blocks[: int(rng.integers(1, 3))])
 
 
 def superoperator(m: KrausOp) -> np.ndarray:
@@ -75,7 +75,7 @@ class TestKrausOpArray:
         assert np.array_equal(again.kraus, op.kraus)
 
     def test_rectangular_dims(self):
-        op = KrausOp([np.ones((2, 3)) / 3], check=False)
+        op = KrausOp([np.ones((2, 3)) / 3])
         assert (op.dim_out, op.dim_in) == (2, 3)
 
     @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ class TestKrausOpArray:
     )
     def test_rejects_malformed(self, kraus):
         with pytest.raises(ValueError):
-            KrausOp(kraus, check=False)
+            KrausOp(kraus)
 
 
 class TestChoiDistance:
@@ -105,16 +105,16 @@ class TestChoiDistance:
             rng = trial_rng(56, k)
             r1 = int(rng.integers(1, 4))
             r2 = r1 % 3 + 1  # never equal to r1
-            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:r1], check=False)
-            b = KrausOp(haar_isometry_blocks(rng, d, 3)[:r2], check=False)
+            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:r1])
+            b = KrausOp(haar_isometry_blocks(rng, d, 3)[:r2])
             reference = float(np.abs(superoperator(a) - superoperator(b)).max())
             assert reference > 1e-3
             assert abs(choi_distance(a, b) - reference) <= 1e-14
 
     def test_matches_superoperator_distance_on_the_joint(self):
         rng = trial_rng(57)
-        a = KrausOp(haar_isometry_blocks(rng, 36, 3), check=False)
-        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 3))
+        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1])
         reference = float(np.abs(superoperator(a) - superoperator(b)).max())
         assert abs(choi_distance(a, b) - reference) <= 1e-14
 
@@ -144,8 +144,8 @@ class TestBlockedChoiDistance:
         assert (d * d) % CHOI_BLOCK != 0
         for k in range(3):
             rng = trial_rng(59, k)
-            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:2], check=False)
-            b = KrausOp(haar_isometry_blocks(rng, d, 2)[:1], check=False)
+            a = KrausOp(haar_isometry_blocks(rng, d, 3)[:2])
+            b = KrausOp(haar_isometry_blocks(rng, d, 2)[:1])
             reference = dense_choi_distance(a, b)
             assert 0.01 < reference < 1.0
             assert abs(choi_distance(a, b) - reference) <= 1e-14
@@ -153,8 +153,9 @@ class TestBlockedChoiDistance:
     def test_rectangular_map(self):
         # 9 x 12 Kraus operators: 108 entries, the last block partial.
         rng = trial_rng(60)
-        a = KrausOp(0.3 * complex_gaussian(rng, 2 * 9, 12).reshape(2, 9, 12), check=False)
-        b = KrausOp(0.3 * complex_gaussian(rng, 3 * 9, 12).reshape(3, 9, 12), check=False)
+        # Not trace-nonincreasing, so stored unchecked.
+        a = KrausOp._trusted(0.3 * complex_gaussian(rng, 2 * 9, 12).reshape(2, 9, 12))
+        b = KrausOp._trusted(0.3 * complex_gaussian(rng, 3 * 9, 12).reshape(3, 9, 12))
         reference = dense_choi_distance(a, b)
         assert 0.01 < reference < 10.0
         assert abs(choi_distance(a, b) - reference) <= 1e-14
@@ -169,8 +170,8 @@ class TestBlockedChoiDistance:
         # 0.3 to the four entries they span; elsewhere the difference is roundoff.
         planted = np.zeros((1, d * d), dtype=complex)
         planted[0, [last + 1, d * d - 1]] = np.sqrt(0.3)
-        a = KrausOp(np.concatenate([common, planted.reshape(1, d, d)]), check=False)
-        b = KrausOp(common, check=False)
+        a = KrausOp(np.concatenate([common, planted.reshape(1, d, d)]))
+        b = KrausOp(common)
         top = np.unravel_index(np.abs(dense_choi_difference(a, b)).argmax(), (d * d, d * d))
         assert min(top) >= last
         assert abs(choi_distance(a, b) - dense_choi_distance(a, b)) <= 1e-14
@@ -179,8 +180,8 @@ class TestBlockedChoiDistance:
     def test_never_builds_the_whole_product(self):
         # The dense kernel peaks at about 40 MB here (two D^2 x D^2 arrays).
         rng = trial_rng(62)
-        a = KrausOp(haar_isometry_blocks(rng, 36, 3), check=False)
-        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 3))
+        b = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1])
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -195,8 +196,8 @@ class TestBlockedChoiDistance:
 
     def test_nan_planted_after_construction_fails_the_check(self):
         rng = trial_rng(63)
-        a = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1], check=False)
-        b = KrausOp(a.kraus.copy(), check=False)
+        a = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1])
+        b = KrausOp(a.kraus.copy())
         assert choi_distance(a, b) < 1e-14
         a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
         assert np.isnan(choi_distance(a, b))
@@ -382,7 +383,7 @@ class TestInstruments:
 
     def test_incomplete_rejected(self):
         with pytest.raises(IncompleteInstrument):
-            Instrument([KrausOp([np.sqrt(0.9) * I2], check=False)])
+            Instrument([KrausOp([np.sqrt(0.9) * I2])])
 
 
 class TestQuantumNoSignaling:
@@ -414,11 +415,6 @@ class TestQuantumNoSignaling:
             inst = model.random_instrument(rng, int(rng.integers(2, 5)))
             report = quantum_no_signaling_check(rho, inst, 2, 3, tol=1e-10)
             assert report.passed, report.max_defect
-
-    def test_mutant_rejected(self):
-        mutant = Instrument([KrausOp([np.sqrt(0.9) * I2], check=False)], check=False)
-        with pytest.raises(IncompleteInstrument):
-            quantum_no_signaling_check(singlet_state(), mutant, 2, 2)
 
 
 class TestTraceBiconditional:
@@ -452,7 +448,7 @@ class TestSteering:
         for k in range(10):
             rng = trial_rng(53, k)
             rho = random_pure_state(rng, 4)
-            outcome = KrausOp([random_pure_state(rng, 2)], check=False)
+            outcome = KrausOp([random_pure_state(rng, 2)])
             try:
                 report = steering_witness(rho, outcome, 2, 2)
             except NotSelective:

@@ -357,6 +357,5 @@ def test_model_without_dual_coordinates_rejected():
             raise NotImplementedError("no dual coordinates")
 
     model = Opaque(2)
-    obs = Observable([model.unit_effect()], check=False)
     with pytest.raises(ValueError, match="dual"):
-        ic_rank(obs)
+        Observable([model.unit_effect()])
