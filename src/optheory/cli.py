@@ -48,7 +48,7 @@ from .quantum import (
     x_instrument,
     z_instrument,
 )
-from .report import VerificationReport, combine_reports, run_trials, worst_defect
+from .report import Check, VerificationReport, combine_reports, run_trials, worst_defect
 from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
@@ -110,17 +110,11 @@ def exit_code(report: VerificationReport) -> int:
 def _rejected(
     suite: str, cfg: SuiteConfig, source: str, tol: float, exc: ValueError
 ) -> VerificationReport:
-    """A fixture that failed parsing or validation: an infinite defect and a
-    witness naming the fixture and the reason."""
-    return VerificationReport(
-        suite=suite,
-        seed=cfg.seed,
-        trials=1,
-        max_defect=float("inf"),
-        tol=tol,
-        passed=False,
-        witness={"rejected_fixture": source, "reason": str(exc)},
-    )
+    """A fixture that failed parsing or validation: a ``valid_fixture`` check
+    at an infinite defect and a witness naming the fixture and the reason."""
+    checks = [Check("valid_fixture", float("inf"), tol)]
+    witness = {"rejected_fixture": source, "reason": str(exc)}
+    return VerificationReport.from_checks(suite, cfg.seed, 1, checks, tol, witness=witness)
 
 
 def _from_trials(suite, cfg, trials, trial, tols) -> VerificationReport:
@@ -259,17 +253,17 @@ def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _run_tomo_audit(cfg: SuiteConfig) -> VerificationReport:
+    """One check per composite and verdict, with defect 1 when the verdict
+    does not match its expectation; the headline defect counts mismatches."""
     rows = audit_rows(cfg.d1, cfg.d2, seed=cfg.seed)
-    ok = all(r["lop_ok"] and r["identity_ok"] for r in rows)
-    mismatches = sum((not r["lop_ok"]) + (not r["identity_ok"]) for r in rows)
-    return VerificationReport(
-        suite="tomo-audit",
-        seed=cfg.seed,
-        trials=len(rows),
-        max_defect=float(mismatches),
-        tol=0.0,
-        passed=ok,
-        details={"rows": rows},
+    checks = [
+        Check(f"{name}[{r['model'].split()[0]}]", float(not r[key]), 0.0)
+        for r in rows
+        for name, key in (("local_observability", "lop_ok"), ("dimension_identity", "identity_ok"))
+    ]
+    mismatches, details = sum(c.defect for c in checks), {"rows": rows}
+    return VerificationReport.from_checks(
+        "tomo-audit", cfg.seed, len(rows), checks, 0.0, max_defect=mismatches, details=details
     )
 
 
@@ -280,16 +274,11 @@ def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
 
         try:
             box = load_box(cfg.box)
-            nosig = is_nosignaling_box(box, tol=1e-10)
+            checks = [Check("no_signaling", float(not is_nosignaling_box(box, tol=1e-10)), 0.0)]
+            witness = {"box": box.to_json(), "chsh": chsh_value(box)}
             reports.append(
-                VerificationReport(
-                    suite="boxworld[fixture]",
-                    seed=cfg.seed,
-                    trials=1,
-                    max_defect=0.0 if nosig else 1.0,
-                    tol=0.0,
-                    passed=nosig,
-                    witness={"box": box.to_json(), "chsh": chsh_value(box)},
+                VerificationReport.from_checks(
+                    "boxworld[fixture]", cfg.seed, 1, checks, 0.0, witness=witness
                 )
             )
         except ValueError as exc:
@@ -303,22 +292,20 @@ def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
             "pr_chsh": chsh_value(pr),
             "singlet_chsh": chsh_value(quantum),
         }
-        defects = [
-            abs(classical - 2.0),
-            abs(chsh_value(pr) - 4.0),
-            0.0 if is_nosignaling_box(pr, tol=0.0) else 1.0,
-            abs(chsh_value(quantum) - 2.0 * np.sqrt(2.0)),
-            0.0 if is_nosignaling_box(quantum, tol=1e-10) else 1.0,
-        ]
-        worst = worst_defect(*defects)
+        defects = {
+            "classical_chsh": abs(classical - 2.0),
+            "pr_chsh": abs(chsh_value(pr) - 4.0),
+            "pr_no_signaling": float(not is_nosignaling_box(pr, tol=0.0)),
+            "singlet_chsh": abs(chsh_value(quantum) - 2.0 * np.sqrt(2.0)),
+            "singlet_no_signaling": float(not is_nosignaling_box(quantum, tol=1e-10)),
+        }
         reports.append(
-            VerificationReport(
-                suite="boxworld[landmarks]",
-                seed=cfg.seed,
-                trials=3,
-                max_defect=worst,
-                tol=1e-9,
-                passed=worst <= 1e-9,
+            VerificationReport.from_checks(
+                "boxworld[landmarks]",
+                cfg.seed,
+                3,
+                [Check(name, defect, 1e-9) for name, defect in defects.items()],
+                1e-9,
                 details=landmarks,
                 witness={"pr_box": pr.to_json(), "singlet_box": quantum.to_json()},
             )
@@ -373,36 +360,35 @@ def _print_box_table(name: str, entries: list[float]) -> None:
             print(f"  x={x} y={y}:  {row}")
 
 
-def _print_checks(report: dict, indent: str) -> None:
-    for c in report.get("checks", ()):
-        verdict = "ok" if c["defect"] <= c["tol"] else "FAIL"
+def _print_checks(report: VerificationReport, indent: str) -> None:
+    for c in report.checks:
+        verdict = "ok" if c.passed else "FAIL"
         print(
-            f"{indent}{verdict:<4} {c['name']:<28} defect={c['defect']:.3e} "
-            f"tol={c['tol']:.1e} worst_trial={c['worst_trial']}"
+            f"{indent}{verdict:<4} {c.name:<28} defect={c.defect:.3e} "
+            f"tol={c.tol:.1e} worst_trial={c.worst_trial}"
         )
 
 
-def _print_sub_report(sub: dict, cfg: SuiteConfig, indent: str) -> None:
-    verdict = "PASS" if sub["pass"] else "FAIL"
-    if sub.get("expected_failure"):
-        verdict += " (expected)" if not sub["pass"] else " (unexpected)"
-    print(f"{indent}{verdict:<18} {sub['suite']:<42} max_defect={sub['max_defect']:.3e}")
+def _print_sub_report(sub: VerificationReport, cfg: SuiteConfig, indent: str) -> None:
+    verdict = "PASS" if sub.passed else "FAIL"
+    if sub.expected_failure:
+        verdict += " (expected)" if not sub.passed else " (unexpected)"
+    print(f"{indent}{verdict:<18} {sub.suite:<42} max_defect={sub.max_defect:.3e}")
     _print_checks(sub, indent + "    ")
-    for nested in sub.get("details", {}).get("sub_reports", ()):
+    for nested in sub.sub_reports:
         _print_sub_report(nested, cfg, indent + "  ")
-    if cfg.suite == "boxworld" and sub.get("details"):
-        for key, value in sub["details"].items():
+    if cfg.suite == "boxworld":
+        for key, value in sub.details.items():
             print(f"      {key} = {value:.10f}")
-    if cfg.suite == "boxworld" and sub.get("witness"):
-        for key, value in sub["witness"].items():
+        for key, value in (sub.witness or {}).items():
             if isinstance(value, list) and len(value) == 16:
                 _print_box_table(key, value)
 
 
 def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
-    for sub in report.details.get("sub_reports", ()):
+    for sub in report.sub_reports:
         _print_sub_report(sub, cfg, "  ")
-    _print_checks(report.to_dict(), "  ")
+    _print_checks(report, "  ")
     if cfg.suite == "tomo-audit":
         _print_tomo_table(report.details["rows"])
     print(report.summary())

@@ -57,10 +57,11 @@ from .quantum import (
     coarse_grain_kraus,
     complement_kraus,
     compose_kraus,
+    haar_outcomes,
     random_kraus,
     scale_kraus,
 )
-from .report import VerificationReport, worst_defect
+from .report import Check, VerificationReport, worst_defect
 from .sampling import random_simplex_point, trial_rng
 
 
@@ -179,14 +180,8 @@ def ds_nosig_check(
     model, state = _bind(omega)
     total = total_of_action(Action([model.from_local(a) for a in action]))
     worst = worst_defect(*probe_shifts(state, total, [model.from_local(b) for b in probe]))
-    return VerificationReport(
-        suite="dsum-no-signaling",
-        seed=seed,
-        trials=len(probe),
-        max_defect=worst,
-        tol=tol,
-        passed=worst <= tol,
-    )
+    checks = [Check("no_signaling", worst, tol)]
+    return VerificationReport.from_checks("dsum-no-signaling", seed, len(probe), checks, tol)
 
 
 def ds_random_local_op(rng: np.random.Generator, side: int, d: int) -> DSumLocalOp:
@@ -198,7 +193,7 @@ def ds_random_action(
 ) -> list[DSumLocalOp]:
     """A complete local action: Haar instrument blocks paired with a random
     probability vector summing to one."""
-    blocks = QuantumModel(d).random_instrument(rng, outcomes).outcomes
+    blocks = haar_outcomes(rng, d, outcomes)
     probs = random_simplex_point(rng, outcomes)
     return [
         DSumLocalOp(side, op, float(p), f"outcome{j}")
@@ -345,7 +340,7 @@ class DSumModel(TheoryModel):
         return Transformation(self, payload, "random")
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        plus, minus = (q.random_instrument(rng, outcomes).outcomes for q in self.sectors)
+        plus, minus = (haar_outcomes(rng, q.d, outcomes) for q in self.sectors)
         pairs = enumerate(zip(plus, minus))
         return Action([Transformation(self, pair, f"outcome{j}") for j, pair in pairs])
 

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import rank_of_rows
-from .report import VerificationReport, run_trials, worst_defect
+from .report import Check, VerificationReport, run_trials, worst_defect
 from .sampling import (
     random_simplex_point,
     random_stochastic_split,
@@ -431,14 +431,9 @@ def no_signaling_check(
         if defect >= worst:
             worst = defect
             witness = {"probe": b.label or "probe"}
-    return VerificationReport(
-        suite="no-signaling",
-        seed=seed,
-        trials=len(probe),
-        max_defect=worst,
-        tol=tol,
-        passed=worst <= tol,
-        witness=witness,
+    checks = [Check("no_signaling", worst, tol)]
+    return VerificationReport.from_checks(
+        "no-signaling", seed, len(probe), checks, tol, witness=witness
     )
 
 
@@ -462,14 +457,10 @@ def determinism_equivalence_check(
     worst = worst_defect(*probe_shifts(joint, a, [bip.embed_right(b) for b in probe]))
     # A NaN p_det is not "clearly non-deterministic", so the probe shifts still count.
     violation = 0.0 if abs(p_det - 1.0) > tol else worst
-    return VerificationReport(
-        suite="determinism-equivalence",
-        seed=seed,
-        trials=len(probe),
-        max_defect=violation,
-        tol=tol,
-        passed=violation <= tol,
-        details={"prob_untouched": p_det, "max_probe_shift": worst},
+    checks = [Check("determinism_equivalence", violation, tol)]
+    details = {"prob_untouched": p_det, "max_probe_shift": worst}
+    return VerificationReport.from_checks(
+        "determinism-equivalence", seed, len(probe), checks, tol, details=details
     )
 
 

@@ -199,6 +199,12 @@ def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
     return scale_kraus(rng.uniform(lam_low, 1.0), KrausOp._trusted(blocks[:keep]))
 
 
+def haar_outcomes(rng: np.random.Generator, d: int, n: int) -> list[KrausOp]:
+    """The ``n`` one-Kraus outcomes of a Haar instrument, complete by construction,
+    so the ``Instrument`` or ``Action`` built from them is their one check."""
+    return [KrausOp._trusted([b]) for b in haar_isometry_blocks(rng, d, n)]
+
+
 def complement_kraus(m: KrausOp) -> KrausOp:
     """The one-Kraus operation sqrt(I - K), whose trace operator completes m's K to I."""
     return KrausOp._trusted([psd_sqrt(np.eye(m.dim_in) - m.trace_operator())])
@@ -378,8 +384,11 @@ def trace_biconditional_check(
     worst = violation.worst_trial
     witness = {"trial": worst, **samples[worst]} if violation.defect > 0.0 else None
     preserved_cases = sum(s["trace_defect"] <= trace_tol for s in samples.values())
+    checks = [violation]
     # The trace-preserved branch must be exercised, or the audit is vacuous.
-    checks = [violation, Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0)]
+    # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
+    if trials > 1:
+        checks.append(Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0))
     return VerificationReport.from_checks(
         "trace-biconditional",
         seed,
@@ -416,18 +425,13 @@ def steering_witness(
 
     inst = Instrument([m, complement_kraus(m)])
     avg = quantum_no_signaling_check(r, inst, d1, d2, tol=tol, seed=seed)
-    return VerificationReport(
-        suite="steering-witness",
-        seed=seed,
-        trials=1,
-        max_defect=avg.max_defect,
-        tol=tol,
-        passed=avg.passed,
-        witness={
-            "conditional_distance": conditional_distance,
-            "outcome_probability": weight / total,
-            "average_defect": avg.max_defect,
-        },
+    witness = {
+        "conditional_distance": conditional_distance,
+        "outcome_probability": weight / total,
+        "average_defect": avg.max_defect,
+    }
+    return VerificationReport.from_checks(
+        "steering-witness", seed, 1, avg.checks, tol, max_defect=avg.max_defect, witness=witness
     )
 
 
@@ -536,11 +540,11 @@ class QuantumModel(TheoryModel):
         return Transformation(self, random_kraus(rng, self.d, 0.3), "random")
 
     def random_instrument(self, rng: np.random.Generator, outcomes: int) -> Instrument:
-        blocks = haar_isometry_blocks(rng, self.d, outcomes)
-        return Instrument([KrausOp._trusted([b]) for b in blocks])
+        return Instrument(haar_outcomes(rng, self.d, outcomes))
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        return self.action_from_instrument(self.random_instrument(rng, outcomes))
+        ops = enumerate(haar_outcomes(rng, self.d, outcomes))
+        return Action([Transformation(self, op, f"outcome{j}") for j, op in ops])
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, k) for k in minimal_ic_povm(self.d)]

@@ -58,13 +58,15 @@ def run_trials(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Result of one randomized check: worst defect over all trials vs a tolerance.
+    """Result of one verification: its named checks, or the sub-reports it
+    combines, and a headline worst defect against a tolerance.
 
-    ``expected_failure`` marks checks that are supposed to fail (the report
-    then counts as OK when the underlying check indeed failed).  ``witness``
-    carries an optional machine-readable fixture describing the worst trial
-    or auxiliary measurements.  A report built by :meth:`from_checks` lists
-    the named gates that decided ``passed``.
+    ``passed`` is never given: a report passes when every check is within
+    its tolerance and every sub-report is :attr:`ok`.  ``expected_failure``
+    marks checks that are supposed to fail (the report then counts as OK
+    when the underlying check indeed failed).  ``witness`` carries an
+    optional machine-readable fixture describing the worst trial or
+    auxiliary measurements.
     """
 
     suite: str
@@ -72,22 +74,28 @@ class VerificationReport:
     trials: int
     max_defect: float
     tol: float
-    passed: bool
     expected_failure: bool = False
     witness: dict[str, Any] | None = None
     details: dict[str, Any] = field(default_factory=dict)
     checks: tuple[Check, ...] = ()
+    sub_reports: tuple[VerificationReport, ...] = ()
+
+    def __post_init__(self):
+        if not self.checks and not self.sub_reports:
+            raise ValueError(f"report {self.suite!r} has neither checks nor sub-reports")
 
     @classmethod
     def from_checks(
         cls, suite: str, seed: int, trials: int, checks: Iterable[Check], tol: float, **extra: Any
     ) -> VerificationReport:
-        """The report that passes when every check does; ``max_defect``
-        defaults to the worst defect of the checks."""
+        """The report of ``checks``; ``max_defect`` defaults to their worst defect."""
         checks = tuple(checks)
         extra.setdefault("max_defect", worst_defect(*(c.defect for c in checks)))
-        passed = all(c.passed for c in checks)
-        return cls(suite, seed, trials, tol=tol, passed=passed, checks=checks, **extra)
+        return cls(suite, seed, trials, tol=tol, checks=checks, **extra)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks) and all(r.ok for r in self.sub_reports)
 
     @property
     def ok(self) -> bool:
@@ -101,13 +109,16 @@ class VerificationReport:
             "trials": int(self.trials),
             "max_defect": float(self.max_defect),
             "tol": float(self.tol),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "witness": self.witness,
         }
         if self.expected_failure:
             out["expected_failure"] = True
-        if self.details:
-            out["details"] = self.details
+        details = dict(self.details)
+        if self.sub_reports:
+            details["sub_reports"] = [r.to_dict() for r in self.sub_reports]
+        if details:
+            out["details"] = details
         if self.checks:
             out["checks"] = [asdict(c) for c in self.checks]
         return out
@@ -126,7 +137,7 @@ class VerificationReport:
 
 
 def combine_reports(suite: str, reports: list[VerificationReport]) -> VerificationReport:
-    """Aggregate sub-reports: worst defect, logical AND of per-report outcomes."""
+    """Aggregate sub-reports: worst defect; passes when every sub-report is ok."""
     if not reports:
         raise ValueError("cannot combine an empty report list")
     return VerificationReport(
@@ -135,6 +146,5 @@ def combine_reports(suite: str, reports: list[VerificationReport]) -> Verificati
         trials=sum(r.trials for r in reports),
         max_defect=worst_defect(*(r.max_defect for r in reports)),
         tol=min(r.tol for r in reports),
-        passed=all(r.ok for r in reports),
-        details={"sub_reports": [r.to_dict() for r in reports]},
+        sub_reports=tuple(reports),
     )

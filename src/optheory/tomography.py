@@ -17,7 +17,7 @@ import numpy as np
 
 from .framework import BipartiteModel, Effect, TheoryModel, TOL_EFFECT, unit_sum_defect
 from .linalg import full_rank_bound, rank_of_rows
-from .report import VerificationReport
+from .report import Check, VerificationReport
 from .sampling import trial_rng
 
 
@@ -170,14 +170,12 @@ def local_observability_audit(
         rows = np.concatenate([rows, _ambient_rows(bip, drawn, n_samples)])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
         rank = rank_of_rows(rows, bound=union_bound)
-    passed = rank == ambient
-    return VerificationReport(
-        suite="local-observability",
-        seed=seed,
-        trials=len(rows),
-        max_defect=float(ambient - rank),
-        tol=0.0,
-        passed=passed,
+    return VerificationReport.from_checks(
+        "local-observability",
+        seed,
+        len(rows),
+        [Check("rank_deficit", float(ambient - rank), 0.0)],
+        0.0,
         expected_failure=expect_failure,
         details={
             "rank": rank,
@@ -211,15 +209,16 @@ def dimension_identity_check(
     formula = a1 * a2 + a1 + a2
     outcomes = audit.details["product_outcomes"]
     expected_outcomes = (a1 + 1) * (a2 + 1)
-    counts_ok = outcomes == expected_outcomes
-    identity_holds = a12 == formula and counts_ok
-    return VerificationReport(
-        suite="dimension-identity",
-        seed=seed,
-        trials=1,
-        max_defect=float(abs(a12 - formula)),
-        tol=0.0,
-        passed=identity_holds,
+    checks = [
+        Check("dimension_identity", float(abs(a12 - formula)), 0.0),
+        Check("product_outcomes", float(abs(outcomes - expected_outcomes)), 0.0),
+    ]
+    return VerificationReport.from_checks(
+        "dimension-identity",
+        seed,
+        1,
+        checks,
+        0.0,
         expected_failure=not audit.passed,
         details={
             "adm_joint": a12,

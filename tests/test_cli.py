@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from optheory.fixtures import (
 from optheory.boxes import pr_box
 from optheory.directsum import DSumModel, ds_random_local_op
 from optheory.quantum import PAULI_X, KrausOp, z_instrument
-from optheory.report import VerificationReport
+from optheory.report import Check, VerificationReport, combine_reports
 
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
 
@@ -53,13 +54,20 @@ def test_each_suite_passes(suite):
     assert exit_code(report) == 0, report.summary()
 
 
+def test_one_trial_passes(capsys):
+    assert main(["--suite", "all", "--trials", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_reflects_expectation():
-    ok = VerificationReport("x", 0, 1, 0.0, 1e-9, passed=True)
-    bad = VerificationReport("x", 0, 1, 1.0, 1e-9, passed=False)
-    expected_fail = VerificationReport("x", 0, 1, 1.0, 0.0, passed=False, expected_failure=True)
+    ok = VerificationReport.from_checks("x", 0, 1, [Check("a", 0.0, 1e-9)], 1e-9)
+    bad = VerificationReport.from_checks("x", 0, 1, [Check("a", 1.0, 1e-9)], 1e-9)
+    expected_fail = replace(bad, expected_failure=True)
     assert exit_code(ok) == 0
     assert exit_code(bad) == 1
     assert exit_code(expected_fail) == 0
+    assert exit_code(combine_reports("both", [ok, expected_fail])) == 0
+    assert exit_code(combine_reports("both", [ok, bad])) == 1
 
 
 class TestDeterminism:
@@ -219,6 +227,15 @@ class TestMutantDetection:
         commutation = next(c for c in report["checks"] if c["name"] == "commutation")
         assert commutation["defect"] == math.inf and commutation["worst_trial"] == 0
         assert not report["pass"]
+
+    def test_pr_box_posing_as_the_singlet_fails_singlet_chsh(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "singlet_box", lambda angles: pr_box())
+        out = tmp_path / "out.json"
+        assert main(["--suite", "boxworld", "--json", str(out)]) == 1
+        capsys.readouterr()
+        (landmarks,) = json.loads(out.read_text())["report"]["details"]["sub_reports"]
+        failing = [c["name"] for c in landmarks["checks"] if c["defect"] > c["tol"]]
+        assert failing == ["singlet_chsh"] and not landmarks["pass"]
 
     def test_valid_fixture_instrument_passes(self, capsys):
         code = main(["--suite", "quantum-nosig", "--fixture", "z-instrument", "--trials", "5"])

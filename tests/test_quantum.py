@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from optheory import quantum
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
 from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.report import run_trials
@@ -426,6 +427,20 @@ class TestTraceBiconditional:
     def test_other_dims(self):
         report = trace_biconditional_check(trials=60, d1=2, d2=3, seed=6)
         assert report.passed
+
+    def test_one_trial_draws_no_channel_and_is_not_gated_on_one(self):
+        report = trace_biconditional_check(trials=1, d1=2, d2=2, seed=0)
+        assert report.passed
+        assert [c.name for c in report.checks] == ["biconditional"]
+
+    def test_vacuous_audit_fails_its_gate(self, monkeypatch):
+        # Halving every output drops the trace of each draw, channels included,
+        # so no trial exercises the trace-preserved branch.
+        real = quantum.apply_quantum_op
+        monkeypatch.setattr(quantum, "apply_quantum_op", lambda m, rho: 0.5 * real(m, rho))
+        report = trace_biconditional_check(trials=3, d1=2, d2=2, seed=0)
+        assert report.details["trace_preserved_cases"] == 0
+        assert [c.name for c in report.checks if not c.passed] == ["no_trace_preserved_case"]
 
 
 class TestSteering:

@@ -1,5 +1,7 @@
 """Informational completeness, affine dimensions, and the observability audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,15 @@ class TestDimensionIdentity:
         assert report.expected_failure
         assert report.ok
         assert report.details["adm_joint"] == 7 and report.details["formula"] == 15
+
+    def test_outcome_count_off_by_one_fails_its_own_check(self):
+        bip = QuantumBipartite(2, 2)
+        lop = local_observability_audit(bip, seed=1)
+        planted = replace(lop, details={**lop.details, "product_outcomes": 17})
+        report = dimension_identity_check(bip, seed=1, audit=planted)
+        assert not report.passed and not report.ok
+        assert [c.name for c in report.checks if not c.passed] == ["product_outcomes"]
+        assert report.max_defect == 1.0 > report.tol
 
 
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from optheory import cli, framework, quantum
 from optheory.cli import SUITES, SuiteConfig, main, run_suite
-from optheory.report import Check, VerificationReport, run_trials
+from optheory.report import Check, VerificationReport, combine_reports, run_trials
 
 
 class TestRunTrials:
@@ -57,7 +57,15 @@ class TestRunTrials:
         assert report.to_dict()["checks"][1] == {
             "name": "b", "defect": 5e-10, "tol": 1e-10, "worst_trial": None
         }
-        assert "checks" not in VerificationReport("x", 0, 1, 0.0, 1.0, passed=True).to_dict()
+        assert "checks" not in combine_reports("y", [report]).to_dict()
+
+    def test_pass_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            VerificationReport("x", 0, 1, 0.0, 1.0, passed=True, checks=(Check("a", 0.0, 1.0),))
+
+    def test_report_without_checks_or_sub_reports_is_refused(self):
+        with pytest.raises(ValueError, match="neither checks nor sub-reports"):
+            VerificationReport("x", 0, 1, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +113,14 @@ def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
 # `pass` follows from the printed checks
 # ---------------------------------------------------------------------------
 
-def _reports_with_checks(report: dict):
-    if "checks" in report:
-        yield report
-    for sub in (report.get("details") or {}).get("sub_reports", ()):
-        yield from _reports_with_checks(sub)
+def _sub_reports(report: dict) -> list:
+    return (report.get("details") or {}).get("sub_reports", [])
+
+
+def _reports(report: dict):
+    yield report
+    for sub in _sub_reports(report):
+        yield from _reports(sub)
 
 
 def _json_report(argv, tmp_path, capsys):
@@ -123,7 +134,7 @@ def test_opcore_gates_commutation_at_its_printed_tol(monkeypatch, tmp_path, caps
     monkeypatch.setattr(cli, "commutation_defect", lambda bip, a, b: 5e-10)
     code, report = _json_report(["--suite", "opcore", "--trials", "5"], tmp_path, capsys)
     assert code == 1
-    failing = [r for r in _reports_with_checks(report) if not r["pass"]]
+    failing = [r for r in _sub_reports(report) if not r["pass"]]
     assert [r["suite"].split("[")[0] for r in failing] == ["commutation-and-no-signaling"] * 3
     for sub in failing:
         assert sub["max_defect"] <= sub["tol"]  # the headline numbers alone would pass
@@ -185,8 +196,21 @@ def test_random_quantum_nosig_keeps_the_per_outcome_verdict(monkeypatch, tmp_pat
     seed=st.integers(0, 2**16),
     outcomes=st.integers(1, 4),
     tol=st.sampled_from([1e-16, 1e-12, 1e-8, 1e-4]),
+    fixture=st.sampled_from([None, "z-instrument", "mutant-instrument"]),
+    box=st.sampled_from([None, "pr-box", "signaling-box"]),
 )
-def test_pass_is_all_checks_within_tol(suite, d1, d2, trials, seed, outcomes, tol):
-    cfg = SuiteConfig(suite=suite, seed=seed, trials=trials, d1=d1, d2=d2, outcomes=outcomes, tol=tol)
-    for sub in _reports_with_checks(run_suite(cfg).to_dict()):
-        assert sub["pass"] == all(c["defect"] <= c["tol"] for c in sub["checks"]), sub["suite"]
+def test_pass_is_all_checks_within_tol(suite, d1, d2, trials, seed, outcomes, tol, fixture, box):
+    # A leaf's pass is all its checks within tol; a combined report's is all
+    # its sub-reports ok.  The packaged fixtures act on qubits.
+    d1 = 2 if fixture else d1
+    cfg = SuiteConfig(suite, seed, trials, d1, d2, outcomes, tol, fixture=fixture, box=box)
+    for sub in _reports(run_suite(cfg).to_dict()):
+        subs = _sub_reports(sub)
+        if subs:
+            assert "checks" not in sub
+            ok = [s["pass"] != s.get("expected_failure", False) for s in subs]
+            assert sub["pass"] == all(ok), sub["suite"]
+        else:
+            assert sub["checks"], sub["suite"]
+            passed = all(c["defect"] <= c["tol"] for c in sub["checks"])
+            assert sub["pass"] == passed, sub["suite"]
