@@ -9,13 +9,15 @@ with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
-every other value, and the exit code.  Prints each difference and a summary;
-exits 1 when there is any.
+every other value, and the exit code.  Prints each difference and a summary
+that gives the largest absolute difference of two floats and, apart, the
+count of all other differences; exits 1 when there is any difference.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,26 +62,32 @@ def run(root: Path, suite: str, d1: int, d2: int, seed: int, *flags: str) -> tup
 
 
 def differences(a, b, path: str = ""):
-    """Paths at which two parsed JSON values differ, floats compared by ``repr``."""
+    """``(path, message, gap)`` wherever two parsed JSON values differ, floats
+    compared by ``repr``; ``gap`` is ``|a - b|`` for two floats (inf when it
+    is NaN) and None for every other difference."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             if key not in a or key not in b:
-                yield f"{path}/{key}: present on one side only"
+                yield f"{path}/{key}", "present on one side only", None
             else:
                 yield from differences(a[key], b[key], f"{path}/{key}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from differences(x, y, f"{path}/{i}")
     elif type(a) is not type(b) or repr(a) != repr(b):
-        yield f"{path}: {a!r} != {b!r}"
+        gap = None
+        if type(a) is float and type(b) is float:
+            gap = abs(a - b)
+            gap = math.inf if math.isnan(gap) else gap
+        yield path, f"{a!r} != {b!r}", gap
 
 
-def compare(parent: Path, change: Path, case: tuple) -> list[str]:
+def compare(parent: Path, change: Path, case: tuple) -> list[tuple[str, float | None]]:
     (code_p, rep_p), (code_c, rep_c) = run(parent, *case), run(change, *case)
-    found = list(differences(rep_p, rep_c))
+    found = [(f"{path}: {message}", gap) for path, message, gap in differences(rep_p, rep_c)]
     if code_p != code_c:
-        found.append(f"exit code {code_p} != {code_c}")
-    return [f"{' '.join(map(str, case))}: {d}" for d in found]
+        found.append((f"exit code {code_p} != {code_c}", None))
+    return [(f"{' '.join(map(str, case))}: {line}", gap) for line, gap in found]
 
 
 def main(argv: list[str]) -> int:
@@ -87,9 +95,14 @@ def main(argv: list[str]) -> int:
     change = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = [d for ds in pool.map(lambda c: compare(parent, change, c), CASES) for d in ds]
-    for line in found:
+    for line, _ in found:
         print(line)
-    print(f"{len(CASES)} cases, {len(found)} differences")
+    gaps = [gap for _, gap in found if gap is not None]
+    print(
+        f"{len(CASES)} cases, {len(found)} differences: largest float difference "
+        f"{max(gaps, default=0.0):.3e} over {len(gaps)} floats, "
+        f"{len(found) - len(gaps)} non-float differences"
+    )
     return 1 if found else 0
 
 

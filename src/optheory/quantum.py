@@ -1,17 +1,23 @@
 """Quantum instantiation: density operators, Kraus operations, instruments.
 
-Bipartite structure is the tensor product; local operations embed as
-``M (x) I`` and the local state is the partial trace.  The verifiers at the
-bottom certify, numerically, that complete local instruments never move the
-remote reduced state, that trace preservation on a given joint operator is
-equivalent to invariance of its reduction, and that selective outcomes may
+Bipartite structure is the tensor product; a local operation on side 1 acts
+as ``M (x) I`` and the local state is the partial trace.  The verifiers at
+the bottom certify, numerically, that complete local instruments never move
+the remote reduced state, that trace preservation on a given joint operator
+is equivalent to invariance of its reduction, and that selective outcomes may
 steer the remote conditional state without signaling on average.
 
 A :class:`KrausOp` stores its r Kraus operators as one ``(r, d_out, d_in)``
-array, so applying, composing, embedding and coarse-graining operations are
-single batched ``matmul``, ``kron`` or ``concatenate`` calls.  An operation is
-validated once, where it is built; kernel results derived from validated
-operations are stored without a second check.
+array, so applying, composing and coarse-graining operations are single
+batched ``matmul`` or ``concatenate`` calls.  The verifiers never build
+``M (x) I``: :func:`side1_kraus_outputs` reads a joint operator on
+``d1*d2`` as a ``d1 x (d2*D)`` matrix, so that ``(K (x) I) R`` is the
+product ``K @ R.reshape(d1, -1)``, and applies that product on both sides of
+``R`` for a whole stack of Kraus operators at once.  :func:`local_embed`
+still builds the ``kron`` for :class:`QuantumBipartite`, whose joint
+operations need their Kraus operators.  An operation is validated once,
+where it is built; kernel results derived from validated operations are
+stored without a second check.
 
 Two operations are compared by the largest entry of the difference of their
 Choi matrices, ``J(A) - J(B)`` with ``J(A) = sum_k vec(A_k) vec(A_k)^dag``
@@ -55,7 +61,6 @@ from .linalg import (
     require_hermitian,
     require_psd,
     span_rank,
-    tensor,
     trace_norm,
 )
 from .report import Check, VerificationReport, run_trials, worst_defect
@@ -257,6 +262,29 @@ def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
+def _on_side1(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``(A (x) I) R`` for ``A`` of shape ``(..., d1, d1)`` and ``R`` of shape
+    ``(..., D, D)``, broadcast over the leading axes, without the ``kron``.
+
+    Read as a ``d1 x (d2*D)`` matrix, ``R`` has the rows ``(i, 0..d2-1)`` of
+    the ``D x D`` matrix laid end to end in its row ``i``.  ``A (x) I`` mixes
+    only the index ``i``, so the product is one ``matmul`` with ``A``.
+    """
+    prod = a @ r.reshape(*r.shape[:-2], a.shape[-1], -1)
+    return prod.reshape(*prod.shape[:-2], *r.shape[-2:])
+
+
+def side1_kraus_outputs(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``(K_k (x) I) R (K_k (x) I)^dag`` for every ``K_k`` of an ``(n, d1, d1)``
+    stack and a joint operator ``R`` on ``d1*d2``: an ``(n, D, D)`` array.
+
+    The left factor is :func:`_on_side1`; the right one contracts the column
+    index the same way, as ``X (K (x) I)^dag = ((K (x) I) X^dag)^dag``.
+    """
+    left = _on_side1(kraus, r)
+    return _on_side1(kraus, left.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+
+
 def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     """Smallest eigenvalue of Tr_1[(A (x) I) R] for PSD A and R (must be >= 0).
 
@@ -266,7 +294,9 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     """
     am = require_psd(a, "local operator A must be PSD")
     rm = require_psd(r, "joint operator R must be PSD")
-    reduced = partial_trace(tensor(am, np.eye(d2)) @ rm, d1, d2, side=1)
+    if am.shape[0] != d1:
+        raise ValueError(f"local operator A acts on dimension {am.shape[0]}, expected d1={d1}")
+    reduced = partial_trace(_on_side1(am, rm), d1, d2, side=1)
     return min_eig_herm(reduced)
 
 
@@ -294,21 +324,31 @@ def quantum_no_signaling_check(
     r = require_hermitian(rho)
     if r.shape[0] != d1 * d2:
         raise ValueError("joint state dimension does not match d1*d2")
+    if inst.dim != d1:
+        raise ValueError(f"instrument acts on dimension {inst.dim}, expected d1={d1}")
     before = partial_trace(r, d1, d2, side=1)
     total_weight = float(np.trace(r).real)
-    after = np.zeros_like(before)
+    # All Kraus operators in one stack.  reduceat sums the traces and remote
+    # reductions of each outcome's run of it: on the D x D outputs it is slower.
+    sizes = [len(op.kraus) for op in inst.outcomes]
+    starts = np.cumsum([0, *sizes[:-1]])
+    outs = side1_kraus_outputs(np.concatenate([op.kraus for op in inst.outcomes]), r)
+    traces = np.add.reduceat(np.trace(outs, axis1=1, axis2=2).real, starts)
+    per_kraus = np.einsum("nikil->nkl", outs.reshape(-1, d1, d2, d1, d2))
+    reduced = np.add.reduceat(per_kraus, starts, axis=0)
+    after = reduced.sum(axis=0)
+    # Trace norms of every outcome's shift and of the average's, in one SVD call.
+    shifts = np.concatenate([reduced, after[None]]) - before
+    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
     outcome_defects = []
     preserved_defects = []
-    for op in inst.outcomes:
-        out = apply_quantum_op(local_embed(op, d2, side=1), r)
-        reduced = partial_trace(out, d1, d2, side=1)
-        after = after + reduced
-        trace_defect = abs(float(np.trace(out).real) - total_weight)
-        reduced_defect = trace_norm(reduced - before)
+    for trace, reduced_defect in zip(traces, norms[:-1]):
+        trace_defect = abs(float(trace) - total_weight)
+        reduced_defect = float(reduced_defect)
         outcome_defects.append({"trace_defect": trace_defect, "reduced_defect": reduced_defect})
         if trace_defect <= tol:
             preserved_defects.append(reduced_defect)
-    checks = [Check("no_signaling", trace_norm(after - before), tol)]
+    checks = [Check("no_signaling", float(norms[-1]), tol)]
     if preserved_defects:
         checks.append(
             Check("trace_preserving_outcomes", worst_defect(*preserved_defects), reduced_tol)
@@ -362,12 +402,10 @@ def trace_biconditional_check(
             rank = int(rng.integers(1, d1))
             basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
             p = basis[:, :rank] @ basis[:, :rank].conj().T
-            g = ginibre_positive(rng, d1 * d2)
-            proj = tensor(p, np.eye(d2))
-            r = proj @ g @ proj
+            r = side1_kraus_outputs(p[None], ginibre_positive(rng, d1 * d2))[0]
             r /= np.trace(r).real
             m = KrausOp._trusted([p])
-        joint = apply_quantum_op(local_embed(m, d2, side=1), r)
+        joint = side1_kraus_outputs(m.kraus, r).sum(axis=0)
         trace_defect = abs(float(np.trace(joint).real) - float(np.trace(r).real))
         reduced_defect = trace_norm(
             partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
@@ -412,7 +450,9 @@ def steering_witness(
     report's defect is the averaged-instrument defect only.
     """
     r = require_hermitian(rho)
-    joint = apply_quantum_op(local_embed(m, d2, side=1), r)
+    if m.dim_in != d1:
+        raise ValueError(f"operation acts on dimension {m.dim_in}, expected d1={d1}")
+    joint = side1_kraus_outputs(m.kraus, r).sum(axis=0)
     weight = float(np.trace(joint).real)
     total = float(np.trace(r).real)
     if weight >= total - tol:

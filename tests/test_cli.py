@@ -19,6 +19,7 @@ from optheory.fixtures import (
 )
 from optheory.boxes import pr_box
 from optheory.directsum import DSumModel, ds_random_local_op
+from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.quantum import PAULI_X, KrausOp, z_instrument
 from optheory.report import Check, VerificationReport, combine_reports
 
@@ -236,6 +237,27 @@ class TestMutantDetection:
         (landmarks,) = json.loads(out.read_text())["report"]["details"]["sub_reports"]
         failing = [c["name"] for c in landmarks["checks"] if c["defect"] > c["tol"]]
         assert failing == ["singlet_chsh"] and not landmarks["pass"]
+
+    def test_flipped_reduction_fails_reduced_positivity(self, monkeypatch, tmp_path, capsys):
+        # Planted defect: the lemma reads the spectrum of -Tr_1[(A (x) I) R],
+        # whose smallest eigenvalue is minus the largest one of the reduction.
+        flipped_defects = []
+
+        def flipped(a, r, d1, d2):
+            low = min_eig_herm(-partial_trace(tensor(a, np.eye(d2)) @ r, d1, d2, side=1))
+            flipped_defects.append(-low)
+            return low
+
+        monkeypatch.setattr(cli, "reduced_positivity_min_eig", flipped)
+        out = tmp_path / "out.json"
+        assert main(["--suite", "lemma", "--json", str(out)]) == 1
+        capsys.readouterr()
+        report = json.loads(out.read_text())["report"]
+        (check,) = report["checks"]
+        assert check["name"] == "reduced_positivity" and not report["pass"]
+        assert check["defect"] > 1000 * check["tol"]
+        assert check["defect"] == max(flipped_defects)
+        assert check["worst_trial"] == flipped_defects.index(max(flipped_defects))
 
     def test_valid_fixture_instrument_passes(self, capsys):
         code = main(["--suite", "quantum-nosig", "--fixture", "z-instrument", "--trials", "5"])

@@ -7,7 +7,7 @@ import pytest
 
 from optheory import quantum
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
-from optheory.linalg import min_eig_herm, partial_trace, tensor
+from optheory.linalg import min_eig_herm, partial_trace, tensor, trace_norm
 from optheory.report import run_trials
 from optheory.quantum import (
     CHOI_BLOCK,
@@ -28,6 +28,7 @@ from optheory.quantum import (
     random_kraus,
     reduced_positivity_min_eig,
     scale_kraus,
+    side1_kraus_outputs,
     singlet_state,
     steering_witness,
     trace_biconditional_check,
@@ -417,6 +418,89 @@ class TestQuantumNoSignaling:
             report = quantum_no_signaling_check(rho, inst, 2, 3, tol=1e-10)
             assert report.passed, report.max_defect
 
+    def test_trace_preserving_outcome_is_gated(self):
+        # Outcome 0 of the Z instrument keeps all the weight of |0><0| (x) sigma.
+        sigma = ginibre_state(trial_rng(54), 2)
+        report = quantum_no_signaling_check(tensor(P0, sigma), z_instrument(), 2, 2)
+        gate = next(c for c in report.checks if c.name == "trace_preserving_outcomes")
+        assert report.details["trace_preserved_outcomes"] == 1
+        assert gate.defect <= 1e-12 and report.passed
+
+    def test_planted_shift_of_a_trace_preserving_outcome_fails_its_gate(self, monkeypatch):
+        # A traceless 1e-4 |0><0| (x) Z added to outcome 0's output keeps its
+        # trace, so the outcome stays trace-preserving while its reduction moves.
+        real = side1_kraus_outputs
+        planted = 1e-4 * np.kron(P0, np.diag([1.0, -1.0]))
+
+        def shifted(kraus, r):
+            out = real(kraus, r).copy()
+            out[0] += planted
+            return out
+
+        monkeypatch.setattr(quantum, "side1_kraus_outputs", shifted)
+        sigma = ginibre_state(trial_rng(54), 2)
+        report = quantum_no_signaling_check(tensor(P0, sigma), z_instrument(), 2, 2)
+        gate = next(c for c in report.checks if c.name == "trace_preserving_outcomes")
+        assert gate.defect > 1000 * quantum.REDUCED_TOL and not gate.passed
+        assert not report.passed
+
+
+def old_outcome_loop(rho, inst, d1, d2):
+    """The per-outcome ``details`` the check built with ``kron`` embeddings."""
+    before = partial_trace(rho, d1, d2, side=1)
+    rows = []
+    for op in inst.outcomes:
+        out = apply_quantum_op(local_embed(op, d2, side=1), rho)
+        reduced = partial_trace(out, d1, d2, side=1)
+        trace_defect = abs(np.trace(out).real - np.trace(rho).real)
+        rows.append({"trace_defect": trace_defect, "reduced_defect": trace_norm(reduced - before)})
+    return rows
+
+
+class TestSide1Kernel:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (6, 6)])
+    @pytest.mark.parametrize("n_kraus", [1, 2])
+    def test_equals_the_kron_embedding(self, dims, n_kraus):
+        d1, d2 = dims
+        rng = trial_rng(55, 10 * d1 + d2 + 100 * n_kraus)
+        r = ginibre_state(rng, d1 * d2)
+        m = KrausOp(haar_isometry_blocks(rng, d1, 3)[:n_kraus])
+        outs = side1_kraus_outputs(m.kraus, r)
+        assert outs.shape == (n_kraus, d1 * d2, d1 * d2)
+        for k, out in zip(m.kraus, outs):
+            single = apply_quantum_op(local_embed(KrausOp([k]), d2, side=1), r)
+            assert np.abs(out - single).max() <= 1e-14
+        whole = apply_quantum_op(local_embed(m, d2, side=1), r)
+        assert np.abs(outs.sum(axis=0) - whole).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (6, 6)])
+    def test_outcomes_with_different_kraus_counts(self, dims):
+        # Kraus counts 2, 1 and 1, 2: each outcome sums its own run of the stack.
+        d1, d2 = dims
+        rng = trial_rng(56, 10 * d1 + d2)
+        rho = ginibre_state(rng, d1 * d2)
+        scaled = scale_kraus(0.6, KrausOp(haar_isometry_blocks(rng, d1, 3)[:2]))
+        for outcomes in ([scaled, complement_kraus(scaled)], [complement_kraus(scaled), scaled]):
+            inst = Instrument(outcomes)
+            report = quantum_no_signaling_check(rho, inst, d1, d2)
+            assert report.passed
+            got, want = report.details["outcomes"], old_outcome_loop(rho, inst, d1, d2)
+            assert len(got) == len(want) == 2
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                assert all(abs(g[key] - w[key]) <= 1e-14 for key in g)
+
+    def test_rejects_a_local_operator_of_the_wrong_dimension(self):
+        # A qubit operator divides a 6-dim joint space, so without the check
+        # the reshape would read it as acting on a factor of the wrong size.
+        rho = np.eye(6) / 6
+        with pytest.raises(ValueError, match="expected d1=3"):
+            quantum_no_signaling_check(rho, z_instrument(), 3, 2)
+        with pytest.raises(ValueError, match="expected d1=3"):
+            steering_witness(rho, KrausOp([P0]), 3, 2)
+        with pytest.raises(ValueError, match="expected d1=3"):
+            reduced_positivity_min_eig(P0, rho, 3, 2)
+
 
 class TestTraceBiconditional:
     def test_passes_and_is_not_vacuous(self):
@@ -436,8 +520,8 @@ class TestTraceBiconditional:
     def test_vacuous_audit_fails_its_gate(self, monkeypatch):
         # Halving every output drops the trace of each draw, channels included,
         # so no trial exercises the trace-preserved branch.
-        real = quantum.apply_quantum_op
-        monkeypatch.setattr(quantum, "apply_quantum_op", lambda m, rho: 0.5 * real(m, rho))
+        real = quantum.side1_kraus_outputs
+        monkeypatch.setattr(quantum, "side1_kraus_outputs", lambda k, rho: 0.5 * real(k, rho))
         report = trace_biconditional_check(trials=3, d1=2, d2=2, seed=0)
         assert report.details["trace_preserved_cases"] == 0
         assert [c.name for c in report.checks if not c.passed] == ["no_trace_preserved_case"]
