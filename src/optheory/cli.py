@@ -92,8 +92,8 @@ class SuiteConfig:
             raise UsageError("trials must be >= 1")
         if not (2 <= self.d1 <= 6 and 2 <= self.d2 <= 6):
             raise UsageError("d1 and d2 must lie in [2, 6]")
-        if not (1 <= self.outcomes <= 16):
-            raise UsageError("outcomes must lie in [1, 16]")
+        if not (2 <= self.outcomes <= 16):
+            raise UsageError("outcomes must lie in [2, 16]")
         if self.tol <= 0:
             raise UsageError("tol must be positive")
 
@@ -134,7 +134,7 @@ def _composite_trial(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) ->
         bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
     )
     joint = bip.joint.random_state(rng)
-    action = bip.left.random_action(rng, max(cfg.outcomes, 2))
+    action = bip.left.random_action(rng, cfg.outcomes)
     probes = [bip.right.random_transformation(rng) for _ in range(3)]
     rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
     return {"commutation": commute, "no_signaling": rep.max_defect}
@@ -146,7 +146,7 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
     models = [ClassicalModel(cfg.d1), QuantumModel(cfg.d1), DSumModel(cfg.d1, cfg.d2)]
     reports = [
         model_invariant_suite(
-            m, seed=cfg.seed, trials=cfg.trials, outcomes=max(cfg.outcomes, 2), tol=1e-9
+            m, seed=cfg.seed, trials=cfg.trials, outcomes=cfg.outcomes, tol=1e-9
         )
         for m in models
     ]
@@ -232,7 +232,7 @@ def _dsum_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> di
     defects = {"commutation": model.transformation_distance(ab, model.compose(b, a))}
 
     omega = model.random_state(rng)
-    outcomes = ds_random_action(rng, 1, cfg.d1, max(cfg.outcomes, 2))
+    outcomes = ds_random_action(rng, 1, cfg.d1, cfg.outcomes)
     total = total_of_action(Action(map(model.from_local, outcomes)))
     probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
     defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))

@@ -303,8 +303,8 @@ class DSumModel(TheoryModel):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, _each(np.add, e1.payload, e2.payload))
 
-    def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
-        return all(q.effect_leq_unit(Effect(q, k), tol) for q, k in zip(self.sectors, e.payload))
+    def effect_leq_unit(self, e: Effect) -> bool:
+        return all(q.effect_leq_unit(Effect(q, k)) for q, k in zip(self.sectors, e.payload))
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.concatenate(_each(hermitian_coords, e.payload))

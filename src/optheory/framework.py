@@ -178,7 +178,7 @@ class TheoryModel(ABC):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect: ...
 
     @abstractmethod
-    def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
+    def effect_leq_unit(self, e: Effect) -> bool:
         """Whether 0 <= e <= unit holds in the model's positivity order."""
 
     @abstractmethod
@@ -341,7 +341,6 @@ def informationally_equivalent(
     t1: Transformation,
     t2: Transformation,
     state_probe: Sequence[State] | None = None,
-    tol: float = TOL_EFFECT,
 ) -> bool:
     """Whether the two transformations occur with equal probability on every state.
 
@@ -353,16 +352,15 @@ def informationally_equivalent(
     if state_probe is None:
         c1 = model.effect_coords(effect_of(t1))
         c2 = model.effect_coords(effect_of(t2))
-        return float(np.abs(c1 - c2).max()) <= tol
+        return float(np.abs(c1 - c2).max()) <= TOL_EFFECT
     _require_spanning(model, state_probe)
-    return all(abs(prob(s, t1) - prob(s, t2)) <= tol for s in state_probe)
+    return all(abs(prob(s, t1) - prob(s, t2)) <= TOL_EFFECT for s in state_probe)
 
 
 def dynamically_equivalent(
     t1: Transformation,
     t2: Transformation,
     state_probe: Sequence[State],
-    tol: float = TOL_EFFECT,
 ) -> bool:
     """Whether the two transformations leave identical conditional states."""
     model = _require_same_model(t1, t2)
@@ -372,7 +370,7 @@ def dynamically_equivalent(
         p2 = prob(s, t2)
         if p1 <= EPS_COND or p2 <= EPS_COND:
             continue
-        if model.state_distance(condition(s, t1), condition(s, t2)) > tol:
+        if model.state_distance(condition(s, t1), condition(s, t2)) > TOL_EFFECT:
             return False
     return True
 
@@ -451,6 +449,9 @@ def determinism_equivalence_check(
     (probability 1 with the other side untouched) yet shifts some remote
     probe probability.  Probes failing to witness non-determinism are not
     violations; finite probe sets cannot certify the converse direction.
+    No CLI suite runs it: on the total of a complete action it measures the
+    probe shifts of :func:`no_signaling_check` again, and on a selective
+    draw (probability below 1) it is vacuous.
     """
     a = bip.embed_left(t)
     p_det = prob(joint, a)
@@ -629,8 +630,8 @@ class ClassicalModel(TheoryModel):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, e1.payload + e2.payload)
 
-    def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
-        return bool(e.payload.min() >= -tol and e.payload.max() <= 1.0 + tol)
+    def effect_leq_unit(self, e: Effect) -> bool:
+        return bool(e.payload.min() >= -TOL_EFFECT and e.payload.max() <= 1.0 + TOL_EFFECT)
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.asarray(e.payload, dtype=float)

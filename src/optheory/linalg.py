@@ -19,7 +19,7 @@ PSD_SLACK = 1e-10
 # Singular values below RANK_TOL * sigma_max do not contribute to span ranks.
 RANK_TOL = 1e-7
 # Full rank is certified without an SVD when a lower bound on
-# sigma_min / sigma_max exceeds FULL_RANK_MARGIN * tol.
+# sigma_min / sigma_max exceeds FULL_RANK_MARGIN * RANK_TOL.
 FULL_RANK_MARGIN = 10.0
 
 
@@ -35,12 +35,12 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
+def require_hermitian(a) -> np.ndarray:
+    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
     m = as_matrix(a, square=True)
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}")
+    if defect > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.3e}")
     return (m + m.conj().T) / 2
 
 
@@ -78,18 +78,18 @@ def partial_trace(r, d1: int, d2: int, side: int) -> np.ndarray:
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
-def eigvals_herm(a, tol: float = TOL_HERM) -> np.ndarray:
+def eigvals_herm(a) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix."""
-    return np.linalg.eigvalsh(require_hermitian(a, tol))
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
-def min_eig_herm(a, tol: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (validated within ``tol``)."""
-    return float(eigvals_herm(a, tol)[0])
+def min_eig_herm(a) -> float:
+    """Smallest eigenvalue of a Hermitian matrix (validated within ``TOL_HERM``)."""
+    return float(eigvals_herm(a)[0])
 
 
-def max_eig_herm(a, tol: float = TOL_HERM) -> float:
-    return float(eigvals_herm(a, tol)[-1])
+def max_eig_herm(a) -> float:
+    return float(eigvals_herm(a)[-1])
 
 
 def trace_norm(a) -> float:
@@ -200,13 +200,13 @@ def _invert_upper_in_place(r: np.ndarray) -> None:
     r[:h, h:] *= -1.0
 
 
-def full_rank_bound(rows, tol: float = RANK_TOL) -> float:
+def full_rank_bound(rows) -> float:
     """A lower bound on sigma_min / sigma_max of the rows, or 0.0 when it declines.
 
     The bound is ``1 / (||A||_F ||R^-1||_F)`` with R the triangular factor of a
     Householder QR of A (of A^T when A is wide): sigma_max <= ||A||_F and
     sigma_min = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F.  It declines without
-    inverting R when ``min|r_ii| <= FULL_RANK_MARGIN * tol * max|r_ii|``, since
+    inverting R when ``min|r_ii| <= FULL_RANK_MARGIN * RANK_TOL * max|r_ii|``, since
     then sigma_min / sigma_max <= min|r_ii| / max|r_ii| cannot clear the
     margin; it also declines on empty, zero or non-finite rows and on a
     non-finite bound.
@@ -224,27 +224,27 @@ def full_rank_bound(rows, tol: float = RANK_TOL) -> float:
     h, _ = np.linalg.qr(tall, mode="raw")
     r = h.T[:k, :k]
     diag = np.abs(np.diagonal(r))
-    if diag.min() <= FULL_RANK_MARGIN * tol * diag.max():
+    if diag.min() <= FULL_RANK_MARGIN * RANK_TOL * diag.max():
         return 0.0
     _invert_upper_in_place(r)
     bound = 1.0 / (frobenius * float(np.linalg.norm(r)))
     return bound if np.isfinite(bound) else 0.0
 
 
-def rank_of_rows(rows, tol: float = RANK_TOL, *, bound: float | None = None) -> int:
-    """Number of singular values of a stacked row family above ``tol * sigma_max``.
+def rank_of_rows(rows, *, bound: float | None = None) -> int:
+    """Number of singular values of a stacked row family above ``RANK_TOL * sigma_max``.
 
     Full rank is certified first: when ``full_rank_bound`` exceeds
-    ``FULL_RANK_MARGIN * tol``, every singular value clears ``tol * sigma_max``
-    and the count is ``min(rows, cols)`` with no SVD.  Otherwise the singular
-    values are computed and counted.  ``bound`` passes a ``full_rank_bound``
-    the caller already computed for these rows and this ``tol``.  Rows with a
-    NaN or Inf raise ``np.linalg.LinAlgError``.
+    ``FULL_RANK_MARGIN * RANK_TOL``, every singular value clears
+    ``RANK_TOL * sigma_max`` and the count is ``min(rows, cols)`` with no SVD.
+    Otherwise the singular values are computed and counted.  ``bound`` passes
+    a ``full_rank_bound`` the caller already computed for these rows.  Rows
+    with a NaN or Inf raise ``np.linalg.LinAlgError``.
     """
     m = np.atleast_2d(np.asarray(rows, dtype=float))
     if bound is None:
-        bound = full_rank_bound(m, tol)
-    if bound > FULL_RANK_MARGIN * tol:
+        bound = full_rank_bound(m)
+    if bound > FULL_RANK_MARGIN * RANK_TOL:
         return min(m.shape)
     svals = np.linalg.svd(m, compute_uv=False)
     smax = svals.max(initial=0.0)
@@ -252,14 +252,14 @@ def rank_of_rows(rows, tol: float = RANK_TOL, *, bound: float | None = None) -> 
         raise np.linalg.LinAlgError("singular values are not finite")
     if smax == 0.0:
         return 0
-    return int(np.sum(svals > tol * smax))
+    return int(np.sum(svals > RANK_TOL * smax))
 
 
-def span_rank(ops, tol: float = RANK_TOL) -> int:
+def span_rank(ops) -> int:
     """Rank of a family of Hermitian operators under real-linear combinations.
 
     Each operator is vectorized in the fixed orthonormal Hermitian basis; the
-    rank is the number of singular values above ``tol * sigma_max``.
+    rank is the number of singular values above ``RANK_TOL * sigma_max``.
     """
     ops = list(ops)
     if not ops:
@@ -267,7 +267,7 @@ def span_rank(ops, tol: float = RANK_TOL) -> int:
     dims = {as_matrix(o, square=True).shape[0] for o in ops}
     if len(dims) != 1:
         raise ValueError(f"operators have mixed dimensions: {sorted(dims)}")
-    return rank_of_rows([hermitian_coords(o) for o in ops], tol)
+    return rank_of_rows([hermitian_coords(o) for o in ops])
 
 
 def matrix_to_json(a) -> dict:

@@ -300,8 +300,15 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     return min_eig_herm(reduced)
 
 
-# Largest reduced-state defect a trace-preserving outcome may show.
+# Thresholds of the two quantum verifiers.  A trace defect <= TRACE_TOL counts
+# as trace preserved, and the remote reduction may then move by at most
+# REDUCED_TOL (trace norm); this is also the tolerance both verifiers report
+# for that check.  The converse branch of the biconditional: a reduction moved
+# by more than REDUCED_FAIL_TOL requires a trace drop above TRACE_FAIL_TOL.
+TRACE_TOL = 1e-10
 REDUCED_TOL = 1e-8
+TRACE_FAIL_TOL = 1e-8
+REDUCED_FAIL_TOL = 1e-6
 
 
 def quantum_no_signaling_check(
@@ -310,7 +317,6 @@ def quantum_no_signaling_check(
     d1: int,
     d2: int,
     tol: float = 1e-10,
-    reduced_tol: float = REDUCED_TOL,
     seed: int = 0,
 ) -> VerificationReport:
     """Certify that an instrument on side 1 leaves side 2's reduction fixed.
@@ -351,7 +357,7 @@ def quantum_no_signaling_check(
     checks = [Check("no_signaling", float(norms[-1]), tol)]
     if preserved_defects:
         checks.append(
-            Check("trace_preserving_outcomes", worst_defect(*preserved_defects), reduced_tol)
+            Check("trace_preserving_outcomes", worst_defect(*preserved_defects), REDUCED_TOL)
         )
     return VerificationReport.from_checks(
         "quantum-no-signaling",
@@ -372,10 +378,6 @@ def trace_biconditional_check(
     d1: int = 2,
     d2: int = 2,
     seed: int = 0,
-    trace_tol: float = 1e-10,
-    reduced_pass_tol: float = 1e-8,
-    reduced_fail_tol: float = 1e-6,
-    trace_fail_tol: float = 1e-8,
 ) -> VerificationReport:
     """Randomized audit of the trace-preservation equivalence for local operations.
 
@@ -411,17 +413,17 @@ def trace_biconditional_check(
             partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
         )
         samples[k] = {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
-        broken = (trace_defect <= trace_tol and reduced_defect > reduced_pass_tol) or (
-            trace_defect <= trace_fail_tol and reduced_defect > reduced_fail_tol
+        broken = (trace_defect <= TRACE_TOL and reduced_defect > REDUCED_TOL) or (
+            trace_defect <= TRACE_FAIL_TOL and reduced_defect > REDUCED_FAIL_TOL
         )
         if np.isnan(trace_defect) or np.isnan(reduced_defect):
             return {"biconditional": np.nan}  # counts as +inf: a NaN never passes
         return {"biconditional": reduced_defect if broken else 0.0}
 
-    (violation,) = run_trials(seed, range(trials), trial, {"biconditional": reduced_pass_tol})
+    (violation,) = run_trials(seed, range(trials), trial, {"biconditional": REDUCED_TOL})
     worst = violation.worst_trial
     witness = {"trial": worst, **samples[worst]} if violation.defect > 0.0 else None
-    preserved_cases = sum(s["trace_defect"] <= trace_tol for s in samples.values())
+    preserved_cases = sum(s["trace_defect"] <= TRACE_TOL for s in samples.values())
     checks = [violation]
     # The trace-preserved branch must be exercised, or the audit is vacuous.
     # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
@@ -432,7 +434,7 @@ def trace_biconditional_check(
         seed,
         trials,
         checks,
-        reduced_pass_tol,
+        REDUCED_TOL,
         max_defect=violation.defect,
         witness=witness,
         details={"trace_preserved_cases": preserved_cases},
@@ -513,9 +515,9 @@ class QuantumModel(TheoryModel):
             raise ValueError(f"operation must act on dimension {self.d}")
         return Transformation(self, op, label)
 
-    def action_from_instrument(self, inst: Instrument, label: str = "outcome") -> Action:
+    def action_from_instrument(self, inst: Instrument) -> Action:
         return Action(
-            [Transformation(self, op, f"{label}{j}") for j, op in enumerate(inst.outcomes)]
+            [Transformation(self, op, f"outcome{j}") for j, op in enumerate(inst.outcomes)]
         )
 
     # -- interface ----------------------------------------------------------
@@ -549,9 +551,9 @@ class QuantumModel(TheoryModel):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, e1.payload + e2.payload)
 
-    def effect_leq_unit(self, e: Effect, tol: float = TOL_EFFECT) -> bool:
+    def effect_leq_unit(self, e: Effect) -> bool:
         eigs = eigvals_herm(e.payload)
-        return bool(eigs[0] >= -tol and eigs[-1] <= 1.0 + tol)
+        return bool(eigs[0] >= -TOL_EFFECT and eigs[-1] <= 1.0 + TOL_EFFECT)
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)

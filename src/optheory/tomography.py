@@ -81,11 +81,11 @@ def ic_rank(obs: Observable) -> ICCertificate:
     )
 
 
-def expand_in_ic(effect: Effect, obs: Observable, tol: float = 1e-9) -> np.ndarray:
+def expand_in_ic(effect: Effect, obs: Observable) -> np.ndarray:
     """Coefficients c with effect = sum_i c_i * obs.effects[i].
 
     Least squares against the effect coordinates; the reconstruction
-    residual must not exceed ``tol``.  Unique when the observable is
+    residual must not exceed ``TOL_EFFECT``.  Unique when the observable is
     minimal.
     """
     if effect.model != obs.model:
@@ -97,8 +97,8 @@ def expand_in_ic(effect: Effect, obs: Observable, tol: float = 1e-9) -> np.ndarr
     target = obs.model.effect_coords(effect)
     coeffs, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.abs(rows.T @ coeffs - target).max())
-    if residual > tol:
-        raise ValueError(f"reconstruction residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > TOL_EFFECT:
+        raise ValueError(f"reconstruction residual {residual:.3e} exceeds {TOL_EFFECT:.1e}")
     return coeffs
 
 
@@ -133,28 +133,17 @@ def _ambient_rows(bip: BipartiteModel, effects, n: int) -> np.ndarray:
 
 
 def local_observability_audit(
-    bip: BipartiteModel,
-    seed: int = 0,
-    samples: int | None = None,
-    expect_failure: bool = False,
+    bip: BipartiteModel, seed: int = 0, expect_failure: bool = False
 ) -> VerificationReport:
     """Can local outcomes tomograph the composite?
 
-    Computes the rank, inside the composite's ambient effect space, of the
-    jointly measured product of the components' built-in minimal IC
-    observables.  When that rank falls short of the ambient dimension, a
-    batch of ``samples`` randomly drawn local product effects (default
-    ambient + 32, trial k from ``trial_rng(seed, k)``) joins the rows, and
-    the rank of the union is the audit's rank: the batch has to show that no
-    other local outcome closes the gap.  A full product rank is final, since
-    extra rows cannot raise it, so ``samples`` only matters when the product
-    rank is deficient.  Passing means the span covers the full ambient
-    effect space, i.e. some locally assembled observable is IC for the
-    composite.  The report's ``trials`` counts the rows actually audited.
-    Its details record ``linalg.full_rank_bound`` of the product rows and,
-    when drawn, of the union: above ``FULL_RANK_MARGIN * RANK_TOL`` it
-    certified full rank without an SVD; otherwise the SVD decided (0.0: the
-    certificate declined without a bound).
+    Passes when the jointly measured product of the components' built-in
+    minimal IC observables spans the composite's ambient effect space.  When
+    it falls short, ``ambient + 32`` random local product effects (row k from
+    ``trial_rng(seed, k)``) join the rows and the rank of the union decides.
+    ``trials`` counts the rows audited.  The details record
+    ``linalg.full_rank_bound`` of each row set: above
+    ``FULL_RANK_MARGIN * RANK_TOL`` it certified full rank without an SVD.
     """
     obs = product_observable(
         minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip
@@ -165,7 +154,7 @@ def local_observability_audit(
     product_rank = rank = rank_of_rows(rows, bound=product_bound)
     bounds = {"product_full_rank_bound": product_bound}
     if product_rank < ambient:
-        n_samples = samples if samples is not None else ambient + 32
+        n_samples = ambient + 32
         drawn = (bip.random_product_effect(trial_rng(seed, k)) for k in range(n_samples))
         rows = np.concatenate([rows, _ambient_rows(bip, drawn, n_samples)])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)

@@ -40,6 +40,7 @@ class TestSuiteConfig:
             {"suite": "lemma", "d2": 1},
             {"suite": "lemma", "outcomes": 17},
             {"suite": "lemma", "tol": 0.0},
+            {"suite": "lemma", "outcomes": 1},
         ],
     )
     def test_invalid_configs(self, kwargs):

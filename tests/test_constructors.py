@@ -19,6 +19,7 @@ classical = ClassicalModel(2)
     [
         (KrausOp, ([2 * I2],), ValueError),
         (KrausOp, ([np.array([[np.nan, 0.0], [0.0, 1.0]])],), ValueError),
+        (KrausOp, ([1e200 * I2],), ValueError),
         (Instrument, ([KrausOp([np.sqrt(0.9) * I2])],), IncompleteInstrument),
         (Action, ([classical.transformation(HALF)],), IncompleteAction),
         (Observable, ([classical.unit_effect(), classical.unit_effect()],), ValueError),
@@ -30,6 +31,7 @@ classical = ClassicalModel(2)
     ids=[
         "kraus-trace-increasing",
         "kraus-nan",
+        "kraus-overflow",
         "instrument-incomplete",
         "action-incomplete",
         "observable-not-unit",

@@ -526,6 +526,26 @@ class TestTraceBiconditional:
         assert report.details["trace_preserved_cases"] == 0
         assert [c.name for c in report.checks if not c.passed] == ["no_trace_preserved_case"]
 
+    @pytest.mark.parametrize("d2,worst", [(2, 16), (3, 19)])
+    def test_moved_reduction_at_preserved_trace_fails(self, monkeypatch, d2, worst):
+        # A traceless shift |0><0| (x) diag(1, -1, 0...) of every output keeps
+        # each trace and moves the remote reduction: a trace-preserving M that
+        # signals.  A channel (kind 1) has two outputs, so its shift is 4e-4.
+        real = quantum.side1_kraus_outputs
+        remote = np.zeros(d2)
+        remote[:2] = 1.0, -1.0
+        shift = 1e-4 * np.kron(np.diag([1.0, 0.0]), np.diag(remote))
+        monkeypatch.setattr(quantum, "side1_kraus_outputs", lambda k, rho: real(k, rho) + shift)
+        report = trace_biconditional_check(trials=30, d1=2, d2=d2, seed=0)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["biconditional"]
+        (check,) = failed
+        assert check.defect == pytest.approx(4e-4, rel=1e-9)
+        assert check.defect > 1000 * quantum.REDUCED_TOL
+        assert check.worst_trial == worst and worst % 3 == 1
+        assert report.witness["trial"] == worst
+        assert report.witness["reduced_defect"] == check.defect
+
 
 class TestSteering:
     def test_singlet_projector_steers_without_signaling(self):

@@ -194,7 +194,7 @@ def test_random_quantum_nosig_keeps_the_per_outcome_verdict(monkeypatch, tmp_pat
     d2=st.integers(2, 3),
     trials=st.integers(1, 5),
     seed=st.integers(0, 2**16),
-    outcomes=st.integers(1, 4),
+    outcomes=st.integers(2, 4),
     tol=st.sampled_from([1e-16, 1e-12, 1e-8, 1e-4]),
     fixture=st.sampled_from([None, "z-instrument", "mutant-instrument"]),
     box=st.sampled_from([None, "pr-box", "signaling-box"]),
