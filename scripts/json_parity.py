@@ -11,7 +11,8 @@ Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
 every other value, and the exit code.  Prints each difference and a summary
 that gives the largest absolute difference of two floats and, apart, the
-count of all other differences; exits 1 when there is any difference.
+count of all other differences; exits 1 when there is any difference, and 2
+without a run when the arguments are wrong or a root has no ``src/optheory``.
 """
 
 from __future__ import annotations
@@ -90,9 +91,19 @@ def compare(parent: Path, change: Path, case: tuple) -> list[tuple[str, float | 
     return [(f"{' '.join(map(str, case))}: {line}", gap) for line, gap in found]
 
 
+USAGE = "usage: python3 scripts/json_parity.py PARENT_ROOT [CHANGE_ROOT]"
+
+
 def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(USAGE, file=sys.stderr)
+        return 2
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    for root in (parent, change):
+        if not (root / "src" / "optheory").is_dir():
+            print(f"{USAGE}: {root} has no src/optheory", file=sys.stderr)
+            return 2
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = [d for ds in pool.map(lambda c: compare(parent, change, c), CASES) for d in ds]
     for line, _ in found:

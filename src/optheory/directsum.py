@@ -29,7 +29,6 @@ from .framework import (
     Action,
     BipartiteModel,
     Effect,
-    ModelMismatch,
     State,
     TheoryModel,
     TOL_EFFECT,
@@ -231,14 +230,16 @@ class DSumModel(TheoryModel):
 
     d1: int
     d2: int
-    name: str = field(default="dsum", compare=False)
     sectors: tuple[QuantumModel, QuantumModel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("sector dimensions must be positive")
-        object.__setattr__(self, "name", f"dsum({self.d1}+{self.d2})")
         object.__setattr__(self, "sectors", (QuantumModel(self.d1), QuantumModel(self.d2)))
+
+    @property
+    def name(self) -> str:
+        return f"dsum({self.d1}+{self.d2})"
 
     @property
     def effect_dim(self) -> int:
@@ -341,8 +342,7 @@ class DSumModel(TheoryModel):
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
         plus, minus = (haar_outcomes(rng, q.d, outcomes) for q in self.sectors)
-        pairs = enumerate(zip(plus, minus))
-        return Action([Transformation(self, pair, f"outcome{j}") for j, pair in pairs])
+        return self.outcome_action(zip(plus, minus))
 
     def minimal_ic_effects(self) -> list[Effect]:
         """The sectors' minimal IC effects, each padded with zero on the other sector."""
@@ -371,19 +371,9 @@ class DSumBipartite(BipartiteModel):
         object.__setattr__(self, "right", QuantumModel(self.d2))
         object.__setattr__(self, "joint", DSumModel(self.d1, self.d2))
 
-    def _local(self, t: Transformation, side: int) -> DSumLocalOp:
+    def _embed(self, t: Transformation, side: int) -> tuple[KrausOp, KrausOp]:
         p = _mixed_state_prob(effect_of(t))
-        return DSumLocalOp(side, t.payload, min(p, 1.0), t.label)
-
-    def embed_left(self, t: Transformation) -> Transformation:
-        if t.model != self.left:
-            raise ModelMismatch("transformation is not bound to the left component")
-        return self.joint.from_local(self._local(t, 1))
-
-    def embed_right(self, t: Transformation) -> Transformation:
-        if t.model != self.right:
-            raise ModelMismatch("transformation is not bound to the right component")
-        return self.joint.from_local(self._local(t, 2))
+        return self.joint.from_local(DSumLocalOp(side, t.payload, min(p, 1.0), t.label)).payload
 
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         kl = require_hermitian(e_left.payload)

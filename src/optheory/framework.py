@@ -20,7 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Sequence
 
@@ -175,9 +175,6 @@ class TheoryModel(ABC):
         """A transformation whose effect is unit - effect_of(t)."""
 
     @abstractmethod
-    def add_effects(self, e1: Effect, e2: Effect) -> Effect: ...
-
-    @abstractmethod
     def effect_leq_unit(self, e: Effect) -> bool:
         """Whether 0 <= e <= unit holds in the model's positivity order."""
 
@@ -188,13 +185,6 @@ class TheoryModel(ABC):
     @abstractmethod
     def state_coords(self, s: State) -> np.ndarray:
         """Real linear embedding of a state, dual to ``effect_coords``."""
-
-    @abstractmethod
-    def scale_state_payload(self, payload: Any, factor: float) -> Any: ...
-
-    @abstractmethod
-    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
-        """The payload-linear combination w1*s1 + w2*s2 (no renormalization)."""
 
     @abstractmethod
     def state_distance(self, s1: State, s2: State) -> float: ...
@@ -216,12 +206,29 @@ class TheoryModel(ABC):
         """A built-in minimal informationally complete observable, if any."""
         raise NotImplementedError(f"{self.name} has no built-in IC observable")
 
+    # -- defaults for array payloads; a model with other payloads overrides them
+    def add_effects(self, e1: Effect, e2: Effect) -> Effect:
+        return Effect(self, e1.payload + e2.payload)
+
+    def scale_state_payload(self, payload: Any, factor: float) -> Any:
+        return factor * payload
+
+    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
+        """The payload-linear combination w1*s1 + w2*s2 (no renormalization)."""
+        return State(self, w1 * s1.payload + w2 * s2.payload)
+
+    def outcome_action(self, payloads) -> Action:
+        """The action whose outcome j has payload ``payloads[j]`` and label ``outcome<j>``."""
+        return Action([Transformation(self, p, f"outcome{j}") for j, p in enumerate(payloads)])
+
 
 class BipartiteModel(ABC):
     """Two component models embedded side by side in a joint model.
 
     The defining property is dynamical independence: embedded left and right
     transformations commute (checked, not assumed, by the test suites).
+    A composite writes only ``_embed``, and ``product_effect`` when its
+    joint effects are not the Kronecker products of array payloads.
     """
 
     left: TheoryModel
@@ -229,14 +236,22 @@ class BipartiteModel(ABC):
     joint: TheoryModel
 
     @abstractmethod
-    def embed_left(self, t: Transformation) -> Transformation: ...
+    def _embed(self, t: Transformation, side: int) -> Any:
+        """Joint payload of a component transformation acting on ``side`` (1 or 2)."""
 
-    @abstractmethod
-    def embed_right(self, t: Transformation) -> Transformation: ...
+    def embed_left(self, t: Transformation) -> Transformation:
+        if t.model != self.left:
+            raise ModelMismatch("transformation is not bound to the left component")
+        return Transformation(self.joint, self._embed(t, 1), t.label)
 
-    @abstractmethod
+    def embed_right(self, t: Transformation) -> Transformation:
+        if t.model != self.right:
+            raise ModelMismatch("transformation is not bound to the right component")
+        return Transformation(self.joint, self._embed(t, 2), t.label)
+
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         """Joint effect of jointly performing a left and a right outcome."""
+        return Effect(self.joint, np.kron(e_left.payload, e_right.payload))
 
     @property
     def ambient_effect_dim(self) -> int:
@@ -561,12 +576,14 @@ class ClassicalModel(TheoryModel):
     transformations substochastic matrices, effects column-sum functionals."""
 
     n: int
-    name: str = field(default="classical", compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("outcome count must be positive")
-        object.__setattr__(self, "name", f"classical({self.n})")
+
+    @property
+    def name(self) -> str:
+        return f"classical({self.n})"
 
     @property
     def effect_dim(self) -> int:
@@ -627,9 +644,6 @@ class ClassicalModel(TheoryModel):
         residual = 1.0 - t.payload.sum(axis=0)
         return Transformation(self, np.diag(np.clip(residual, 0.0, None)), f"~{t.label}")
 
-    def add_effects(self, e1: Effect, e2: Effect) -> Effect:
-        return Effect(self, e1.payload + e2.payload)
-
     def effect_leq_unit(self, e: Effect) -> bool:
         return bool(e.payload.min() >= -TOL_EFFECT and e.payload.max() <= 1.0 + TOL_EFFECT)
 
@@ -638,12 +652,6 @@ class ClassicalModel(TheoryModel):
 
     def state_coords(self, s: State) -> np.ndarray:
         return np.asarray(s.payload, dtype=float)
-
-    def scale_state_payload(self, payload, factor: float):
-        return factor * payload
-
-    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
-        return State(self, w1 * s1.payload + w2 * s2.payload)
 
     def state_distance(self, s1: State, s2: State) -> float:
         return float(np.abs(s1.payload - s2.payload).sum())
@@ -658,10 +666,7 @@ class ClassicalModel(TheoryModel):
         return Transformation(self, random_substochastic(rng, self.n), "random")
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        parts = random_stochastic_split(rng, self.n, outcomes)
-        return Action(
-            [Transformation(self, p, f"outcome{k}") for k, p in enumerate(parts)]
-        )
+        return self.outcome_action(random_stochastic_split(rng, self.n, outcomes))
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, np.eye(self.n)[i]) for i in range(self.n)]
@@ -679,18 +684,10 @@ class ClassicalBipartite(BipartiteModel):
         object.__setattr__(self, "right", ClassicalModel(self.n2))
         object.__setattr__(self, "joint", ClassicalModel(self.n1 * self.n2))
 
-    def embed_left(self, t: Transformation) -> Transformation:
-        if t.model != self.left:
-            raise ModelMismatch("transformation is not bound to the left component")
-        return Transformation(self.joint, np.kron(t.payload, np.eye(self.n2)), t.label)
-
-    def embed_right(self, t: Transformation) -> Transformation:
-        if t.model != self.right:
-            raise ModelMismatch("transformation is not bound to the right component")
-        return Transformation(self.joint, np.kron(np.eye(self.n1), t.payload), t.label)
-
-    def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
-        return Effect(self.joint, np.kron(e_left.payload, e_right.payload))
+    def _embed(self, t: Transformation, side: int) -> np.ndarray:
+        if side == 1:
+            return np.kron(t.payload, np.eye(self.n2))
+        return np.kron(np.eye(self.n1), t.payload)
 
     def joint_state(self, vec) -> State:
         return self.joint.state(vec)

@@ -34,7 +34,7 @@ at D = 36 its temporaries take about 2 MB instead of 40 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +44,6 @@ from .framework import (
     BipartiteModel,
     Effect,
     IncompleteAction,
-    ModelMismatch,
     State,
     TheoryModel,
     TOL_EFFECT,
@@ -486,12 +485,14 @@ class QuantumModel(TheoryModel):
     """Finite-dimensional quantum theory on a d-dimensional Hilbert space."""
 
     d: int
-    name: str = field(default="quantum", compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("Hilbert space dimension must be positive")
-        object.__setattr__(self, "name", f"quantum({self.d})")
+
+    @property
+    def name(self) -> str:
+        return f"quantum({self.d})"
 
     @property
     def effect_dim(self) -> int:
@@ -516,9 +517,7 @@ class QuantumModel(TheoryModel):
         return Transformation(self, op, label)
 
     def action_from_instrument(self, inst: Instrument) -> Action:
-        return Action(
-            [Transformation(self, op, f"outcome{j}") for j, op in enumerate(inst.outcomes)]
-        )
+        return self.outcome_action(inst.outcomes)
 
     # -- interface ----------------------------------------------------------
     def identity(self) -> Transformation:
@@ -548,9 +547,6 @@ class QuantumModel(TheoryModel):
     def complement(self, t: Transformation) -> Transformation:
         return Transformation(self, complement_kraus(t.payload), f"~{t.label}")
 
-    def add_effects(self, e1: Effect, e2: Effect) -> Effect:
-        return Effect(self, e1.payload + e2.payload)
-
     def effect_leq_unit(self, e: Effect) -> bool:
         eigs = eigvals_herm(e.payload)
         return bool(eigs[0] >= -TOL_EFFECT and eigs[-1] <= 1.0 + TOL_EFFECT)
@@ -560,12 +556,6 @@ class QuantumModel(TheoryModel):
 
     def state_coords(self, s: State) -> np.ndarray:
         return hermitian_coords(s.payload)
-
-    def scale_state_payload(self, payload, factor: float):
-        return factor * payload
-
-    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
-        return State(self, w1 * s1.payload + w2 * s2.payload)
 
     def state_distance(self, s1: State, s2: State) -> float:
         return trace_norm(s1.payload - s2.payload)
@@ -585,8 +575,7 @@ class QuantumModel(TheoryModel):
         return Instrument(haar_outcomes(rng, self.d, outcomes))
 
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        ops = enumerate(haar_outcomes(rng, self.d, outcomes))
-        return Action([Transformation(self, op, f"outcome{j}") for j, op in ops])
+        return self.outcome_action(haar_outcomes(rng, self.d, outcomes))
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, k) for k in minimal_ic_povm(self.d)]
@@ -604,18 +593,8 @@ class QuantumBipartite(BipartiteModel):
         object.__setattr__(self, "right", QuantumModel(self.d2))
         object.__setattr__(self, "joint", QuantumModel(self.d1 * self.d2))
 
-    def embed_left(self, t: Transformation) -> Transformation:
-        if t.model != self.left:
-            raise ModelMismatch("transformation is not bound to the left component")
-        return Transformation(self.joint, local_embed(t.payload, self.d2, side=1), t.label)
-
-    def embed_right(self, t: Transformation) -> Transformation:
-        if t.model != self.right:
-            raise ModelMismatch("transformation is not bound to the right component")
-        return Transformation(self.joint, local_embed(t.payload, self.d1, side=2), t.label)
-
-    def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
-        return Effect(self.joint, np.kron(e_left.payload, e_right.payload))
+    def _embed(self, t: Transformation, side: int) -> KrausOp:
+        return local_embed(t.payload, self.d2 if side == 1 else self.d1, side)
 
 
 # ---------------------------------------------------------------------------

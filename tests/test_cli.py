@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -419,3 +421,16 @@ def test_all_suites_report_matches_golden(d1, d2, tmp_path, capsys):
     capsys.readouterr()
     expected = json.loads(PARITY_GOLDEN.read_text())[f"{d1}x{d2}"]
     _assert_parity(json.loads(path.read_text())["report"], expected)
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["no-such-root"], ["a", "b", "c"]], ids=["none", "no-src", "three"]
+)
+def test_json_parity_usage_errors_exit_2(args, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "json_parity.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

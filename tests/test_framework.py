@@ -1,5 +1,8 @@
 """Generic framework operations on the classical reference model."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,14 @@ from hypothesis import strategies as st
 
 from optheory.framework import (
     Action,
+    BipartiteModel,
     ClassicalBipartite,
     ClassicalModel,
     IncompleteAction,
     IndeterminateSpan,
     ModelMismatch,
     NotCoexistent,
+    TheoryModel,
     ZeroProbability,
     add_coexistent,
     complement,
@@ -337,3 +342,13 @@ def test_bayes_chain_property(p, a, b):
     lhs = prob(omega, compose(t, u))
     rhs = prob(condition(omega, t), u) * prob(omega, t)
     assert abs(lhs - rhs) <= 1e-10
+
+
+def test_readme_names_what_a_theory_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Adding a theory", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(\w+)", section))
+    assert len(TheoryModel.__abstractmethods__) == 18
+    assert BipartiteModel.__abstractmethods__ == {"_embed"}
+    assert TheoryModel.__abstractmethods__ <= named
+    assert "_embed" in named

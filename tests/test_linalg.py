@@ -10,14 +10,17 @@ from optheory.linalg import (
     PSD_SLACK,
     RANK_TOL,
     direct_sum,
+    eigvals_herm,
     full_rank_bound,
     hermitian_basis,
     hermitian_coords,
     hermitian_from_coords,
     matrix_from_json,
     matrix_to_json,
+    max_eig_herm,
     min_eig_herm,
     partial_trace,
+    psd_sqrt,
     rank_of_rows,
     require_hermitian,
     require_psd,
@@ -26,6 +29,7 @@ from optheory.linalg import (
     trace_norm,
 )
 from optheory.directsum import DSumState
+from optheory.framework import Effect
 from optheory.quantum import PAULI_X, PAULI_Y, PAULI_Z, QuantumModel, reduced_positivity_min_eig
 from optheory.sampling import complex_gaussian, ginibre_positive, trial_rng
 
@@ -184,6 +188,35 @@ class TestRequirePSD:
         bad = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match=message):
             check(bad)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        eigvals_herm,
+        min_eig_herm,
+        max_eig_herm,
+        lambda a: require_psd(a, "unused"),
+        psd_sqrt,
+        QuantumModel(3).state,
+        lambda a: QuantumModel(3).effect_leq_unit(Effect(QuantumModel(3), a)),
+    ],
+    ids=[
+        "eigvals_herm",
+        "min_eig_herm",
+        "max_eig_herm",
+        "require_psd",
+        "psd_sqrt",
+        "quantum-state",
+        "quantum-effect_leq_unit",
+    ],
+)
+def test_eigenvalue_checks_reject_nan(check):
+    # eigvalsh may return a finite spectrum such as [0, -0, 0.5] for this
+    # matrix, whose minimum would pass a PSD test: only the finiteness scan
+    # stands between the NaN and a pass.
+    with pytest.raises(ValueError, match="finite"):
+        check(np.diag([np.nan, 0.5, 0.5]))
 
 
 class TestHermitianBasis:

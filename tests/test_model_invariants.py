@@ -14,6 +14,9 @@ from optheory.directsum import DSumBipartite, DSumModel
 from optheory.framework import (
     ClassicalBipartite,
     ClassicalModel,
+    ModelMismatch,
+    State,
+    Transformation,
     commutation_defect,
     model_invariant_suite,
     no_signaling_check,
@@ -62,6 +65,88 @@ def test_nan_defect_fails_the_invariant_suite():
     assert report.details["per_invariant"]["associativity"] == math.inf
 
 
+# Planted defects, one overridden method each, for the eight invariants.
+
+
+class ComposeReversed(ClassicalModel):
+    """``compose`` applies ``then`` first."""
+
+    def compose(self, first, then):
+        return Transformation(self, first.payload @ then.payload)
+
+
+class MixRenormalized(ClassicalModel):
+    """``mix_states`` renormalizes its result."""
+
+    def mix_states(self, s1, s2, w1, w2):
+        mixed = super().mix_states(s1, s2, w1, w2)
+        return State(self, mixed.payload / mixed.payload.sum())
+
+
+class LossyIdentity(ClassicalModel):
+    """``identity`` loses a tenth of the weight."""
+
+    def identity(self):
+        return Transformation(self, 0.9 * np.eye(self.n), "identity")
+
+
+class ScaleShifted(ClassicalModel):
+    """``scale_transformation`` shifts the dynamics before scaling."""
+
+    def scale_transformation(self, lam, t):
+        return Transformation(self, lam * (t.payload + 0.01 * np.eye(self.n)))
+
+
+class ComposeSandwich(ClassicalModel):
+    """``compose`` applies ``then`` on both sides of ``first``."""
+
+    def compose(self, first, then):
+        return Transformation(self, then.payload @ first.payload @ then.payload)
+
+
+class AddByMaximum(ClassicalModel):
+    """``add_transformations`` doubles the entrywise maximum."""
+
+    def add_transformations(self, t1, t2):
+        return Transformation(self, 2 * np.maximum(t1.payload, t2.payload))
+
+
+class SquaredEvaluate(ClassicalModel):
+    """``evaluate`` squares the pairing."""
+
+    def evaluate(self, e, s):
+        return super().evaluate(e, s) ** 2
+
+
+INVARIANT_MUTANTS = [
+    (ComposeReversed, "bayes_chain"),
+    (MixRenormalized, "mixture_linearity"),
+    (LossyIdentity, "identity_neutral"),
+    (ScaleShifted, "scale_conditioning"),
+    (ComposeSandwich, "associativity"),
+    (AddByMaximum, "distributivity"),
+    (AddByMaximum, "additivity"),
+    (SquaredEvaluate, "completeness"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutant,check", INVARIANT_MUTANTS, ids=[check for _, check in INVARIANT_MUTANTS]
+)
+def test_invariant_mutant_breaks_its_check(mutant, check):
+    tol = 1e-9
+    report = model_invariant_suite(mutant(3), seed=0, trials=20, tol=tol)
+    assert not report.passed
+    (named,) = [c for c in report.checks if c.name == check]
+    assert named.defect > 1000 * tol
+    assert named.worst_trial is not None
+
+
+def test_every_invariant_has_a_mutant():
+    report = model_invariant_suite(ClassicalModel(3), seed=0, trials=1)
+    assert {c.name for c in report.checks} == {check for _, check in INVARIANT_MUTANTS}
+
+
 def test_worst_defect_counts_nan_as_inf():
     assert worst_defect() == 0.0
     assert worst_defect(1e-16, 3e-16) == 3e-16
@@ -108,6 +193,20 @@ def test_commutation_implies_no_signaling(bip):
         probes = [bip.right.random_transformation(rng) for _ in range(3)]
         report = no_signaling_check(joint, action, bip, probes, tol=1e-10)
         assert report.passed, report.max_defect
+
+
+@pytest.mark.parametrize(
+    "bip",
+    [ClassicalBipartite(2, 3), QuantumBipartite(2, 3), DSumBipartite(2, 3)],
+    ids=lambda b: b.joint.name,
+)
+def test_embedding_rejects_the_other_component(bip):
+    # Unequal sides: with 2 x 2 both components are the same model.
+    left, right = bip.left.identity(), bip.right.identity()
+    with pytest.raises(ModelMismatch, match="left component"):
+        bip.embed_left(right)
+    with pytest.raises(ModelMismatch, match="right component"):
+        bip.embed_right(left)
 
 
 @pytest.mark.parametrize("bip", COMPOSITES, ids=lambda b: b.joint.name)
