@@ -3,8 +3,9 @@
     python3 scripts/json_parity.py PARENT_ROOT [CHANGE_ROOT]
 
 Runs ``python -m optheory --json`` from each root's ``src`` directory for
-every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at the
-benchmark's sizes, boxworld's landmarks and the packaged fixtures at seed 0),
+every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,3) and
+(3,2) for seeds 0-2, tomo-audit at the benchmark's sizes and at (6,5),
+boxworld's landmarks and the packaged fixtures at seed 0),
 with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
@@ -32,7 +33,12 @@ CASES = [
     for seed in range(3)
     for d1, d2 in ((2, 2), (2, 3), (3, 3), (6, 6))
     for suite in SUITES + (("all",) if d1 < 6 else ())
-] + [("tomo-audit", 5, 6, 0), ("tomo-audit", 6, 6, 0), ("boxworld", 2, 2, 0)] + [
+] + [("tomo-audit", d1, d2, seed) for seed in range(3) for d1, d2 in ((2, 3), (3, 2))] + [
+    ("tomo-audit", 5, 6, 0),
+    ("tomo-audit", 6, 6, 0),
+    ("tomo-audit", 6, 5, 0),
+    ("boxworld", 2, 2, 0),
+] + [
     (suite, 2, 2, 0, flag, name)
     for suite, flag, name in (
         ("quantum-nosig", "--fixture", "mutant-instrument"),

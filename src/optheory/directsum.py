@@ -39,7 +39,6 @@ from .framework import (
     total_of_action,
 )
 from .linalg import (
-    direct_sum,
     hermitian_coords,
     matrix_from_json,
     matrix_to_json,
@@ -210,8 +209,8 @@ def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
     if samples < (d1 + d2) ** 2:
         raise ValueError(f"need at least {(d1 + d2) ** 2} samples for a decisive rank")
     bip = DSumBipartite(d1, d2)
-    effects = (bip.random_product_effect(trial_rng(seed, k)) for k in range(samples))
-    return rank_of_rows([bip.ambient_effect_coords(e) for e in effects])
+    payloads = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(samples)]
+    return rank_of_rows(bip.ambient_rows(payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +374,30 @@ class DSumBipartite(BipartiteModel):
         p = _mixed_state_prob(effect_of(t))
         return self.joint.from_local(DSumLocalOp(side, t.payload, min(p, 1.0), t.label)).payload
 
-    def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
-        kl = require_hermitian(e_left.payload)
-        kr = require_hermitian(e_right.payload)
-        p = _mixed_state_prob(e_left)
-        q = _mixed_state_prob(e_right)
-        return Effect(self.joint, (q * kl, p * kr))
+    def product_payloads(self, lefts, rights) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Block pairs (q_j K_l,i, p_i K_r,j) of the products of ``lefts[i]``
+        and ``rights[j]``, at index ``i * len(rights) + j``; p_i and q_j are
+        the local effects' values Tr[K]/d on the maximally mixed state.
+        Each local effect is validated and valued once."""
+        kl, p = _local_stack(lefts)
+        kr, q = _local_stack(rights)
+        plus = (q[None, :, None, None] * kl[:, None]).reshape(-1, self.d1, self.d1)
+        minus = (p[:, None, None, None] * kr[None, :]).reshape(-1, self.d2, self.d2)
+        return list(zip(plus, minus))
 
     @property
     def ambient_effect_dim(self) -> int:
         return (self.d1 + self.d2) ** 2
 
-    def ambient_effect_coords(self, e: Effect) -> np.ndarray:
-        return hermitian_coords(direct_sum(*e.payload))
+    def ambient_rows(self, payloads) -> np.ndarray:
+        """``hermitian_coords`` of each block pair as the block-diagonal
+        K_plus (+) K_minus on C^(d1+d2), built as one stack."""
+        plus, minus = (np.stack(blocks) for blocks in zip(*payloads))
+        d1, d = self.d1, self.d1 + self.d2
+        stack = np.zeros((len(plus), d, d), dtype=complex)
+        stack[:, :d1, :d1] = plus
+        stack[:, d1:, d1:] = minus
+        return hermitian_coords(stack)
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))
@@ -399,3 +409,10 @@ def _mixed_state_prob(e: Effect) -> float:
     """Value Tr[K]/d of a component effect on the maximally mixed state."""
     model = e.model
     return model.evaluate(e, State(model, np.eye(model.d) / model.d))
+
+
+def _local_stack(effects) -> tuple[np.ndarray, np.ndarray]:
+    """The component effects' payloads, validated and symmetrized as one
+    stack, and their values on the maximally mixed state."""
+    k = require_hermitian(np.stack([e.payload for e in effects]))
+    return k, np.array([_mixed_state_prob(e) for e in effects])

@@ -182,6 +182,13 @@ class TheoryModel(ABC):
     def effect_coords(self, e: Effect) -> np.ndarray:
         """Real coordinates of an effect; equal coordinates = equal effects."""
 
+    def effect_rows(self, payloads) -> np.ndarray:
+        """``effect_coords`` of a sequence of effect payloads, one row each.
+
+        Models whose coordinates are taken entry by entry of an array payload
+        override it with one call on the stacked payloads."""
+        return np.array([self.effect_coords(Effect(self, p)) for p in payloads])
+
     @abstractmethod
     def state_coords(self, s: State) -> np.ndarray:
         """Real linear embedding of a state, dual to ``effect_coords``."""
@@ -227,8 +234,9 @@ class BipartiteModel(ABC):
 
     The defining property is dynamical independence: embedded left and right
     transformations commute (checked, not assumed, by the test suites).
-    A composite writes only ``_embed``, and ``product_effect`` when its
-    joint effects are not the Kronecker products of array payloads.
+    A composite writes only ``_embed``, and ``product_payloads`` and
+    ``ambient_rows`` when its joint effects are not the Kronecker products
+    of array payloads.
     """
 
     left: TheoryModel
@@ -249,18 +257,30 @@ class BipartiteModel(ABC):
             raise ModelMismatch("transformation is not bound to the right component")
         return Transformation(self.joint, self._embed(t, 2), t.label)
 
+    def product_payloads(self, lefts: Sequence[Effect], rights: Sequence[Effect]):
+        """Joint payloads of the products of every left and right effect, the
+        product of ``lefts[i]`` and ``rights[j]`` at index ``i * len(rights) + j``.
+
+        Array payloads: one ``np.kron`` of the stacked local payloads, whose
+        leading axis indexes the products."""
+        left = np.stack([e.payload for e in lefts])
+        right = np.stack([e.payload for e in rights])
+        out = np.kron(left[:, None], right[None])
+        return out.reshape(-1, *out.shape[2:])
+
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         """Joint effect of jointly performing a left and a right outcome."""
-        return Effect(self.joint, np.kron(e_left.payload, e_right.payload))
+        return Effect(self.joint, self.product_payloads([e_left], [e_right])[0])
 
     @property
     def ambient_effect_dim(self) -> int:
         """Effect dimension of the composite system local outcomes probe."""
         return self.joint.effect_dim
 
-    def ambient_effect_coords(self, e: Effect) -> np.ndarray:
-        """Coordinates of a joint effect in the ambient composite system."""
-        return self.joint.effect_coords(e)
+    def ambient_rows(self, payloads) -> np.ndarray:
+        """Coordinates of joint effect payloads in the ambient composite
+        system, one row each, from one call on the stack."""
+        return self.joint.effect_rows(payloads)
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         tl = self.left.random_transformation(rng)
@@ -649,6 +669,9 @@ class ClassicalModel(TheoryModel):
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.asarray(e.payload, dtype=float)
+
+    def effect_rows(self, payloads) -> np.ndarray:
+        return np.asarray(payloads, dtype=float)
 
     def state_coords(self, s: State) -> np.ndarray:
         return np.asarray(s.payload, dtype=float)

@@ -23,25 +23,42 @@ RANK_TOL = 1e-7
 FULL_RANK_MARGIN = 10.0
 
 
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+
+
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
     """Coerce to a finite 2-D complex array, copying lazily."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(m)
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
-    m = as_matrix(a, square=True)
-    defect = float(np.abs(m - m.conj().T).max())
+    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix.
+
+    A stack of shape ``(n, d, d)`` is validated matrix by matrix and returned
+    symmetrized; the defect named by the error is the largest of the stack,
+    so a stack with one bad matrix raises the message of that matrix alone.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3:
+        m = as_matrix(m, square=True)
+        mh = m.conj().T
+    elif m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    else:
+        _require_finite(m)
+        mh = m.conj().swapaxes(1, 2)
+    defect = float(np.abs(m - mh).max())
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.3e}")
-    return (m + m.conj().T) / 2
+    return (m + mh) / 2
 
 
 def tensor(a, b) -> np.ndarray:
@@ -161,12 +178,15 @@ def hermitian_coords(a) -> np.ndarray:
 
     Computed entrywise (diagonal, then sqrt(2) times the real and imaginary
     upper-triangle parts) rather than by pairing against the dense basis;
-    the orderings coincide.
+    the orderings coincide.  A stack ``(n, d, d)`` gives one row of ``d^2``
+    coordinates per matrix, each equal to the call on that matrix alone;
+    every matrix is validated as by ``require_hermitian``.
     """
     m = require_hermitian(a)
-    upper = m[_strict_upper(m.shape[0])]
+    rows, cols = _strict_upper(m.shape[-1])
+    upper = m[..., rows, cols]
     return np.concatenate(
-        [m.diagonal().real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag]
+        [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
     )
 
 

@@ -113,7 +113,11 @@ class KrausOp:
         if not np.isfinite(stacked).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         object.__setattr__(self, "kraus", stacked)
-        top = max_eig_herm(self.trace_operator())
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = self.trace_operator()
+        if not np.isfinite(k).all():
+            raise ValueError("trace operator sum of M^dag M overflows: its entries are not finite")
+        top = max_eig_herm(k)
         if top > 1.0 + TOL_EFFECT:
             raise ValueError(
                 f"sum of M^dag M has eigenvalue {top:.6f} > 1; not trace-nonincreasing"
@@ -553,6 +557,9 @@ class QuantumModel(TheoryModel):
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)
+
+    def effect_rows(self, payloads) -> np.ndarray:
+        return hermitian_coords(payloads)
 
     def state_coords(self, s: State) -> np.ndarray:
         return hermitian_coords(s.payload)

@@ -21,8 +21,21 @@ from .report import Check, VerificationReport
 from .sampling import trial_rng
 
 
+# Products per call of ``BipartiteModel.product_payloads`` in ``product_rows``:
+# no temporary holds more joint payloads than this.  At (6, 6) one call covers
+# six left outcomes of the 36 x 36 quantum products, 4.5 MB of payloads;
+# chunks of 72 to 432 products build those rows equally fast, all 1296 at
+# once a third slower.
+PRODUCT_CHUNK = 216
+
+
 class NotInformationallyComplete(ValueError):
     """Expansion coefficients requested in an observable that is not IC."""
+
+
+def _require_unit_sum(defect: float) -> None:
+    if defect > TOL_EFFECT:
+        raise ValueError(f"effects do not sum to the unit: defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +58,7 @@ class Observable:
             defect = unit_sum_defect(model, effs)
         except NotImplementedError as exc:
             raise ValueError("model does not expose dual effect coordinates") from exc
-        if defect > TOL_EFFECT:
-            raise ValueError(f"effects do not sum to the unit: defect {defect:.3e}")
+        _require_unit_sum(defect)
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -115,21 +127,42 @@ def minimal_ic_observable(model: TheoryModel) -> Observable:
     return Observable(model.minimal_ic_effects())
 
 
-def product_observable(o1: Observable, o2: Observable, bip: BipartiteModel) -> Observable:
-    """All pairwise products of two local observables, jointly measured."""
+def _require_components(o1: Observable, o2: Observable, bip: BipartiteModel) -> None:
     if o1.model != bip.left or o2.model != bip.right:
         raise ValueError("observables must be bound to the bipartite components")
+
+
+def product_observable(o1: Observable, o2: Observable, bip: BipartiteModel) -> Observable:
+    """All pairwise products of two local observables, jointly measured."""
+    _require_components(o1, o2, bip)
     return Observable(
-        [bip.product_effect(e1, e2) for e1 in o1.effects for e2 in o2.effects]
+        Effect(bip.joint, p) for p in bip.product_payloads(o1.effects, o2.effects)
     )
 
 
-def _ambient_rows(bip: BipartiteModel, effects, n: int) -> np.ndarray:
-    """Ambient coordinates of ``n`` effects, one per row, in one preallocated array."""
-    out = np.empty((n, bip.ambient_effect_dim))
-    for i, e in enumerate(effects):
-        out[i] = bip.ambient_effect_coords(e)
-    return out
+def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndarray:
+    """Ambient coordinates of the effects of ``product_observable(o1, o2, bip)``,
+    the product of outcomes i and j in row ``i * len(o2) + j``.
+
+    The rows come from ``bip.product_payloads`` and ``bip.ambient_rows``, at
+    most ``PRODUCT_CHUNK`` products per call, without an ``Effect`` per
+    product.  As for an ``Observable``, their sum must equal the coordinates
+    of the unit effect within ``TOL_EFFECT``.
+    """
+    _require_components(o1, o2, bip)
+    lefts, rights = o1.effects, o2.effects
+    cols = min(len(rights), PRODUCT_CHUNK)
+    step = PRODUCT_CHUNK // cols
+    rows = np.empty((len(lefts), len(rights), bip.ambient_effect_dim))
+    for i in range(0, len(lefts), step):
+        for j in range(0, len(rights), cols):
+            block = rows[i : i + step, j : j + cols]
+            payloads = bip.product_payloads(lefts[i : i + step], rights[j : j + cols])
+            block[...] = bip.ambient_rows(payloads).reshape(block.shape)
+    rows = rows.reshape(-1, bip.ambient_effect_dim)
+    unit = bip.ambient_rows([bip.joint.unit_effect().payload])[0]
+    _require_unit_sum(float(np.abs(rows.sum(axis=0) - unit).max()))
+    return rows
 
 
 def local_observability_audit(
@@ -138,25 +171,24 @@ def local_observability_audit(
     """Can local outcomes tomograph the composite?
 
     Passes when the jointly measured product of the components' built-in
-    minimal IC observables spans the composite's ambient effect space.  When
-    it falls short, ``ambient + 32`` random local product effects (row k from
+    minimal IC observables (its coordinates from :func:`product_rows`) spans
+    the composite's ambient effect space.  When it falls short,
+    ``ambient + 32`` random local product effects (row k from
     ``trial_rng(seed, k)``) join the rows and the rank of the union decides.
     ``trials`` counts the rows audited.  The details record
     ``linalg.full_rank_bound`` of each row set: above
     ``FULL_RANK_MARGIN * RANK_TOL`` it certified full rank without an SVD.
     """
-    obs = product_observable(
-        minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip
-    )
+    rows = product_rows(minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip)
+    outcomes = len(rows)
     ambient = bip.ambient_effect_dim
-    rows = _ambient_rows(bip, obs.effects, len(obs))
     product_bound = full_rank_bound(rows)
     product_rank = rank = rank_of_rows(rows, bound=product_bound)
     bounds = {"product_full_rank_bound": product_bound}
     if product_rank < ambient:
         n_samples = ambient + 32
-        drawn = (bip.random_product_effect(trial_rng(seed, k)) for k in range(n_samples))
-        rows = np.concatenate([rows, _ambient_rows(bip, drawn, n_samples)])
+        drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(n_samples)]
+        rows = np.concatenate([rows, bip.ambient_rows(drawn)])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
         rank = rank_of_rows(rows, bound=union_bound)
     return VerificationReport.from_checks(
@@ -170,7 +202,7 @@ def local_observability_audit(
             "rank": rank,
             "ambient_effect_dim": ambient,
             "product_observable_rank": product_rank,
-            "product_outcomes": len(obs),
+            "product_outcomes": outcomes,
             **bounds,
         },
     )

@@ -19,13 +19,7 @@ classical = ClassicalModel(2)
     [
         (KrausOp, ([2 * I2],), ValueError),
         (KrausOp, ([np.array([[np.nan, 0.0], [0.0, 1.0]])],), ValueError),
-        # The overflow in trace_operator warns before the ValueError it causes.
-        pytest.param(
-            KrausOp,
-            ([1e200 * I2],),
-            ValueError,
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
+        (KrausOp, ([1e200 * I2],), ValueError),
         (Instrument, ([KrausOp([np.sqrt(0.9) * I2])],), IncompleteInstrument),
         (Action, ([classical.transformation(HALF)],), IncompleteAction),
         (Observable, ([classical.unit_effect(), classical.unit_effect()],), ValueError),
@@ -53,3 +47,9 @@ def test_constructor_rejects_invalid_input(build, args, error):
     # Validation is no longer the caller's choice.
     with pytest.raises(TypeError):
         build(*args, check=False)
+
+
+def test_overflowing_trace_operator_is_named():
+    # Every entry is finite; sum M^dag M is not, and no RuntimeWarning escapes.
+    with pytest.raises(ValueError, match=r"^trace operator sum of M\^dag M overflows"):
+        KrausOp([1e200 * I2])

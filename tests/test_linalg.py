@@ -234,6 +234,47 @@ class TestHermitianBasis:
         assert np.allclose(hermitian_from_coords(v, 3), m, atol=1e-12)
 
 
+def hermitian_stack(seed: int, n: int, d: int) -> np.ndarray:
+    """n random Hermitian d x d matrices, each off by noise below ``TOL_HERM``."""
+    rng = np.random.default_rng(seed)
+    g = complex_gaussian(rng, n * d, d).reshape(n, d, d)
+    noise = 1e-11 * complex_gaussian(rng, n * d, d).reshape(n, d, d)
+    return g + g.conj().swapaxes(-1, -2) + noise
+
+
+class TestStackedHermitianCoords:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_single_calls(self, d, n, seed):
+        stack = hermitian_stack(seed, n, d)
+        rows = hermitian_coords(stack)
+        assert rows.shape == (n, d * d)
+        for k in range(n):
+            assert rows[k].tobytes() == hermitian_coords(stack[k]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from(["nan", "inf", "not-hermitian"]),
+        data=st.data(),
+    )
+    def test_one_bad_matrix_raises_its_own_message(self, d, n, seed, bad, data):
+        stack = hermitian_stack(seed, n, d)
+        k = data.draw(st.integers(0, n - 1))
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        if bad == "not-hermitian":
+            stack[k, i, j] += 3e-6j
+        else:
+            stack[k, i, j] = np.nan if bad == "nan" else np.inf
+        with pytest.raises(ValueError) as single:
+            hermitian_coords(stack[k])
+        with pytest.raises(ValueError) as stacked:
+            hermitian_coords(stack)
+        assert str(stacked.value) == str(single.value)
+
+
 class TestSpanRank:
     def test_pauli_basis(self):
         assert span_rank([I2, PAULI_X, PAULI_Y, PAULI_Z]) == 4

@@ -5,11 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from optheory import quantum
 from optheory.directsum import DSumBipartite, DSumModel
-from optheory.framework import BipartiteModel, ClassicalBipartite, ClassicalModel, Effect
-from optheory.linalg import FULL_RANK_MARGIN, RANK_TOL
+from optheory.framework import BipartiteModel, ClassicalBipartite, ClassicalModel, Effect, State
+from optheory.linalg import (
+    FULL_RANK_MARGIN,
+    RANK_TOL,
+    direct_sum,
+    hermitian_coords,
+    require_hermitian,
+)
 from optheory.quantum import QuantumBipartite, QuantumModel
 from optheory.tomography import (
+    PRODUCT_CHUNK,
     ICCertificate,
     NotInformationallyComplete,
     Observable,
@@ -21,6 +29,7 @@ from optheory.tomography import (
     local_observability_audit,
     minimal_ic_observable,
     product_observable,
+    product_rows,
 )
 
 qubit = QuantumModel(2)
@@ -212,15 +221,79 @@ class TestObservabilityAudit:
         # observable stays complete, but it spans only d1^2 of (d1 d2)^2
         # dimensions, so the audit must sample and still fail.
         class Depolarized(QuantumBipartite):
-            def product_effect(self, e_left, e_right):
-                mixed = np.trace(e_right.payload) * np.eye(self.d2) / self.d2
-                return Effect(self.joint, np.kron(e_left.payload, mixed))
+            def product_payloads(self, lefts, rights):
+                mixed = [
+                    Effect(self.right, np.trace(e.payload) * np.eye(self.d2) / self.d2)
+                    for e in rights
+                ]
+                return super().product_payloads(lefts, mixed)
 
         report = local_observability_audit(Depolarized(2, 3), seed=0)
         d = report.details
         assert not report.passed
         assert d["product_observable_rank"] == d["rank"] == 4 < d["ambient_effect_dim"] == 36
         assert report.trials == d["product_outcomes"] + 36 + 32
+
+
+def reference_rows(bip: BipartiteModel, o1: Observable, o2: Observable) -> np.ndarray:
+    """Ambient rows of every product effect, one pair at a time, with the
+    product and coordinate formulas the audit used before ``product_rows``."""
+    rows = []
+    for e1 in o1.effects:
+        for e2 in o2.effects:
+            if isinstance(bip, DSumBipartite):
+                p = bip.left.evaluate(e1, State(bip.left, np.eye(bip.d1) / bip.d1))
+                q = bip.right.evaluate(e2, State(bip.right, np.eye(bip.d2) / bip.d2))
+                kl, kr = require_hermitian(e1.payload), require_hermitian(e2.payload)
+                rows.append(hermitian_coords(direct_sum(q * kl, p * kr)))
+            else:
+                product = Effect(bip.joint, np.kron(e1.payload, e2.payload))
+                rows.append(bip.joint.effect_coords(product))
+    return np.array(rows)
+
+
+COMPOSITES = [ClassicalBipartite, QuantumBipartite, DSumBipartite]
+
+
+class TestProductRows:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (6, 5)], ids=str)
+    @pytest.mark.parametrize("composite", COMPOSITES, ids=lambda c: c.__name__)
+    def test_equal_the_per_pair_reference(self, composite, dims):
+        bip = composite(*dims)
+        o1, o2 = minimal_ic_observable(bip.left), minimal_ic_observable(bip.right)
+        expected = reference_rows(bip, o1, o2)
+        rows = product_rows(o1, o2, bip)
+        assert rows.shape == expected.shape == (len(o1) * len(o2), bip.ambient_effect_dim)
+        assert rows.tobytes() == expected.tobytes()
+        # product_effect is derived from the same hook.
+        pairs = [bip.product_effect(e1, e2).payload for e1 in o1.effects for e2 in o2.effects]
+        assert bip.ambient_rows(pairs).tobytes() == expected.tobytes()
+
+    def test_no_call_exceeds_the_chunk(self, monkeypatch):
+        coords = quantum.hermitian_coords
+        sizes = []
+
+        def spy(a):
+            rows = coords(a)
+            sizes.append(len(rows) if rows.ndim == 2 else 1)
+            return rows
+
+        monkeypatch.setattr(quantum, "hermitian_coords", spy)
+        report = local_observability_audit(QuantumBipartite(6, 6), seed=0)
+        assert report.passed and report.details["product_outcomes"] == 1296
+        assert max(sizes) <= PRODUCT_CHUNK < 1296 <= sum(sizes)
+
+    @pytest.mark.parametrize("composite", COMPOSITES, ids=lambda c: c.__name__)
+    def test_dropped_product_fails_the_unit_sum(self, composite):
+        class Dropped(composite):
+            def product_payloads(self, lefts, rights):
+                payloads = list(super().product_payloads(lefts, rights))
+                zero = Effect(self.left, 0 * lefts[0].payload)
+                payloads[0] = super().product_payloads([zero], rights[:1])[0]
+                return payloads
+
+        with pytest.raises(ValueError, match="effects do not sum to the unit: defect"):
+            local_observability_audit(Dropped(2, 3), seed=0)
 
 
 class TestFullRankCertificateInAudit:
