@@ -43,7 +43,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     rank_of_rows,
-    require_hermitian,
+    require_hermitian_stack,
     require_psd,
     trace_norm,
 )
@@ -210,7 +210,7 @@ def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
         raise ValueError(f"need at least {(d1 + d2) ** 2} samples for a decisive rank")
     bip = DSumBipartite(d1, d2)
     payloads = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(samples)]
-    return rank_of_rows(bip.ambient_rows(payloads))
+    return rank_of_rows(bip.ambient_rows(bip.stack_payloads(payloads)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,8 @@ class DSumBipartite(BipartiteModel):
         p = _mixed_state_prob(effect_of(t))
         return self.joint.from_local(DSumLocalOp(side, t.payload, min(p, 1.0), t.label)).payload
 
-    def product_payloads(self, lefts, rights) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Block pairs (q_j K_l,i, p_i K_r,j) of the products of ``lefts[i]``
+    def product_payloads(self, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
+        """Block stacks (q_j K_l,i, p_i K_r,j) of the products of ``lefts[i]``
         and ``rights[j]``, at index ``i * len(rights) + j``; p_i and q_j are
         the local effects' values Tr[K]/d on the maximally mixed state.
         Each local effect is validated and valued once."""
@@ -383,21 +383,29 @@ class DSumBipartite(BipartiteModel):
         kr, q = _local_stack(rights)
         plus = (q[None, :, None, None] * kl[:, None]).reshape(-1, self.d1, self.d1)
         minus = (p[:, None, None, None] * kr[None, :]).reshape(-1, self.d2, self.d2)
-        return list(zip(plus, minus))
+        return plus, minus
+
+    def stack_payloads(self, payloads) -> tuple[np.ndarray, np.ndarray]:
+        """Block pairs (K_plus, K_minus) as one stack of each block."""
+        plus, minus = zip(*payloads)
+        return np.stack(plus), np.stack(minus)
+
+    def split_payloads(self, stack) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(*stack))
 
     @property
     def ambient_effect_dim(self) -> int:
         return (self.d1 + self.d2) ** 2
 
-    def ambient_rows(self, payloads) -> np.ndarray:
+    def ambient_rows(self, stack) -> np.ndarray:
         """``hermitian_coords`` of each block pair as the block-diagonal
         K_plus (+) K_minus on C^(d1+d2), built as one stack."""
-        plus, minus = (np.stack(blocks) for blocks in zip(*payloads))
+        plus, minus = stack
         d1, d = self.d1, self.d1 + self.d2
-        stack = np.zeros((len(plus), d, d), dtype=complex)
-        stack[:, :d1, :d1] = plus
-        stack[:, d1:, d1:] = minus
-        return hermitian_coords(stack)
+        joint = np.zeros((len(plus), d, d), dtype=complex)
+        joint[:, :d1, :d1] = plus
+        joint[:, d1:, d1:] = minus
+        return hermitian_coords(joint)
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))
@@ -414,5 +422,5 @@ def _mixed_state_prob(e: Effect) -> float:
 def _local_stack(effects) -> tuple[np.ndarray, np.ndarray]:
     """The component effects' payloads, validated and symmetrized as one
     stack, and their values on the maximally mixed state."""
-    k = require_hermitian(np.stack([e.payload for e in effects]))
+    k = require_hermitian_stack([e.payload for e in effects])
     return k, np.array([_mixed_state_prob(e) for e in effects])

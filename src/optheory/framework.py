@@ -234,9 +234,9 @@ class BipartiteModel(ABC):
 
     The defining property is dynamical independence: embedded left and right
     transformations commute (checked, not assumed, by the test suites).
-    A composite writes only ``_embed``, and ``product_payloads`` and
-    ``ambient_rows`` when its joint effects are not the Kronecker products
-    of array payloads.
+    A composite writes only ``_embed``, and the payload-stack hooks
+    (``product_payloads``, ``stack_payloads``, ``split_payloads`` and
+    ``ambient_rows``) when its joint effects are not array payloads.
     """
 
     left: TheoryModel
@@ -258,8 +258,9 @@ class BipartiteModel(ABC):
         return Transformation(self.joint, self._embed(t, 2), t.label)
 
     def product_payloads(self, lefts: Sequence[Effect], rights: Sequence[Effect]):
-        """Joint payloads of the products of every left and right effect, the
-        product of ``lefts[i]`` and ``rights[j]`` at index ``i * len(rights) + j``.
+        """Joint payloads of the products of every left and right effect as one
+        stack (see ``stack_payloads``), the product of ``lefts[i]`` and
+        ``rights[j]`` at index ``i * len(rights) + j``.
 
         Array payloads: one ``np.kron`` of the stacked local payloads, whose
         leading axis indexes the products."""
@@ -268,19 +269,29 @@ class BipartiteModel(ABC):
         out = np.kron(left[:, None], right[None])
         return out.reshape(-1, *out.shape[2:])
 
+    def stack_payloads(self, payloads: Sequence[Any]):
+        """Joint effect payloads as one stack, the form ``product_payloads``
+        returns and ``ambient_rows`` takes: array payloads along a new leading axis."""
+        return np.stack(payloads)
+
+    def split_payloads(self, stack) -> list:
+        """The joint effect payloads of a stack, inverse to ``stack_payloads``."""
+        return list(stack)
+
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         """Joint effect of jointly performing a left and a right outcome."""
-        return Effect(self.joint, self.product_payloads([e_left], [e_right])[0])
+        (payload,) = self.split_payloads(self.product_payloads([e_left], [e_right]))
+        return Effect(self.joint, payload)
 
     @property
     def ambient_effect_dim(self) -> int:
         """Effect dimension of the composite system local outcomes probe."""
         return self.joint.effect_dim
 
-    def ambient_rows(self, payloads) -> np.ndarray:
-        """Coordinates of joint effect payloads in the ambient composite
-        system, one row each, from one call on the stack."""
-        return self.joint.effect_rows(payloads)
+    def ambient_rows(self, stack) -> np.ndarray:
+        """Coordinates of a stack of joint effect payloads in the ambient
+        composite system, one row each."""
+        return self.joint.effect_rows(stack)
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         tl = self.left.random_transformation(rng)

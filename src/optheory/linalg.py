@@ -23,42 +23,46 @@ RANK_TOL = 1e-7
 FULL_RANK_MARGIN = 10.0
 
 
-def _require_finite(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-
-
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
     """Coerce to a finite 2-D complex array, copying lazily."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    _require_finite(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def require_hermitian(a) -> np.ndarray:
-    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix.
-
-    A stack of shape ``(n, d, d)`` is validated matrix by matrix and returned
-    symmetrized; the defect named by the error is the largest of the stack,
-    so a stack with one bad matrix raises the message of that matrix alone.
-    """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 3:
-        m = as_matrix(m, square=True)
-        mh = m.conj().T
-    elif m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    else:
-        _require_finite(m)
-        mh = m.conj().swapaxes(1, 2)
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity of the finite matrices on the last two axes of
+    ``m`` within ``TOL_HERM`` and return them symmetrized.  The defect named
+    by the error is the largest of a stack, so a stack with one bad matrix
+    raises the message of that matrix alone."""
+    mh = m.conj().swapaxes(-2, -1)
     defect = float(np.abs(m - mh).max())
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.3e}")
     return (m + mh) / 2
+
+
+def require_hermitian(a) -> np.ndarray:
+    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
+    return _symmetrized(as_matrix(a, square=True))
+
+
+def require_hermitian_stack(a) -> np.ndarray:
+    """``require_hermitian`` of every matrix of a stack ``(n, d, d)``, in one pass.
+
+    The finiteness scan and the Hermiticity check cover the whole stack;
+    a stack with one bad matrix raises the message of that matrix alone.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    # The stack's rows form one 2-D matrix, so as_matrix scans every entry.
+    return _symmetrized(as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -180,11 +184,15 @@ def hermitian_coords(a) -> np.ndarray:
     upper-triangle parts) rather than by pairing against the dense basis;
     the orderings coincide.  A stack ``(n, d, d)`` gives one row of ``d^2``
     coordinates per matrix, each equal to the call on that matrix alone;
-    every matrix is validated as by ``require_hermitian``.
+    every matrix is validated, by ``require_hermitian_stack``.
     """
-    m = require_hermitian(a)
-    rows, cols = _strict_upper(m.shape[-1])
-    upper = m[..., rows, cols]
+    if np.ndim(a) == 3:
+        m = require_hermitian_stack(a)
+        rows, cols = _strict_upper(m.shape[-1])
+        upper = m[:, rows, cols]
+    else:
+        m = require_hermitian(a)
+        upper = m[_strict_upper(m.shape[0])]
     return np.concatenate(
         [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
     )

@@ -64,7 +64,7 @@ class Observable:
         return len(self.effects)
 
     def coordinate_rows(self) -> np.ndarray:
-        return np.array([self.model.effect_coords(e) for e in self.effects])
+        return self.model.effect_rows([e.payload for e in self.effects])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +135,8 @@ def _require_components(o1: Observable, o2: Observable, bip: BipartiteModel) -> 
 def product_observable(o1: Observable, o2: Observable, bip: BipartiteModel) -> Observable:
     """All pairwise products of two local observables, jointly measured."""
     _require_components(o1, o2, bip)
-    return Observable(
-        Effect(bip.joint, p) for p in bip.product_payloads(o1.effects, o2.effects)
-    )
+    products = bip.split_payloads(bip.product_payloads(o1.effects, o2.effects))
+    return Observable(Effect(bip.joint, p) for p in products)
 
 
 def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndarray:
@@ -157,10 +156,10 @@ def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndar
     for i in range(0, len(lefts), step):
         for j in range(0, len(rights), cols):
             block = rows[i : i + step, j : j + cols]
-            payloads = bip.product_payloads(lefts[i : i + step], rights[j : j + cols])
-            block[...] = bip.ambient_rows(payloads).reshape(block.shape)
+            stack = bip.product_payloads(lefts[i : i + step], rights[j : j + cols])
+            block[...] = bip.ambient_rows(stack).reshape(block.shape)
     rows = rows.reshape(-1, bip.ambient_effect_dim)
-    unit = bip.ambient_rows([bip.joint.unit_effect().payload])[0]
+    unit = bip.ambient_rows(bip.stack_payloads([bip.joint.unit_effect().payload]))[0]
     _require_unit_sum(float(np.abs(rows.sum(axis=0) - unit).max()))
     return rows
 
@@ -188,7 +187,7 @@ def local_observability_audit(
     if product_rank < ambient:
         n_samples = ambient + 32
         drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(n_samples)]
-        rows = np.concatenate([rows, bip.ambient_rows(drawn)])
+        rows = np.concatenate([rows, bip.ambient_rows(bip.stack_payloads(drawn))])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
         rank = rank_of_rows(rows, bound=union_bound)
     return VerificationReport.from_checks(

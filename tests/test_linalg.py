@@ -23,6 +23,7 @@ from optheory.linalg import (
     psd_sqrt,
     rank_of_rows,
     require_hermitian,
+    require_hermitian_stack,
     require_psd,
     span_rank,
     tensor,
@@ -30,7 +31,15 @@ from optheory.linalg import (
 )
 from optheory.directsum import DSumState
 from optheory.framework import Effect
-from optheory.quantum import PAULI_X, PAULI_Y, PAULI_Z, QuantumModel, reduced_positivity_min_eig
+from optheory.quantum import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    QuantumModel,
+    quantum_no_signaling_check,
+    reduced_positivity_min_eig,
+    z_instrument,
+)
 from optheory.sampling import complex_gaussian, ginibre_positive, trial_rng
 
 I2 = np.eye(2)
@@ -273,6 +282,41 @@ class TestStackedHermitianCoords:
         with pytest.raises(ValueError) as stacked:
             hermitian_coords(stack)
         assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        require_hermitian,
+        eigvals_herm,
+        min_eig_herm,
+        max_eig_herm,
+        lambda a: require_psd(a, "unused"),
+        psd_sqrt,
+        QuantumModel(2).state,
+        lambda a: quantum_no_signaling_check(a, z_instrument(), 2, 2),
+    ],
+    ids=[
+        "require_hermitian",
+        "eigvals_herm",
+        "min_eig_herm",
+        "max_eig_herm",
+        "require_psd",
+        "psd_sqrt",
+        "quantum-state",
+        "quantum_no_signaling_check",
+    ],
+)
+def test_single_matrix_checks_reject_a_stack(check):
+    # Only hermitian_coords and require_hermitian_stack take a stack.
+    with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=3$"):
+        check(np.broadcast_to(np.eye(4) / 4, (4, 4, 4)))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3, 3), (3, 2, 3)], ids=str)
+def test_require_hermitian_stack_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="^expected a stack of square matrices"):
+        require_hermitian_stack(np.zeros(shape))
 
 
 class TestSpanRank:

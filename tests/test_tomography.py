@@ -267,7 +267,10 @@ class TestProductRows:
         assert rows.tobytes() == expected.tobytes()
         # product_effect is derived from the same hook.
         pairs = [bip.product_effect(e1, e2).payload for e1 in o1.effects for e2 in o2.effects]
-        assert bip.ambient_rows(pairs).tobytes() == expected.tobytes()
+        assert bip.ambient_rows(bip.stack_payloads(pairs)).tobytes() == expected.tobytes()
+        # So is product_observable, one Effect per product.
+        products = [e.payload for e in product_observable(o1, o2, bip).effects]
+        assert bip.ambient_rows(bip.stack_payloads(products)).tobytes() == expected.tobytes()
 
     def test_no_call_exceeds_the_chunk(self, monkeypatch):
         coords = quantum.hermitian_coords
@@ -287,10 +290,10 @@ class TestProductRows:
     def test_dropped_product_fails_the_unit_sum(self, composite):
         class Dropped(composite):
             def product_payloads(self, lefts, rights):
-                payloads = list(super().product_payloads(lefts, rights))
+                payloads = self.split_payloads(super().product_payloads(lefts, rights))
                 zero = Effect(self.left, 0 * lefts[0].payload)
-                payloads[0] = super().product_payloads([zero], rights[:1])[0]
-                return payloads
+                payloads[:1] = self.split_payloads(super().product_payloads([zero], rights[:1]))
+                return self.stack_payloads(payloads)
 
         with pytest.raises(ValueError, match="effects do not sum to the unit: defect"):
             local_observability_audit(Dropped(2, 3), seed=0)
