@@ -4,8 +4,9 @@
 
 Runs ``python -m optheory --json`` from each root's ``src`` directory for
 every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,3) and
-(3,2) for seeds 0-2, tomo-audit at the benchmark's sizes and at (6,5),
-boxworld's landmarks and the packaged fixtures at seed 0),
+(3,2) for seeds 0-2, the benchmark's lemma verdicts (500 trials at (2,2) and
+300 at (6,6)) for seeds 0-2, tomo-audit at the benchmark's sizes and at
+(6,5), boxworld's landmarks and the packaged fixtures at seed 0),
 with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
@@ -28,18 +29,25 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SUITES = ("opcore", "dsum", "quantum-nosig", "lemma")
+TRIALS = 100
+# A case is (suite, d1, d2, seed, trials, *flags).
 CASES = [
-    (suite, d1, d2, seed)
+    (suite, d1, d2, seed, TRIALS)
     for seed in range(3)
     for d1, d2 in ((2, 2), (2, 3), (3, 3), (6, 6))
     for suite in SUITES + (("all",) if d1 < 6 else ())
-] + [("tomo-audit", d1, d2, seed) for seed in range(3) for d1, d2 in ((2, 3), (3, 2))] + [
-    ("tomo-audit", 5, 6, 0),
-    ("tomo-audit", 6, 6, 0),
-    ("tomo-audit", 6, 5, 0),
-    ("boxworld", 2, 2, 0),
+] + [("tomo-audit", d1, d2, seed, TRIALS) for seed in range(3) for d1, d2 in ((2, 3), (3, 2))] + [
+    # The benchmark's lemma verdicts: one chunk of trials at (2,2), many at (6,6).
+    ("lemma", d, d, seed, trials)
+    for seed in range(3)
+    for d, trials in ((2, 500), (6, 300))
 ] + [
-    (suite, 2, 2, 0, flag, name)
+    ("tomo-audit", 5, 6, 0, TRIALS),
+    ("tomo-audit", 6, 6, 0, TRIALS),
+    ("tomo-audit", 6, 5, 0, TRIALS),
+    ("boxworld", 2, 2, 0, TRIALS),
+] + [
+    (suite, 2, 2, 0, TRIALS, flag, name)
     for suite, flag, name in (
         ("quantum-nosig", "--fixture", "mutant-instrument"),
         ("quantum-nosig", "--fixture", "z-instrument"),
@@ -47,10 +55,11 @@ CASES = [
         ("boxworld", "--box", "pr-box"),
     )
 ]
-TRIALS = 100
 
 
-def run(root: Path, suite: str, d1: int, d2: int, seed: int, *flags: str) -> tuple[int, dict]:
+def run(
+    root: Path, suite: str, d1: int, d2: int, seed: int, trials: int, *flags: str
+) -> tuple[int, dict]:
     """Exit code and report (without its timestamp) of one CLI run from ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     env.update(OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -58,7 +67,7 @@ def run(root: Path, suite: str, d1: int, d2: int, seed: int, *flags: str) -> tup
         out = Path(tmp) / "report.json"
         args = ["--suite", suite, "--d1", str(d1), "--d2", str(d2), "--seed", str(seed), *flags]
         proc = subprocess.run(
-            [sys.executable, "-m", "optheory", *args, "--trials", str(TRIALS), "--json", str(out)],
+            [sys.executable, "-m", "optheory", *args, "--trials", str(trials), "--json", str(out)],
             env=env,
             cwd=tmp,
             stdout=subprocess.DEVNULL,

@@ -42,13 +42,20 @@ from .quantum import (
     QuantumBipartite,
     QuantumModel,
     quantum_no_signaling_check,
-    reduced_positivity_min_eig,
+    reduced_positivity_min_eigs,
     singlet_state,
     trace_biconditional_check,
     x_instrument,
     z_instrument,
 )
-from .report import Check, VerificationReport, combine_reports, run_trials, worst_defect
+from .report import (
+    Check,
+    VerificationReport,
+    combine_reports,
+    per_trial,
+    run_trials,
+    worst_defect,
+)
 from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
 
@@ -117,10 +124,10 @@ def _rejected(
     return VerificationReport.from_checks(suite, cfg.seed, 1, checks, tol, witness=witness)
 
 
-def _from_trials(suite, cfg, trials, trial, tols) -> VerificationReport:
-    """Report of ``trial`` run on trials 0..trials-1, with ``cfg.tol`` as its
-    headline tolerance."""
-    checks = run_trials(cfg.seed, range(trials), trial, tols)
+def _from_trials(suite, cfg, trials, draw, evaluate, tols) -> VerificationReport:
+    """Report of trials 0..trials-1 drawn by ``draw`` and evaluated by
+    ``evaluate``, with ``cfg.tol`` as its headline tolerance."""
+    checks = run_trials(cfg.seed, range(trials), draw, evaluate, tols)
     return VerificationReport.from_checks(suite, cfg.seed, trials, checks, cfg.tol)
 
 
@@ -129,15 +136,17 @@ def _defects(report: VerificationReport) -> VerificationReport:
     return replace(report, details={c.name: c.defect for c in report.checks})
 
 
-def _composite_trial(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) -> dict:
-    commute = commutation_defect(
-        bip, bip.left.random_transformation(rng), bip.right.random_transformation(rng)
-    )
+def _composite_draw(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) -> tuple:
+    left, right = bip.left.random_transformation(rng), bip.right.random_transformation(rng)
     joint = bip.joint.random_state(rng)
     action = bip.left.random_action(rng, cfg.outcomes)
     probes = [bip.right.random_transformation(rng) for _ in range(3)]
+    return left, right, joint, action, probes
+
+
+def _composite_evaluate(cfg: SuiteConfig, bip, left, right, joint, action, probes) -> dict:
     rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
-    return {"commutation": commute, "no_signaling": rep.max_defect}
+    return {"commutation": commutation_defect(bip, left, right), "no_signaling": rep.max_defect}
 
 
 def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
@@ -158,15 +167,20 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
     tols = {"commutation": 1e-10, "no_signaling": cfg.tol}
     for bip in composites:
         suite = f"commutation-and-no-signaling[{bip.joint.name}]"
-        trial = partial(_composite_trial, cfg, bip)
-        reports.append(_defects(_from_trials(suite, cfg, max(cfg.trials // 5, 5), trial, tols)))
+        draw = partial(_composite_draw, cfg, bip)
+        evaluate = per_trial(partial(_composite_evaluate, cfg, bip))
+        trials = max(cfg.trials // 5, 5)
+        reports.append(_defects(_from_trials(suite, cfg, trials, draw, evaluate, tols)))
     return combine_reports("opcore", reports)
 
 
-def _quantum_nosig_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> dict:
+def _quantum_nosig_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tuple:
     rho = ginibre_state(rng, cfg.d1 * cfg.d2)
     n_out = int(rng.integers(2, 5))
-    inst = model.random_instrument(rng, n_out)
+    return rho, model.random_instrument(rng, n_out)
+
+
+def _quantum_nosig_evaluate(cfg: SuiteConfig, rho, inst) -> dict:
     rep = quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
     return {c.name: c.defect for c in rep.checks}
 
@@ -192,9 +206,11 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
             suite = "quantum-no-signaling[fixture]"
             reports.append(_rejected(suite, cfg, cfg.fixture, cfg.tol, exc))
     else:
-        trial = partial(_quantum_nosig_trial, cfg, QuantumModel(cfg.d1))
+        draw = partial(_quantum_nosig_draw, cfg, QuantumModel(cfg.d1))
+        evaluate = per_trial(partial(_quantum_nosig_evaluate, cfg))
         tols = {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL}
-        random = _from_trials("quantum-no-signaling[random]", cfg, cfg.trials, trial, tols)
+        suite = "quantum-no-signaling[random]"
+        random = _from_trials(suite, cfg, cfg.trials, draw, evaluate, tols)
         # Its headline defect stays the averaged-instrument one.
         reports.append(replace(random, max_defect=random.checks[0].defect))
         if cfg.d1 == 2 and cfg.d2 == 2:
@@ -211,30 +227,41 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
     return combine_reports("quantum-nosig", reports)
 
 
-def _lemma_trial(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> dict:
-    a = ginibre_positive(rng, cfg.d1)
-    r = ginibre_positive(rng, cfg.d1 * cfg.d2)
-    low = reduced_positivity_min_eig(a, r, cfg.d1, cfg.d2)
-    return {"reduced_positivity": -min(low, 0.0)}  # min keeps a NaN low
+def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
+    return ginibre_positive(rng, cfg.d1), ginibre_positive(rng, cfg.d1 * cfg.d2)
+
+
+def _lemma_evaluate(cfg: SuiteConfig, drawn: list) -> list[dict]:
+    """The defects of a chunk of trials, from one stacked kernel call."""
+    a, r = (np.stack(side) for side in zip(*drawn))
+    lows = reduced_positivity_min_eigs(a, r, cfg.d1, cfg.d2)
+    # np.minimum keeps a NaN low, as min(low, 0.0) does.
+    return [{"reduced_positivity": d} for d in (-np.minimum(lows, 0.0)).tolist()]
 
 
 def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
-    """Positivity of remote reductions under local positive filters."""
+    """Positivity of remote reductions under local positive filters, evaluated
+    as stacks of trials."""
     tols = {"reduced_positivity": 1e-10}
-    checks = run_trials(cfg.seed, range(cfg.trials), partial(_lemma_trial, cfg), tols)
+    draw, evaluate = partial(_lemma_draw, cfg), partial(_lemma_evaluate, cfg)
+    checks = run_trials(cfg.seed, range(cfg.trials), draw, evaluate, tols)
     return VerificationReport.from_checks("lemma", cfg.seed, cfg.trials, checks, 1e-10)
 
 
-def _dsum_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> dict:
+def _dsum_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tuple:
     a = model.from_local(ds_random_local_op(rng, 1, cfg.d1))
     b = model.from_local(ds_random_local_op(rng, 2, cfg.d2))
+    omega = model.random_state(rng)
+    outcomes = ds_random_action(rng, 1, cfg.d1, cfg.outcomes)
+    probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
+    return a, b, omega, outcomes, probes
+
+
+def _dsum_evaluate(model, a, b, omega, outcomes, probes) -> dict:
     ab = model.compose(a, b)
     defects = {"commutation": model.transformation_distance(ab, model.compose(b, a))}
 
-    omega = model.random_state(rng)
-    outcomes = ds_random_action(rng, 1, cfg.d1, cfg.outcomes)
     total = total_of_action(Action(map(model.from_local, outcomes)))
-    probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
     defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))
 
     pa = prob(omega, a)
@@ -247,9 +274,10 @@ def _dsum_trial(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> di
 def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
     """Commutation, no-signaling and the Bayes quotient of direct-sum local
     operations (free sector weight p), all through :class:`DSumModel`."""
-    trial = partial(_dsum_trial, cfg, DSumModel(cfg.d1, cfg.d2))
+    model = DSumModel(cfg.d1, cfg.d2)
+    draw, evaluate = partial(_dsum_draw, cfg, model), per_trial(partial(_dsum_evaluate, model))
     tols = {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10}
-    return _defects(_from_trials("dsum", cfg, cfg.trials, trial, tols))
+    return _defects(_from_trials("dsum", cfg, cfg.trials, draw, evaluate, tols))
 
 
 def _run_tomo_audit(cfg: SuiteConfig) -> VerificationReport:

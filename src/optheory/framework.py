@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import rank_of_rows
-from .report import Check, VerificationReport, run_trials, worst_defect
+from .report import Check, VerificationReport, per_trial, run_trials, worst_defect
 from .sampling import (
     random_simplex_point,
     random_stochastic_split,
@@ -538,15 +538,18 @@ def model_invariant_suite(
     coarse-grained probabilities.
     """
 
-    def trial(rng: np.random.Generator, k: int) -> dict[str, float]:
+    def draw(rng: np.random.Generator, k: int) -> tuple:
         omega = model.random_state(rng)
         omega2 = model.random_state(rng)
         ta = model.random_transformation(rng)
         tb = model.random_transformation(rng)
         tc = model.random_transformation(rng)
-        ident = model.identity()
-
         action = model.random_action(rng, outcomes)
+        lam = rng.uniform(0.2, 0.8)
+        return omega, omega2, ta, tb, tc, action, lam
+
+    def evaluate(omega, omega2, ta, tb, tc, action, lam) -> dict[str, float]:
+        ident = model.identity()
         total = sum(prob(omega, t) for t in action.transformations)
         defects = {"completeness": abs(total - 1.0)}
 
@@ -556,7 +559,6 @@ def model_invariant_suite(
             direct = prob(omega, compose(ta, tb))
             defects["bayes_chain"] = abs(chain - direct)
 
-        lam = rng.uniform(0.2, 0.8)
         mixed = model.mix_states(omega, omega2, lam, 1.0 - lam)
         applied_mix = model.apply(ta, mixed)
         mix_applied = model.mix_states(
@@ -586,7 +588,8 @@ def model_invariant_suite(
             )
         return defects
 
-    checks = run_trials(seed, range(trials), trial, dict.fromkeys(_INVARIANTS, tol))
+    tols = dict.fromkeys(_INVARIANTS, tol)
+    checks = run_trials(seed, range(trials), draw, per_trial(evaluate), tols)
     return VerificationReport.from_checks(
         f"framework-invariants[{model.name}]",
         seed,

@@ -86,16 +86,24 @@ def partial_trace(r, d1: int, d2: int, side: int) -> np.ndarray:
 
     The result lives on the remaining factor and has the same trace as the
     input.  The input need not be Hermitian; for Hermitian input the output
-    is Hermitian up to roundoff.
+    is Hermitian up to roundoff.  A stack ``(n, D, D)`` gives the stack of
+    the partial traces of its matrices, each equal to the call on that
+    matrix alone.
     """
-    m = as_matrix(r, square=True)
-    if d1 <= 0 or d2 <= 0 or m.shape[0] != d1 * d2:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape[0]}-dim, expected {d1}*{d2}")
-    t = m.reshape(d1, d2, d1, d2)
+    if np.ndim(r) == 3:
+        m = np.asarray(r, dtype=complex)
+        # The stack's rows form one 2-D matrix, so as_matrix scans every entry.
+        m = as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape)
+    else:
+        m = as_matrix(r, square=True)
+    if d1 <= 0 or d2 <= 0 or m.shape[-2:] != (d1 * d2, d1 * d2):
+        raise ValueError(f"dimension mismatch: matrix is {m.shape[-1]}-dim, expected {d1}*{d2}")
+    t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
+    stack = "t" if m.ndim == 3 else ""
     if side == 1:
-        return np.einsum("ikil->kl", t)
+        return np.einsum(f"{stack}ikil->{stack}kl", t)
     if side == 2:
-        return np.einsum("ikjk->ij", t)
+        return np.einsum(f"{stack}ikjk->{stack}ij", t)
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
@@ -118,15 +126,29 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
+def _below_psd(eigs: np.ndarray) -> np.ndarray:
+    """Whether each ascending spectrum on the last axis of ``eigs`` has its
+    smallest eigenvalue below ``-PSD_SLACK * max(1, trace norm)``.
+
+    The singular values of a Hermitian matrix are the absolute values of its
+    eigenvalues, so one eigensolve gives both sides of the test."""
+    return eigs[..., 0] < -PSD_SLACK * np.maximum(1.0, np.abs(eigs).sum(axis=-1))
+
+
 def require_psd(a, message: str) -> np.ndarray:
     """Validate a PSD operator and return it symmetrized; raise ``ValueError(message)``
-    when its smallest eigenvalue falls below ``-PSD_SLACK * max(1, trace norm)``.
-
-    One eigensolve gives both: the singular values of a Hermitian matrix are
-    the absolute values of its eigenvalues."""
+    when its smallest eigenvalue falls below ``-PSD_SLACK * max(1, trace norm)``."""
     m = require_hermitian(a)
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] < -PSD_SLACK * max(1.0, float(np.abs(eigs).sum())):
+    if _below_psd(np.linalg.eigvalsh(m)):
+        raise ValueError(message)
+    return m
+
+
+def require_psd_stack(a, message: str) -> np.ndarray:
+    """``require_psd`` of every matrix of a stack ``(n, d, d)``, with one stacked
+    eigensolve; raise ``ValueError(message)`` when any matrix fails."""
+    m = require_hermitian_stack(a)
+    if _below_psd(np.linalg.eigvalsh(m)).any():
         raise ValueError(message)
     return m
 

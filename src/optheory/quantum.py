@@ -54,15 +54,16 @@ from .linalg import (
     eigvals_herm,
     hermitian_coords,
     max_eig_herm,
-    min_eig_herm,
     partial_trace,
     psd_sqrt,
     require_hermitian,
+    require_hermitian_stack,
     require_psd,
+    require_psd_stack,
     span_rank,
     trace_norm,
 )
-from .report import Check, VerificationReport, run_trials, worst_defect
+from .report import Check, VerificationReport, fold_checks, per_trial, trial_outcomes, worst_defect
 from .sampling import (
     complex_gaussian,
     ginibre_positive,
@@ -288,19 +289,34 @@ def side1_kraus_outputs(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _on_side1(kraus, left.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
 
 
+def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
+    """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
+    of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``.
+
+    Each entry equals :func:`reduced_positivity_min_eig` of its pair alone:
+    the stacked product, partial trace and eigensolve repeat that call's
+    arithmetic matrix by matrix.
+    """
+    am = require_psd_stack(a, "local operator A must be PSD")
+    rm = require_psd_stack(r, "joint operator R must be PSD")
+    if am.shape[-1] != d1:
+        raise ValueError(f"local operator A acts on dimension {am.shape[-1]}, expected d1={d1}")
+    if len(am) != len(rm):
+        raise ValueError(f"{len(am)} local operators for {len(rm)} joint operators")
+    reduced = partial_trace(_on_side1(am, rm), d1, d2, side=1)
+    return np.linalg.eigvalsh(require_hermitian_stack(reduced))[:, 0]
+
+
 def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
     """Smallest eigenvalue of Tr_1[(A (x) I) R] for PSD A and R (must be >= 0).
 
     This is the kernel fact behind the trace-preservation equivalence: a
     positive local filter cannot push the remote reduction out of the
-    positive cone.
+    positive cone.  One matrix each: :func:`reduced_positivity_min_eigs` of
+    a stack of one.
     """
-    am = require_psd(a, "local operator A must be PSD")
-    rm = require_psd(r, "joint operator R must be PSD")
-    if am.shape[0] != d1:
-        raise ValueError(f"local operator A acts on dimension {am.shape[0]}, expected d1={d1}")
-    reduced = partial_trace(_on_side1(am, rm), d1, d2, side=1)
-    return min_eig_herm(reduced)
+    pair = (as_matrix(a, square=True)[None], as_matrix(r, square=True)[None])
+    return float(reduced_positivity_min_eigs(*pair, d1, d2)[0])
 
 
 # Thresholds of the two quantum verifiers.  A trace defect <= TRACE_TOL counts
@@ -376,6 +392,20 @@ def quantum_no_signaling_check(
     )
 
 
+def _biconditional_defect(trace_defect: float, reduced_defect: float) -> float:
+    """The reduced defect of a pair that breaks the trace biconditional, else 0.
+
+    Broken: the trace is preserved yet the reduction moved, or the reduction
+    moved appreciably while the trace barely dropped.
+    """
+    if np.isnan(trace_defect) or np.isnan(reduced_defect):
+        return np.nan  # counts as +inf: a NaN never passes
+    broken = (trace_defect <= TRACE_TOL and reduced_defect > REDUCED_TOL) or (
+        trace_defect <= TRACE_FAIL_TOL and reduced_defect > REDUCED_FAIL_TOL
+    )
+    return reduced_defect if broken else 0.0
+
+
 def trace_biconditional_check(
     trials: int = 200,
     d1: int = 2,
@@ -391,42 +421,43 @@ def trace_biconditional_check(
     and selective operations whose filter is aligned with the state support
     (so the trace-preserved branch is exercised nontrivially).
     """
-    samples: dict[int, dict[str, float]] = {}
-
-    def trial(rng: np.random.Generator, k: int) -> dict[str, float]:
+    def draw(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The joint operator R and the Kraus stack of M for trial ``k``."""
         kind = k % 3
         if kind == 0:
             r = ginibre_positive(rng, d1 * d2)
             r /= np.trace(r).real
             blocks = haar_isometry_blocks(rng, d1, 3)
-            m = KrausOp._trusted(blocks[: int(rng.integers(1, 3))])
-        elif kind == 1:
-            r = ginibre_state(rng, d1 * d2)
-            m = KrausOp._trusted(haar_isometry_blocks(rng, d1, 2))
-        else:
-            rank = int(rng.integers(1, d1))
-            basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
-            p = basis[:, :rank] @ basis[:, :rank].conj().T
-            r = side1_kraus_outputs(p[None], ginibre_positive(rng, d1 * d2))[0]
-            r /= np.trace(r).real
-            m = KrausOp._trusted([p])
-        joint = side1_kraus_outputs(m.kraus, r).sum(axis=0)
+            return r, np.array(blocks[: int(rng.integers(1, 3))])
+        if kind == 1:
+            return ginibre_state(rng, d1 * d2), np.array(haar_isometry_blocks(rng, d1, 2))
+        rank = int(rng.integers(1, d1))
+        basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
+        p = basis[:, :rank] @ basis[:, :rank].conj().T
+        r = side1_kraus_outputs(p[None], ginibre_positive(rng, d1 * d2))[0]
+        r /= np.trace(r).real
+        return r, p[None]
+
+    def sample(r: np.ndarray, kraus: np.ndarray) -> dict[str, float]:
+        joint = side1_kraus_outputs(kraus, r).sum(axis=0)
         trace_defect = abs(float(np.trace(joint).real) - float(np.trace(r).real))
         reduced_defect = trace_norm(
             partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
         )
-        samples[k] = {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
-        broken = (trace_defect <= TRACE_TOL and reduced_defect > REDUCED_TOL) or (
-            trace_defect <= TRACE_FAIL_TOL and reduced_defect > REDUCED_FAIL_TOL
-        )
-        if np.isnan(trace_defect) or np.isnan(reduced_defect):
-            return {"biconditional": np.nan}  # counts as +inf: a NaN never passes
-        return {"biconditional": reduced_defect if broken else 0.0}
+        return {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
 
-    (violation,) = run_trials(seed, range(trials), trial, {"biconditional": REDUCED_TOL})
+    evaluate = per_trial(sample)
+    samples = list(trial_outcomes(seed, range(trials), draw, evaluate))
+    (violation,) = fold_checks(
+        ((k, {"biconditional": _biconditional_defect(**s)}) for k, s in samples),
+        {"biconditional": REDUCED_TOL},
+    )
     worst = violation.worst_trial
-    witness = {"trial": worst, **samples[worst]} if violation.defect > 0.0 else None
-    preserved_cases = sum(s["trace_defect"] <= TRACE_TOL for s in samples.values())
+    witness = None
+    if violation.defect > 0.0:
+        (replayed,) = evaluate([draw(trial_rng(seed, worst), worst)])
+        witness = {"trial": worst, **replayed}
+    preserved_cases = sum(s["trace_defect"] <= TRACE_TOL for _, s in samples)
     checks = [violation]
     # The trace-preserved branch must be exercised, or the audit is vacuous.
     # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, field
+from numbers import Number
 from typing import Any
+
+import numpy as np
 
 from .sampling import trial_rng
 
@@ -37,23 +40,80 @@ class Check:
         return self.defect <= self.tol  # False for NaN
 
 
-def run_trials(
-    seed: int, indices: Iterable[int], trial: Callable[..., Mapping[str, float]], tols: dict
-) -> list[Check]:
-    """Run ``trial(trial_rng(seed, k), k)`` for every ``k`` in ``indices``.
+# A chunk of trials holds at most about this many drawn array entries: 2^15
+# complex entries are 512 KiB, few enough that the stacks a chunk's evaluation
+# builds stay small next to the process, many enough that one stacked call
+# serves hundreds of small trials.
+CHUNK_ENTRIES = 2**15
 
-    ``trial`` returns ``{check_name: defect}`` for the checks that trial
-    evaluated; ``tols`` names every check, in report order, with its
-    tolerance.  Each check's defects are folded with :func:`worst_defect`.
+
+def _chunk_length(drawn: Any) -> int:
+    """How many trials of the size of ``drawn`` fill a chunk.
+
+    A draw's size is the number of entries of the arrays and numbers it
+    holds.  A draw holding anything else (a model object) has a size the
+    runner cannot see, so it fills a chunk alone.
+    """
+    items = drawn if isinstance(drawn, tuple) else (drawn,)
+    if not all(isinstance(x, (np.ndarray, Number)) for x in items):
+        return 1
+    return max(1, CHUNK_ENTRIES // max(1, sum(np.size(x) for x in items)))
+
+
+def trial_outcomes(
+    seed: int, indices: Iterable[int], draw: Callable[..., Any], evaluate: Callable[[list], list]
+) -> Iterator[tuple[int, Any]]:
+    """``(k, outcome)`` for every ``k`` in ``indices``, in order.
+
+    Trial ``k`` draws its objects as ``draw(trial_rng(seed, k), k)``.  The
+    draws of a chunk of consecutive trials are evaluated together:
+    ``evaluate(draws)`` returns one outcome per draw.  The chunk length comes
+    from the size of the chunk's first draw (``CHUNK_ENTRIES``); since an
+    outcome depends on its own draw only, no outcome depends on it.
+    """
+    indices = list(indices)
+    start = 0
+    while start < len(indices):
+        first = draw(trial_rng(seed, indices[start]), indices[start])
+        chunk = indices[start : start + _chunk_length(first)]
+        drawn = [first, *(draw(trial_rng(seed, k), k) for k in chunk[1:])]
+        yield from zip(chunk, evaluate(drawn), strict=True)
+        start += len(chunk)
+
+
+def per_trial(evaluate_one: Callable[..., Any]) -> Callable[[list], list]:
+    """An ``evaluate`` that calls ``evaluate_one(*objects)`` on each trial's draw alone."""
+    return lambda drawn: [evaluate_one(*objects) for objects in drawn]
+
+
+def fold_checks(outcomes: Iterable[tuple[int, Mapping[str, float]]], tols: dict) -> list[Check]:
+    """Fold ``(k, {check_name: defect})`` pairs into one :class:`Check` per name.
+
+    ``tols`` names every check, in report order, with its tolerance; a trial
+    names the checks it evaluated.  Each check's defects are folded with
+    :func:`worst_defect`, and its ``worst_trial`` is the earliest trial at
+    the largest defect.
     """
     worst = dict.fromkeys(tols, 0.0)
     at: dict[str, int | None] = dict.fromkeys(tols)
-    for k in indices:
-        for name, defect in trial(trial_rng(seed, k), k).items():
+    for k, defects in outcomes:
+        for name, defect in defects.items():
             folded = worst_defect(worst[name], defect)
             if at[name] is None or folded > worst[name]:
                 worst[name], at[name] = folded, k
     return [Check(name, worst[name], tol, at[name]) for name, tol in tols.items()]
+
+
+def run_trials(
+    seed: int,
+    indices: Iterable[int],
+    draw: Callable[..., Any],
+    evaluate: Callable[[list], list[Mapping[str, float]]],
+    tols: dict,
+) -> list[Check]:
+    """The checks ``tols`` names, folded over the trials ``indices``: each
+    trial's outcome (see :func:`trial_outcomes`) is ``{check_name: defect}``."""
+    return fold_checks(trial_outcomes(seed, indices, draw, evaluate), tols)
 
 
 @dataclass(frozen=True)

@@ -247,11 +247,14 @@ class TestMutantDetection:
         flipped_defects = []
 
         def flipped(a, r, d1, d2):
-            low = min_eig_herm(-partial_trace(tensor(a, np.eye(d2)) @ r, d1, d2, side=1))
-            flipped_defects.append(-low)
-            return low
+            lows = [
+                min_eig_herm(-partial_trace(tensor(ak, np.eye(d2)) @ rk, d1, d2, side=1))
+                for ak, rk in zip(a, r)
+            ]
+            flipped_defects.extend(-low for low in lows)
+            return np.array(lows)
 
-        monkeypatch.setattr(cli, "reduced_positivity_min_eig", flipped)
+        monkeypatch.setattr(cli, "reduced_positivity_min_eigs", flipped)
         out = tmp_path / "out.json"
         assert main(["--suite", "lemma", "--json", str(out)]) == 1
         capsys.readouterr()

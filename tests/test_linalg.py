@@ -25,6 +25,7 @@ from optheory.linalg import (
     require_hermitian,
     require_hermitian_stack,
     require_psd,
+    require_psd_stack,
     span_rank,
     tensor,
     trace_norm,
@@ -282,6 +283,58 @@ class TestStackedHermitianCoords:
         with pytest.raises(ValueError) as stacked:
             hermitian_coords(stack)
         assert str(stacked.value) == str(single.value)
+
+
+class TestStackedPSDAndPartialTrace:
+    """The stack twins of ``require_psd`` and ``partial_trace`` repeat the
+    2-D call matrix by matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(1, 3),
+        d2=st.integers(1, 3),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_partial_traces_equal_the_single_calls(self, d1, d2, n, seed):
+        rng = np.random.default_rng(seed)
+        stack = complex_gaussian(rng, n * d1 * d2, d1 * d2).reshape(n, d1 * d2, d1 * d2)
+        for side in (1, 2):
+            reduced = partial_trace(stack, d1, d2, side)
+            for k in range(n):
+                assert reduced[k].tobytes() == partial_trace(stack[k], d1, d2, side).tobytes()
+
+    def test_partial_trace_of_a_stack_scans_and_checks_its_shape(self):
+        stack = np.zeros((3, 6, 6), dtype=complex)
+        stack[1, 2, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            partial_trace(stack, 2, 3, side=1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            partial_trace(np.zeros((3, 5, 5)), 2, 3, side=1)
+
+    @pytest.mark.parametrize("factor,accepted", [(0.5, True), (2.0, False)])
+    def test_psd_stack_takes_the_verdict_of_each_matrix(self, factor, accepted):
+        # As in TestRequirePSD: the middle matrix's smallest eigenvalue sits at
+        # ``factor`` times the threshold of its trace norm.
+        x = factor * PSD_SLACK * 5 / (1 - factor * PSD_SLACK)
+        q, _ = np.linalg.qr(complex_gaussian(trial_rng(17), 3, 3))
+        rng = trial_rng(18)
+        stack = np.stack(
+            [ginibre_positive(rng, 3), (q * [3.0, 2.0, -x]) @ q.conj().T, ginibre_positive(rng, 3)]
+        )
+        if accepted:
+            got = require_psd_stack(stack, "unused")
+            for k in range(3):
+                assert got[k].tobytes() == require_psd(stack[k], "unused").tobytes()
+        else:
+            with pytest.raises(ValueError, match="^rejected$"):
+                require_psd_stack(stack, "rejected")
+
+    def test_psd_stack_rejects_a_nan(self):
+        stack = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+        stack[1] = np.diag([np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            require_psd_stack(stack, "unused")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from optheory import quantum
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
 from optheory.linalg import min_eig_herm, partial_trace, tensor, trace_norm
-from optheory.report import run_trials
+from optheory.report import per_trial, run_trials
 from optheory.quantum import (
     CHOI_BLOCK,
     PAULI_X,
@@ -203,9 +203,8 @@ class TestBlockedChoiDistance:
         assert choi_distance(a, b) < 1e-14
         a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
         assert np.isnan(choi_distance(a, b))
-        [check] = run_trials(
-            0, range(3), lambda rng, k: {"commutation": choi_distance(a, b)}, {"commutation": 1e-10}
-        )
+        evaluate = per_trial(lambda: {"commutation": choi_distance(a, b)})
+        [check] = run_trials(0, range(3), lambda rng, k: (), evaluate, {"commutation": 1e-10})
         assert not check.passed
         assert check.worst_trial == 0
 
@@ -376,6 +375,16 @@ class TestReducedPositivity:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):
             reduced_positivity_min_eig(np.diag([1.0, -1.0]), np.eye(4), 2, 2)
+
+    def test_stack_names_the_operator_that_fails(self):
+        a = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        r = np.broadcast_to(np.eye(4), (3, 4, 4))
+        with pytest.raises(ValueError, match="local operator A must be PSD"):
+            quantum.reduced_positivity_min_eigs(a, r, 2, 2)
+        with pytest.raises(ValueError, match="joint operator R must be PSD"):
+            quantum.reduced_positivity_min_eigs(r[:, :2, :2], -r, 2, 2)
+        with pytest.raises(ValueError, match="3 local operators for 2 joint operators"):
+            quantum.reduced_positivity_min_eigs(r[:, :2, :2], r[:2], 2, 2)
 
 
 class TestInstruments:

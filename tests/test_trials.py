@@ -2,52 +2,90 @@
 
 import json
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optheory import cli, framework, quantum
+from optheory import cli, framework, quantum, report
 from optheory.cli import SUITES, SuiteConfig, main, run_suite
-from optheory.report import Check, VerificationReport, combine_reports, run_trials
+from optheory.report import (
+    Check,
+    VerificationReport,
+    combine_reports,
+    fold_checks,
+    per_trial,
+    run_trials,
+    trial_outcomes,
+)
+from optheory.linalg import min_eig_herm, partial_trace, require_psd
+from optheory.sampling import ginibre_positive, trial_rng
+
+
+def _index(rng, k):
+    """A draw that is the trial's index alone."""
+    return (k,)
 
 
 class TestRunTrials:
     def test_folds_each_check_and_keeps_the_earliest_worst_trial(self):
         defects = [0.5, 2.0, 1.0, 2.0]
-        checks = run_trials(
-            0, range(4), lambda rng, k: {"a": defects[k], "b": 0.0}, {"a": 1.0, "b": 1.0}
-        )
+        evaluate = per_trial(lambda k: {"a": defects[k], "b": 0.0})
+        checks = run_trials(0, range(4), _index, evaluate, {"a": 1.0, "b": 1.0})
         assert checks == [Check("a", 2.0, 1.0, 1), Check("b", 0.0, 1.0, 0)]
         assert [c.passed for c in checks] == [False, True]
 
     def test_check_never_evaluated_has_no_worst_trial(self):
-        (check,) = run_trials(3, range(5), lambda rng, k: {}, {"rare": 1e-9})
+        (check,) = run_trials(3, range(5), _index, per_trial(lambda k: {}), {"rare": 1e-9})
         assert check == Check("rare", 0.0, 1e-9, None)
 
     def test_nan_counts_as_inf(self):
         values = [0.1, math.nan, math.inf]
-        (check,) = run_trials(0, range(3), lambda rng, k: {"x": values[k]}, {"x": 1.0})
+        evaluate = per_trial(lambda k: {"x": values[k]})
+        (check,) = run_trials(0, range(3), _index, evaluate, {"x": 1.0})
         assert check.defect == math.inf and check.worst_trial == 1
         assert not check.passed
 
     def test_trial_draws_from_its_own_generator(self):
         def draws(indices):
-            seen = {}
-
-            def trial(rng, k):
-                seen[k] = rng.uniform()
-                return {}
-
-            run_trials(7, indices, trial, {})
-            return seen
+            return dict(trial_outcomes(7, indices, lambda rng, k: rng.uniform(), lambda d: d))
 
         everything = draws(range(5))
         assert draws([4, 2]) == {4: everything[4], 2: everything[2]}
 
     def test_unnamed_check_raises(self):
         with pytest.raises(KeyError):
-            run_trials(0, range(1), lambda rng, k: {"typo": 0.0}, {"name": 1.0})
+            run_trials(0, range(1), _index, per_trial(lambda k: {"typo": 0.0}), {"name": 1.0})
+
+    @pytest.mark.parametrize("entries", [1, 1000, 2**15, 2**16])
+    def test_chunk_length_comes_from_the_draw_size(self, entries):
+        chunks = []
+
+        def evaluate(drawn):
+            chunks.append(len(drawn))
+            return drawn
+
+        draw = lambda rng, k: (k, np.zeros(entries - 1))  # noqa: E731
+        outcomes = list(trial_outcomes(0, range(70), draw, evaluate))
+        assert [k for k, _ in outcomes] == [drawn[0] for _, drawn in outcomes] == list(range(70))
+        length = max(1, report.CHUNK_ENTRIES // entries)
+        assert chunks == [min(length, 70 - start) for start in range(0, 70, length)]
+
+    def test_a_draw_holding_an_object_fills_a_chunk_alone(self):
+        chunks = []
+
+        def evaluate(drawn):
+            chunks.append(len(drawn))
+            return drawn
+
+        list(trial_outcomes(0, range(4), lambda rng, k: (np.zeros(2), object()), evaluate))
+        assert chunks == [1, 1, 1, 1]
+
+    def test_evaluate_must_return_one_outcome_per_trial(self):
+        with pytest.raises(ValueError):
+            list(trial_outcomes(0, range(3), _index, lambda drawn: drawn[:-1]))
 
     def test_report_passes_when_every_check_does(self):
         checks = [Check("a", 1e-12, 1e-10), Check("b", 5e-10, 1e-10)]
@@ -83,30 +121,37 @@ def _merge(first: list[Check], second: list[Check]) -> list[Check]:
 @pytest.mark.parametrize(
     "suite,trial_functions",
     [
-        ("opcore", {"model_invariant_suite", "_composite_trial"}),
-        ("quantum-nosig", {"_quantum_nosig_trial", "trace_biconditional_check"}),
-        ("lemma", {"_lemma_trial"}),
-        ("dsum", {"_dsum_trial"}),
+        ("opcore", {"model_invariant_suite", "_composite_draw"}),
+        ("quantum-nosig", {"_quantum_nosig_draw", "trace_biconditional_check"}),
+        ("lemma", {"_lemma_draw"}),
+        ("dsum", {"_dsum_draw"}),
     ],
 )
 def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
     calls = []
+    real = report.trial_outcomes
 
-    def spy(seed, indices, trial, tols):
+    def spy(seed, indices, draw, evaluate):
         indices = list(indices)
-        calls.append((seed, len(indices), trial, tols))
-        return run_trials(seed, indices, trial, tols)
+        calls.append((seed, len(indices), draw, evaluate))
+        return real(seed, indices, draw, evaluate)
 
-    for module in (cli, framework, quantum):
-        monkeypatch.setattr(module, "run_trials", spy)
+    # run_trials reaches the runner through report; the trace biconditional,
+    # which folds its evaluated trials itself, through quantum.
+    for module in (report, quantum):
+        monkeypatch.setattr(module, "trial_outcomes", spy)
     run_suite(SuiteConfig(suite=suite, trials=10, d1=2, d2=3, seed=0))
-    # A trial is a closure or a partial of a module-level function.
-    names = [getattr(trial, "func", trial).__qualname__.split(".")[0] for _, _, trial, _ in calls]
+    # A draw is a closure or a partial of a module-level function.
+    names = [getattr(draw, "func", draw).__qualname__.split(".")[0] for _, _, draw, _ in calls]
     assert set(names) == trial_functions
-    for (seed, n, trial, tols), name in zip(calls, names):
-        full = run_trials(seed, range(n), trial, tols)
-        halves = [run_trials(seed, range(a, b), trial, tols) for a, b in ((0, n // 2), (n // 2, n))]
-        assert _merge(*halves) == full, name
+    for (seed, n, draw, evaluate), name in zip(calls, names):
+        full = list(real(seed, range(n), draw, evaluate))
+        halves = [
+            list(real(seed, range(a, b), draw, evaluate)) for a, b in ((0, n // 2), (n // 2, n))
+        ]
+        assert halves[0] + halves[1] == full, name
+        tols = dict.fromkeys((check for _, outcome in full for check in outcome), 1.0)
+        assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols), name
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +259,86 @@ def test_pass_is_all_checks_within_tol(suite, d1, d2, trials, seed, outcomes, to
             assert sub["checks"], sub["suite"]
             passed = all(c["defect"] <= c["tol"] for c in sub["checks"])
             assert sub["pass"] == passed, sub["suite"]
+
+
+# ---------------------------------------------------------------------------
+# The lemma's trials are evaluated as stacked chunks
+# ---------------------------------------------------------------------------
+
+def _lemma_chunk(d1: int, d2: int) -> int:
+    return report.CHUNK_ENTRIES // (d1 * d1 + (d1 * d2) ** 2)
+
+
+def _spy_on_the_stacked_kernel(monkeypatch, plant=None):
+    """Record each chunk's length and minimum eigenvalues; ``plant(lows, offset)``
+    may overwrite some of them, ``offset`` being the chunk's first trial."""
+    chunks, lows_seen = [], []
+    real = cli.reduced_positivity_min_eigs
+
+    def spy(a, r, d1, d2):
+        lows = real(a, r, d1, d2)
+        if plant is not None:
+            plant(lows, sum(chunks))
+        chunks.append(len(lows))
+        lows_seen.extend(lows.tolist())
+        return lows
+
+    monkeypatch.setattr(cli, "reduced_positivity_min_eigs", spy)
+    return chunks, lows_seen
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (6, 6)])
+def test_stacked_lemma_equals_the_per_matrix_kernel_bit_for_bit(d1, d2, monkeypatch):
+    chunk = _lemma_chunk(d1, d2)
+    trials = chunk + chunk // 2 + 1
+    chunks, lows = _spy_on_the_stacked_kernel(monkeypatch)
+    rep = run_suite(SuiteConfig("lemma", seed=5, trials=trials, d1=d1, d2=d2))
+    assert chunks == [chunk, trials - chunk]
+    expected = []
+    for k in range(trials):
+        rng = trial_rng(5, k)
+        a, r = ginibre_positive(rng, d1), ginibre_positive(rng, d1 * d2)
+        expected.append(quantum.reduced_positivity_min_eig(a, r, d1, d2))
+        # The per-matrix formula the stack replaces, one 2-D call at a time.
+        product = quantum._on_side1(require_psd(a, ""), require_psd(r, ""))
+        assert expected[-1] == min_eig_herm(partial_trace(product, d1, d2, side=1))
+    assert lows == expected
+    # The per-trial loop's fold of -min(low, 0.0) gives the same check.
+    (check,) = fold_checks(
+        enumerate({"reduced_positivity": -min(low, 0.0)} for low in expected),
+        {"reduced_positivity": 1e-10},
+    )
+    assert rep.checks == (check,) and rep.passed
+
+
+@pytest.mark.parametrize("planted,defect", [(math.nan, math.inf), (-1.0, 1.0)])
+def test_a_planted_reduction_in_a_middle_chunk_fails_reduced_positivity(
+    planted, defect, monkeypatch
+):
+    chunk, bad = _lemma_chunk(6, 6), 30
+
+    def plant(lows, offset):
+        if offset <= bad < offset + len(lows):
+            lows[bad - offset] = planted
+
+    chunks, _ = _spy_on_the_stacked_kernel(monkeypatch, plant)
+    rep = run_suite(SuiteConfig("lemma", trials=60, d1=6, d2=6))
+    assert chunks == [chunk, chunk, 60 - 2 * chunk] and chunk < bad < 2 * chunk
+    (check,) = rep.checks
+    assert check.name == "reduced_positivity" and not rep.passed
+    assert check.defect == defect and check.worst_trial == bad
+
+
+def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
+    cfg = SuiteConfig("lemma", seed=3, trials=60, d1=6, d2=6)
+    chunk, split = _lemma_chunk(6, 6), 30
+    assert chunk < split < 2 * chunk
+    draw, evaluate = partial(cli._lemma_draw, cfg), partial(cli._lemma_evaluate, cfg)
+    full = list(trial_outcomes(cfg.seed, range(60), draw, evaluate))
+    halves = [
+        list(trial_outcomes(cfg.seed, range(a, b), draw, evaluate))
+        for a, b in ((0, split), (split, 60))
+    ]
+    assert halves[0] + halves[1] == full
+    tols = {"reduced_positivity": 1e-10}
+    assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
