@@ -5,8 +5,10 @@
 Runs ``python -m optheory --json`` from each root's ``src`` directory for
 every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,3) and
 (3,2) for seeds 0-2, the benchmark's lemma verdicts (500 trials at (2,2) and
-300 at (6,6)) for seeds 0-2, tomo-audit at the benchmark's sizes and at
-(6,5), boxworld's landmarks and the packaged fixtures at seed 0),
+300 at (6,6)) and its small-dims opcore verdict (20 trials at (2,2)) for
+seeds 0-2, opcore at (6,6) with 150 trials, whose invariant suites end in a
+partial chunk, tomo-audit at the benchmark's sizes and at (6,5), boxworld's
+landmarks and the packaged fixtures at seed 0),
 with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
@@ -41,6 +43,13 @@ CASES = [
     ("lemma", d, d, seed, trials)
     for seed in range(3)
     for d, trials in ((2, 500), (6, 300))
+] + [
+    # The benchmark's small-dims opcore verdict: every invariant suite in one chunk.
+    ("opcore", 2, 2, seed, 20)
+    for seed in range(3)
+] + [
+    # Chunks of 68 (quantum) and 34 (direct sum) trials at d=6: 150 ends in a partial one.
+    ("opcore", 6, 6, 0, 150),
 ] + [
     ("tomo-audit", 5, 6, 0, TRIALS),
     ("tomo-audit", 6, 6, 0, TRIALS),

@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from .linalg import json_numbers
 from .quantum import bloch_projectors, singlet_state
 
 # Angles (alice0, alice1, bob0, bob1) at which the singlet attains 2*sqrt(2)
@@ -52,9 +53,10 @@ class Box:
 
     @staticmethod
     def from_json(entries) -> "Box":
+        """The box of 16 JSON numbers, bare or under the key ``"p"``."""
         if isinstance(entries, dict):
             entries = entries["p"]
-        values = np.asarray(entries, dtype=float)
+        values = json_numbers(entries, "p")
         if values.shape != (16,):
             raise ValueError("box JSON must hold exactly 16 entries")
         return Box(values.reshape(2, 2, 2, 2))

@@ -37,6 +37,7 @@ from .framework import (
     effect_of,
     probe_shifts,
     total_of_action,
+    trial_factor,
 )
 from .linalg import (
     hermitian_coords,
@@ -46,6 +47,7 @@ from .linalg import (
     require_hermitian_stack,
     require_psd,
     trace_norm,
+    vdots,
 )
 from .quantum import (
     KrausOp,
@@ -55,12 +57,14 @@ from .quantum import (
     coarse_grain_kraus,
     complement_kraus,
     compose_kraus,
+    finish_kraus,
+    finish_outcomes,
     haar_outcomes,
     random_kraus,
     scale_kraus,
 )
-from .report import Check, VerificationReport, worst_defect
-from .sampling import random_simplex_point, trial_rng
+from .report import Check, VerificationReport, worst_defect, worst_defects
+from .sampling import gram, random_simplex_point, trial_rng, unit_trace
 
 
 def _each(f, *pairs) -> tuple:
@@ -224,7 +228,10 @@ class DSumModel(TheoryModel):
     State payloads are :class:`DSumState`; transformation payloads are
     (plus, minus) pairs of :class:`KrausOp` acting sector-wise; effect
     payloads are (K_plus, K_minus) Hermitian pairs.  ``sectors`` holds the
-    two :class:`~optheory.quantum.QuantumModel` sectors.
+    two :class:`~optheory.quantum.QuantumModel` sectors.  A stack of trials
+    has stacked blocks: a :class:`DSumState` of ``(n, d, d)`` blocks, a pair
+    of :class:`~optheory.quantum.KrausStack`, each sector grouped by its own
+    Kraus ranks, and pairs of ``(n, d, d)`` effect blocks.
     """
 
     d1: int
@@ -249,6 +256,15 @@ class DSumModel(TheoryModel):
         """The sectors' identity operations, built once per model."""
         return tuple(q.identity().payload for q in self.sectors)
 
+    @cached_property
+    def _units(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unit effect's blocks, built once per model (read-only): every
+        state weight reads them."""
+        units = (np.eye(self.d1), np.eye(self.d2))
+        for u in units:
+            u.flags.writeable = False
+        return units
+
     # -- factories ----------------------------------------------------------
     def state(self, block_state: DSumState) -> State:
         if block_state.dims != (self.d1, self.d2):
@@ -272,21 +288,23 @@ class DSumModel(TheoryModel):
         return Transformation(self, self._identities, "identity")
 
     def unit_effect(self) -> Effect:
-        return Effect(self, (np.eye(self.d1), np.eye(self.d2)))
+        return Effect(self, self._units)
 
     def effect_of(self, t: Transformation) -> Effect:
-        return Effect(self, _each(KrausOp.trace_operator, t.payload))
+        plus, minus = t.payload  # KrausOp or KrausStack blocks alike
+        return Effect(self, (plus.trace_operator(), minus.trace_operator()))
 
     def apply(self, t: Transformation, s: State) -> State:
         blocks = _each(apply_quantum_op, t.payload, s.payload.blocks)
         return State(self, DSumState._trusted(*blocks))
 
-    def evaluate(self, e: Effect, s: State) -> float:
+    def evaluate(self, e: Effect, s: State):
         """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
         real part of each trace is the Hilbert-Schmidt product ``vdot(K, rho)``."""
-        kp, km = e.payload
-        rp, rm = s.payload.blocks
-        return float(np.vdot(kp, rp).real + np.vdot(km, rm).real)
+        (kp, km), (rp, rm) = e.payload, s.payload.blocks
+        if kp.ndim == 2 and rp.ndim == 2:  # one effect and one state
+            return float(np.vdot(kp, rp).real + np.vdot(km, rm).real)
+        return _hilbert_schmidt(kp, rp) + _hilbert_schmidt(km, rm)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         return Transformation(self, _each(compose_kraus, first.payload, then.payload), "")
@@ -303,44 +321,67 @@ class DSumModel(TheoryModel):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, _each(np.add, e1.payload, e2.payload))
 
-    def effect_leq_unit(self, e: Effect) -> bool:
-        return all(q.effect_leq_unit(Effect(q, k)) for q, k in zip(self.sectors, e.payload))
+    def effect_leq_unit(self, e: Effect):
+        plus, minus = (q.effect_leq_unit(Effect(q, k)) for q, k in zip(self.sectors, e.payload))
+        return plus & minus
 
     def effect_coords(self, e: Effect) -> np.ndarray:
-        return np.concatenate(_each(hermitian_coords, e.payload))
+        return np.concatenate(_each(hermitian_coords, e.payload), axis=-1)
 
     def state_coords(self, s: State) -> np.ndarray:
-        return np.concatenate(_each(hermitian_coords, s.payload.blocks))
+        return np.concatenate(_each(hermitian_coords, s.payload.blocks), axis=-1)
 
-    def scale_state_payload(self, payload: DSumState, factor: float) -> DSumState:
-        return DSumState._trusted(factor * payload.rho_plus, factor * payload.rho_minus)
+    def scale_state_payload(self, payload: DSumState, factor) -> DSumState:
+        plus, minus = payload.blocks
+        scale_plus, scale_minus = trial_factor(factor, plus), trial_factor(factor, minus)
+        return DSumState._trusted(scale_plus * plus, scale_minus * minus)
 
-    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
-        blocks = _each(lambda a, b: w1 * a + w2 * b, s1.payload.blocks, s2.payload.blocks)
-        return State(self, DSumState._trusted(*blocks))
+    def mix_states(self, s1: State, s2: State, w1, w2) -> State:
+        def mix(a, b):
+            return trial_factor(w1, a) * a + trial_factor(w2, b) * b
 
-    def state_distance(self, s1: State, s2: State) -> float:
+        return State(self, DSumState._trusted(*_each(mix, s1.payload.blocks, s2.payload.blocks)))
+
+    def state_distance(self, s1: State, s2: State):
         return sum(_each(trace_norm, _each(np.subtract, s1.payload.blocks, s2.payload.blocks)))
 
-    def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
+    def transformation_distance(self, t1: Transformation, t2: Transformation):
         """Worst sector of :func:`~optheory.quantum.choi_distance`: the largest
         entry of either block's Choi-matrix difference, equal by realignment
         to the max-abs superoperator distance."""
-        return worst_defect(*_each(choi_distance, t1.payload, t2.payload))
+        return worst_defects(*_each(choi_distance, t1.payload, t2.payload))
 
-    def random_state(self, rng: np.random.Generator) -> State:
+    def take(self, payload, trials):
+        if isinstance(payload, DSumState):
+            return DSumState._trusted(*(b[trials] for b in payload.blocks))
+        return tuple(p[trials] for p in payload)
+
+    def draw_state(self, rng: np.random.Generator) -> tuple:
         w = rng.uniform(0.1, 0.9)
         q1, q2 = self.sectors
-        plus = w * q1.random_state(rng).payload
-        minus = (1.0 - w) * q2.random_state(rng).payload
+        return (w, *q1.draw_state(rng), *q2.draw_state(rng))
+
+    def finish_state(self, w, g_plus, g_minus) -> State:
+        rho_plus, rho_minus = unit_trace(gram(g_plus)), unit_trace(gram(g_minus))
+        plus = trial_factor(w, rho_plus) * rho_plus
+        minus = trial_factor(1.0 - w, rho_minus) * rho_minus
         return State(self, DSumState._trusted(plus, minus))
 
-    def random_transformation(self, rng: np.random.Generator) -> Transformation:
-        payload = tuple(q.random_transformation(rng).payload for q in self.sectors)
+    def draw_transformation(self, rng: np.random.Generator) -> tuple:
+        q1, q2 = self.sectors
+        return (*q1.draw_transformation(rng), *q2.draw_transformation(rng))
+
+    def finish_transformation(self, *raw) -> Transformation:
+        half = len(raw) // 2
+        payload = (finish_kraus(*raw[:half]), finish_kraus(*raw[half:]))
         return Transformation(self, payload, "random")
 
-    def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        plus, minus = (haar_outcomes(rng, q.d, outcomes) for q in self.sectors)
+    def draw_action(self, rng: np.random.Generator, outcomes: int) -> tuple:
+        q1, q2 = self.sectors
+        return (*q1.draw_action(rng, outcomes), *q2.draw_action(rng, outcomes))
+
+    def finish_action(self, a_plus, a_minus) -> Action:
+        plus, minus = (finish_outcomes(a, q.d) for q, a in zip(self.sectors, (a_plus, a_minus)))
         return self.outcome_action(zip(plus, minus))
 
     def minimal_ic_effects(self) -> list[Effect]:
@@ -411,6 +452,11 @@ class DSumBipartite(BipartiteModel):
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))
         b = self.joint.from_local(ds_random_local_op(rng, 2, self.d2))
         return self.joint.effect_of(self.joint.compose(a, b))
+
+
+def _hilbert_schmidt(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Re ``vdot(K, rho)`` of each pair of two stacks of blocks."""
+    return vdots(k.reshape(k.shape[:-2] + (-1,)), r.reshape(r.shape[:-2] + (-1,))).real
 
 
 def _mixed_state_prob(e: Effect) -> float:

@@ -40,11 +40,11 @@ def _read_json(source: str):
 
 def _parse(build, source: str):
     """``build`` applied to the JSON file at ``source``; a missing key, wrong
-    type or short list in it raises ``ValueError``."""
+    type, short list or out-of-range integer in it raises ``ValueError``."""
     obj = _read_json(source)
     try:
         return build(obj)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed fixture {source}: {type(exc).__name__} {exc}") from exc
 
 

@@ -15,29 +15,60 @@ Conventions:
   ``then``"; probabilities chain by Bayes' rule.
 * ``apply`` returns an unnormalized (weighted) state so additivity can be
   checked before renormalization; ``condition`` renormalizes.
+
+Payloads may carry a leading trial axis: a stack of n states, effects or
+transformations is one object whose payload holds them all, and every model
+operation and every generic operation here (``prob``, ``condition``,
+``compose``, ``add_coexistent``, ``scale``, ...) then returns one result per
+trial, each equal to the operation on that trial's objects alone, with the
+same checks made trial by trial.  :func:`model_invariant_suite` draws raw
+randomness trial by trial (``draw_state``, ``draw_transformation``,
+``draw_action``), finishes a chunk of draws as stacks
+(``finish_state``, ...), and evaluates the whole chunk at once.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import rank_of_rows
-from .report import Check, VerificationReport, per_trial, run_trials, worst_defect
+from .linalg import rank_of_rows, vdots
+from .report import Check, VerificationReport, run_trials, worst_defect, worst_defects
 from .sampling import (
-    random_simplex_point,
-    random_stochastic_split,
-    random_substochastic,
+    draw_stochastic_split,
+    draw_substochastic,
+    simplex,
+    stochastic_split,
+    substochastic,
 )
 
 # Conditioning on events rarer than this raises ZeroProbability.
 EPS_COND = 1e-12
 # Dual (effect-coordinate) comparisons and action completeness.
 TOL_EFFECT = 1e-9
+
+
+def value(x):
+    """One object's result, a numpy scalar or 0-d array, as a Python scalar;
+    a stack's results as their array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else x.item()
+
+
+def _any_trial(mask) -> bool:
+    """Whether a condition holds for one object, or for any trial of a stack."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def trial_factor(factor, payload: np.ndarray):
+    """``factor``, a number or an array of one number per trial of a stacked
+    ``payload``, shaped to multiply ``payload`` trial by trial."""
+    if not isinstance(factor, np.ndarray):
+        return factor
+    return factor.reshape(factor.shape + (1,) * (payload.ndim - factor.ndim))
 
 
 class ModelMismatch(ValueError):
@@ -94,16 +125,17 @@ class State:
 
     def normalized(self) -> "State":
         w = self.weight
-        if w <= EPS_COND:
-            raise ZeroProbability(f"cannot normalize a weight-{w:.3e} state")
+        if _any_trial(w <= EPS_COND):
+            raise ZeroProbability(f"cannot normalize a weight-{np.min(w):.3e} state")
         return State(self.model, self.model.scale_state_payload(self.payload, 1.0 / w))
 
 
-def unit_sum_defect(model: "TheoryModel", effects) -> float:
-    """Max-abs effect-coordinate gap between the sum of ``effects`` and the unit."""
+def unit_sum_defect(model: "TheoryModel", effects):
+    """Max-abs effect-coordinate gap between the sum of ``effects`` and the unit
+    (one gap per trial for stacked effects)."""
     total = reduce(model.add_effects, effects)
     unit = model.unit_effect()
-    return float(np.abs(model.effect_coords(total) - model.effect_coords(unit)).max())
+    return value(np.abs(model.effect_coords(total) - model.effect_coords(unit)).max(axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,21 +152,26 @@ class Action:
             _require_same_model(ts[0], t)
         object.__setattr__(self, "transformations", ts)
         defect = self.completeness_defect()
-        if defect > TOL_EFFECT:
+        if _any_trial(defect > TOL_EFFECT):
             raise IncompleteAction(
-                f"action effects do not sum to the unit: defect {defect:.3e}"
+                f"action effects do not sum to the unit: defect {np.max(defect):.3e}"
             )
 
     @property
     def model(self) -> "TheoryModel":
         return self.transformations[0].model
 
-    def completeness_defect(self) -> float:
+    def completeness_defect(self):
         return unit_sum_defect(self.model, (effect_of(t) for t in self.transformations))
 
 
 class TheoryModel(ABC):
-    """Interface one physical theory implements to plug into the framework."""
+    """Interface one physical theory implements to plug into the framework.
+
+    Its operations take single objects or stacks of trials alike.  Random
+    objects come from a raw draw, which makes every call on the generator,
+    and a finish, which takes the raw draw's values, or a stack of them along
+    a leading trial axis, and builds the object or the stack of objects."""
 
     name: str = "abstract"
 
@@ -201,13 +238,38 @@ class TheoryModel(ABC):
         """Distance between the linear maps (zero iff same dynamics)."""
 
     @abstractmethod
-    def random_state(self, rng: np.random.Generator) -> State: ...
+    def draw_state(self, rng: np.random.Generator) -> tuple:
+        """Raw draw of a random state: arrays and numbers."""
 
     @abstractmethod
-    def random_transformation(self, rng: np.random.Generator) -> Transformation: ...
+    def finish_state(self, *raw) -> State:
+        """The state of a raw draw, or the stack of states of stacked raw draws."""
 
     @abstractmethod
-    def random_action(self, rng: np.random.Generator, outcomes: int) -> Action: ...
+    def draw_transformation(self, rng: np.random.Generator) -> tuple: ...
+
+    @abstractmethod
+    def finish_transformation(self, *raw) -> Transformation: ...
+
+    @abstractmethod
+    def draw_action(self, rng: np.random.Generator, outcomes: int) -> tuple: ...
+
+    @abstractmethod
+    def finish_action(self, *raw) -> Action: ...
+
+    def random_state(self, rng: np.random.Generator) -> State:
+        return self.finish_state(*self.draw_state(rng))
+
+    def random_transformation(self, rng: np.random.Generator) -> Transformation:
+        return self.finish_transformation(*self.draw_transformation(rng))
+
+    def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
+        return self.finish_action(*self.draw_action(rng, outcomes))
+
+    def take(self, payload: Any, trials: np.ndarray) -> Any:
+        """The payload of the sub-stack of a stacked payload at the ascending
+        ``trials``; payloads that index by trial need no override."""
+        return payload[trials]
 
     def minimal_ic_effects(self) -> list[Effect]:
         """A built-in minimal informationally complete observable, if any."""
@@ -217,12 +279,13 @@ class TheoryModel(ABC):
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, e1.payload + e2.payload)
 
-    def scale_state_payload(self, payload: Any, factor: float) -> Any:
-        return factor * payload
+    def scale_state_payload(self, payload: Any, factor) -> Any:
+        return trial_factor(factor, payload) * payload
 
-    def mix_states(self, s1: State, s2: State, w1: float, w2: float) -> State:
+    def mix_states(self, s1: State, s2: State, w1, w2) -> State:
         """The payload-linear combination w1*s1 + w2*s2 (no renormalization)."""
-        return State(self, w1 * s1.payload + w2 * s2.payload)
+        p1, p2 = s1.payload, s2.payload
+        return State(self, trial_factor(w1, p1) * p1 + trial_factor(w2, p2) * p2)
 
     def outcome_action(self, payloads) -> Action:
         """The action whose outcome j has payload ``payloads[j]`` and label ``outcome<j>``."""
@@ -309,11 +372,11 @@ def _require_same_model(a, b) -> TheoryModel:
     return a.model
 
 
-def prob(state: State, t: Transformation) -> float:
+def prob(state: State, t: Transformation):
     """Occurrence probability of ``t`` in ``state`` (Born-type pairing)."""
     model = _require_same_model(state, t)
     w = state.weight
-    if w <= EPS_COND:
+    if _any_trial(w <= EPS_COND):
         raise ZeroProbability("probability rule of a zero-weight state is undefined")
     return model.evaluate(model.effect_of(t), state) / w
 
@@ -322,9 +385,9 @@ def condition(state: State, t: Transformation) -> State:
     """Bayes update: the state given that ``t`` occurred."""
     model = _require_same_model(state, t)
     p = prob(state, t)
-    if p <= EPS_COND:
+    if _any_trial(p <= EPS_COND):
         raise ZeroProbability(
-            f"cannot condition on {t.label or 'transformation'} with probability {p:.3e}"
+            f"cannot condition on {t.label or 'transformation'} with probability {np.min(p):.3e}"
         )
     return State(model, model.scale_state_payload(model.apply(t, state.normalized()).payload, 1.0 / p))
 
@@ -342,16 +405,18 @@ def add_coexistent(t1: Transformation, t2: Transformation) -> Transformation:
     """Coarse-grain two coexistent transformations into "either occurred"."""
     model = _require_same_model(t1, t2)
     total = model.add_effects(effect_of(t1), effect_of(t2))
-    if not model.effect_leq_unit(total):
+    if not np.all(model.effect_leq_unit(total)):
         raise NotCoexistent(
             f"effects of {t1.label or 't1'} and {t2.label or 't2'} sum above the unit"
         )
     return model.add_transformations(t1, t2)
 
 
-def scale(lam: float, t: Transformation) -> Transformation:
-    """Rescale the occurrence probability, keeping the dynamics."""
-    if not 0.0 <= lam <= 1.0:
+def scale(lam, t: Transformation) -> Transformation:
+    """Rescale the occurrence probability, keeping the dynamics (``lam`` may
+    hold one factor per trial of a stack)."""
+    factors = np.asarray(lam)
+    if not np.all((0.0 <= factors) & (factors <= 1.0)):
         raise ValueError(f"scale factor must lie in [0, 1], got {lam}")
     return t.model.scale_transformation(lam, t)
 
@@ -536,60 +601,38 @@ def model_invariant_suite(
     linearity of transformations on mixtures, monoid laws for composition,
     distributivity of composition over coarse-graining, and additivity of
     coarse-grained probabilities.
+
+    Each trial makes its raw draws alone, from its own generator; the draws
+    of a chunk of trials are then finished as stacks and evaluated at once
+    (:func:`invariant_defects`), each trial's defects equal to those of its
+    objects evaluated alone.
     """
 
     def draw(rng: np.random.Generator, k: int) -> tuple:
-        omega = model.random_state(rng)
-        omega2 = model.random_state(rng)
-        ta = model.random_transformation(rng)
-        tb = model.random_transformation(rng)
-        tc = model.random_transformation(rng)
-        action = model.random_action(rng, outcomes)
-        lam = rng.uniform(0.2, 0.8)
-        return omega, omega2, ta, tb, tc, action, lam
-
-    def evaluate(omega, omega2, ta, tb, tc, action, lam) -> dict[str, float]:
-        ident = model.identity()
-        total = sum(prob(omega, t) for t in action.transformations)
-        defects = {"completeness": abs(total - 1.0)}
-
-        pa = prob(omega, ta)
-        if pa > 1e-6:
-            chain = prob(condition(omega, ta), tb) * pa
-            direct = prob(omega, compose(ta, tb))
-            defects["bayes_chain"] = abs(chain - direct)
-
-        mixed = model.mix_states(omega, omega2, lam, 1.0 - lam)
-        applied_mix = model.apply(ta, mixed)
-        mix_applied = model.mix_states(
-            model.apply(ta, omega), model.apply(ta, omega2), lam, 1.0 - lam
-        )
-        defects["mixture_linearity"] = model.state_distance(applied_mix, mix_applied)
-
-        defects["associativity"] = model.transformation_distance(
-            compose(compose(ta, tb), tc), compose(ta, compose(tb, tc))
-        )
-        defects["identity_neutral"] = worst_defect(
-            model.transformation_distance(compose(ta, ident), ta),
-            model.transformation_distance(compose(ident, ta), ta),
+        return (
+            model.draw_state(rng),
+            model.draw_state(rng),
+            model.draw_transformation(rng),
+            model.draw_transformation(rng),
+            model.draw_transformation(rng),
+            model.draw_action(rng, outcomes),
+            rng.uniform(0.2, 0.8),
         )
 
-        sa = scale(lam, ta)
-        sb = scale(1.0 - lam, tb)
-        coarse = add_coexistent(sa, sb)
-        defects["distributivity"] = model.transformation_distance(
-            compose(coarse, tc), model.add_transformations(compose(sa, tc), compose(sb, tc))
-        )
-        defects["additivity"] = abs(prob(omega, coarse) - prob(omega, sa) - prob(omega, sb))
-
-        if prob(omega, ta) > 1e-6:
-            defects["scale_conditioning"] = model.state_distance(
-                condition(omega, scale(0.3, ta)), condition(omega, ta)
-            )
-        return defects
+    def evaluate(drawn: list) -> list[dict[str, float]]:
+        s1, s2, a, b, c, act, lam = zip(*drawn)
+        omega, omega2 = (model.finish_state(*_columns(s)) for s in (s1, s2))
+        ta, tb, tc = (model.finish_transformation(*_columns(t)) for t in (a, b, c))
+        action = model.finish_action(*_columns(act))
+        defects = invariant_defects(model, omega, omega2, ta, tb, tc, action, np.array(lam))
+        outcomes_by_trial: list[dict[str, float]] = [{} for _ in drawn]
+        for name, (rows, values) in defects.items():
+            for k, v in zip(rows.tolist(), np.broadcast_to(values, rows.shape).tolist()):
+                outcomes_by_trial[k][name] = v
+        return outcomes_by_trial
 
     tols = dict.fromkeys(_INVARIANTS, tol)
-    checks = run_trials(seed, range(trials), draw, per_trial(evaluate), tols)
+    checks = run_trials(seed, range(trials), draw, evaluate, tols)
     return VerificationReport.from_checks(
         f"framework-invariants[{model.name}]",
         seed,
@@ -598,6 +641,81 @@ def model_invariant_suite(
         tol,
         details={"per_invariant": {c.name: c.defect for c in checks}},
     )
+
+
+def _columns(raws) -> list[np.ndarray]:
+    """Raw draws' values stacked along a new leading trial axis, one array per value."""
+    return [np.array(column) for column in zip(*raws)]
+
+
+def invariant_defects(
+    model: TheoryModel,
+    omega: State,
+    omega2: State,
+    ta: Transformation,
+    tb: Transformation,
+    tc: Transformation,
+    action: Action,
+    lam: np.ndarray,
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """``{invariant: (trials, defects)}`` on stacks of n trials: the trials
+    that evaluated each invariant and their defects.
+
+    The Bayes chain and scale conditioning need ``prob(omega, ta) > 1e-6``;
+    they run on the sub-stack of trials that satisfy it.
+    """
+    n = len(lam)
+    everyone = np.arange(n)
+    ident = model.identity()
+    total = sum(prob(omega, t) for t in action.transformations)
+    defects = {"completeness": (everyone, np.abs(total - 1.0))}
+
+    pa = prob(omega, ta)
+    sub = np.flatnonzero(pa > 1e-6)
+
+    def taking(x):
+        return x if len(sub) == n else replace(x, payload=model.take(x.payload, sub))
+
+    if len(sub):
+        o, a, b = taking(omega), taking(ta), taking(tb)
+        chain = prob(condition(o, a), b) * pa[sub]
+        direct = prob(o, compose(a, b))
+        defects["bayes_chain"] = (sub, np.abs(chain - direct))
+
+    mixed = model.mix_states(omega, omega2, lam, 1.0 - lam)
+    applied_mix = model.apply(ta, mixed)
+    mix_applied = model.mix_states(
+        model.apply(ta, omega), model.apply(ta, omega2), lam, 1.0 - lam
+    )
+    defects["mixture_linearity"] = (everyone, model.state_distance(applied_mix, mix_applied))
+
+    distance = model.transformation_distance
+    defects["associativity"] = (
+        everyone, distance(compose(compose(ta, tb), tc), compose(ta, compose(tb, tc)))
+    )
+    defects["identity_neutral"] = (
+        everyone,
+        worst_defects(distance(compose(ta, ident), ta), distance(compose(ident, ta), ta)),
+    )
+
+    sa = scale(lam, ta)
+    sb = scale(1.0 - lam, tb)
+    coarse = add_coexistent(sa, sb)
+    defects["distributivity"] = (
+        everyone,
+        distance(
+            compose(coarse, tc), model.add_transformations(compose(sa, tc), compose(sb, tc))
+        ),
+    )
+    defects["additivity"] = (
+        everyone, np.abs(prob(omega, coarse) - prob(omega, sa) - prob(omega, sb))
+    )
+
+    if len(sub):
+        defects["scale_conditioning"] = (
+            sub, model.state_distance(condition(o, scale(0.3, a)), condition(o, a))
+        )
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +773,13 @@ class ClassicalModel(TheoryModel):
         return Effect(self, np.ones(self.n))
 
     def effect_of(self, t: Transformation) -> Effect:
-        return Effect(self, t.payload.sum(axis=0))
+        return Effect(self, t.payload.sum(axis=-2))
 
     def apply(self, t: Transformation, s: State) -> State:
-        return State(self, t.payload @ s.payload)
+        return State(self, np.matmul(t.payload, s.payload[..., None])[..., 0])
 
-    def evaluate(self, e: Effect, s: State) -> float:
-        return float(e.payload @ s.payload)
+    def evaluate(self, e: Effect, s: State):
+        return value(vdots(e.payload, s.payload))
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         return Transformation(
@@ -671,15 +789,17 @@ class ClassicalModel(TheoryModel):
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
         return Transformation(self, t1.payload + t2.payload, _sum_label(t1, t2))
 
-    def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
-        return Transformation(self, lam * t.payload, f"{lam:g}*{t.label}" if t.label else "")
+    def scale_transformation(self, lam, t: Transformation) -> Transformation:
+        label = f"{lam:g}*{t.label}" if t.label and np.ndim(lam) == 0 else ""
+        return Transformation(self, trial_factor(lam, t.payload) * t.payload, label)
 
     def complement(self, t: Transformation) -> Transformation:
         residual = 1.0 - t.payload.sum(axis=0)
         return Transformation(self, np.diag(np.clip(residual, 0.0, None)), f"~{t.label}")
 
-    def effect_leq_unit(self, e: Effect) -> bool:
-        return bool(e.payload.min() >= -TOL_EFFECT and e.payload.max() <= 1.0 + TOL_EFFECT)
+    def effect_leq_unit(self, e: Effect):
+        low, high = e.payload.min(axis=-1), e.payload.max(axis=-1)
+        return value((low >= -TOL_EFFECT) & (high <= 1.0 + TOL_EFFECT))
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.asarray(e.payload, dtype=float)
@@ -690,20 +810,29 @@ class ClassicalModel(TheoryModel):
     def state_coords(self, s: State) -> np.ndarray:
         return np.asarray(s.payload, dtype=float)
 
-    def state_distance(self, s1: State, s2: State) -> float:
-        return float(np.abs(s1.payload - s2.payload).sum())
+    def state_distance(self, s1: State, s2: State):
+        return value(np.abs(s1.payload - s2.payload).sum(axis=-1))
 
-    def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
-        return float(np.abs(t1.payload - t2.payload).max())
+    def transformation_distance(self, t1: Transformation, t2: Transformation):
+        return value(np.abs(t1.payload - t2.payload).max(axis=(-2, -1)))
 
-    def random_state(self, rng: np.random.Generator) -> State:
-        return State(self, random_simplex_point(rng, self.n))
+    def draw_state(self, rng: np.random.Generator) -> tuple:
+        return (rng.exponential(size=self.n),)
 
-    def random_transformation(self, rng: np.random.Generator) -> Transformation:
-        return Transformation(self, random_substochastic(rng, self.n), "random")
+    def finish_state(self, x) -> State:
+        return State(self, simplex(x))
 
-    def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        return self.outcome_action(random_stochastic_split(rng, self.n, outcomes))
+    def draw_transformation(self, rng: np.random.Generator) -> tuple:
+        return draw_substochastic(rng, self.n)
+
+    def finish_transformation(self, m, targets) -> Transformation:
+        return Transformation(self, substochastic(m, targets), "random")
+
+    def draw_action(self, rng: np.random.Generator, outcomes: int) -> tuple:
+        return (draw_stochastic_split(rng, self.n, outcomes),)
+
+    def finish_action(self, parts) -> Action:
+        return self.outcome_action(np.moveaxis(stochastic_split(parts), -3, 0))
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, np.eye(self.n)[i]) for i in range(self.n)]

@@ -35,6 +35,15 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
+def as_matrix_stack(a) -> np.ndarray:
+    """Coerce to a finite stack ``(n, d, d)`` of square complex matrices."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    # The stack's rows form one 2-D matrix, so as_matrix scans every entry.
+    return as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape)
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity of the finite matrices on the last two axes of
     ``m`` within ``TOL_HERM`` and return them symmetrized.  The defect named
@@ -58,11 +67,17 @@ def require_hermitian_stack(a) -> np.ndarray:
     The finiteness scan and the Hermiticity check cover the whole stack;
     a stack with one bad matrix raises the message of that matrix alone.
     """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    # The stack's rows form one 2-D matrix, so as_matrix scans every entry.
-    return _symmetrized(as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape))
+    return _symmetrized(as_matrix_stack(a))
+
+
+def vdots(a: np.ndarray, b: np.ndarray):
+    """``np.vdot`` of every pair of vectors on the last axes of ``a`` and ``b``,
+    broadcast over their leading axes; for two vectors, ``np.vdot`` itself.
+    The stacked form is one ``matmul`` of (1, n) by (n, 1) blocks, which
+    reduces each pair with the same BLAS dot, so it matches bit for bit."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.vdot(a, b)
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def tensor(a, b) -> np.ndarray:
@@ -90,12 +105,7 @@ def partial_trace(r, d1: int, d2: int, side: int) -> np.ndarray:
     the partial traces of its matrices, each equal to the call on that
     matrix alone.
     """
-    if np.ndim(r) == 3:
-        m = np.asarray(r, dtype=complex)
-        # The stack's rows form one 2-D matrix, so as_matrix scans every entry.
-        m = as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape)
-    else:
-        m = as_matrix(r, square=True)
+    m = as_matrix_stack(r) if np.ndim(r) == 3 else as_matrix(r, square=True)
     if d1 <= 0 or d2 <= 0 or m.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"dimension mismatch: matrix is {m.shape[-1]}-dim, expected {d1}*{d2}")
     t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
@@ -121,8 +131,11 @@ def max_eig_herm(a) -> float:
     return float(eigvals_herm(a)[-1])
 
 
-def trace_norm(a) -> float:
-    """Sum of singular values."""
+def trace_norm(a):
+    """Sum of singular values.  A stack ``(n, d, d)`` gives the ``(n,)`` trace
+    norms of its matrices, each equal to the call on that matrix alone."""
+    if np.ndim(a) == 3:
+        return np.linalg.svd(as_matrix_stack(a), compute_uv=False).sum(axis=-1)
     return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
@@ -331,8 +344,30 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def json_numbers(values, key: str) -> np.ndarray:
+    """The list ``values``, read from the JSON key ``key``, as floats.  Its
+    entries must be JSON numbers: a string, a boolean, a nested list or a
+    non-list raises ``TypeError`` naming ``key``."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise TypeError(f"{key!r} must be a list of JSON numbers, got {values!r:.80}")
+    return np.array(values, dtype=float)
+
+
+def _json_dimension(obj: dict, key: str) -> int:
+    """``obj[key]`` as a matrix dimension: a positive JSON integer, not a
+    boolean, a float or a string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be a JSON integer, got {type(value).__name__} {value!r}")
+    if value < 1:
+        raise ValueError(f"{key!r} must be positive, got {value}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=float).reshape(rows, cols)
-    im = np.asarray(obj["im"], dtype=float).reshape(rows, cols)
+    """The matrix of ``{"rows", "cols", "re", "im"}``, its types checked first
+    (``TypeError`` naming the key)."""
+    rows, cols = _json_dimension(obj, "rows"), _json_dimension(obj, "cols")
+    re = json_numbers(obj["re"], "re").reshape(rows, cols)
+    im = json_numbers(obj["im"], "im").reshape(rows, cols)
     return as_matrix(re + 1j * im)

@@ -9,8 +9,12 @@ steer the remote conditional state without signaling on average.
 
 A :class:`KrausOp` stores its r Kraus operators as one ``(r, d_out, d_in)``
 array, so applying, composing and coarse-graining operations are single
-batched ``matmul`` or ``concatenate`` calls.  The verifiers never build
-``M (x) I``: :func:`side1_kraus_outputs` reads a joint operator on
+batched ``matmul`` or ``concatenate`` calls.  The kernels broadcast over
+leading axes, and each also takes a :class:`KrausStack`, the operations of
+a stack of trials grouped by Kraus rank: it runs once per group of trials
+whose operands share their ranks, never padding one rank to another, and
+each trial's result equals the kernel on that trial alone, bit for bit.
+The verifiers never build ``M (x) I``: :func:`side1_kraus_outputs` reads a joint operator on
 ``d1*d2`` as a ``d1 x (d2*D)`` matrix, so that ``(K (x) I) R`` is the
 product ``K @ R.reshape(d1, -1)``, and applies that product on both sides of
 ``R`` for a whole stack of Kraus operators at once.  :func:`local_embed`
@@ -35,7 +39,7 @@ at D = 36 its temporaries take about 2 MB instead of 40 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,9 +52,11 @@ from .framework import (
     TheoryModel,
     TOL_EFFECT,
     Transformation,
+    value,
 )
 from .linalg import (
     as_matrix,
+    as_matrix_stack,
     eigvals_herm,
     hermitian_coords,
     max_eig_herm,
@@ -68,8 +74,11 @@ from .sampling import (
     complex_gaussian,
     ginibre_positive,
     ginibre_state,
+    gram,
     haar_isometry_blocks,
+    isometry_blocks,
     trial_rng,
+    unit_trace,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,7 +103,9 @@ class KrausOp:
     array or any sequence of equally shaped matrices and checks, once on the
     stacked array, that the entries are finite and that the operation does
     not increase the trace.  Kernels that derive an operation from validated
-    ones store it with ``_trusted``, which checks nothing.
+    ones store it with ``_trusted``, which checks nothing; inside the
+    kernels a trusted ``kraus`` may carry leading axes, ``(..., r, d_out,
+    d_in)``, a stack of operations of one Kraus rank.
     """
 
     kraus: np.ndarray
@@ -133,20 +144,141 @@ class KrausOp:
 
     @property
     def dim_in(self) -> int:
-        return self.kraus.shape[2]
+        return self.kraus.shape[-1]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus.shape[1]
+        return self.kraus.shape[-2]
 
     def trace_operator(self) -> np.ndarray:
         """K = sum_k M_k^dag M_k, the operator carrying all occurrence statistics.
 
         Hermitian by construction: symmetrized against roundoff, not re-checked.
         """
-        rows = self.kraus.reshape(-1, self.dim_in)
-        k = rows.conj().T @ rows
-        return (k + k.conj().T) / 2
+        kraus = self.kraus
+        rows = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
+        k = rows.conj().swapaxes(-1, -2) @ rows
+        return (k + k.conj().swapaxes(-1, -2)) / 2
+
+
+@dataclass(frozen=True, eq=False)
+class KrausStack:
+    """The operations of a stack of trials, grouped by Kraus rank.
+
+    ``kraus[g]`` is an ``(m_g, r_g, d_out, d_in)`` array holding the
+    operations of trials ``trials[g]`` (ascending), all of Kraus rank
+    ``r_g``; the groups' trials partition ``range(len(stack))``.  The
+    kernels of this module take a stack wherever they take a
+    :class:`KrausOp`: they run once per group of trials whose stacked
+    operands share their Kraus ranks, on arrays with a leading trial axis,
+    and put each result back at its trial, so no operation is padded to
+    another rank.  A :class:`KrausOp` operand next to a stack acts on every
+    trial.  Each trial's result equals the kernel on that trial's
+    operation alone, bit for bit.
+    """
+
+    kraus: tuple[np.ndarray, ...]
+    trials: tuple[np.ndarray, ...]
+
+    @classmethod
+    def gather(cls, pieces) -> "KrausStack":
+        """The stack of ``(trials, op)`` pieces, ``op.kraus`` holding one
+        operation per trial of ``trials``; pieces of one rank are merged."""
+        by_rank: dict[int, list] = {}
+        for trials, op in pieces:
+            by_rank.setdefault(op.kraus.shape[-3], []).append((trials, op.kraus))
+        kraus, groups = [], []
+        for parts in by_rank.values():
+            if len(parts) == 1:
+                (trials, k), = parts
+            else:
+                trials = np.concatenate([t for t, _ in parts])
+                order = np.argsort(trials, kind="stable")
+                trials, k = trials[order], np.concatenate([k for _, k in parts])[order]
+            groups.append(trials)
+            kraus.append(k)
+        return cls(tuple(kraus), tuple(groups))
+
+    def __len__(self) -> int:
+        return sum(len(t) for t in self.trials)
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus[0].shape[-1]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus[0].shape[-2]
+
+    @cached_property
+    def _places(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's group and its row in that group's array."""
+        group, row = np.empty(len(self), dtype=np.intp), np.empty(len(self), dtype=np.intp)
+        for g, trials in enumerate(self.trials):
+            group[trials] = g
+            row[trials] = np.arange(len(trials))
+        return group, row
+
+    def _rows(self, trials: np.ndarray) -> KrausOp:
+        """The operations of ``trials``, which lie in one group, as one stacked operation."""
+        group, row = self._places
+        g = group[trials[0]]
+        if len(trials) == len(self.trials[g]):
+            return KrausOp._trusted(self.kraus[g])
+        return KrausOp._trusted(self.kraus[g][row[trials]])
+
+    def __getitem__(self, trials) -> "KrausStack":
+        """The sub-stack of the ascending trial indices ``trials``, renumbered from 0."""
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[trials] = True
+        renumbered = np.cumsum(chosen) - 1
+        kraus, groups = [], []
+        for k, t in zip(self.kraus, self.trials):
+            keep = chosen[t]
+            if keep.any():
+                kraus.append(k[keep])
+                groups.append(renumbered[t[keep]])
+        return KrausStack(tuple(kraus), tuple(groups))
+
+    def trace_operator(self) -> np.ndarray:
+        """``(n, d_in, d_in)``: each trial's :meth:`KrausOp.trace_operator`."""
+        return _scatter(len(self), ((t, op.trace_operator()) for t, (op,) in _rank_groups(self)))
+
+
+def _rank_groups(*ops):
+    """``(trials, operands)`` for every group of trials on which the
+    :class:`KrausStack` operands of ``ops`` each have one Kraus rank; a
+    stack operand becomes the stacked :class:`KrausOp` of its group's
+    trials, any other operand is passed as it is."""
+    stacks = [op for op in ops if isinstance(op, KrausStack)]
+    if len(stacks) == 1:
+        for trials, k in zip(stacks[0].trials, stacks[0].kraus):
+            yield trials, [KrausOp._trusted(k) if op is stacks[0] else op for op in ops]
+        return
+    n = len(stacks[0])
+    if any(len(s) != n for s in stacks):
+        raise ValueError(f"stacks of {[len(s) for s in stacks]} trials do not align")
+    key = np.zeros(n, dtype=np.intp)
+    for s in stacks:
+        key = key * len(s.kraus) + s._places[0]
+    # np.bincount, not np.unique: the first np.unique call imports numpy.ma.
+    for k in np.flatnonzero(np.bincount(key)):
+        trials = np.flatnonzero(key == k)
+        yield trials, [op._rows(trials) if isinstance(op, KrausStack) else op for op in ops]
+
+
+def _scatter(n: int, pieces) -> np.ndarray:
+    """An ``(n, ...)`` array holding each piece's rows at its trials."""
+    out = None
+    for trials, values in pieces:
+        if out is None:
+            out = np.empty((n, *values.shape[1:]), dtype=values.dtype)
+        out[trials] = values
+    return out
+
+
+def _stacked(a, b) -> bool:
+    return isinstance(a, KrausStack) or isinstance(b, KrausStack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,43 +307,99 @@ class Instrument:
         return float(np.abs(total - np.eye(self.dim)).max())
 
 
-def apply_quantum_op(m: KrausOp, rho) -> np.ndarray:
-    """sum_k M_k rho M_k^dag; PSD in, PSD out, trace possibly decreased."""
+def apply_quantum_op(m, rho) -> np.ndarray:
+    """sum_k M_k rho M_k^dag; PSD in, PSD out, trace possibly decreased.
+
+    A :class:`KrausStack` of n operations applies to a stack ``(n, d, d)`` of
+    operators, trial by trial."""
+    if isinstance(m, KrausStack):
+        r = as_matrix_stack(rho)
+        _require_dim(r, m.dim_in)
+        return _scatter(len(r), ((t, _apply(op.kraus, r[t])) for t, (op,) in _rank_groups(m)))
     r = as_matrix(rho, square=True)
-    if r.shape[0] != m.dim_in:
-        raise ValueError(f"operator dim {r.shape[0]} does not match Kraus dim {m.dim_in}")
-    k = m.kraus
-    return (k @ r @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    _require_dim(r, m.dim_in)
+    return _apply(m.kraus, r)
 
 
-def compose_kraus(first: KrausOp, then: KrausOp) -> KrausOp:
+def _require_dim(r: np.ndarray, dim_in: int) -> None:
+    if r.shape[-1] != dim_in:
+        raise ValueError(f"operator dim {r.shape[-1]} does not match Kraus dim {dim_in}")
+
+
+def _apply(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``sum_k K_k R K_k^dag`` for Kraus arrays ``(..., r, d, d)`` and operators
+    ``(..., d, d)`` with the same leading axes."""
+    if r.ndim > 2:
+        r = r[..., None, :, :]  # the Kraus axis
+    return (k @ r @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
+
+
+def compose_kraus(first, then):
     """``first`` followed by ``then``: the products N_j M_k, j major."""
-    products = then.kraus[:, None] @ first.kraus[None, :]
-    return KrausOp._trusted(products.reshape(-1, then.dim_out, first.dim_in))
+    if _stacked(first, then):
+        return KrausStack.gather((t, compose_kraus(*ops)) for t, ops in _rank_groups(first, then))
+    products = then.kraus[..., None, :, :] @ first.kraus[..., None, :, :, :]
+    return KrausOp._trusted(products.reshape(products.shape[:-4] + (-1,) + products.shape[-2:]))
 
 
-def coarse_grain_kraus(a: KrausOp, b: KrausOp) -> KrausOp:
+def coarse_grain_kraus(a, b):
     """The coarse-graining a + b: one operation holding both Kraus lists."""
-    return KrausOp._trusted(np.concatenate([a.kraus, b.kraus]))
+    if _stacked(a, b):
+        return KrausStack.gather((t, coarse_grain_kraus(*ops)) for t, ops in _rank_groups(a, b))
+    return KrausOp._trusted(np.concatenate([a.kraus, b.kraus], axis=-3))
 
 
-def scale_kraus(lam: float, m: KrausOp) -> KrausOp:
-    """lam * m: every Kraus operator scaled by sqrt(lam)."""
-    return KrausOp._trusted(np.sqrt(lam) * m.kraus)
+def scale_kraus(lam, m):
+    """lam * m: every Kraus operator scaled by sqrt(lam).  For a stack ``m``
+    of n operations, ``lam`` may hold one factor per trial."""
+    if isinstance(m, KrausStack):
+        lam = np.broadcast_to(lam, (len(m),))
+        return KrausStack.gather((t, scale_kraus(lam[t], op)) for t, (op,) in _rank_groups(m))
+    root = np.sqrt(lam)
+    return KrausOp._trusted((root[:, None, None, None] if root.ndim else root) * m.kraus)
+
+
+def draw_kraus(rng: np.random.Generator, d: int, lam_low: float) -> tuple:
+    """Raw draw of :func:`random_kraus`: the Gaussian of a three-block Haar
+    isometry, how many blocks to keep (1 or 2) and lam in [lam_low, 1)."""
+    return complex_gaussian(rng, 3 * d, d), int(rng.integers(1, 3)), rng.uniform(lam_low, 1.0)
+
+
+def finish_kraus(a, keep, lam):
+    """Finish of :func:`random_kraus`: the first ``keep`` blocks of the
+    isometry of ``a``, scaled by sqrt(lam).  Stacked raw draws give a
+    :class:`KrausStack`, its trials grouped by ``keep``."""
+    blocks = isometry_blocks(a, 3)
+    if not isinstance(keep, np.ndarray):
+        return scale_kraus(lam, KrausOp._trusted(blocks[:keep]))
+    pieces = []
+    for k in np.flatnonzero(np.bincount(keep)):
+        t = np.flatnonzero(keep == k)
+        pieces.append((t, scale_kraus(lam[t], KrausOp._trusted(blocks[t, :k]))))
+    return KrausStack.gather(pieces)
 
 
 def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
     """One or two blocks of a Haar instrument, scaled by sqrt(lam) for lam
     uniform in [lam_low, 1): a random trace-decreasing operation."""
-    blocks = haar_isometry_blocks(rng, d, 3)
-    keep = int(rng.integers(1, 3))
-    return scale_kraus(rng.uniform(lam_low, 1.0), KrausOp._trusted(blocks[:keep]))
+    return finish_kraus(*draw_kraus(rng, d, lam_low))
+
+
+def finish_outcomes(a: np.ndarray, d: int) -> list:
+    """Finish of :func:`haar_outcomes` for its Gaussian ``a`` ``(n*d, d)``: the
+    n one-Kraus outcomes; for stacked Gaussians ``(m, n*d, d)``, each
+    outcome's :class:`KrausStack` of m trials."""
+    blocks = isometry_blocks(a, a.shape[-2] // d)
+    if blocks.ndim == 3:
+        return [KrausOp._trusted(blocks[j : j + 1]) for j in range(len(blocks))]
+    trials = (np.arange(len(blocks)),)
+    return [KrausStack((blocks[:, j : j + 1],), trials) for j in range(blocks.shape[1])]
 
 
 def haar_outcomes(rng: np.random.Generator, d: int, n: int) -> list[KrausOp]:
     """The ``n`` one-Kraus outcomes of a Haar instrument, complete by construction,
     so the ``Instrument`` or ``Action`` built from them is their one check."""
-    return [KrausOp._trusted([b]) for b in haar_isometry_blocks(rng, d, n)]
+    return finish_outcomes(complex_gaussian(rng, n * d, d), d)
 
 
 def complement_kraus(m: KrausOp) -> KrausOp:
@@ -225,7 +413,7 @@ def complement_kraus(m: KrausOp) -> KrausOp:
 CHOI_BLOCK = 64
 
 
-def choi_distance(a: KrausOp, b: KrausOp) -> float:
+def choi_distance(a, b):
     """max |J(a) - J(b)|, the largest entry of the difference of Choi matrices.
 
     By realignment this equals the max-abs distance of the superoperators
@@ -241,18 +429,28 @@ def choi_distance(a: KrausOp, b: KrausOp) -> float:
     columns ``i:`` of ``S``; the block maxima are folded with ``np.maximum``,
     which keeps a NaN.  The peak temporary is one block of
     ``CHOI_BLOCK * D^2`` complex entries, not the ``D^2 x D^2`` matrix.
+    Stacks of operations give one distance per trial.
     """
-    if a.kraus.shape[1:] != b.kraus.shape[1:]:
-        raise ValueError(f"operations map {a.kraus.shape[1:]} and {b.kraus.shape[1:]}")
+    if _stacked(a, b):
+        n = len(a) if isinstance(a, KrausStack) else len(b)
+        return _scatter(n, ((t, choi_distance(*ops)) for t, ops in _rank_groups(a, b)))
+    ka, kb = a.kraus, b.kraus
+    if ka.shape[-2:] != kb.shape[-2:]:
+        raise ValueError(f"operations map {ka.shape[-2:]} and {kb.shape[-2:]}")
+    lead = ka.shape[:-3]
+    if kb.shape[:-3] != lead:
+        lead = np.broadcast_shapes(lead, kb.shape[:-3])
+        ka, kb = (np.broadcast_to(k, lead + k.shape[-3:]) for k in (ka, kb))
     # Not coarse_grain_kraus: a KrausOp rejects a NaN entry that this distance must report.
-    w = np.concatenate([a.kraus, b.kraus]).reshape(len(a.kraus) + len(b.kraus), -1)
+    w = np.concatenate([ka, kb], axis=-3).reshape(lead + (ka.shape[-3] + kb.shape[-3], -1))
     s = w.conj()
-    s[len(a.kraus) :] *= -1
-    wt = w.T
-    top = np.abs(wt[:CHOI_BLOCK] @ s).max()
-    for i in range(CHOI_BLOCK, len(wt), CHOI_BLOCK):
-        top = np.maximum(top, np.abs(wt[i : i + CHOI_BLOCK] @ s[:, i:]).max())
-    return float(top)
+    s[..., ka.shape[-3] :, :] *= -1
+    wt = w.swapaxes(-1, -2)
+    top = np.abs(wt[..., :CHOI_BLOCK, :] @ s).max(axis=(-2, -1))
+    for i in range(CHOI_BLOCK, wt.shape[-2], CHOI_BLOCK):
+        block = wt[..., i : i + CHOI_BLOCK, :] @ s[..., :, i:]
+        top = np.maximum(top, np.abs(block).max(axis=(-2, -1)))
+    return float(top) if top.ndim == 0 else top
 
 
 def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
@@ -555,6 +753,8 @@ class QuantumModel(TheoryModel):
         return self.outcome_action(inst.outcomes)
 
     # -- interface ----------------------------------------------------------
+    # Payloads may be stacks of trials: states and effects ``(n, d, d)``,
+    # transformations a KrausStack; every method works on either.
     def identity(self) -> Transformation:
         return Transformation(self, KrausOp._trusted([np.eye(self.d)]), "identity")
 
@@ -567,8 +767,8 @@ class QuantumModel(TheoryModel):
     def apply(self, t: Transformation, s: State) -> State:
         return State(self, apply_quantum_op(t.payload, s.payload))
 
-    def evaluate(self, e: Effect, s: State) -> float:
-        return float(np.trace(e.payload @ s.payload).real)
+    def evaluate(self, e: Effect, s: State):
+        return value(np.trace(e.payload @ s.payload, axis1=-2, axis2=-1).real)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         return Transformation(self, compose_kraus(first.payload, then.payload), "")
@@ -576,15 +776,18 @@ class QuantumModel(TheoryModel):
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
         return Transformation(self, coarse_grain_kraus(t1.payload, t2.payload), "")
 
-    def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
+    def scale_transformation(self, lam, t: Transformation) -> Transformation:
         return Transformation(self, scale_kraus(lam, t.payload), "")
 
     def complement(self, t: Transformation) -> Transformation:
         return Transformation(self, complement_kraus(t.payload), f"~{t.label}")
 
-    def effect_leq_unit(self, e: Effect) -> bool:
-        eigs = eigvals_herm(e.payload)
-        return bool(eigs[0] >= -TOL_EFFECT and eigs[-1] <= 1.0 + TOL_EFFECT)
+    def effect_leq_unit(self, e: Effect):
+        if np.ndim(e.payload) == 3:
+            eigs = np.linalg.eigvalsh(require_hermitian_stack(e.payload))
+        else:
+            eigs = eigvals_herm(e.payload)
+        return value((eigs[..., 0] >= -TOL_EFFECT) & (eigs[..., -1] <= 1.0 + TOL_EFFECT))
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)
@@ -595,25 +798,34 @@ class QuantumModel(TheoryModel):
     def state_coords(self, s: State) -> np.ndarray:
         return hermitian_coords(s.payload)
 
-    def state_distance(self, s1: State, s2: State) -> float:
+    def state_distance(self, s1: State, s2: State):
         return trace_norm(s1.payload - s2.payload)
 
-    def transformation_distance(self, t1: Transformation, t2: Transformation) -> float:
+    def transformation_distance(self, t1: Transformation, t2: Transformation):
         """Largest entry of the Choi-matrix difference (:func:`choi_distance`),
         equal by realignment to the max-abs superoperator distance."""
         return choi_distance(t1.payload, t2.payload)
 
-    def random_state(self, rng: np.random.Generator) -> State:
-        return State(self, ginibre_state(rng, self.d))
+    def draw_state(self, rng: np.random.Generator) -> tuple:
+        return (complex_gaussian(rng, self.d, self.d),)
 
-    def random_transformation(self, rng: np.random.Generator) -> Transformation:
-        return Transformation(self, random_kraus(rng, self.d, 0.3), "random")
+    def finish_state(self, g) -> State:
+        return State(self, unit_trace(gram(g)))
+
+    def draw_transformation(self, rng: np.random.Generator) -> tuple:
+        return draw_kraus(rng, self.d, 0.3)
+
+    def finish_transformation(self, a, keep, lam) -> Transformation:
+        return Transformation(self, finish_kraus(a, keep, lam), "random")
+
+    def draw_action(self, rng: np.random.Generator, outcomes: int) -> tuple:
+        return (complex_gaussian(rng, outcomes * self.d, self.d),)
+
+    def finish_action(self, a) -> Action:
+        return self.outcome_action(finish_outcomes(a, self.d))
 
     def random_instrument(self, rng: np.random.Generator, outcomes: int) -> Instrument:
         return Instrument(haar_outcomes(rng, self.d, outcomes))
-
-    def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
-        return self.outcome_action(haar_outcomes(rng, self.d, outcomes))
 
     def minimal_ic_effects(self) -> list[Effect]:
         return [Effect(self, k) for k in minimal_ic_povm(self.d)]

@@ -6,6 +6,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from numbers import Number
 from typing import Any
 
@@ -22,6 +23,15 @@ def worst_defect(*defects: float) -> float:
     tolerance.  As +inf it fails every one.
     """
     return max((math.inf if math.isnan(d) else d for d in defects), default=0.0)
+
+
+def worst_defects(*defects):
+    """:func:`worst_defect` trial by trial: the elementwise largest of arrays
+    of per-trial defects, NaN as +inf; of numbers alone, :func:`worst_defect`."""
+    if not any(isinstance(d, np.ndarray) for d in defects):
+        return worst_defect(*defects)
+    worst = reduce(np.maximum, defects)  # np.maximum keeps a NaN
+    return np.where(np.isnan(worst), np.inf, worst)
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,17 @@ class Check:
 CHUNK_ENTRIES = 2**15
 
 
+def _entries(drawn: Any) -> int | None:
+    """The number of entries of the arrays and numbers ``drawn`` holds, in
+    tuples nested to any depth; None when it holds anything else."""
+    if isinstance(drawn, (np.ndarray, Number)):
+        return np.size(drawn)
+    if not isinstance(drawn, tuple):
+        return None
+    sizes = [_entries(x) for x in drawn]
+    return None if None in sizes else sum(sizes)
+
+
 def _chunk_length(drawn: Any) -> int:
     """How many trials of the size of ``drawn`` fill a chunk.
 
@@ -54,10 +75,10 @@ def _chunk_length(drawn: Any) -> int:
     holds.  A draw holding anything else (a model object) has a size the
     runner cannot see, so it fills a chunk alone.
     """
-    items = drawn if isinstance(drawn, tuple) else (drawn,)
-    if not all(isinstance(x, (np.ndarray, Number)) for x in items):
+    size = _entries(drawn)
+    if size is None:
         return 1
-    return max(1, CHUNK_ENTRIES // max(1, sum(np.size(x) for x in items)))
+    return max(1, CHUNK_ENTRIES // max(1, size))
 
 
 def trial_outcomes(

@@ -26,6 +26,8 @@ from optheory.quantum import PAULI_X, KrausOp, z_instrument
 from optheory.report import Check, VerificationReport, combine_reports
 
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
+# The one-outcome identity instrument on a qubit, as fixture JSON.
+IDENTITY_JSON = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
 
 
 class TestSuiteConfig:
@@ -196,6 +198,71 @@ class TestMutantDetection:
         (witness,) = [s["witness"] for s in subs if s["witness"]]
         assert witness["rejected_fixture"] == str(fixture_path)
         assert witness["reason"].startswith("malformed fixture")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("rows", 2.5),
+            ("rows", 2.0),
+            ("rows", "2"),
+            ("rows", True),
+            ("cols", None),
+            ("re", ["1e0", 0.0, 0.0, 1.0]),
+            ("re", [True, 0.0, 0.0, True]),
+            ("im", [[0.0, 0.0], [0.0, 0.0]]),
+            ("im", "0000"),
+        ],
+    )
+    def test_wrongly_typed_instrument_is_rejected_naming_the_key(
+        self, key, value, tmp_path, capsys
+    ):
+        witness, code = self._fixture_witness(
+            "--fixture", "quantum-nosig", [[{**IDENTITY_JSON, key: value}]], tmp_path, capsys
+        )
+        assert code == 1
+        assert witness["rejected_fixture"].endswith("fixture.json")
+        assert witness["reason"].startswith("malformed fixture") and repr(key) in witness["reason"]
+
+    @pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]])
+    def test_wrongly_typed_box_is_rejected_naming_the_key(self, entry, tmp_path, capsys):
+        entries = pr_box().to_json()
+        entries[3] = entry
+        for content in (entries, {"p": entries}):
+            witness, code = self._fixture_witness("--box", "boxworld", content, tmp_path, capsys)
+            assert code == 1
+            assert witness["reason"].startswith("malformed fixture") and "'p'" in witness["reason"]
+
+    @pytest.mark.parametrize(
+        "flag,suite,content,expected",
+        [
+            # JSON integers are numbers: the identity instrument, entries as ints.
+            ("--fixture", "quantum-nosig", [[{**IDENTITY_JSON, "re": [1, 0, 0, 1]}]], 0),
+            ("--fixture", "quantum-nosig", instrument_to_json(z_instrument()), 0),
+            ("--fixture", "quantum-nosig", json.loads(MUTANT_FILE.read_text()), 1),
+            ("--box", "boxworld", {"p": pr_box().to_json()}, 0),
+            ("--box", "boxworld", [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0], 1),
+        ],
+        ids=["int-identity", "z-instrument", "mutant-instrument", "pr-box", "signaling-box"],
+    )
+    def test_well_typed_fixtures_keep_their_verdicts(
+        self, flag, suite, content, expected, tmp_path, capsys
+    ):
+        # The mutant instrument is rejected by value (it is incomplete), not by type.
+        witness, code = self._fixture_witness(flag, suite, content, tmp_path, capsys)
+        assert code == expected
+        assert not witness.get("reason", "").startswith("malformed fixture")
+
+    @staticmethod
+    def _fixture_witness(flag, suite, content, tmp_path, capsys):
+        """The fixture sub-report's witness and the exit code of one run."""
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text(json.dumps(content))
+        out_path = tmp_path / "out.json"
+        argv = ["--suite", suite, flag, str(fixture_path), "--trials", "2", "--json", str(out_path)]
+        code = main(argv)
+        capsys.readouterr()
+        (sub,) = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
+        return sub["witness"] or {}, code
 
     def test_dsum_suite_runs_on_from_local(self, monkeypatch, capsys):
         # Planted defect: the passive sector gets sqrt(p) X instead of sqrt(p) I

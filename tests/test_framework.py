@@ -348,7 +348,7 @@ def test_readme_names_what_a_theory_writes():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Adding a theory", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`(\w+)", section))
-    assert len(TheoryModel.__abstractmethods__) == 18
+    assert len(TheoryModel.__abstractmethods__) == 21
     assert BipartiteModel.__abstractmethods__ == {"_embed"}
     assert TheoryModel.__abstractmethods__ <= named
     assert "_embed" in named

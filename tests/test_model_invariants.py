@@ -21,6 +21,7 @@ from optheory.framework import (
     model_invariant_suite,
     no_signaling_check,
     prob,
+    trial_factor,
 )
 from optheory.quantum import QuantumBipartite, QuantumModel
 from optheory.report import worst_defect
@@ -76,11 +77,11 @@ class ComposeReversed(ClassicalModel):
 
 
 class MixRenormalized(ClassicalModel):
-    """``mix_states`` renormalizes its result."""
+    """``mix_states`` renormalizes its result (each trial's, in a stack)."""
 
     def mix_states(self, s1, s2, w1, w2):
         mixed = super().mix_states(s1, s2, w1, w2)
-        return State(self, mixed.payload / mixed.payload.sum())
+        return State(self, mixed.payload / mixed.payload.sum(axis=-1, keepdims=True))
 
 
 class LossyIdentity(ClassicalModel):
@@ -91,10 +92,12 @@ class LossyIdentity(ClassicalModel):
 
 
 class ScaleShifted(ClassicalModel):
-    """``scale_transformation`` shifts the dynamics before scaling."""
+    """``scale_transformation`` shifts the dynamics before scaling (by each
+    trial's factor, in a stack)."""
 
     def scale_transformation(self, lam, t):
-        return Transformation(self, lam * (t.payload + 0.01 * np.eye(self.n)))
+        shifted = t.payload + 0.01 * np.eye(self.n)
+        return Transformation(self, trial_factor(lam, t.payload) * shifted)
 
 
 class ComposeSandwich(ClassicalModel):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from optheory import cli, framework, quantum, report
 from optheory.cli import SUITES, SuiteConfig, main, run_suite
+from optheory.directsum import DSumModel
+from optheory.quantum import QuantumModel
 from optheory.report import (
     Check,
     VerificationReport,
@@ -341,4 +344,114 @@ def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
     ]
     assert halves[0] + halves[1] == full
     tols = {"reduced_positivity": 1e-10}
+    assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
+
+
+# ---------------------------------------------------------------------------
+# The framework invariants are evaluated as stacked chunks too
+# ---------------------------------------------------------------------------
+
+INVARIANT_CASES = [(QuantumModel(6), 150, 100), (DSumModel(6, 6), 80, 50)]
+
+
+def _planted(model, plant):
+    """A model of ``model``'s class whose stacked transformation distances
+    pass through ``plant(distances)`` first."""
+
+    cls = type(model)
+
+    def transformation_distance(self, t1, t2):
+        return plant(np.array(cls.transformation_distance(self, t1, t2), dtype=float))
+
+    namespace = {"transformation_distance": transformation_distance}
+    planted = type(f"Planted{cls.__name__}", (cls,), namespace)
+    return planted(*(getattr(model, f.name) for f in fields(model) if f.init))
+
+
+def _spy_on_invariant_chunks(monkeypatch):
+    """Record each chunk's length in ``chunks``; while a chunk is evaluated,
+    ``state["position"]`` is the position in it of trial ``state["bad"]``,
+    or None when the chunk does not hold that trial."""
+    chunks, state = [], {"bad": None}
+    real = framework.invariant_defects
+
+    def spy(model, *objects):
+        offset, n = sum(chunks), len(objects[-1])
+        chunks.append(n)
+        bad = state["bad"]
+        state["position"] = bad - offset if bad is not None and offset <= bad < offset + n else None
+        return real(model, *objects)
+
+    monkeypatch.setattr(framework, "invariant_defects", spy)
+    return chunks, state
+
+
+@pytest.mark.parametrize("model,trials,bad", INVARIANT_CASES, ids=lambda x: getattr(x, "name", x))
+def test_a_planted_nan_distance_in_a_middle_chunk_fails_associativity(
+    model, trials, bad, monkeypatch
+):
+    chunks, state = _spy_on_invariant_chunks(monkeypatch)
+    state["bad"] = bad
+
+    def plant(distances):
+        if state["position"] is not None:
+            distances[state["position"]] = math.nan
+        return distances
+
+    rep = framework.model_invariant_suite(_planted(model, plant), seed=1, trials=trials, outcomes=2)
+    assert len(chunks) == 3 and chunks[0] == chunks[1] > chunks[2]
+    assert chunks[0] < bad < 2 * chunks[0]
+    checks = {c.name: c for c in rep.checks}
+    assert not rep.passed
+    for name in ("associativity", "identity_neutral", "distributivity"):
+        assert checks[name].defect == math.inf and checks[name].worst_trial == bad, name
+    assert checks["completeness"].passed
+
+
+@pytest.mark.parametrize("model,trials,bad", INVARIANT_CASES, ids=lambda x: getattr(x, "name", x))
+def test_a_planted_probability_shift_in_a_middle_chunk_fails_completeness(
+    model, trials, bad, monkeypatch
+):
+    chunks, state = _spy_on_invariant_chunks(monkeypatch)
+    state["bad"] = bad
+    real_prob = framework.prob
+
+    def shifted(omega, t):
+        p = real_prob(omega, t)
+        if t.label == "outcome0" and state["position"] is not None:
+            p = p.copy()
+            p[state["position"]] -= 1.0
+        return p
+
+    monkeypatch.setattr(framework, "prob", shifted)
+    rep = framework.model_invariant_suite(model, seed=1, trials=trials, outcomes=2)
+    assert chunks[0] < bad < 2 * chunks[0]
+    (completeness,) = [c for c in rep.checks if c.name == "completeness"]
+    assert completeness.defect == pytest.approx(1.0, abs=1e-12)
+    assert completeness.worst_trial == bad
+    assert [c.name for c in rep.checks if not c.passed] == ["completeness"]
+
+
+@pytest.mark.parametrize("model,trials,split", INVARIANT_CASES, ids=lambda x: getattr(x, "name", x))
+def test_two_invariant_shards_split_inside_a_chunk_reproduce_the_full_run(
+    model, trials, split, monkeypatch
+):
+    calls = []
+    real = report.trial_outcomes
+
+    def spy(seed, indices, draw, evaluate):
+        calls.append((draw, evaluate))
+        return real(seed, indices, draw, evaluate)
+
+    monkeypatch.setattr(report, "trial_outcomes", spy)
+    framework.model_invariant_suite(model, seed=3, trials=1, outcomes=2)
+    ((draw, evaluate),) = calls
+    chunk = report._chunk_length(draw(trial_rng(3, 0), 0))
+    assert chunk < split < 2 * chunk
+    full = list(real(3, range(trials), draw, evaluate))
+    halves = [
+        list(real(3, range(a, b), draw, evaluate)) for a, b in ((0, split), (split, trials))
+    ]
+    assert halves[0] + halves[1] == full
+    tols = dict.fromkeys(framework._INVARIANTS, 1e-9)
     assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
