@@ -302,7 +302,10 @@ class DSumModel(TheoryModel):
         """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
         real part of each trace is the Hilbert-Schmidt product ``vdot(K, rho)``."""
         (kp, km), (rp, rm) = e.payload, s.payload.blocks
-        if kp.ndim == 2 and rp.ndim == 2:  # one effect and one state
+        if kp.ndim == 2 and rp.ndim == 2:
+            # One effect and one state: the same products as the stacked
+            # path, without its reshapes, which slow the dsum suite by
+            # about 6% (``evaluate_fork`` in BENCH_16.json).
             return float(np.vdot(kp, rp).real + np.vdot(km, rm).real)
         return _hilbert_schmidt(kp, rp) + _hilbert_schmidt(km, rm)
 

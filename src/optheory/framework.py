@@ -17,14 +17,16 @@ Conventions:
   checked before renormalization; ``condition`` renormalizes.
 
 Payloads may carry a leading trial axis: a stack of n states, effects or
-transformations is one object whose payload holds them all, and every model
-operation and every generic operation here (``prob``, ``condition``,
-``compose``, ``add_coexistent``, ``scale``, ...) then returns one result per
-trial, each equal to the operation on that trial's objects alone, with the
-same checks made trial by trial.  :func:`model_invariant_suite` draws raw
-randomness trial by trial (``draw_state``, ``draw_transformation``,
-``draw_action``), finishes a chunk of draws as stacks
-(``finish_state``, ...), and evaluates the whole chunk at once.
+transformations is one object whose payload holds them all.  The operations
+that :func:`invariant_defects` runs (``prob``, ``condition``, ``compose``,
+``add_coexistent``, ``scale``, and the model's ``effect_of``, ``apply``,
+``evaluate``, ``mix_states``, ``effect_leq_unit`` and the two distances)
+then return one result per trial, each equal to the operation on that
+trial's objects alone, with the same checks made trial by trial;
+``complement`` takes single objects only.  :func:`model_invariant_suite`
+draws raw randomness trial by trial (``draw_state``,
+``draw_transformation``, ``draw_action``), finishes a chunk of draws as
+stacks (``finish_state``, ...), and evaluates the whole chunk at once.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ class Action:
 class TheoryModel(ABC):
     """Interface one physical theory implements to plug into the framework.
 
-    Its operations take single objects or stacks of trials alike.  Random
+    The operations that :func:`invariant_defects` runs take single objects
+    or stacks of trials alike (see the module docstring).  Random
     objects come from a raw draw, which makes every call on the generator,
     and a finish, which takes the raw draw's values, or a stack of them along
     a leading trial axis, and builds the object or the stack of objects."""
@@ -627,6 +630,8 @@ def model_invariant_suite(
         defects = invariant_defects(model, omega, omega2, ta, tb, tc, action, np.array(lam))
         outcomes_by_trial: list[dict[str, float]] = [{} for _ in drawn]
         for name, (rows, values) in defects.items():
+            # A model may answer a whole stack with one number (a distance
+            # that is NaN whatever its operands, say); it holds for each trial.
             for k, v in zip(rows.tolist(), np.broadcast_to(values, rows.shape).tolist()):
                 outcomes_by_trial[k][name] = v
         return outcomes_by_trial

@@ -19,7 +19,6 @@ from optheory.directsum import DSumModel
 from optheory.framework import (
     ClassicalModel,
     State,
-    Transformation,
     add_coexistent,
     compose,
     condition,
@@ -252,23 +251,6 @@ def test_stacked_invariants_equal_the_one_object_evaluation(kind, d, n, branch, 
         }
         assert at_k == alone
         assert ("bayes_chain" in alone) == (factors[k] == 1.0)
-
-
-@pytest.mark.parametrize("kind", ["classical", "quantum", "dsum"])
-def test_the_one_object_samplers_are_finished_raw_draws(kind):
-    # random_state and friends are the finish of their own raw draw, so they
-    # make exactly the generator calls of the raw draw.
-    model = _model(kind, 3)
-    one, raw = trial_rng(9), trial_rng(9)
-    state = model.random_state(one)
-    expected = model.finish_state(*model.draw_state(raw))
-    assert isinstance(state, State) and isinstance(model.random_transformation(one), Transformation)
-    model.draw_transformation(raw)
-    assert one.uniform() == raw.uniform()
-    payloads = (state.payload, expected.payload)
-    if kind == "dsum":
-        payloads = tuple(p.rho_plus for p in payloads)
-    assert np.array_equal(*payloads)
 
 
 def test_a_zero_weight_trial_raises_for_the_whole_stack():
