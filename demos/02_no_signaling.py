@@ -34,7 +34,7 @@ worst = max(
 )
 print("embedded classical ops commute up to", worst)
 
-correlated = bip.joint_state([0.5, 0.0, 0.0, 0.5])
+correlated = bip.joint.state([0.5, 0.0, 0.0, 0.5])
 action = bip.left.random_action(rng, 3)
 probes = [bip.right.random_transformation(rng) for _ in range(4)]
 report = no_signaling_check(correlated, action, bip, probes, tol=1e-10)

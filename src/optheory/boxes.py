@@ -37,7 +37,8 @@ class Box:
             raise ValueError("box probabilities must be finite (no NaN/Inf)")
         if t.min() < 0.0:
             raise ValueError("box probabilities must be nonnegative")
-        sums = t.sum(axis=(2, 3))
+        with np.errstate(over="ignore"):  # finite entries summing to inf fail below
+            sums = t.sum(axis=(2, 3))
         if np.abs(sums - 1.0).max() > 1e-12:
             raise ValueError("each setting pair must have normalized outcomes")
         t = t.copy()

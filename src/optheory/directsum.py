@@ -214,7 +214,7 @@ def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
         raise ValueError(f"need at least {(d1 + d2) ** 2} samples for a decisive rank")
     bip = DSumBipartite(d1, d2)
     payloads = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(samples)]
-    return rank_of_rows(bip.ambient_rows(bip.stack_payloads(payloads)))
+    return rank_of_rows(bip.ambient_rows(bip.joint.stack_effects(payloads)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,11 @@ class DSumModel(TheoryModel):
             return DSumState._trusted(*(b[trials] for b in payload.blocks))
         return tuple(p[trials] for p in payload)
 
+    def stack_effects(self, payloads) -> tuple[np.ndarray, np.ndarray]:
+        """Block pairs (K_plus, K_minus) as one stack of each block."""
+        plus, minus = zip(*payloads)
+        return np.stack(plus), np.stack(minus)
+
     def draw_state(self, rng: np.random.Generator) -> tuple:
         w = rng.uniform(0.1, 0.9)
         q1, q2 = self.sectors
@@ -428,14 +433,6 @@ class DSumBipartite(BipartiteModel):
         plus = (q[None, :, None, None] * kl[:, None]).reshape(-1, self.d1, self.d1)
         minus = (p[:, None, None, None] * kr[None, :]).reshape(-1, self.d2, self.d2)
         return plus, minus
-
-    def stack_payloads(self, payloads) -> tuple[np.ndarray, np.ndarray]:
-        """Block pairs (K_plus, K_minus) as one stack of each block."""
-        plus, minus = zip(*payloads)
-        return np.stack(plus), np.stack(minus)
-
-    def split_payloads(self, stack) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(zip(*stack))
 
     @property
     def ambient_effect_dim(self) -> int:

@@ -3,8 +3,10 @@
 Fixture names resolve to built-in objects ("z-instrument", "x-instrument",
 "pr-box") or to packaged JSON files ("mutant-instrument",
 "signaling-box", used to prove the verifiers are not vacuous).  Anything
-else is treated as a filesystem path.  A file that parses as JSON but lacks
-the expected structure raises ``ValueError``, like one with invalid entries.
+else is treated as a filesystem path.  A path that is not a readable regular
+file raises ``FileNotFoundError``.  A file that does not parse as JSON, or
+parses but lacks the expected structure, raises ``ValueError``, like one with
+invalid entries.
 """
 
 from __future__ import annotations
@@ -33,9 +35,20 @@ def _data_text(name: str) -> str:
 
 
 def _read_json(source: str):
-    if Path(source).exists():
-        return json.loads(Path(source).read_text())
-    raise FileNotFoundError(f"fixture file not found: {source}")
+    """The JSON value of the file at ``source``.  A path that is not a
+    readable regular file raises ``FileNotFoundError``, a usage error; a
+    file that is not JSON, or nests too deeply to parse, ``ValueError``."""
+    path = Path(source)
+    try:
+        text = path.read_text() if path.is_file() else None
+    except OSError:  # unreadable, or a name too long for the file system
+        text = None
+    if text is None:
+        raise FileNotFoundError(f"fixture is not a readable file: {source}")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"malformed fixture {source}: JSON nested too deeply") from None
 
 
 def _parse(build, source: str):

@@ -222,13 +222,6 @@ class TheoryModel(ABC):
     def effect_coords(self, e: Effect) -> np.ndarray:
         """Real coordinates of an effect; equal coordinates = equal effects."""
 
-    def effect_rows(self, payloads) -> np.ndarray:
-        """``effect_coords`` of a sequence of effect payloads, one row each.
-
-        Models whose coordinates are taken entry by entry of an array payload
-        override it with one call on the stacked payloads."""
-        return np.array([self.effect_coords(Effect(self, p)) for p in payloads])
-
     @abstractmethod
     def state_coords(self, s: State) -> np.ndarray:
         """Real linear embedding of a state, dual to ``effect_coords``."""
@@ -269,10 +262,16 @@ class TheoryModel(ABC):
     def random_action(self, rng: np.random.Generator, outcomes: int) -> Action:
         return self.finish_action(*self.draw_action(rng, outcomes))
 
-    def take(self, payload: Any, trials: np.ndarray) -> Any:
-        """The payload of the sub-stack of a stacked payload at the ascending
-        ``trials``; payloads that index by trial need no override."""
+    def take(self, payload: Any, trials) -> Any:
+        """The payload at one trial index of a stacked payload, or of its
+        sub-stack at the ascending ``trials``; payloads that index by trial
+        need no override."""
         return payload[trials]
+
+    def stack_effects(self, payloads: Sequence[Any]) -> Any:
+        """Effect payloads as one stacked payload along a new leading trial
+        axis, which ``take`` indexes and ``effect_coords`` maps to one row each."""
+        return np.stack(payloads)
 
     def minimal_ic_effects(self) -> list[Effect]:
         """A built-in minimal informationally complete observable, if any."""
@@ -300,9 +299,9 @@ class BipartiteModel(ABC):
 
     The defining property is dynamical independence: embedded left and right
     transformations commute (checked, not assumed, by the test suites).
-    A composite writes only ``_embed``, and the payload-stack hooks
-    (``product_payloads``, ``stack_payloads``, ``split_payloads`` and
-    ``ambient_rows``) when its joint effects are not array payloads.
+    A composite writes only ``_embed``, and ``product_payloads`` and
+    ``ambient_rows`` when its joint effects are not array payloads.  Stacks
+    of joint effect payloads are the joint model's (``stack_effects``, ``take``).
     """
 
     left: TheoryModel
@@ -325,8 +324,8 @@ class BipartiteModel(ABC):
 
     def product_payloads(self, lefts: Sequence[Effect], rights: Sequence[Effect]):
         """Joint payloads of the products of every left and right effect as one
-        stack (see ``stack_payloads``), the product of ``lefts[i]`` and
-        ``rights[j]`` at index ``i * len(rights) + j``.
+        stack (see ``TheoryModel.stack_effects``), the product of ``lefts[i]``
+        and ``rights[j]`` at index ``i * len(rights) + j``.
 
         Array payloads: one ``np.kron`` of the stacked local payloads, whose
         leading axis indexes the products."""
@@ -335,19 +334,9 @@ class BipartiteModel(ABC):
         out = np.kron(left[:, None], right[None])
         return out.reshape(-1, *out.shape[2:])
 
-    def stack_payloads(self, payloads: Sequence[Any]):
-        """Joint effect payloads as one stack, the form ``product_payloads``
-        returns and ``ambient_rows`` takes: array payloads along a new leading axis."""
-        return np.stack(payloads)
-
-    def split_payloads(self, stack) -> list:
-        """The joint effect payloads of a stack, inverse to ``stack_payloads``."""
-        return list(stack)
-
     def product_effect(self, e_left: Effect, e_right: Effect) -> Effect:
         """Joint effect of jointly performing a left and a right outcome."""
-        (payload,) = self.split_payloads(self.product_payloads([e_left], [e_right]))
-        return Effect(self.joint, payload)
+        return Effect(self.joint, self.joint.take(self.product_payloads([e_left], [e_right]), 0))
 
     @property
     def ambient_effect_dim(self) -> int:
@@ -357,7 +346,7 @@ class BipartiteModel(ABC):
     def ambient_rows(self, stack) -> np.ndarray:
         """Coordinates of a stack of joint effect payloads in the ambient
         composite system, one row each."""
-        return self.joint.effect_rows(stack)
+        return self.joint.effect_coords(Effect(self.joint, stack))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         tl = self.left.random_transformation(rng)
@@ -747,16 +736,14 @@ class ClassicalModel(TheoryModel):
         return self.n
 
     # -- factories ----------------------------------------------------------
-    def state(self, vec, normalize: bool = False) -> State:
+    def state(self, vec) -> State:
         v = np.asarray(vec, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"state vector must have shape ({self.n},)")
         if v.min() < -TOL_EFFECT:
             raise ValueError("state vector has negative entries")
         v = np.clip(v, 0.0, None)
-        if normalize:
-            v = v / v.sum()
-        elif abs(v.sum() - 1.0) > TOL_EFFECT:
+        if abs(v.sum() - 1.0) > TOL_EFFECT:
             raise ValueError(f"state vector sums to {v.sum()}, expected 1")
         return State(self, v)
 
@@ -809,9 +796,6 @@ class ClassicalModel(TheoryModel):
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.asarray(e.payload, dtype=float)
 
-    def effect_rows(self, payloads) -> np.ndarray:
-        return np.asarray(payloads, dtype=float)
-
     def state_coords(self, s: State) -> np.ndarray:
         return np.asarray(s.payload, dtype=float)
 
@@ -859,9 +843,6 @@ class ClassicalBipartite(BipartiteModel):
         if side == 1:
             return np.kron(t.payload, np.eye(self.n2))
         return np.kron(np.eye(self.n1), t.payload)
-
-    def joint_state(self, vec) -> State:
-        return self.joint.state(vec)
 
 
 def _chain_label(first: Transformation, then: Transformation) -> str:

@@ -370,4 +370,5 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = _json_dimension(obj, "rows"), _json_dimension(obj, "cols")
     re = json_numbers(obj["re"], "re").reshape(rows, cols)
     im = json_numbers(obj["im"], "im").reshape(rows, cols)
-    return as_matrix(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf is NaN, which as_matrix rejects
+        return as_matrix(re + 1j * im)

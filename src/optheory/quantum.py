@@ -732,14 +732,12 @@ class QuantumModel(TheoryModel):
         return self.d * self.d
 
     # -- factories ----------------------------------------------------------
-    def state(self, matrix, normalize: bool = False) -> State:
+    def state(self, matrix) -> State:
         m = require_psd(matrix, "density operator must be PSD")
         if m.shape[0] != self.d:
             raise ValueError(f"state must be {self.d}x{self.d}")
         tr = float(np.trace(m).real)
-        if normalize:
-            m = m / tr
-        elif abs(tr - 1.0) > TOL_EFFECT:
+        if abs(tr - 1.0) > TOL_EFFECT:
             raise ValueError(f"density operator has trace {tr}, expected 1")
         return State(self, m)
 
@@ -791,9 +789,6 @@ class QuantumModel(TheoryModel):
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)
-
-    def effect_rows(self, payloads) -> np.ndarray:
-        return hermitian_coords(payloads)
 
     def state_coords(self, s: State) -> np.ndarray:
         return hermitian_coords(s.payload)

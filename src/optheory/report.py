@@ -16,22 +16,25 @@ from .sampling import trial_rng
 
 
 def worst_defect(*defects: float) -> float:
-    """Largest of ``defects`` (0.0 for none), counting NaN as +inf.
+    """Largest of ``defects`` (0.0 for none), counting NaN and negative
+    defects as +inf.
 
     Python's ``max`` drops a NaN that is not its first argument and every
     comparison with NaN is false, so a NaN defect would otherwise pass any
-    tolerance.  As +inf it fails every one.
+    tolerance; a negative one, which no distance or gap can be, would pass
+    too, hidden by the 0.0 a fold starts from.  As +inf each fails every
+    tolerance.  ``-0.0`` is not negative.
     """
-    return max((math.inf if math.isnan(d) else d for d in defects), default=0.0)
+    return max((math.inf if math.isnan(d) or d < 0 else d for d in defects), default=0.0)
 
 
 def worst_defects(*defects):
     """:func:`worst_defect` trial by trial: the elementwise largest of arrays
-    of per-trial defects, NaN as +inf; of numbers alone, :func:`worst_defect`."""
+    of per-trial defects, NaN and negative defects as +inf; of numbers
+    alone, :func:`worst_defect`."""
     if not any(isinstance(d, np.ndarray) for d in defects):
         return worst_defect(*defects)
-    worst = reduce(np.maximum, defects)  # np.maximum keeps a NaN
-    return np.where(np.isnan(worst), np.inf, worst)
+    return reduce(np.maximum, (np.where(np.isnan(d) | (d < 0), np.inf, d) for d in defects))
 
 
 @dataclass(frozen=True)

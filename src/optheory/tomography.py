@@ -64,7 +64,8 @@ class Observable:
         return len(self.effects)
 
     def coordinate_rows(self) -> np.ndarray:
-        return self.model.effect_rows([e.payload for e in self.effects])
+        stack = self.model.stack_effects([e.payload for e in self.effects])
+        return self.model.effect_coords(Effect(self.model, stack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +136,8 @@ def _require_components(o1: Observable, o2: Observable, bip: BipartiteModel) -> 
 def product_observable(o1: Observable, o2: Observable, bip: BipartiteModel) -> Observable:
     """All pairwise products of two local observables, jointly measured."""
     _require_components(o1, o2, bip)
-    products = bip.split_payloads(bip.product_payloads(o1.effects, o2.effects))
-    return Observable(Effect(bip.joint, p) for p in products)
+    stack = bip.product_payloads(o1.effects, o2.effects)
+    return Observable(Effect(bip.joint, bip.joint.take(stack, k)) for k in range(len(o1) * len(o2)))
 
 
 def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndarray:
@@ -159,7 +160,7 @@ def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndar
             stack = bip.product_payloads(lefts[i : i + step], rights[j : j + cols])
             block[...] = bip.ambient_rows(stack).reshape(block.shape)
     rows = rows.reshape(-1, bip.ambient_effect_dim)
-    unit = bip.ambient_rows(bip.stack_payloads([bip.joint.unit_effect().payload]))[0]
+    unit = bip.ambient_rows(bip.joint.stack_effects([bip.joint.unit_effect().payload]))[0]
     _require_unit_sum(float(np.abs(rows.sum(axis=0) - unit).max()))
     return rows
 
@@ -187,7 +188,7 @@ def local_observability_audit(
     if product_rank < ambient:
         n_samples = ambient + 32
         drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(n_samples)]
-        rows = np.concatenate([rows, bip.ambient_rows(bip.stack_payloads(drawn))])
+        rows = np.concatenate([rows, bip.ambient_rows(bip.joint.stack_effects(drawn))])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
         rank = rank_of_rows(rows, bound=union_bound)
     return VerificationReport.from_checks(

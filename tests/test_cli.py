@@ -1,15 +1,20 @@
 """Suite runner: exit codes, determinism, fixtures, JSON schema."""
 
+import copy
 import json
 import math
+import operator
 import subprocess
 import sys
 from dataclasses import replace
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from optheory import cli
 from optheory.cli import SuiteConfig, UsageError, exit_code, main, run_suite
@@ -19,7 +24,7 @@ from optheory.fixtures import (
     load_box,
     load_instrument,
 )
-from optheory.boxes import pr_box
+from optheory.boxes import is_nosignaling_box, pr_box
 from optheory.directsum import DSumModel, ds_random_local_op
 from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.quantum import PAULI_X, KrausOp, z_instrument
@@ -28,6 +33,8 @@ from optheory.report import Check, VerificationReport, combine_reports
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
 # The one-outcome identity instrument on a qubit, as fixture JSON.
 IDENTITY_JSON = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+# The two fixture flags and the suite each one feeds.
+FIXTURE_FLAGS = [("--fixture", "quantum-nosig"), ("--box", "boxworld")]
 
 
 class TestSuiteConfig:
@@ -199,6 +206,18 @@ class TestMutantDetection:
         assert witness["rejected_fixture"] == str(fixture_path)
         assert witness["reason"].startswith("malformed fixture")
 
+    @pytest.mark.parametrize("flag,suite", FIXTURE_FLAGS)
+    def test_deeply_nested_fixture_rejected_at_load(self, flag, suite, tmp_path, capsys):
+        # Nested past the parser's recursion limit: a file that fails parsing.
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text("[" * 100000 + "]" * 100000)
+        out_path = tmp_path / "out.json"
+        assert main(["--suite", suite, flag, str(fixture_path), "--json", str(out_path)]) == 1
+        capsys.readouterr()
+        (sub,) = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
+        assert sub["witness"]["rejected_fixture"] == str(fixture_path)
+        assert "nested too deeply" in sub["witness"]["reason"]
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -356,6 +375,19 @@ class TestUsageErrors:
         assert main(["--suite", "quantum-nosig", "--fixture", "/no/such.json"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,suite", FIXTURE_FLAGS)
+    def test_directory_fixture_exits_two(self, flag, suite, tmp_path, capsys):
+        assert main(["--suite", suite, flag, str(tmp_path)]) == 2
+        assert "not a readable file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,suite", FIXTURE_FLAGS)
+    def test_overlong_fixture_path_exits_two(self, flag, suite, tmp_path, capsys):
+        # A name far beyond the file system's limit makes a path query raise
+        # OSError (ENAMETOOLONG), not report a missing file.
+        path = tmp_path / ("x" * 5000)
+        assert main(["--suite", suite, flag, str(path)]) == 2
+        assert "not a readable file" in capsys.readouterr().err
+
 
 class TestFixtures:
     def test_named_instruments(self):
@@ -395,6 +427,90 @@ class TestFixtures:
         path.write_text(json.dumps(content))
         with pytest.raises(ValueError, match="malformed fixture"):
             load(str(path))
+
+
+# Valid fixtures to mutate: (flag, suite, loader, fixture JSON).
+FUZZ_BASES = [
+    ("--fixture", "quantum-nosig", load_instrument, instrument_to_json(z_instrument())),
+    ("--box", "boxworld", load_box, {"p": pr_box().to_json()}),
+    ("--box", "boxworld", load_box, pr_box().to_json()),
+]
+# Replacement values: non-finite and huge numbers, half the time, else other
+# JSON types and integers small enough that a mutated ``rows`` or ``cols``
+# allocates nothing large.
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.sampled_from([None, True, False, "", "1", [], {}, -1, 0, 1, 2, 3, 0.0, 0.5, 1.0]),
+)
+
+
+def _positions(node, path=()):
+    """The key paths of ``node`` and of everything nested in it."""
+    yield path
+    if isinstance(node, (list, dict)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _positions(child, path + (key,))
+
+
+def _mutated_node(draw, node):
+    """``node`` with a changed value or type, a dropped key, or as a nested
+    or shortened list."""
+    kind = draw(st.sampled_from(["replace", "drop", "nest"]))
+    if kind == "nest":
+        return [node]
+    if kind == "drop" and isinstance(node, dict) and node:
+        del node[draw(st.sampled_from(sorted(node)))]
+        return node
+    if kind == "drop" and isinstance(node, list) and node:
+        return node[: draw(st.integers(0, len(node) - 1))]
+    return draw(ODD_VALUES)
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three mutations, each at a position drawn uniformly."""
+    obj = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_positions(obj))))
+        if not path:
+            obj = _mutated_node(draw, obj)
+            continue
+        parent = reduce(operator.getitem, path[:-1], obj)
+        parent[path[-1]] = _mutated_node(draw, parent[path[-1]])
+    return obj
+
+
+@pytest.mark.parametrize(
+    "flag,suite,load,base", FUZZ_BASES, ids=["instrument", "box-under-p", "bare-box"]
+)
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_mutated_fixture_exits_cleanly(flag, suite, load, base, data, tmp_path, capsys):
+    # No run raises: exit 0 only for a fixture that still loads and passes,
+    # 1 with a rejected_fixture witness for one that fails to load, 1 for a
+    # valid but signaling box, 2 for an instrument of the wrong dimension.
+    content = data.draw(mutated(base))
+    fixture_path, out_path = tmp_path / "fixture.json", tmp_path / "out.json"
+    fixture_path.write_text(json.dumps(content))
+    out_path.unlink(missing_ok=True)
+    argv = ["--suite", suite, flag, str(fixture_path), "--trials", "2", "--json", str(out_path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    try:
+        fixture = load(str(fixture_path))
+    except ValueError:
+        assert code == 1
+        (sub,) = json.loads(out_path.read_text())["report"]["details"]["sub_reports"]
+        assert sub["witness"]["rejected_fixture"] == str(fixture_path)
+        return
+    if flag == "--box":
+        assert code == (0 if is_nosignaling_box(fixture, tol=1e-10) else 1)
+    elif fixture.dim != 2:
+        assert code == 2 and "usage error" in err
+    else:
+        assert code == 0
 
 
 def test_report_json_schema():

@@ -27,6 +27,7 @@ classical = ClassicalModel(2)
         (DSumState, (HALF, HALF), ValueError),
         (Box, (np.tile([[1.5, -0.5], [0.0, 0.0]], (2, 2, 1, 1)),), ValueError),
         (Box.from_json, ([np.nan] + [0.25] * 15,), ValueError),
+        (Box.from_json, ([1e308, 1e308] + [0.0] * 14,), ValueError),
     ],
     ids=[
         "kraus-trace-increasing",
@@ -39,6 +40,7 @@ classical = ClassicalModel(2)
         "dsum-state-trace-2",
         "box-negative",
         "box-nan",
+        "box-overflow",
     ],
 )
 def test_constructor_rejects_invalid_input(build, args, error):

@@ -19,6 +19,7 @@ from optheory.directsum import (
     ds_random_local_op,
 )
 from optheory.framework import Action, IncompleteAction, prob
+from optheory.linalg import direct_sum
 from optheory.quantum import KrausOp, apply_quantum_op
 from optheory.sampling import ginibre_state, haar_isometry_blocks, trial_rng
 
@@ -207,6 +208,20 @@ class TestEffectSpan:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             ds_local_effect_span(2, 2, 8)
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (6, 5)])
+def test_state_distance_is_the_ambient_trace_norm(d1, d2):
+    # Oracle: the direct sum is block-diagonal quantum theory on C^(d1+d2),
+    # so the distance of two block states is the trace norm of the
+    # difference of their block-diagonal matrices there.
+    model = DSumModel(d1, d2)
+    for k in range(20):
+        rng = trial_rng(80, k)
+        s1, s2 = model.random_state(rng), model.random_state(rng)
+        ambient = direct_sum(*s1.payload.blocks) - direct_sum(*s2.payload.blocks)
+        expected = np.linalg.svd(ambient, compute_uv=False).sum()
+        assert abs(model.state_distance(s1, s2) - expected) <= 1e-12
 
 
 class TestBlockStateType:

@@ -248,7 +248,7 @@ class TestNoSignaling:
     bip = ClassicalBipartite(2, 2)
 
     def correlated(self):
-        return self.bip.joint_state([0.5, 0.0, 0.0, 0.5])
+        return self.bip.joint.state([0.5, 0.0, 0.0, 0.5])
 
     def point_action(self):
         left = self.bip.left
@@ -292,7 +292,7 @@ class TestDeterminismEquivalence:
     bip = ClassicalBipartite(2, 2)
 
     def test_deterministic_holds(self):
-        joint = self.bip.joint_state([0.5, 0.0, 0.0, 0.5])
+        joint = self.bip.joint.state([0.5, 0.0, 0.0, 0.5])
         report = determinism_equivalence_check(
             joint, self.bip.left.identity(), self.bip,
             [self.bip.right.transformation(np.diag([1.0, 0.0]))],
@@ -302,7 +302,7 @@ class TestDeterminismEquivalence:
     def test_selective_on_correlated_state(self):
         # P(side1=0) = 0.5 != 1, and the probe "side2=1" shifts from 0.5 to 0:
         # both directions of the equivalence fail together, which is consistent.
-        joint = self.bip.joint_state([0.5, 0.0, 0.0, 0.5])
+        joint = self.bip.joint.state([0.5, 0.0, 0.0, 0.5])
         t = self.bip.left.transformation(np.diag([1.0, 0.0]), "p0")
         probes = [
             self.bip.right.transformation(np.diag([1.0, 0.0])),
@@ -314,7 +314,7 @@ class TestDeterminismEquivalence:
         assert report.details["max_probe_shift"] == pytest.approx(0.5)
 
     def test_scaled_identity_holds(self):
-        joint = self.bip.joint_state([0.25, 0.25, 0.25, 0.25])
+        joint = self.bip.joint.state([0.25, 0.25, 0.25, 0.25])
         report = determinism_equivalence_check(
             joint, scale(1.0, self.bip.left.identity()), self.bip,
             [self.bip.right.transformation(np.diag([1.0, 0.0]))],

@@ -59,8 +59,16 @@ class NaNDistanceModel(ClassicalModel):
         return float("nan")
 
 
-def test_nan_defect_fails_the_invariant_suite():
-    report = model_invariant_suite(NaNDistanceModel(3), seed=7, trials=3)
+class NegativeDistanceModel(ClassicalModel):
+    """Planted defect: a transformation distance that is always -1."""
+
+    def transformation_distance(self, t1, t2):
+        return -1.0
+
+
+@pytest.mark.parametrize("model", [NaNDistanceModel, NegativeDistanceModel])
+def test_nan_defect_fails_the_invariant_suite(model):
+    report = model_invariant_suite(model(3), seed=7, trials=3)
     assert not report.passed
     assert report.max_defect == math.inf
     assert report.details["per_invariant"]["associativity"] == math.inf
@@ -155,6 +163,8 @@ def test_worst_defect_counts_nan_as_inf():
     assert worst_defect(1e-16, 3e-16) == 3e-16
     assert worst_defect(0.0, float("nan")) == math.inf
     assert worst_defect(float("nan"), 1.0) == math.inf
+    assert worst_defect(1.0, -1e-300) == math.inf
+    assert math.copysign(1.0, worst_defect(-0.0)) == -1.0  # -0.0 is kept, not failed
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)

@@ -611,8 +611,6 @@ class TestModelInterface:
             model.state(np.diag([1.2, -0.2]))
         with pytest.raises(ValueError):
             model.state(np.diag([0.7, 0.7]))
-        normalized = model.state(np.diag([0.7, 0.7]), normalize=True)
-        assert normalized.weight == pytest.approx(1.0)
 
 
 class TestICPovm:
