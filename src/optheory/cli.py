@@ -466,10 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     cfg = SuiteConfig(**vars(args))
     try:
         report = run_suite(cfg)
-    except (UsageError, FileNotFoundError) as exc:
+        _emit(report, cfg)  # an unwritable --json path is a usage error too
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, cfg)
     return exit_code(report)
 
 

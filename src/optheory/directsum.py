@@ -310,16 +310,16 @@ class DSumModel(TheoryModel):
         return _hilbert_schmidt(kp, rp) + _hilbert_schmidt(km, rm)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
-        return Transformation(self, _each(compose_kraus, first.payload, then.payload), "")
+        return Transformation(self, _each(compose_kraus, first.payload, then.payload))
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        return Transformation(self, _each(coarse_grain_kraus, t1.payload, t2.payload), "")
+        return Transformation(self, _each(coarse_grain_kraus, t1.payload, t2.payload))
 
     def scale_transformation(self, lam: float, t: Transformation) -> Transformation:
-        return Transformation(self, _each(partial(scale_kraus, lam), t.payload), "")
+        return Transformation(self, _each(partial(scale_kraus, lam), t.payload))
 
     def complement(self, t: Transformation) -> Transformation:
-        return Transformation(self, _each(complement_kraus, t.payload), f"~{t.label}")
+        return Transformation(self, _each(complement_kraus, t.payload))
 
     def add_effects(self, e1: Effect, e2: Effect) -> Effect:
         return Effect(self, _each(np.add, e1.payload, e2.payload))
@@ -332,7 +332,7 @@ class DSumModel(TheoryModel):
         return np.concatenate(_each(hermitian_coords, e.payload), axis=-1)
 
     def state_coords(self, s: State) -> np.ndarray:
-        return np.concatenate(_each(hermitian_coords, s.payload.blocks), axis=-1)
+        return self.effect_coords(Effect(self, s.payload.blocks))
 
     def scale_state_payload(self, payload: DSumState, factor) -> DSumState:
         plus, minus = payload.blocks

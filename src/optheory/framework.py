@@ -168,7 +168,9 @@ class Action:
 
 
 class TheoryModel(ABC):
-    """Interface one physical theory implements to plug into the framework.
+    """Interface one physical theory implements to plug into the framework:
+    it writes the abstract members, not ``state_coords``, and its derived
+    transformations (``compose``, ``complement``, ...) carry no label.
 
     The operations that :func:`invariant_defects` runs take single objects
     or stacks of trials alike (see the module docstring).  Random
@@ -222,9 +224,9 @@ class TheoryModel(ABC):
     def effect_coords(self, e: Effect) -> np.ndarray:
         """Real coordinates of an effect; equal coordinates = equal effects."""
 
-    @abstractmethod
     def state_coords(self, s: State) -> np.ndarray:
-        """Real linear embedding of a state, dual to ``effect_coords``."""
+        """Dual to ``effect_coords``: the coordinates of the same payload as an effect."""
+        return self.effect_coords(Effect(self, s.payload))
 
     @abstractmethod
     def state_distance(self, s1: State, s2: State) -> float: ...
@@ -774,20 +776,17 @@ class ClassicalModel(TheoryModel):
         return value(vdots(e.payload, s.payload))
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
-        return Transformation(
-            self, then.payload @ first.payload, _chain_label(first, then)
-        )
+        return Transformation(self, then.payload @ first.payload)
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        return Transformation(self, t1.payload + t2.payload, _sum_label(t1, t2))
+        return Transformation(self, t1.payload + t2.payload)
 
     def scale_transformation(self, lam, t: Transformation) -> Transformation:
-        label = f"{lam:g}*{t.label}" if t.label and np.ndim(lam) == 0 else ""
-        return Transformation(self, trial_factor(lam, t.payload) * t.payload, label)
+        return Transformation(self, trial_factor(lam, t.payload) * t.payload)
 
     def complement(self, t: Transformation) -> Transformation:
         residual = 1.0 - t.payload.sum(axis=0)
-        return Transformation(self, np.diag(np.clip(residual, 0.0, None)), f"~{t.label}")
+        return Transformation(self, np.diag(np.clip(residual, 0.0, None)))
 
     def effect_leq_unit(self, e: Effect):
         low, high = e.payload.min(axis=-1), e.payload.max(axis=-1)
@@ -795,9 +794,6 @@ class ClassicalModel(TheoryModel):
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return np.asarray(e.payload, dtype=float)
-
-    def state_coords(self, s: State) -> np.ndarray:
-        return np.asarray(s.payload, dtype=float)
 
     def state_distance(self, s1: State, s2: State):
         return value(np.abs(s1.payload - s2.payload).sum(axis=-1))
@@ -843,15 +839,3 @@ class ClassicalBipartite(BipartiteModel):
         if side == 1:
             return np.kron(t.payload, np.eye(self.n2))
         return np.kron(np.eye(self.n1), t.payload)
-
-
-def _chain_label(first: Transformation, then: Transformation) -> str:
-    if first.label and then.label:
-        return f"{then.label}.{first.label}"
-    return ""
-
-
-def _sum_label(t1: Transformation, t2: Transformation) -> str:
-    if t1.label and t2.label:
-        return f"{t1.label}+{t2.label}"
-    return ""

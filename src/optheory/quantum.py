@@ -645,17 +645,20 @@ def trace_biconditional_check(
         return {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
 
     evaluate = per_trial(sample)
-    samples = list(trial_outcomes(seed, range(trials), draw, evaluate))
-    (violation,) = fold_checks(
-        ((k, {"biconditional": _biconditional_defect(**s)}) for k, s in samples),
-        {"biconditional": REDUCED_TOL},
-    )
+    preserved_cases = 0
+
+    def defects():  # folded as they arrive, counting the trace-preserved trials
+        nonlocal preserved_cases
+        for k, s in trial_outcomes(seed, range(trials), draw, evaluate):
+            preserved_cases += s["trace_defect"] <= TRACE_TOL
+            yield k, {"biconditional": _biconditional_defect(**s)}
+
+    (violation,) = fold_checks(defects(), {"biconditional": REDUCED_TOL})
     worst = violation.worst_trial
     witness = None
     if violation.defect > 0.0:
         (replayed,) = evaluate([draw(trial_rng(seed, worst), worst)])
         witness = {"trial": worst, **replayed}
-    preserved_cases = sum(s["trace_defect"] <= TRACE_TOL for _, s in samples)
     checks = [violation]
     # The trace-preserved branch must be exercised, or the audit is vacuous.
     # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
@@ -769,16 +772,16 @@ class QuantumModel(TheoryModel):
         return value(np.trace(e.payload @ s.payload, axis1=-2, axis2=-1).real)
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
-        return Transformation(self, compose_kraus(first.payload, then.payload), "")
+        return Transformation(self, compose_kraus(first.payload, then.payload))
 
     def add_transformations(self, t1: Transformation, t2: Transformation) -> Transformation:
-        return Transformation(self, coarse_grain_kraus(t1.payload, t2.payload), "")
+        return Transformation(self, coarse_grain_kraus(t1.payload, t2.payload))
 
     def scale_transformation(self, lam, t: Transformation) -> Transformation:
-        return Transformation(self, scale_kraus(lam, t.payload), "")
+        return Transformation(self, scale_kraus(lam, t.payload))
 
     def complement(self, t: Transformation) -> Transformation:
-        return Transformation(self, complement_kraus(t.payload), f"~{t.label}")
+        return Transformation(self, complement_kraus(t.payload))
 
     def effect_leq_unit(self, e: Effect):
         if np.ndim(e.payload) == 3:
@@ -789,9 +792,6 @@ class QuantumModel(TheoryModel):
 
     def effect_coords(self, e: Effect) -> np.ndarray:
         return hermitian_coords(e.payload)
-
-    def state_coords(self, s: State) -> np.ndarray:
-        return hermitian_coords(s.payload)
 
     def state_distance(self, s1: State, s2: State):
         return trace_norm(s1.payload - s2.payload)

@@ -388,6 +388,13 @@ class TestUsageErrors:
         assert main(["--suite", suite, flag, str(path)]) == 2
         assert "not a readable file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["", "missing/out.json"], ids=["directory", "missing-dir"])
+    def test_unwritable_json_path_exits_two(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        assert main(["--suite", "boxworld", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error") and str(path) in err
+
 
 class TestFixtures:
     def test_named_instruments(self):

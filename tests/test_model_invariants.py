@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optheory.directsum import DSumBipartite, DSumModel
 from optheory.framework import (
@@ -171,6 +173,42 @@ def test_worst_defect_counts_nan_as_inf():
     assert worst_defect(float("nan"), 1.0) == math.inf
     assert worst_defect(1.0, -1e-300) == math.inf
     assert math.copysign(1.0, worst_defect(-0.0)) == -1.0  # -0.0 is kept, not failed
+
+
+DUAL_MODELS = [
+    *(ClassicalModel(d) for d in (2, 3, 6)),
+    *(QuantumModel(d) for d in (2, 3, 6)),
+    DSumModel(2, 3),
+    DSumModel(6, 6),
+]
+
+
+def duality_gap(model, seed: int) -> float:
+    """|evaluate(e, s) - effect_coords(e) . state_coords(s)| for a random
+    state and the effect of a random transformation."""
+    rng = trial_rng(seed)
+    state = model.random_state(rng)
+    effect = model.effect_of(model.random_transformation(rng))
+    dual = model.effect_coords(effect) @ model.state_coords(state)
+    return abs(model.evaluate(effect, state) - dual)
+
+
+@pytest.mark.parametrize("model", DUAL_MODELS, ids=lambda m: m.name)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_state_coords_are_dual_to_effect_coords(model, seed):
+    assert duality_gap(model, seed) <= 1e-12
+
+
+class DoubledStateCoords(ClassicalModel):
+    """Planted defect: state coordinates twice the dual ones."""
+
+    def state_coords(self, s):
+        return 2.0 * super().state_coords(s)
+
+
+def test_doubled_state_coords_break_the_duality():
+    assert duality_gap(DoubledStateCoords(3), 0) > 1e-12
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
