@@ -37,9 +37,9 @@ from .framework import (
     effect_of,
     probe_shifts,
     total_of_action,
-    trial_factor,
 )
 from .linalg import (
+    direct_sum,
     hermitian_coords,
     matrix_from_json,
     matrix_to_json,
@@ -47,6 +47,7 @@ from .linalg import (
     require_hermitian_stack,
     require_psd,
     trace_norm,
+    trial_factor,
     vdots,
 )
 from .quantum import (
@@ -441,12 +442,7 @@ class DSumBipartite(BipartiteModel):
     def ambient_rows(self, stack) -> np.ndarray:
         """``hermitian_coords`` of each block pair as the block-diagonal
         K_plus (+) K_minus on C^(d1+d2), built as one stack."""
-        plus, minus = stack
-        d1, d = self.d1, self.d1 + self.d2
-        joint = np.zeros((len(plus), d, d), dtype=complex)
-        joint[:, :d1, :d1] = plus
-        joint[:, d1:, d1:] = minus
-        return hermitian_coords(joint)
+        return hermitian_coords(direct_sum(*stack))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))

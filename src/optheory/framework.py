@@ -38,7 +38,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import rank_of_rows, vdots
+from .linalg import rank_of_rows, trial_factor, value, vdots
 from .report import Check, VerificationReport, run_trials, worst_defect, worst_defects
 from .sampling import (
     draw_stochastic_split,
@@ -54,23 +54,9 @@ EPS_COND = 1e-12
 TOL_EFFECT = 1e-9
 
 
-def value(x):
-    """One object's result, a numpy scalar or 0-d array, as a Python scalar;
-    a stack's results as their array."""
-    return x if isinstance(x, np.ndarray) and x.ndim else x.item()
-
-
 def _any_trial(mask) -> bool:
     """Whether a condition holds for one object, or for any trial of a stack."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def trial_factor(factor, payload: np.ndarray):
-    """``factor``, a number or an array of one number per trial of a stacked
-    ``payload``, shaped to multiply ``payload`` trial by trial."""
-    if not isinstance(factor, np.ndarray):
-        return factor
-    return factor.reshape(factor.shape + (1,) * (payload.ndim - factor.ndim))
 
 
 class ModelMismatch(ValueError):

@@ -44,6 +44,11 @@ def as_matrix_stack(a) -> np.ndarray:
     return as_matrix(m.reshape(-1, m.shape[2])).reshape(m.shape)
 
 
+def _matrices(a, *, square: bool = True) -> np.ndarray:
+    """``as_matrix_stack`` of a 3-D ``a`` (a stack of trials), else ``as_matrix``."""
+    return as_matrix_stack(a) if np.ndim(a) == 3 else as_matrix(a, square=square)
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity of the finite matrices on the last two axes of
     ``m`` within ``TOL_HERM`` and return them symmetrized.  The defect named
@@ -70,13 +75,30 @@ def require_hermitian_stack(a) -> np.ndarray:
     return _symmetrized(as_matrix_stack(a))
 
 
+def require_hermitians(a) -> np.ndarray:
+    """``require_hermitian_stack`` of a stack, else ``require_hermitian``."""
+    return _symmetrized(_matrices(a))
+
+
+def value(x):
+    """One object's result, a numpy scalar or 0-d array, as a Python scalar;
+    a stack's results as their array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else x.item()
+
+
+def trial_factor(factor, payload: np.ndarray):
+    """``factor``, a number or an array of one number per trial of a stacked
+    ``payload``, shaped to multiply ``payload`` trial by trial."""
+    if not isinstance(factor, np.ndarray):
+        return factor
+    return factor.reshape(factor.shape + (1,) * (payload.ndim - factor.ndim))
+
+
 def vdots(a: np.ndarray, b: np.ndarray):
     """``np.vdot`` of every pair of vectors on the last axes of ``a`` and ``b``,
-    broadcast over their leading axes; for two vectors, ``np.vdot`` itself.
-    The stacked form is one ``matmul`` of (1, n) by (n, 1) blocks, which
-    reduces each pair with the same BLAS dot, so it matches bit for bit."""
-    if a.ndim == 1 and b.ndim == 1:
-        return np.vdot(a, b)
+    broadcast over their leading axes.  It is one ``matmul`` of (1, n) by
+    (n, 1) blocks, which reduces each pair with the same BLAS dot as
+    ``np.vdot``, so it matches that bit for bit."""
     return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -86,13 +108,12 @@ def tensor(a, b) -> np.ndarray:
 
 
 def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal sum of two square matrices."""
-    ma = as_matrix(a, square=True)
-    mb = as_matrix(b, square=True)
-    da, db = ma.shape[0], mb.shape[0]
-    out = np.zeros((da + db, da + db), dtype=complex)
-    out[:da, :da] = ma
-    out[da:, da:] = mb
+    """Block-diagonal sum of two square matrices, or of two stacks pair by pair."""
+    ma, mb = _matrices(a), _matrices(b)
+    da, d = ma.shape[-1], ma.shape[-1] + mb.shape[-1]
+    out = np.zeros(np.broadcast_shapes(ma.shape[:-2], mb.shape[:-2]) + (d, d), dtype=complex)
+    out[..., :da, :da] = ma
+    out[..., da:, da:] = mb
     return out
 
 
@@ -105,15 +126,14 @@ def partial_trace(r, d1: int, d2: int, side: int) -> np.ndarray:
     the partial traces of its matrices, each equal to the call on that
     matrix alone.
     """
-    m = as_matrix_stack(r) if np.ndim(r) == 3 else as_matrix(r, square=True)
+    m = _matrices(r)
     if d1 <= 0 or d2 <= 0 or m.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"dimension mismatch: matrix is {m.shape[-1]}-dim, expected {d1}*{d2}")
     t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
-    stack = "t" if m.ndim == 3 else ""
     if side == 1:
-        return np.einsum(f"{stack}ikil->{stack}kl", t)
+        return np.einsum("...ikil->...kl", t)
     if side == 2:
-        return np.einsum(f"{stack}ikjk->{stack}ij", t)
+        return np.einsum("...ikjk->...ij", t)
     raise ValueError(f"side must be 1 or 2, got {side!r}")
 
 
@@ -134,9 +154,7 @@ def max_eig_herm(a) -> float:
 def trace_norm(a):
     """Sum of singular values.  A stack ``(n, d, d)`` gives the ``(n,)`` trace
     norms of its matrices, each equal to the call on that matrix alone."""
-    if np.ndim(a) == 3:
-        return np.linalg.svd(as_matrix_stack(a), compute_uv=False).sum(axis=-1)
-    return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
+    return value(np.linalg.svd(_matrices(a, square=False), compute_uv=False).sum(axis=-1))
 
 
 def _below_psd(eigs: np.ndarray) -> np.ndarray:
@@ -219,15 +237,11 @@ def hermitian_coords(a) -> np.ndarray:
     upper-triangle parts) rather than by pairing against the dense basis;
     the orderings coincide.  A stack ``(n, d, d)`` gives one row of ``d^2``
     coordinates per matrix, each equal to the call on that matrix alone;
-    every matrix is validated, by ``require_hermitian_stack``.
+    every matrix is validated, by ``require_hermitians``.
     """
-    if np.ndim(a) == 3:
-        m = require_hermitian_stack(a)
-        rows, cols = _strict_upper(m.shape[-1])
-        upper = m[:, rows, cols]
-    else:
-        m = require_hermitian(a)
-        upper = m[_strict_upper(m.shape[0])]
+    m = require_hermitians(a)
+    rows, cols = _strict_upper(m.shape[-1])
+    upper = m[..., rows, cols]
     return np.concatenate(
         [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
     )

@@ -57,17 +57,18 @@ from .framework import (
 from .linalg import (
     as_matrix,
     as_matrix_stack,
-    eigvals_herm,
     hermitian_coords,
     max_eig_herm,
     partial_trace,
     psd_sqrt,
     require_hermitian,
     require_hermitian_stack,
+    require_hermitians,
     require_psd,
     require_psd_stack,
     span_rank,
     trace_norm,
+    trial_factor,
 )
 from .report import Check, VerificationReport, fold_checks, per_trial, trial_outcomes, worst_defect
 from .sampling import (
@@ -312,26 +313,19 @@ def apply_quantum_op(m, rho) -> np.ndarray:
 
     A :class:`KrausStack` of n operations applies to a stack ``(n, d, d)`` of
     operators, trial by trial."""
-    if isinstance(m, KrausStack):
-        r = as_matrix_stack(rho)
-        _require_dim(r, m.dim_in)
+    stacked = isinstance(m, KrausStack)
+    r = as_matrix_stack(rho) if stacked else as_matrix(rho, square=True)
+    if r.shape[-1] != m.dim_in:
+        raise ValueError(f"operator dim {r.shape[-1]} does not match Kraus dim {m.dim_in}")
+    if stacked:
         return _scatter(len(r), ((t, _apply(op.kraus, r[t])) for t, (op,) in _rank_groups(m)))
-    r = as_matrix(rho, square=True)
-    _require_dim(r, m.dim_in)
     return _apply(m.kraus, r)
-
-
-def _require_dim(r: np.ndarray, dim_in: int) -> None:
-    if r.shape[-1] != dim_in:
-        raise ValueError(f"operator dim {r.shape[-1]} does not match Kraus dim {dim_in}")
 
 
 def _apply(k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``sum_k K_k R K_k^dag`` for Kraus arrays ``(..., r, d, d)`` and operators
-    ``(..., d, d)`` with the same leading axes."""
-    if r.ndim > 2:
-        r = r[..., None, :, :]  # the Kraus axis
-    return (k @ r @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
+    ``(..., d, d)`` with the same leading axes; ``R`` gets a unit Kraus axis."""
+    return (k @ r[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def compose_kraus(first, then):
@@ -356,7 +350,7 @@ def scale_kraus(lam, m):
         lam = np.broadcast_to(lam, (len(m),))
         return KrausStack.gather((t, scale_kraus(lam[t], op)) for t, (op,) in _rank_groups(m))
     root = np.sqrt(lam)
-    return KrausOp._trusted((root[:, None, None, None] if root.ndim else root) * m.kraus)
+    return KrausOp._trusted(trial_factor(root, m.kraus) * m.kraus)
 
 
 def draw_kraus(rng: np.random.Generator, d: int, lam_low: float) -> tuple:
@@ -437,20 +431,21 @@ def choi_distance(a, b):
     ka, kb = a.kraus, b.kraus
     if ka.shape[-2:] != kb.shape[-2:]:
         raise ValueError(f"operations map {ka.shape[-2:]} and {kb.shape[-2:]}")
-    lead = ka.shape[:-3]
-    if kb.shape[:-3] != lead:
-        lead = np.broadcast_shapes(lead, kb.shape[:-3])
-        ka, kb = (np.broadcast_to(k, lead + k.shape[-3:]) for k in (ka, kb))
-    # Not coarse_grain_kraus: a KrausOp rejects a NaN entry that this distance must report.
-    w = np.concatenate([ka, kb], axis=-3).reshape(lead + (ka.shape[-3] + kb.shape[-3], -1))
+    ra = ka.shape[-3]
+    # Not coarse_grain_kraus: a KrausOp rejects a NaN entry that this distance must
+    # report.  W is filled by assignment, which broadcasts the leading axes.
+    lead = np.broadcast(ka[..., 0, 0, 0], kb[..., 0, 0, 0]).shape
+    w = np.empty(lead + (ra + kb.shape[-3], ka.shape[-2] * ka.shape[-1]), dtype=complex)
+    w[..., :ra, :] = ka.reshape(ka.shape[:-2] + (-1,))
+    w[..., ra:, :] = kb.reshape(kb.shape[:-2] + (-1,))
     s = w.conj()
-    s[..., ka.shape[-3] :, :] *= -1
+    s[..., ra:, :] *= -1
     wt = w.swapaxes(-1, -2)
     top = np.abs(wt[..., :CHOI_BLOCK, :] @ s).max(axis=(-2, -1))
     for i in range(CHOI_BLOCK, wt.shape[-2], CHOI_BLOCK):
         block = wt[..., i : i + CHOI_BLOCK, :] @ s[..., :, i:]
         top = np.maximum(top, np.abs(block).max(axis=(-2, -1)))
-    return float(top) if top.ndim == 0 else top
+    return value(top)
 
 
 def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
@@ -623,18 +618,16 @@ def trace_biconditional_check(
         """The joint operator R and the Kraus stack of M for trial ``k``."""
         kind = k % 3
         if kind == 0:
-            r = ginibre_positive(rng, d1 * d2)
-            r /= np.trace(r).real
+            r = ginibre_state(rng, d1 * d2)
             blocks = haar_isometry_blocks(rng, d1, 3)
-            return r, np.array(blocks[: int(rng.integers(1, 3))])
+            return r, blocks[: int(rng.integers(1, 3))]
         if kind == 1:
-            return ginibre_state(rng, d1 * d2), np.array(haar_isometry_blocks(rng, d1, 2))
+            return ginibre_state(rng, d1 * d2), haar_isometry_blocks(rng, d1, 2)
         rank = int(rng.integers(1, d1))
         basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
         p = basis[:, :rank] @ basis[:, :rank].conj().T
         r = side1_kraus_outputs(p[None], ginibre_positive(rng, d1 * d2))[0]
-        r /= np.trace(r).real
-        return r, p[None]
+        return unit_trace(r), p[None]
 
     def sample(r: np.ndarray, kraus: np.ndarray) -> dict[str, float]:
         joint = side1_kraus_outputs(kraus, r).sum(axis=0)
@@ -784,10 +777,7 @@ class QuantumModel(TheoryModel):
         return Transformation(self, complement_kraus(t.payload))
 
     def effect_leq_unit(self, e: Effect):
-        if np.ndim(e.payload) == 3:
-            eigs = np.linalg.eigvalsh(require_hermitian_stack(e.payload))
-        else:
-            eigs = eigvals_herm(e.payload)
+        eigs = np.linalg.eigvalsh(require_hermitians(e.payload))
         return value((eigs[..., 0] >= -TOL_EFFECT) & (eigs[..., -1] <= 1.0 + TOL_EFFECT))
 
     def effect_coords(self, e: Effect) -> np.ndarray:

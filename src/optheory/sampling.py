@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import trial_factor
+
 
 def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Deterministic per-trial generator keyed on (seed, trial_index)."""
@@ -36,8 +38,7 @@ def gram(g: np.ndarray) -> np.ndarray:
 
 def unit_trace(p: np.ndarray) -> np.ndarray:
     """Every matrix on the last two axes divided by its real trace."""
-    trace = np.trace(p, axis1=-2, axis2=-1).real
-    return p / (trace[..., None, None] if trace.ndim else trace)
+    return p / trial_factor(np.trace(p, axis1=-2, axis2=-1).real, p)
 
 
 def ginibre_positive(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -62,14 +63,14 @@ def isometry_blocks(a: np.ndarray, n: int) -> np.ndarray:
     return q.reshape(*q.shape[:-2], n, d, d)
 
 
-def haar_isometry_blocks(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
-    """Slice a Haar-random (n*d) x d isometry into n square blocks.
+def haar_isometry_blocks(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Slice a Haar-random (n*d) x d isometry into n square blocks, ``(n, d, d)``.
 
     The blocks M_1..M_n satisfy sum_k M_k^dag M_k = I up to QR roundoff, so
     they form a complete quantum instrument.  The raw draw is
     ``complex_gaussian(rng, n * d, d)``.
     """
-    return list(isometry_blocks(complex_gaussian(rng, n * d, d), n))
+    return isometry_blocks(complex_gaussian(rng, n * d, d), n)
 
 
 def simplex(x: np.ndarray) -> np.ndarray:
