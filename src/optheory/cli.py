@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -101,8 +102,8 @@ class SuiteConfig:
             raise UsageError("d1 and d2 must lie in [2, 6]")
         if not (2 <= self.outcomes <= 16):
             raise UsageError("outcomes must lie in [2, 16]")
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
+        if not 0 < self.tol < float("inf"):  # also false for NaN
+            raise UsageError("tol must be finite and positive")
 
 
 def exit_code(report: VerificationReport) -> int:
@@ -464,9 +465,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     cfg = SuiteConfig(**vars(args))
+    path = cfg.json_path
     try:
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise UsageError(f"cannot write the JSON report to {path}")
         report = run_suite(cfg)
-        _emit(report, cfg)  # an unwritable --json path is a usage error too
+        _emit(report, cfg)  # any other unwritable --json path is a usage error too
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

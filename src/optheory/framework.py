@@ -728,6 +728,8 @@ class ClassicalModel(TheoryModel):
         v = np.asarray(vec, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"state vector must have shape ({self.n},)")
+        if not np.isfinite(v).all():
+            raise ValueError("state vector entries must be finite (no NaN/Inf)")
         if v.min() < -TOL_EFFECT:
             raise ValueError("state vector has negative entries")
         v = np.clip(v, 0.0, None)
@@ -739,6 +741,8 @@ class ClassicalModel(TheoryModel):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"transformation matrix must be {self.n}x{self.n}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
         if m.min() < -TOL_EFFECT:
             raise ValueError("substochastic matrix needs nonnegative entries")
         if m.sum(axis=0).max() > 1.0 + TOL_EFFECT:

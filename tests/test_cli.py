@@ -51,6 +51,8 @@ class TestSuiteConfig:
             {"suite": "lemma", "d2": 1},
             {"suite": "lemma", "outcomes": 17},
             {"suite": "lemma", "tol": 0.0},
+            {"suite": "lemma", "tol": float("nan")},
+            {"suite": "lemma", "tol": float("inf")},
             {"suite": "lemma", "outcomes": 1},
         ],
     )
@@ -371,6 +373,12 @@ class TestUsageErrors:
         assert main(["--suite", "lemma", "--d1", "9"]) == 2
         capsys.readouterr()
 
+    def test_nan_tol_exits_two(self, capsys):
+        # A usage error, not a failed verification: NaN compares false with every defect.
+        assert main(["--suite", "dsum", "--trials", "3", "--tol", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tol must be finite and positive" in err
+
     def test_missing_fixture_file_exits_two(self, capsys):
         assert main(["--suite", "quantum-nosig", "--fixture", "/no/such.json"]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -392,7 +400,8 @@ class TestUsageErrors:
     def test_unwritable_json_path_exits_two(self, name, tmp_path, capsys):
         path = tmp_path / name
         assert main(["--suite", "boxworld", "--json", str(path)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the suite runs
         assert err.count("\n") == 1 and err.startswith("usage error") and str(path) in err
 
 

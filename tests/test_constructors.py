@@ -28,6 +28,8 @@ classical = ClassicalModel(2)
         (Box, (np.tile([[1.5, -0.5], [0.0, 0.0]], (2, 2, 1, 1)),), ValueError),
         (Box.from_json, ([np.nan] + [0.25] * 15,), ValueError),
         (Box.from_json, ([1e308, 1e308] + [0.0] * 14,), ValueError),
+        (classical.state, ([np.nan, 1.0],), ValueError),
+        (classical.transformation, ([[np.nan, 0.0], [0.0, 1.0]],), ValueError),
     ],
     ids=[
         "kraus-trace-increasing",
@@ -41,6 +43,8 @@ classical = ClassicalModel(2)
         "box-negative",
         "box-nan",
         "box-overflow",
+        "classical-state-nan",
+        "classical-transformation-nan",
     ],
 )
 def test_constructor_rejects_invalid_input(build, args, error):
