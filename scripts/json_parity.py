@@ -8,9 +8,11 @@ every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,3) and
 300 at (6,6)) and its small-dims opcore verdict (20 trials at (2,2)) for
 seeds 0-2, opcore at (6,6) with 150 trials, whose invariant suites end in a
 partial chunk, tomo-audit at the benchmark's sizes and at (6,5), boxworld's
-landmarks and the packaged fixtures at seed 0, and opcore (20 trials) and
+landmarks and the packaged fixtures at seed 0, opcore (20 trials) and
 dsum (100 trials) at (2,3) with ``--outcomes 4`` at seed 0, whose action
-samplers otherwise run at two outcomes only),
+samplers otherwise run at two outcomes only, and dsum at seed 0 at (2,2)
+with 700 trials, which span two full chunks and a partial one, and at
+(6,6) with ``--outcomes 16``, whose 100 trials end in a partial chunk),
 with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
@@ -59,6 +61,9 @@ CASES = [
     ("boxworld", 2, 2, 0, TRIALS),
     ("opcore", 2, 3, 0, 20, "--outcomes", "4"),
     ("dsum", 2, 3, 0, TRIALS, "--outcomes", "4"),
+    # Chunks of 348 trials at (2,2), and of 26 at (6,6) with 16 outcomes.
+    ("dsum", 2, 2, 0, 700),
+    ("dsum", 6, 6, 0, TRIALS, "--outcomes", "16"),
 ] + [
     (suite, 2, 2, 0, TRIALS, flag, name)
     for suite, flag, name in (

@@ -25,7 +25,14 @@ from .boxes import (
     pr_box,
     singlet_box,
 )
-from .directsum import DSumBipartite, DSumModel, ds_random_action, ds_random_local_op
+from .directsum import (
+    DSumBipartite,
+    DSumModel,
+    ds_draw_action,
+    ds_draw_local_op,
+    ds_finish_action,
+    ds_finish_local_op,
+)
 from .framework import (
     Action,
     ClassicalBipartite,
@@ -36,6 +43,8 @@ from .framework import (
     no_signaling_check,
     prob,
     probe_shifts,
+    raw_columns,
+    take_trials,
     total_of_action,
 )
 from .quantum import (
@@ -55,7 +64,7 @@ from .report import (
     combine_reports,
     per_trial,
     run_trials,
-    worst_defect,
+    worst_defects,
 )
 from .sampling import ginibre_positive, ginibre_state, trial_rng
 from .tomography import audit_rows
@@ -250,33 +259,51 @@ def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _dsum_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tuple:
-    a = model.from_local(ds_random_local_op(rng, 1, cfg.d1))
-    b = model.from_local(ds_random_local_op(rng, 2, cfg.d2))
-    omega = model.random_state(rng)
-    outcomes = ds_random_action(rng, 1, cfg.d1, cfg.outcomes)
-    probes = [model.from_local(ds_random_local_op(rng, 2, cfg.d2)) for _ in range(3)]
-    return a, b, omega, outcomes, probes
+    a = ds_draw_local_op(rng, cfg.d1)
+    b = ds_draw_local_op(rng, cfg.d2)
+    omega = model.draw_state(rng)
+    action = ds_draw_action(rng, cfg.d1, cfg.outcomes)
+    probes = tuple(ds_draw_local_op(rng, cfg.d2) for _ in range(3))
+    return a, b, omega, action, probes
 
 
-def _dsum_evaluate(model, a, b, omega, outcomes, probes) -> dict:
-    ab = model.compose(a, b)
-    defects = {"commutation": model.transformation_distance(ab, model.compose(b, a))}
+def _dsum_evaluate(model, drawn: list) -> list[dict]:
+    """The defects of a chunk of trials: its raw draws finished as stacks, and
+    one call per model operation on them."""
+    left, right, state, action, probes = zip(*drawn)
+    ta = model.from_local(ds_finish_local_op(1, *raw_columns(left)))
+    tb = model.from_local(ds_finish_local_op(2, *raw_columns(right)))
+    omega = model.finish_state(*raw_columns(state))
+    ab = model.compose(ta, tb)
+    commutation = model.transformation_distance(ab, model.compose(tb, ta))
 
+    outcomes = ds_finish_action(1, *raw_columns(action))
     total = total_of_action(Action(map(model.from_local, outcomes)))
-    defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))
+    probes = [model.from_local(ds_finish_local_op(2, *raw_columns(p))) for p in zip(*probes)]
+    no_signaling = worst_defects(*probe_shifts(omega, total, probes))
 
-    pa = prob(omega, a)
-    if pa > 1e-6:
-        quotient = prob(omega, ab) / pa
-        defects["conditioning_quotient"] = abs(prob(condition(omega, a), b) - quotient)
+    defects = [
+        {"commutation": c, "no_signaling": s}
+        for c, s in zip(commutation.tolist(), no_signaling.tolist())
+    ]
+    # The Bayes quotient on the sub-stack of trials where a is not too rare.
+    pa = prob(omega, ta)
+    sub = np.flatnonzero(pa > 1e-6)
+    if len(sub):
+        o, a, b, ab = take_trials((omega, ta, tb, ab), sub, len(drawn))
+        quotient = prob(o, ab) / pa[sub]
+        gaps = np.abs(prob(condition(o, a), b) - quotient)
+        for k, gap in zip(sub.tolist(), gaps.tolist()):
+            defects[k]["conditioning_quotient"] = gap
     return defects
 
 
 def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
     """Commutation, no-signaling and the Bayes quotient of direct-sum local
-    operations (free sector weight p), all through :class:`DSumModel`."""
+    operations (free sector weight p), all through :class:`DSumModel`, each
+    chunk of trials evaluated as stacks."""
     model = DSumModel(cfg.d1, cfg.d2)
-    draw, evaluate = partial(_dsum_draw, cfg, model), per_trial(partial(_dsum_evaluate, model))
+    draw, evaluate = partial(_dsum_draw, cfg, model), partial(_dsum_evaluate, model)
     tols = {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10}
     return _defects(_from_trials("dsum", cfg, cfg.trials, draw, evaluate, tols))
 

@@ -12,8 +12,14 @@ is why this composition rule fails local tomography.
 :class:`DSumModel` is the one implementation of the composite: two quantum
 sectors, each method mapping a kernel of :mod:`optheory.quantum` (or a
 ``QuantumModel`` sector) over the (plus, minus) pair.  Local operations
-enter it through :meth:`DSumModel.from_local`; the ``ds_*`` helpers are
-thin wrappers over its methods and the framework verifiers.
+enter it through :meth:`DSumModel.from_local`, one at a time or as a stack
+of trials.  A random local operation or action is a raw draw, which makes
+every call on the generator, and a finish, which builds the operation from
+the draw or the stack of operations from stacked draws
+(:func:`ds_draw_local_op` and :func:`ds_finish_local_op`,
+:func:`ds_draw_action` and :func:`ds_finish_action`); the other ``ds_*``
+helpers are thin wrappers over the model's methods and the framework
+verifiers.
 A :class:`DSumState` is validated where it is built; the model stores the
 blocks it computes from validated states with ``DSumState._trusted``.
 """
@@ -48,24 +54,25 @@ from .linalg import (
     require_psd,
     trace_norm,
     trial_factor,
+    value,
     vdots,
 )
 from .quantum import (
     KrausOp,
+    KrausStack,
     QuantumModel,
     apply_quantum_op,
     choi_distance,
     coarse_grain_kraus,
     complement_kraus,
     compose_kraus,
+    draw_kraus,
     finish_kraus,
     finish_outcomes,
-    haar_outcomes,
-    random_kraus,
     scale_kraus,
 )
 from .report import Check, VerificationReport, worst_defect, worst_defects
-from .sampling import gram, random_simplex_point, trial_rng, unit_trace
+from .sampling import complex_gaussian, gram, simplex, trial_rng, unit_trace
 
 
 def _each(f, *pairs) -> tuple:
@@ -122,17 +129,22 @@ class DSumState:
 @dataclass(frozen=True, eq=False)
 class DSumLocalOp:
     """A local transformation: a block operation on the op's own sector plus an
-    occurrence probability p on the opposite sector."""
+    occurrence probability p on the opposite sector.
+
+    A stack of trials' local operations on one side has a
+    :class:`~optheory.quantum.KrausStack` block and one p per trial; every
+    trial's p is checked."""
 
     side: int
-    op_block: KrausOp
-    p: float
+    op_block: KrausOp | KrausStack
+    p: float | np.ndarray
     label: str = ""
 
     def __post_init__(self):
         if self.side not in (1, 2):
             raise ValueError(f"side must be 1 or 2, got {self.side!r}")
-        if not 0.0 <= self.p <= 1.0 + TOL_EFFECT:
+        inside = (0.0 <= self.p) & (self.p <= 1.0 + TOL_EFFECT)  # False for NaN
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise ValueError(f"sector probability must lie in [0, 1], got {self.p}")
 
 
@@ -187,8 +199,36 @@ def ds_nosig_check(
     return VerificationReport.from_checks("dsum-no-signaling", seed, len(probe), checks, tol)
 
 
+def ds_draw_local_op(rng: np.random.Generator, d: int) -> tuple:
+    """Raw draw of :func:`ds_random_local_op`: the raw draw of its block
+    (:func:`~optheory.quantum.draw_kraus`), then its sector probability p."""
+    return (*draw_kraus(rng, d, 0.2), rng.uniform())
+
+
+def ds_finish_local_op(side: int, a, keep, lam, p) -> DSumLocalOp:
+    """Finish of :func:`ds_draw_local_op` on ``side``; stacked raw draws give
+    the stack of local operations, its block a :class:`~optheory.quantum.KrausStack`."""
+    return DSumLocalOp(side, finish_kraus(a, keep, lam), p, "random")
+
+
 def ds_random_local_op(rng: np.random.Generator, side: int, d: int) -> DSumLocalOp:
-    return DSumLocalOp(side, random_kraus(rng, d, 0.2), float(rng.uniform()), "random")
+    return ds_finish_local_op(side, *ds_draw_local_op(rng, d))
+
+
+def ds_draw_action(rng: np.random.Generator, d: int, outcomes: int) -> tuple:
+    """Raw draw of :func:`ds_random_action`: the Gaussian of its Haar
+    instrument, then the exponentials of its probability vector."""
+    return complex_gaussian(rng, outcomes * d, d), rng.exponential(size=outcomes)
+
+
+def ds_finish_action(side: int, a: np.ndarray, x: np.ndarray) -> list[DSumLocalOp]:
+    """Finish of :func:`ds_draw_action` on ``side``: one local operation per
+    outcome, each a stack of trials for stacked raw draws."""
+    probs = simplex(x)
+    return [
+        DSumLocalOp(side, op, value(probs[..., j]), f"outcome{j}")
+        for j, op in enumerate(finish_outcomes(a, a.shape[-1]))
+    ]
 
 
 def ds_random_action(
@@ -196,12 +236,7 @@ def ds_random_action(
 ) -> list[DSumLocalOp]:
     """A complete local action: Haar instrument blocks paired with a random
     probability vector summing to one."""
-    blocks = haar_outcomes(rng, d, outcomes)
-    probs = random_simplex_point(rng, outcomes)
-    return [
-        DSumLocalOp(side, op, float(p), f"outcome{j}")
-        for j, (op, p) in enumerate(zip(blocks, probs))
-    ]
+    return ds_finish_action(side, *ds_draw_action(rng, d, outcomes))
 
 
 def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
@@ -232,7 +267,9 @@ class DSumModel(TheoryModel):
     two :class:`~optheory.quantum.QuantumModel` sectors.  A stack of trials
     has stacked blocks: a :class:`DSumState` of ``(n, d, d)`` blocks, a pair
     of :class:`~optheory.quantum.KrausStack`, each sector grouped by its own
-    Kraus ranks, and pairs of ``(n, d, d)`` effect blocks.
+    Kraus ranks, and pairs of ``(n, d, d)`` effect blocks.  The operations
+    the invariant suite and the dsum suite run, :meth:`from_local` among
+    them, take stacks as well as single objects.
     """
 
     d1: int
@@ -278,8 +315,15 @@ class DSumModel(TheoryModel):
         return Transformation(self, (plus, minus), label)
 
     def from_local(self, op: DSumLocalOp) -> Transformation:
-        """A local operation: its block map on its own sector, sqrt(p) I on the other."""
-        passive = scale_kraus(op.p, self._identities[2 - op.side])
+        """A local operation: its block map on its own sector, sqrt(p) I on the
+        other.  For a stack of local operations the passive blocks are one
+        :class:`~optheory.quantum.KrausStack` group, sqrt(p_t) I at trial t."""
+        identity = self._identities[2 - op.side]
+        if isinstance(op.op_block, KrausStack):
+            n = len(op.op_block)
+            kraus = np.broadcast_to(identity.kraus, (n, *identity.kraus.shape))
+            identity = KrausStack((kraus,), (np.arange(n),))
+        passive = scale_kraus(op.p, identity)
         if op.side == 1:
             return self.transformation(op.op_block, passive, op.label)
         return self.transformation(passive, op.op_block, op.label)
@@ -303,12 +347,7 @@ class DSumModel(TheoryModel):
         """Tr[K_plus rho_plus] + Tr[K_minus rho_minus]; for Hermitian blocks the
         real part of each trace is the Hilbert-Schmidt product ``vdot(K, rho)``."""
         (kp, km), (rp, rm) = e.payload, s.payload.blocks
-        if kp.ndim == 2 and rp.ndim == 2:
-            # One effect and one state: the same products as the stacked
-            # path, without its reshapes, which slow the dsum suite by
-            # about 6% (``evaluate_fork`` in BENCH_16.json).
-            return float(np.vdot(kp, rp).real + np.vdot(km, rm).real)
-        return _hilbert_schmidt(kp, rp) + _hilbert_schmidt(km, rm)
+        return value(_hilbert_schmidt(kp, rp) + _hilbert_schmidt(km, rm))
 
     def compose(self, first: Transformation, then: Transformation) -> Transformation:
         return Transformation(self, _each(compose_kraus, first.payload, then.payload))

@@ -22,11 +22,12 @@ that :func:`invariant_defects` runs (``prob``, ``condition``, ``compose``,
 ``add_coexistent``, ``scale``, and the model's ``effect_of``, ``apply``,
 ``evaluate``, ``mix_states``, ``effect_leq_unit`` and the two distances)
 then return one result per trial, each equal to the operation on that
-trial's objects alone, with the same checks made trial by trial;
-``complement`` takes single objects only.  :func:`model_invariant_suite`
-draws raw randomness trial by trial (``draw_state``,
-``draw_transformation``, ``draw_action``), finishes a chunk of draws as
-stacks (``finish_state``, ...), and evaluates the whole chunk at once.
+trial's objects alone, with the same checks made trial by trial, and so
+does :func:`probe_shifts`; ``complement`` takes single objects only.
+:func:`model_invariant_suite` draws raw randomness trial by trial
+(``draw_state``, ``draw_transformation``, ``draw_action``), finishes a
+chunk of draws as stacks (``finish_state``, ...), and evaluates the whole
+chunk at once.
 """
 
 from __future__ import annotations
@@ -484,10 +485,11 @@ def probe_shifts(
 ) -> list[float]:
     """|P(total, then B) - P(B)| on ``joint`` for every joint probe B: the
     no-signaling comparison once the local operations are embedded.  The
-    joint state's weight is read once."""
+    joint state's weight is read once.  On stacks of trials each shift holds
+    one value per trial (fold them with ``worst_defects``)."""
     model = _require_same_model(joint, total)
     w = joint.weight
-    if w <= EPS_COND:
+    if _any_trial(w <= EPS_COND):
         raise ZeroProbability("probability rule of a zero-weight state is undefined")
 
     def p(t: Transformation) -> float:
@@ -601,9 +603,9 @@ def model_invariant_suite(
 
     def evaluate(drawn: list) -> list[dict[str, float]]:
         s1, s2, a, b, c, act, lam = zip(*drawn)
-        omega, omega2 = (model.finish_state(*_columns(s)) for s in (s1, s2))
-        ta, tb, tc = (model.finish_transformation(*_columns(t)) for t in (a, b, c))
-        action = model.finish_action(*_columns(act))
+        omega, omega2 = (model.finish_state(*raw_columns(s)) for s in (s1, s2))
+        ta, tb, tc = (model.finish_transformation(*raw_columns(t)) for t in (a, b, c))
+        action = model.finish_action(*raw_columns(act))
         defects = invariant_defects(model, omega, omega2, ta, tb, tc, action, np.array(lam))
         outcomes_by_trial: list[dict[str, float]] = [{} for _ in drawn]
         for name, (rows, values) in defects.items():
@@ -625,9 +627,18 @@ def model_invariant_suite(
     )
 
 
-def _columns(raws) -> list[np.ndarray]:
+def raw_columns(raws) -> list[np.ndarray]:
     """Raw draws' values stacked along a new leading trial axis, one array per value."""
     return [np.array(column) for column in zip(*raws)]
+
+
+def take_trials(objects, trials: np.ndarray, n: int) -> list:
+    """The stacked states or transformations ``objects`` of ``n`` trials,
+    each cut to its sub-stack at the ascending ``trials`` (``TheoryModel.take``);
+    as they are when ``trials`` is every trial."""
+    if len(trials) == n:
+        return list(objects)
+    return [replace(x, payload=x.model.take(x.payload, trials)) for x in objects]
 
 
 def invariant_defects(
@@ -654,12 +665,8 @@ def invariant_defects(
 
     pa = prob(omega, ta)
     sub = np.flatnonzero(pa > 1e-6)
-
-    def taking(x):
-        return x if len(sub) == n else replace(x, payload=model.take(x.payload, sub))
-
     if len(sub):
-        o, a, b = taking(omega), taking(ta), taking(tb)
+        o, a, b = take_trials((omega, ta, tb), sub, n)
         chain = prob(condition(o, a), b) * pa[sub]
         direct = prob(o, compose(a, b))
         defects["bayes_chain"] = (sub, np.abs(chain - direct))

@@ -74,14 +74,9 @@ def haar_isometry_blocks(rng: np.random.Generator, d: int, n: int) -> np.ndarray
 
 
 def simplex(x: np.ndarray) -> np.ndarray:
-    """Every vector on the last axis divided by its sum: the finish of
-    :func:`random_simplex_point`."""
+    """Every vector on the last axis divided by its sum: a uniform probability
+    vector for a raw draw of n exponentials, ``rng.exponential(size=n)``."""
     return x / x.sum(axis=-1, keepdims=True)
-
-
-def random_simplex_point(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform probability vector via normalized exponentials."""
-    return simplex(rng.exponential(size=n))
 
 
 def draw_substochastic(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,9 +25,9 @@ from optheory.fixtures import (
     load_instrument,
 )
 from optheory.boxes import is_nosignaling_box, pr_box
-from optheory.directsum import DSumModel, ds_random_local_op
+from optheory.directsum import DSumModel
 from optheory.linalg import min_eig_herm, partial_trace, tensor
-from optheory.quantum import PAULI_X, KrausOp, z_instrument
+from optheory.quantum import PAULI_X, KrausStack, z_instrument
 from optheory.report import Check, VerificationReport, combine_reports
 
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
@@ -288,9 +288,12 @@ class TestMutantDetection:
     def test_dsum_suite_runs_on_from_local(self, monkeypatch, capsys):
         # Planted defect: the passive sector gets sqrt(p) X instead of sqrt(p) I
         # (qubit sectors, the default), so opposite-side operations stop
-        # commuting.  The suite must see it.
+        # commuting.  The suite embeds each chunk's stack of local operations,
+        # so the mutant builds a stack of passive blocks, one group of trials.
         def leaky_from_local(self, op):
-            passive = KrausOp([np.sqrt(op.p) * PAULI_X])
+            n = len(op.op_block)
+            x = np.sqrt(op.p)[:, None, None, None] * PAULI_X
+            passive = KrausStack((x,), (np.arange(n),))
             blocks = (op.op_block, passive) if op.side == 1 else (passive, op.op_block)
             return self.transformation(*blocks, op.label)
 
@@ -300,18 +303,21 @@ class TestMutantDetection:
 
     def test_nan_in_a_model_built_payload_fails_its_check(self, monkeypatch, tmp_path, capsys):
         # Kernels store what they derive from a validated operation unchecked,
-        # so a NaN planted in the first drawn block must reach the named
-        # commutation check (as +inf) instead of raising in compose_kraus.
-        draws = []
+        # so a NaN planted in trial 0's block of the first finished stack must
+        # reach the named commutation check (as +inf) instead of raising in
+        # compose_kraus.
+        finished = []
+        real = cli.ds_finish_local_op
 
-        def planted(rng, side, d):
-            op = ds_random_local_op(rng, side, d)
-            if not draws:
-                op.op_block.kraus[0, 0, 0] = np.nan
-            draws.append(op)
+        def planted(side, *raw):
+            op = real(side, *raw)
+            if not finished:
+                group, row = op.op_block._places
+                op.op_block.kraus[group[0]][row[0], 0, 0, 0] = np.nan
+            finished.append(op)
             return op
 
-        monkeypatch.setattr(cli, "ds_random_local_op", planted)
+        monkeypatch.setattr(cli, "ds_finish_local_op", planted)
         out = tmp_path / "out.json"
         assert main(["--suite", "dsum", "--trials", "3", "--json", str(out)]) == 1
         capsys.readouterr()

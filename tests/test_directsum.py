@@ -11,6 +11,9 @@ from optheory.directsum import (
     DSumState,
     ds_commutation_defect,
     ds_condition,
+    ds_draw_local_op,
+    ds_finish_action,
+    ds_finish_local_op,
     ds_joint_prob,
     ds_local_effect_span,
     ds_local_prob,
@@ -18,9 +21,20 @@ from optheory.directsum import (
     ds_random_action,
     ds_random_local_op,
 )
-from optheory.framework import Action, IncompleteAction, prob
+from optheory import cli
+from optheory.cli import SuiteConfig
+from optheory.framework import (
+    Action,
+    IncompleteAction,
+    condition,
+    prob,
+    probe_shifts,
+    raw_columns,
+    total_of_action,
+)
 from optheory.linalg import direct_sum
 from optheory.quantum import KrausOp, apply_quantum_op
+from optheory.report import worst_defect
 from optheory.sampling import ginibre_state, haar_isometry_blocks, trial_rng
 
 I2 = np.eye(2)
@@ -297,3 +311,67 @@ class TestSectorDrawsKeepTheirStream:
             assert np.array_equal(o.op_block.kraus[0], b)
             assert o.p == p
         assert rng.uniform() == ref.uniform()
+
+
+def _rare(draw: tuple) -> tuple:
+    """A dsum draw whose side-1 operation is too rare to condition on: its
+    block scaled by 1e-9 and its sector probability 1e-9."""
+    (a, keep, _, _), *rest = draw
+    return ((a, keep, 1e-9, 1e-9), *rest)
+
+
+def _bits(outcomes: list) -> list:
+    return [{name: float(v).hex() for name, v in defects.items()} for defects in outcomes]
+
+
+def _one_trial(model: DSumModel, draw: tuple) -> dict:
+    """The defects of one dsum trial through the one-object operations: the
+    per-trial evaluation that the stacked one replaced."""
+    left, right, state, action, probes = draw
+    a = model.from_local(ds_finish_local_op(1, *left))
+    b = model.from_local(ds_finish_local_op(2, *right))
+    omega = model.finish_state(*state)
+    ab = model.compose(a, b)
+    defects = {"commutation": model.transformation_distance(ab, model.compose(b, a))}
+    total = total_of_action(Action(map(model.from_local, ds_finish_action(1, *action))))
+    probes = [model.from_local(ds_finish_local_op(2, *p)) for p in probes]
+    defects["no_signaling"] = worst_defect(*probe_shifts(omega, total, probes))
+    pa = prob(omega, a)
+    if pa > 1e-6:
+        quotient = prob(omega, ab) / pa
+        defects["conditioning_quotient"] = abs(prob(condition(omega, a), b) - quotient)
+    return defects
+
+
+class TestStacks:
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_from_local_of_a_stack_equals_each_trial_alone(self, side):
+        model = DSumModel(2, 3)
+        d = (2, 3)[side - 1]
+        raws = [ds_draw_local_op(trial_rng(80, k), d) for k in range(6)]
+        stacked = model.from_local(ds_finish_local_op(side, *raw_columns(raws)))
+        for k, raw in enumerate(raws):
+            alone = model.from_local(ds_finish_local_op(side, *raw))
+            for block, one in zip(stacked.payload, alone.payload):
+                assert np.array_equal(block[np.array([k])].kraus[0][0], one.kraus)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+    def test_a_stack_of_local_ops_checks_every_sector_probability(self, bad):
+        raws = [ds_draw_local_op(trial_rng(81, k), 2) for k in range(3)]
+        a, keep, lam, p = raw_columns(raws)
+        op = ds_finish_local_op(1, a, keep, lam, p)
+        with pytest.raises(ValueError, match="sector probability"):
+            DSumLocalOp(1, op.op_block, np.array([0.5, bad, 0.5]))
+
+    @pytest.mark.parametrize("outcomes", [2, 4])
+    @pytest.mark.parametrize("d1,d2", [(2, 3), (6, 5)])
+    def test_a_dsum_chunk_equals_its_trials_evaluated_alone(self, d1, d2, outcomes):
+        # Every third trial skips the conditioning quotient (pa <= 1e-6).
+        cfg = SuiteConfig("dsum", seed=9, d1=d1, d2=d2, outcomes=outcomes)
+        model = DSumModel(d1, d2)
+        draws = [cli._dsum_draw(cfg, model, trial_rng(cfg.seed, k), k) for k in range(9)]
+        draws = [_rare(draw) if k % 3 == 1 else draw for k, draw in enumerate(draws)]
+        chunk = cli._dsum_evaluate(model, draws)
+        alone = [defects for draw in draws for defects in cli._dsum_evaluate(model, [draw])]
+        assert _bits(chunk) == _bits(alone) == _bits([_one_trial(model, d) for d in draws])
+        assert ["conditioning_quotient" in x for x in chunk] == [k % 3 != 1 for k in range(9)]

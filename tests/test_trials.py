@@ -455,3 +455,64 @@ def test_two_invariant_shards_split_inside_a_chunk_reproduce_the_full_run(
     assert halves[0] + halves[1] == full
     tols = dict.fromkeys(framework._INVARIANTS, 1e-9)
     assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
+
+
+# ---------------------------------------------------------------------------
+# The dsum suite's trials are evaluated as stacked chunks too
+# ---------------------------------------------------------------------------
+
+DSUM_CFG = SuiteConfig("dsum", seed=3, trials=100, d1=6, d2=6)
+DSUM_TOLS = {"commutation": 1e-12, "no_signaling": 1e-8, "conditioning_quotient": 1e-10}
+
+
+def _dsum_outcomes(indices, evaluate=None) -> list:
+    """``(k, defects)`` of the dsum suite's trials ``indices`` under DSUM_CFG,
+    each chunk evaluated by ``evaluate`` (default: ``cli._dsum_evaluate``)."""
+    model = DSumModel(DSUM_CFG.d1, DSUM_CFG.d2)
+    draw = partial(cli._dsum_draw, DSUM_CFG, model)
+    evaluate = evaluate or partial(cli._dsum_evaluate, model)
+    return list(trial_outcomes(DSUM_CFG.seed, indices, draw, evaluate))
+
+
+def test_a_planted_nan_in_a_middle_dsum_chunk_fails_commutation_at_its_trial(monkeypatch):
+    trials, bad = range(DSUM_CFG.trials), 60
+    clean = _dsum_outcomes(trials)
+    chunks, real = [], cli.ds_finish_local_op
+
+    def planted(side, *raw):
+        # A NaN in trial ``bad``'s finished side-1 block, once its chunk is drawn.
+        op = real(side, *raw)
+        position = bad - sum(chunks[:-1])
+        if side == 1 and 0 <= position < chunks[-1]:
+            group, row = op.op_block._places
+            op.op_block.kraus[group[position]][row[position], 0, 0, 0] = math.nan
+        return op
+
+    def evaluate(drawn):
+        chunks.append(len(drawn))
+        return cli._dsum_evaluate(DSumModel(DSUM_CFG.d1, DSUM_CFG.d2), drawn)
+
+    monkeypatch.setattr(cli, "ds_finish_local_op", planted)
+    outcomes = _dsum_outcomes(trials, evaluate)
+    chunk = chunks[0]
+    assert chunks == [chunk, chunk, DSUM_CFG.trials - 2 * chunk] and chunk < bad < 2 * chunk
+    assert outcomes[:bad] + outcomes[bad + 1 :] == clean[:bad] + clean[bad + 1 :]
+    defects, clean_defects = outcomes[bad][1], clean[bad][1]
+    assert defects["commutation"] == math.inf
+    assert defects["no_signaling"] == clean_defects["no_signaling"]
+    # Its probability of the planted operation is NaN, so it joins no quotient.
+    assert "conditioning_quotient" in clean_defects and "conditioning_quotient" not in defects
+    commutation, no_signaling, quotient = fold_checks(outcomes, DSUM_TOLS)
+    assert commutation.defect == math.inf and commutation.worst_trial == bad
+    assert no_signaling.passed and quotient.passed
+
+
+def test_two_dsum_shards_split_inside_a_chunk_reproduce_the_full_run():
+    n, split = DSUM_CFG.trials, 60
+    model = DSumModel(DSUM_CFG.d1, DSUM_CFG.d2)
+    chunk = report._chunk_length(cli._dsum_draw(DSUM_CFG, model, trial_rng(DSUM_CFG.seed, 0), 0))
+    assert chunk < split < 2 * chunk
+    full = _dsum_outcomes(range(n))
+    halves = [_dsum_outcomes(range(a, b)) for a, b in ((0, split), (split, n))]
+    assert halves[0] + halves[1] == full
+    assert _merge(*(fold_checks(h, DSUM_TOLS) for h in halves)) == fold_checks(full, DSUM_TOLS)
