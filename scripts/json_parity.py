@@ -12,8 +12,11 @@ landmarks and the packaged fixtures at seed 0, opcore (20 trials) and
 dsum (100 trials) at (2,3) with ``--outcomes 4`` at seed 0, whose action
 samplers otherwise run at two outcomes only, and dsum at seed 0 at (2,2)
 with 700 trials, which span two full chunks and a partial one, and at
-(6,6) with ``--outcomes 16``, whose 100 trials end in a partial chunk),
-with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
+(6,6) with ``--outcomes 16``, whose 100 trials end in a partial chunk,
+quantum-nosig at (2,2) with 2600 trials, whose random loop and trace
+biconditional each span two full chunks and a partial one, and opcore at
+(2,2) with 2000 trials, whose quantum and direct-sum composite loops end in
+a partial chunk), with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
@@ -64,6 +67,10 @@ CASES = [
     # Chunks of 348 trials at (2,2), and of 26 at (6,6) with 16 outcomes.
     ("dsum", 2, 2, 0, 700),
     ("dsum", 6, 6, 0, TRIALS, "--outcomes", "16"),
+    # Chunks of 992 (random loop) and 1092 (biconditional) trials at (2,2).
+    ("quantum-nosig", 2, 2, 0, 2600),
+    # 400 composite trials: chunks of 348 (quantum) and 376 (direct sum) at (2,2).
+    ("opcore", 2, 2, 0, 2000),
 ] + [
     (suite, 2, 2, 0, TRIALS, flag, name)
     for suite, flag, name in (

@@ -39,8 +39,8 @@ from .framework import (
     ClassicalModel,
     commutation_defect,
     condition,
+    embedded_probe_shifts,
     model_invariant_suite,
-    no_signaling_check,
     prob,
     probe_shifts,
     raw_columns,
@@ -51,7 +51,9 @@ from .quantum import (
     REDUCED_TOL,
     QuantumBipartite,
     QuantumModel,
+    no_signaling_trial_defects,
     quantum_no_signaling_check,
+    quantum_no_signaling_defects,
     reduced_positivity_min_eigs,
     singlet_state,
     trace_biconditional_check,
@@ -62,11 +64,17 @@ from .report import (
     Check,
     VerificationReport,
     combine_reports,
-    per_trial,
     run_trials,
     worst_defects,
 )
-from .sampling import ginibre_positive, ginibre_state, trial_rng
+from .sampling import (
+    complex_gaussian,
+    ginibre_positive,
+    ginibre_state,
+    gram,
+    trial_rng,
+    unit_trace,
+)
 from .tomography import audit_rows
 
 SUITES = ("opcore", "quantum-nosig", "lemma", "dsum", "tomo-audit", "boxworld", "all")
@@ -147,16 +155,31 @@ def _defects(report: VerificationReport) -> VerificationReport:
 
 
 def _composite_draw(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) -> tuple:
-    left, right = bip.left.random_transformation(rng), bip.right.random_transformation(rng)
-    joint = bip.joint.random_state(rng)
-    action = bip.left.random_action(rng, cfg.outcomes)
-    probes = [bip.right.random_transformation(rng) for _ in range(3)]
+    left, right = bip.left.draw_transformation(rng), bip.right.draw_transformation(rng)
+    joint = bip.joint.draw_state(rng)
+    action = bip.left.draw_action(rng, cfg.outcomes)
+    probes = tuple(bip.right.draw_transformation(rng) for _ in range(3))
     return left, right, joint, action, probes
 
 
-def _composite_evaluate(cfg: SuiteConfig, bip, left, right, joint, action, probes) -> dict:
-    rep = no_signaling_check(joint, action, bip, probes, tol=cfg.tol, seed=cfg.seed)
-    return {"commutation": commutation_defect(bip, left, right), "no_signaling": rep.max_defect}
+def _composite_evaluate(bip, drawn: list) -> list[dict]:
+    """The defects of a chunk of trials: its raw draws finished as stacks, and
+    one call per check on them."""
+    left, right, joint, action, probes = zip(*drawn)
+    ta = bip.left.finish_transformation(*raw_columns(left))
+    tb = bip.right.finish_transformation(*raw_columns(right))
+    # One number for a whole stack (a distance that is NaN whatever its
+    # operands, say) holds for each trial.
+    commutation = np.broadcast_to(commutation_defect(bip, ta, tb), (len(drawn),))
+
+    omega = bip.joint.finish_state(*raw_columns(joint))
+    action = bip.left.finish_action(*raw_columns(action))
+    probes = [bip.right.finish_transformation(*raw_columns(p)) for p in zip(*probes)]
+    no_signaling = worst_defects(*embedded_probe_shifts(omega, action, bip, probes))
+    return [
+        {"commutation": c, "no_signaling": s}
+        for c, s in zip(commutation.tolist(), no_signaling.tolist())
+    ]
 
 
 def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
@@ -177,22 +200,31 @@ def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
     tols = {"commutation": 1e-10, "no_signaling": cfg.tol}
     for bip in composites:
         suite = f"commutation-and-no-signaling[{bip.joint.name}]"
-        draw = partial(_composite_draw, cfg, bip)
-        evaluate = per_trial(partial(_composite_evaluate, cfg, bip))
+        draw, evaluate = partial(_composite_draw, cfg, bip), partial(_composite_evaluate, bip)
         trials = max(cfg.trials // 5, 5)
         reports.append(_defects(_from_trials(suite, cfg, trials, draw, evaluate, tols)))
     return combine_reports("opcore", reports)
 
 
-def _quantum_nosig_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tuple:
-    rho = ginibre_state(rng, cfg.d1 * cfg.d2)
+def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
+    g = complex_gaussian(rng, cfg.d1 * cfg.d2, cfg.d1 * cfg.d2)
     n_out = int(rng.integers(2, 5))
-    return rho, model.random_instrument(rng, n_out)
+    return g, n_out, complex_gaussian(rng, n_out * cfg.d1, cfg.d1)
 
 
-def _quantum_nosig_evaluate(cfg: SuiteConfig, rho, inst) -> dict:
-    rep = quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
-    return {c.name: c.defect for c in rep.checks}
+def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list) -> list[dict]:
+    """The defects of a chunk of trials, one stacked call per outcome count."""
+    g, counts, a = zip(*drawn)
+    rho = unit_trace(gram(np.array(g)))
+    defects: list = [None] * len(drawn)
+    for n_out in dict.fromkeys(counts):
+        trials = [k for k, count in enumerate(counts) if count == n_out]
+        action = model.finish_action(np.array([a[k] for k in trials]))
+        outcomes = [t.payload for t in action.transformations]
+        found = quantum_no_signaling_defects(rho[trials], outcomes, cfg.d1, cfg.d2)
+        for k, d in zip(trials, no_signaling_trial_defects(*found, cfg.tol)):
+            defects[k] = d
+    return defects
 
 
 def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
@@ -216,8 +248,8 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
             suite = "quantum-no-signaling[fixture]"
             reports.append(_rejected(suite, cfg, cfg.fixture, cfg.tol, exc))
     else:
-        draw = partial(_quantum_nosig_draw, cfg, QuantumModel(cfg.d1))
-        evaluate = per_trial(partial(_quantum_nosig_evaluate, cfg))
+        draw = partial(_quantum_nosig_draw, cfg)
+        evaluate = partial(_quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
         tols = {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL}
         suite = "quantum-no-signaling[random]"
         random = _from_trials(suite, cfg, cfg.trials, draw, evaluate, tols)

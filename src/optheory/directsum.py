@@ -459,9 +459,9 @@ class DSumBipartite(BipartiteModel):
         object.__setattr__(self, "right", QuantumModel(self.d2))
         object.__setattr__(self, "joint", DSumModel(self.d1, self.d2))
 
-    def _embed(self, t: Transformation, side: int) -> tuple[KrausOp, KrausOp]:
-        p = _mixed_state_prob(effect_of(t))
-        return self.joint.from_local(DSumLocalOp(side, t.payload, min(p, 1.0), t.label)).payload
+    def _embed(self, t: Transformation, side: int) -> tuple:
+        p = np.minimum(_mixed_state_prob(effect_of(t)), 1.0)  # one p per trial of a stack
+        return self.joint.from_local(DSumLocalOp(side, t.payload, p, t.label)).payload
 
     def product_payloads(self, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
         """Block stacks (q_j K_l,i, p_i K_r,j) of the products of ``lefts[i]``
@@ -494,8 +494,9 @@ def _hilbert_schmidt(k: np.ndarray, r: np.ndarray) -> np.ndarray:
     return vdots(k.reshape(k.shape[:-2] + (-1,)), r.reshape(r.shape[:-2] + (-1,))).real
 
 
-def _mixed_state_prob(e: Effect) -> float:
-    """Value Tr[K]/d of a component effect on the maximally mixed state."""
+def _mixed_state_prob(e: Effect):
+    """Value Tr[K]/d of a component effect on the maximally mixed state (of
+    each effect of a stack)."""
     model = e.model
     return model.evaluate(e, State(model, np.eye(model.d) / model.d))
 

@@ -299,7 +299,8 @@ class BipartiteModel(ABC):
 
     @abstractmethod
     def _embed(self, t: Transformation, side: int) -> Any:
-        """Joint payload of a component transformation acting on ``side`` (1 or 2)."""
+        """Joint payload of a component transformation acting on ``side`` (1 or
+        2); of a stack of them, the stack of their joint payloads."""
 
     def embed_left(self, t: Transformation) -> Transformation:
         if t.model != self.left:
@@ -468,7 +469,8 @@ def dynamically_equivalent(
 
 
 def commutation_defect(bip: BipartiteModel, t_left: Transformation, t_right: Transformation) -> float:
-    """How far embedded left/right transformations are from commuting."""
+    """How far embedded left/right transformations are from commuting; on
+    stacks of trials, one defect per trial."""
     a = bip.embed_left(t_left)
     b = bip.embed_right(t_right)
     ab = compose(a, b)
@@ -498,6 +500,15 @@ def probe_shifts(
     return [abs(p(compose(total, b)) - p(b)) for b in probes]
 
 
+def embedded_probe_shifts(
+    joint: State, action: Action, bip: BipartiteModel, probes: Sequence[Transformation]
+) -> list[float]:
+    """:func:`probe_shifts` of the embedded total of a left action against
+    the embedded right probes; on stacks of trials, one shift per trial and probe."""
+    total = reduce(bip.joint.add_transformations, map(bip.embed_left, action.transformations))
+    return probe_shifts(joint, total, [bip.embed_right(b) for b in probes])
+
+
 def no_signaling_check(
     joint: State,
     action: Action,
@@ -513,8 +524,7 @@ def no_signaling_check(
     (identity, B) (:func:`probe_shifts`).  The worst absolute difference is
     the reported defect.
     """
-    total = reduce(bip.joint.add_transformations, map(bip.embed_left, action.transformations))
-    shifts = probe_shifts(joint, total, [bip.embed_right(b) for b in probe])
+    shifts = embedded_probe_shifts(joint, action, bip, probe)
     worst = 0.0
     witness = None
     for b, shift in zip(probe, shifts):
@@ -833,6 +843,7 @@ class ClassicalBipartite(BipartiteModel):
         object.__setattr__(self, "joint", ClassicalModel(self.n1 * self.n2))
 
     def _embed(self, t: Transformation, side: int) -> np.ndarray:
+        # np.kron reads a 2-D factor as (1, n, n) next to a stack: trial by trial.
         if side == 1:
             return np.kron(t.payload, np.eye(self.n2))
         return np.kron(np.eye(self.n1), t.payload)

@@ -33,7 +33,10 @@ superoperators, and neither depends on the Kraus decomposition.  With
 stacked as rows, ``J(A) - J(B) = W^T S``.  That difference is Hermitian, so
 :func:`choi_distance` evaluates only its upper block triangle, one block of
 ``CHOI_BLOCK`` rows at a time, and never holds the whole ``D^2 x D^2`` matrix:
-at D = 36 its temporaries take about 2 MB instead of 40 MB.
+at D = 36 its temporaries take about 2 MB instead of 40 MB.  A stack of
+trials is taken as many trials at a time as keep one block product within
+``CHOI_STACK_ENTRIES`` entries, one trial at a time at D = 36, so a stack's
+temporaries stay about as small as one operation's.
 """
 
 from __future__ import annotations
@@ -70,13 +73,11 @@ from .linalg import (
     trace_norm,
     trial_factor,
 )
-from .report import Check, VerificationReport, fold_checks, per_trial, trial_outcomes, worst_defect
+from .report import Check, VerificationReport, fold_checks, trial_outcomes, worst_defect
 from .sampling import (
     complex_gaussian,
     ginibre_positive,
-    ginibre_state,
     gram,
-    haar_isometry_blocks,
     isometry_blocks,
     trial_rng,
     unit_trace,
@@ -405,6 +406,10 @@ def complement_kraus(m: KrausOp) -> KrausOp:
 # equally fast; 64 keeps every operation up to D = 8 in one block, where two
 # blocks of 32 cost a 6-dim local operation half as much again.
 CHOI_BLOCK = 64
+# Entries of one block product in choi_distance, all trials of a stacked call
+# together: 2^17 complex entries are 2 MB.  A stack takes as many trials per
+# product as fit, and at least one.
+CHOI_STACK_ENTRIES = 2**17
 
 
 def choi_distance(a, b):
@@ -422,8 +427,10 @@ def choi_distance(a, b):
     ``i:i+CHOI_BLOCK`` of ``W^T`` are therefore multiplied only with the
     columns ``i:`` of ``S``; the block maxima are folded with ``np.maximum``,
     which keeps a NaN.  The peak temporary is one block of
-    ``CHOI_BLOCK * D^2`` complex entries, not the ``D^2 x D^2`` matrix.
-    Stacks of operations give one distance per trial.
+    ``CHOI_BLOCK * D^2`` complex entries per trial, not the ``D^2 x D^2``
+    matrix.  Stacks of operations give one distance per trial, computed for
+    as many trials at a time as keep a block product within
+    ``CHOI_STACK_ENTRIES`` (one at a time at D = 36).
     """
     if _stacked(a, b):
         n = len(a) if isinstance(a, KrausStack) else len(b)
@@ -431,10 +438,18 @@ def choi_distance(a, b):
     ka, kb = a.kraus, b.kraus
     if ka.shape[-2:] != kb.shape[-2:]:
         raise ValueError(f"operations map {ka.shape[-2:]} and {kb.shape[-2:]}")
+    lead = np.broadcast(ka[..., 0, 0, 0], kb[..., 0, 0, 0]).shape
+    entries = ka.shape[-2] * ka.shape[-1]
+    per = max(1, CHOI_STACK_ENTRIES // (min(CHOI_BLOCK, entries) * entries))
+    if lead and lead[0] > per:
+        ka, kb = (np.broadcast_to(k, lead + k.shape[-3:]) for k in (ka, kb))
+        return np.concatenate([
+            choi_distance(KrausOp._trusted(ka[i : i + per]), KrausOp._trusted(kb[i : i + per]))
+            for i in range(0, lead[0], per)
+        ])
     ra = ka.shape[-3]
     # Not coarse_grain_kraus: a KrausOp rejects a NaN entry that this distance must
     # report.  W is filled by assignment, which broadcasts the leading axes.
-    lead = np.broadcast(ka[..., 0, 0, 0], kb[..., 0, 0, 0]).shape
     w = np.empty(lead + (ra + kb.shape[-3], ka.shape[-2] * ka.shape[-1]), dtype=complex)
     w[..., :ra, :] = ka.reshape(ka.shape[:-2] + (-1,))
     w[..., ra:, :] = kb.reshape(kb.shape[:-2] + (-1,))
@@ -448,8 +463,12 @@ def choi_distance(a, b):
     return value(top)
 
 
-def local_embed(m: KrausOp, d_other: int, side: int = 1) -> KrausOp:
-    """Extend a local operation to the joint space by tensoring with identity."""
+def local_embed(m, d_other: int, side: int = 1):
+    """Extend a local operation to the joint space by tensoring with identity;
+    a :class:`KrausStack` gives the stack of its trials' extensions."""
+    if isinstance(m, KrausStack):
+        groups = (local_embed(KrausOp._trusted(k), d_other, side).kraus for k in m.kraus)
+        return KrausStack(tuple(groups), m.trials)
     # A leading axis of length 1 makes np.kron act blockwise on every Kraus operator.
     eye = np.eye(d_other)[None]
     if side == 1:
@@ -474,12 +493,14 @@ def _on_side1(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 def side1_kraus_outputs(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``(K_k (x) I) R (K_k (x) I)^dag`` for every ``K_k`` of an ``(n, d1, d1)``
     stack and a joint operator ``R`` on ``d1*d2``: an ``(n, D, D)`` array.
+    Stacks of trials, Kraus arrays ``(..., n, d1, d1)`` and operators
+    ``(..., D, D)``, give ``(..., n, D, D)``.
 
     The left factor is :func:`_on_side1`; the right one contracts the column
     index the same way, as ``X (K (x) I)^dag = ((K (x) I) X^dag)^dag``.
     """
-    left = _on_side1(kraus, r)
-    return _on_side1(kraus, left.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    left = _on_side1(kraus, r[..., None, :, :])
+    return _on_side1(kraus, left.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
 def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
@@ -523,6 +544,57 @@ TRACE_FAIL_TOL = 1e-8
 REDUCED_FAIL_TOL = 1e-6
 
 
+def quantum_no_signaling_defects(rho, outcomes, d1: int, d2: int) -> tuple:
+    """The defects of :func:`quantum_no_signaling_check` on a stack of n
+    trials: ``rho`` an ``(n, D, D)`` stack of Hermitian joint operators
+    (validated and symmetrized here) and ``outcomes`` an instrument's
+    outcomes, each a :class:`KrausStack` of n trials.  Returns the ``(n,)``
+    trace-norm defects of the averaged instrument and the ``(n, m)`` trace
+    and reduced-state defects of its m outcomes, each trial's equal to the
+    check on that trial alone, bit for bit.
+    """
+    r = require_hermitian_stack(rho)
+    if r.shape[-1] != d1 * d2:
+        raise ValueError("joint state dimension does not match d1*d2")
+    if outcomes[0].dim_in != d1:
+        raise ValueError(f"instrument acts on dimension {outcomes[0].dim_in}, expected d1={d1}")
+    pieces = []
+    for trials, ops in _rank_groups(*outcomes):
+        # All Kraus operators of a trial in one stack.  reduceat sums the traces and
+        # remote reductions of each outcome's run of it: on the D x D outputs it is slower.
+        kraus = np.concatenate([op.kraus for op in ops], axis=-3)
+        starts = np.cumsum([0, *(op.kraus.shape[-3] for op in ops[:-1])])
+        rt = r[trials]
+        outs = side1_kraus_outputs(kraus, rt)
+        weights = np.trace(rt, axis1=-2, axis2=-1).real
+        traces = np.add.reduceat(np.trace(outs, axis1=-2, axis2=-1).real, starts, axis=-1)
+        per_kraus = partial_trace(outs.reshape(-1, *rt.shape[-2:]), d1, d2, side=1)
+        reduced = np.add.reduceat(per_kraus.reshape(outs.shape[:-2] + (d2, d2)), starts, axis=-3)
+        # Trace norms of every outcome's shift and of the average's, in one SVD call.
+        shifts = np.concatenate([reduced, reduced.sum(axis=-3)[:, None]], axis=-3)
+        shifts -= partial_trace(rt, d1, d2, side=1)[:, None]
+        norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
+        pieces.append((trials, (norms[:, -1], np.abs(traces - weights[:, None]), norms[:, :-1])))
+    return tuple(_scatter(len(r), ((t, p[i]) for t, p in pieces)) for i in range(3))
+
+
+def no_signaling_trial_defects(no_signaling, trace_defects, reduced_defects, tol: float) -> list:
+    """Each trial's named defects from :func:`quantum_no_signaling_defects`:
+    ``no_signaling``, and ``trace_preserving_outcomes``, the worst reduced
+    defect of the outcomes whose trace defect is within ``tol``, when some
+    outcome's is."""
+    trials = []
+    for average, traces, reduced in zip(
+        no_signaling.tolist(), trace_defects.tolist(), reduced_defects.tolist()
+    ):
+        defects = {"no_signaling": average}
+        preserved = [x for t, x in zip(traces, reduced) if t <= tol]
+        if preserved:
+            defects["trace_preserving_outcomes"] = worst_defect(*preserved)
+        trials.append(defects)
+    return trials
+
+
 def quantum_no_signaling_check(
     rho,
     inst: Instrument,
@@ -537,40 +609,20 @@ def quantum_no_signaling_check(
     and after the averaged (completed) instrument, and (ii) for every
     outcome that happens to preserve the trace on this state, its individual
     reduced-state defect.  Each is a named check; (ii) is present only when
-    some outcome preserves the trace.
+    some outcome preserves the trace.  One state and instrument:
+    :func:`quantum_no_signaling_defects` of a stack of one.
     """
-    r = require_hermitian(rho)
-    if r.shape[0] != d1 * d2:
-        raise ValueError("joint state dimension does not match d1*d2")
-    if inst.dim != d1:
-        raise ValueError(f"instrument acts on dimension {inst.dim}, expected d1={d1}")
-    before = partial_trace(r, d1, d2, side=1)
-    total_weight = float(np.trace(r).real)
-    # All Kraus operators in one stack.  reduceat sums the traces and remote
-    # reductions of each outcome's run of it: on the D x D outputs it is slower.
-    sizes = [len(op.kraus) for op in inst.outcomes]
-    starts = np.cumsum([0, *sizes[:-1]])
-    outs = side1_kraus_outputs(np.concatenate([op.kraus for op in inst.outcomes]), r)
-    traces = np.add.reduceat(np.trace(outs, axis1=1, axis2=2).real, starts)
-    per_kraus = np.einsum("nikil->nkl", outs.reshape(-1, d1, d2, d1, d2))
-    reduced = np.add.reduceat(per_kraus, starts, axis=0)
-    after = reduced.sum(axis=0)
-    # Trace norms of every outcome's shift and of the average's, in one SVD call.
-    shifts = np.concatenate([reduced, after[None]]) - before
-    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
-    outcome_defects = []
-    preserved_defects = []
-    for trace, reduced_defect in zip(traces, norms[:-1]):
-        trace_defect = abs(float(trace) - total_weight)
-        reduced_defect = float(reduced_defect)
-        outcome_defects.append({"trace_defect": trace_defect, "reduced_defect": reduced_defect})
-        if trace_defect <= tol:
-            preserved_defects.append(reduced_defect)
-    checks = [Check("no_signaling", float(norms[-1]), tol)]
-    if preserved_defects:
-        checks.append(
-            Check("trace_preserving_outcomes", worst_defect(*preserved_defects), REDUCED_TOL)
-        )
+    one = (np.zeros(1, dtype=np.intp),)
+    outcomes = [KrausStack((op.kraus[None],), one) for op in inst.outcomes]
+    r = as_matrix(rho, square=True)[None]
+    no_signaling, traces, reduced = quantum_no_signaling_defects(r, outcomes, d1, d2)
+    (defects,) = no_signaling_trial_defects(no_signaling, traces, reduced, tol)
+    tols = {"no_signaling": tol, "trace_preserving_outcomes": REDUCED_TOL}
+    checks = [Check(name, defect, tols[name]) for name, defect in defects.items()]
+    outcome_defects = [
+        {"trace_defect": t, "reduced_defect": x}
+        for t, x in zip(traces[0].tolist(), reduced[0].tolist())
+    ]
     return VerificationReport.from_checks(
         "quantum-no-signaling",
         seed,
@@ -580,7 +632,7 @@ def quantum_no_signaling_check(
         max_defect=checks[0].defect,
         details={
             "outcomes": outcome_defects,
-            "trace_preserved_outcomes": len(preserved_defects),
+            "trace_preserved_outcomes": int(np.count_nonzero(traces[0] <= tol)),
         },
     )
 
@@ -612,32 +664,52 @@ def trace_biconditional_check(
     the remote reduction moved appreciably the trace must have dropped.  The
     sampler mixes generic selective operations, trace-preserving channels,
     and selective operations whose filter is aligned with the state support
-    (so the trace-preserved branch is exercised nontrivially).
+    (so the trace-preserved branch is exercised nontrivially).  Each trial
+    makes a raw draw; a chunk of them is finished and evaluated as stacks,
+    one stacked call per draw kind and Kraus count or filter rank, each
+    trial's defects equal to those of its draw evaluated alone.
     """
-    def draw(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The joint operator R and the Kraus stack of M for trial ``k``."""
+
+    def draw(rng: np.random.Generator, k: int) -> tuple:
+        """Trial ``k``'s raw draw ``(kind, count, a, g)``: its kind, the Kraus
+        count of M (kinds 0 and 1) or the rank of its filter (kind 2), and
+        the Gaussians of M's isometry or filter basis and of R."""
         kind = k % 3
-        if kind == 0:
-            r = ginibre_state(rng, d1 * d2)
-            blocks = haar_isometry_blocks(rng, d1, 3)
-            return r, blocks[: int(rng.integers(1, 3))]
-        if kind == 1:
-            return ginibre_state(rng, d1 * d2), haar_isometry_blocks(rng, d1, 2)
-        rank = int(rng.integers(1, d1))
-        basis = np.linalg.qr(complex_gaussian(rng, d1, d1))[0]
-        p = basis[:, :rank] @ basis[:, :rank].conj().T
-        r = side1_kraus_outputs(p[None], ginibre_positive(rng, d1 * d2))[0]
-        return unit_trace(r), p[None]
+        if kind == 2:
+            rank = int(rng.integers(1, d1))
+            basis = complex_gaussian(rng, d1, d1)
+            return kind, rank, basis, complex_gaussian(rng, d1 * d2, d1 * d2)
+        g = complex_gaussian(rng, d1 * d2, d1 * d2)
+        a = complex_gaussian(rng, (3 - kind) * d1, d1)
+        return kind, int(rng.integers(1, 3)) if kind == 0 else 2, a, g
 
-    def sample(r: np.ndarray, kraus: np.ndarray) -> dict[str, float]:
-        joint = side1_kraus_outputs(kraus, r).sum(axis=0)
-        trace_defect = abs(float(np.trace(joint).real) - float(np.trace(r).real))
-        reduced_defect = trace_norm(
-            partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
-        )
-        return {"trace_defect": trace_defect, "reduced_defect": reduced_defect}
+    def finish(kind: int, count: int, a: np.ndarray, g: np.ndarray) -> tuple:
+        """The stacked R and Kraus arrays of M of stacked raw draws of one kind and count."""
+        if kind < 2:
+            return unit_trace(gram(g)), isometry_blocks(a, 3 - kind)[:, :count]
+        basis = np.linalg.qr(a)[0][..., :count]
+        p = (basis @ basis.conj().swapaxes(-1, -2))[:, None]
+        return unit_trace(side1_kraus_outputs(p, gram(g))[:, 0]), p
 
-    evaluate = per_trial(sample)
+    def evaluate(drawn: list) -> list[dict[str, float]]:
+        """A chunk's trace and reduced defects, one stacked call per kind and count."""
+        keys = [raw[:2] for raw in drawn]
+        outcomes: list = [None] * len(drawn)
+        for key in dict.fromkeys(keys):
+            trials = [k for k, other in enumerate(keys) if other == key]
+            a, g = (np.array([drawn[k][j] for k in trials]) for j in (2, 3))
+            r, kraus = finish(*key, a, g)
+            joint = side1_kraus_outputs(kraus, r).sum(axis=-3)
+            trace_defects = np.abs(
+                np.trace(joint, axis1=-2, axis2=-1).real - np.trace(r, axis1=-2, axis2=-1).real
+            )
+            reduced_defects = trace_norm(
+                partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
+            )
+            for k, t, x in zip(trials, trace_defects.tolist(), reduced_defects.tolist()):
+                outcomes[k] = {"trace_defect": t, "reduced_defect": x}
+        return outcomes
+
     preserved_cases = 0
 
     def defects():  # folded as they arrive, counting the trace-preserved trials

@@ -60,28 +60,21 @@ class Check:
 CHUNK_ENTRIES = 2**15
 
 
-def _entries(drawn: Any) -> int | None:
+def _entries(drawn: Any) -> int:
     """The number of entries of the arrays and numbers ``drawn`` holds, in
-    tuples nested to any depth; None when it holds anything else."""
+    tuples nested to any depth.  A draw holds nothing else: the runner sizes
+    chunks by it, and an evaluation finishes it as stacks."""
     if isinstance(drawn, (np.ndarray, Number)):
         return np.size(drawn)
     if not isinstance(drawn, tuple):
-        return None
-    sizes = [_entries(x) for x in drawn]
-    return None if None in sizes else sum(sizes)
+        raise TypeError(f"a draw holds arrays, numbers and tuples of them, not {drawn!r:.80}")
+    return sum(_entries(x) for x in drawn)
 
 
 def _chunk_length(drawn: Any) -> int:
-    """How many trials of the size of ``drawn`` fill a chunk.
-
-    A draw's size is the number of entries of the arrays and numbers it
-    holds.  A draw holding anything else (a model object) has a size the
-    runner cannot see, so it fills a chunk alone.
-    """
-    size = _entries(drawn)
-    if size is None:
-        return 1
-    return max(1, CHUNK_ENTRIES // max(1, size))
+    """How many trials of the size of ``drawn``, the number of entries of the
+    arrays and numbers it holds, fill a chunk."""
+    return max(1, CHUNK_ENTRIES // max(1, _entries(drawn)))
 
 
 def trial_outcomes(
@@ -103,11 +96,6 @@ def trial_outcomes(
         drawn = [first, *(draw(trial_rng(seed, k), k) for k in chunk[1:])]
         yield from zip(chunk, evaluate(drawn), strict=True)
         start += len(chunk)
-
-
-def per_trial(evaluate_one: Callable[..., Any]) -> Callable[[list], list]:
-    """An ``evaluate`` that calls ``evaluate_one(*objects)`` on each trial's draw alone."""
-    return lambda drawn: [evaluate_one(*objects) for objects in drawn]
 
 
 def fold_checks(outcomes: Iterable[tuple[int, Mapping[str, float]]], tols: dict) -> list[Check]:

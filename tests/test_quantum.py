@@ -8,7 +8,7 @@ import pytest
 from optheory import quantum
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
 from optheory.linalg import min_eig_herm, partial_trace, tensor, trace_norm
-from optheory.report import per_trial, run_trials
+from optheory.report import run_trials
 from optheory.quantum import (
     CHOI_BLOCK,
     PAULI_X,
@@ -203,7 +203,9 @@ class TestBlockedChoiDistance:
         assert choi_distance(a, b) < 1e-14
         a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
         assert np.isnan(choi_distance(a, b))
-        evaluate = per_trial(lambda: {"commutation": choi_distance(a, b)})
+        def evaluate(drawn):
+            return [{"commutation": choi_distance(a, b)} for _ in drawn]
+
         [check] = run_trials(0, range(3), lambda rng, k: (), evaluate, {"commutation": 1e-10})
         assert not check.passed
         assert check.worst_trial == 0

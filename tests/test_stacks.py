@@ -7,7 +7,12 @@ rank.  Each member of a stacked result must equal, with ``np.array_equal``
 that member's index.  The last property runs the invariant suite's stacked
 evaluation against the one-object evaluation it replaced, on stacks whose
 trials all take, all skip, or partly take the ``pa > 1e-6`` branches.
+The composites' embeddings, the quantum no-signaling kernel and the Choi
+distance of large joint operations are compared with their one-trial forms
+the same way.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optheory import framework
-from optheory.directsum import DSumModel
+from optheory.directsum import DSumBipartite, DSumModel
 from optheory.framework import (
+    ClassicalBipartite,
     ClassicalModel,
     State,
     add_coexistent,
@@ -28,8 +34,12 @@ from optheory.framework import (
 )
 from optheory.linalg import trace_norm
 from optheory.quantum import (
+    CHOI_BLOCK,
+    CHOI_STACK_ENTRIES,
     KrausOp,
     KrausStack,
+    QuantumBipartite,
+    Instrument,
     QuantumModel,
     apply_quantum_op,
     choi_distance,
@@ -38,7 +48,11 @@ from optheory.quantum import (
     draw_kraus,
     finish_kraus,
     finish_outcomes,
+    quantum_no_signaling_check,
+    quantum_no_signaling_defects,
+    require_hermitian,
     scale_kraus,
+    side1_kraus_outputs,
 )
 from optheory.report import worst_defect
 from optheory.sampling import (
@@ -258,3 +272,121 @@ def test_a_zero_weight_trial_raises_for_the_whole_stack():
     omega = State(model, np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(framework.ZeroProbability):
         prob(omega, model.identity())
+
+
+# ---------------------------------------------------------------------------
+# The kernels of the composite and quantum no-signaling loops
+# ---------------------------------------------------------------------------
+
+COMPOSITES = {"classical": ClassicalBipartite, "quantum": QuantumBipartite, "dsum": DSumBipartite}
+
+
+def _equal_payloads(stacked, alone, k: int) -> bool:
+    """Whether trial ``k`` of a stacked payload (an array, a KrausStack or a
+    pair of them) equals a one-trial payload bit for bit."""
+    if isinstance(alone, tuple):
+        return all(_equal_payloads(s, a, k) for s, a in zip(stacked, alone))
+    if isinstance(alone, KrausOp):
+        return np.array_equal(_member(stacked, k), alone.kraus)
+    return np.array_equal(stacked[k], alone)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(COMPOSITES)),
+    d1=DIMS,
+    d2=DIMS,
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_embeddings_equal_the_one_trial_embeddings(kind, d1, d2, n, seed):
+    bip = COMPOSITES[kind](d1, d2)
+    for side, model in ((1, bip.left), (2, bip.right)):
+        raws = [model.draw_transformation(trial_rng(seed, k)) for k in range(n)]
+        stacked = bip._embed(model.finish_transformation(*map(np.array, zip(*raws))), side)
+        for k, raw in enumerate(raws):
+            alone = bip._embed(model.finish_transformation(*raw), side)
+            assert _equal_payloads(stacked, alone, k), (side, k)
+
+
+def _one_trial_no_signaling(rho, outcomes, d1, d2):
+    """The averaged-instrument defect and each outcome's trace and reduced
+    defects of one state, by the one-trial formula the stacked kernel replaced
+    (its own einsum for the per-Kraus partial traces)."""
+    r = require_hermitian(rho)
+    starts = np.cumsum([0, *(len(op.kraus) for op in outcomes[:-1])])
+    outs = side1_kraus_outputs(np.concatenate([op.kraus for op in outcomes]), r)
+    traces = np.add.reduceat(np.trace(outs, axis1=1, axis2=2).real, starts)
+    reduced = np.add.reduceat(np.einsum("nikil->nkl", outs.reshape(-1, d1, d2, d1, d2)), starts)
+    before = np.einsum("ikil->kl", r.reshape(d1, d2, d1, d2))
+    shifts = np.concatenate([reduced, reduced.sum(axis=0)[None]]) - before
+    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
+    weight = float(np.trace(r).real)
+    return float(norms[-1]), [abs(float(t) - weight) for t in traces], norms[:-1].tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d1=DIMS,
+    d2=DIMS,
+    n=st.integers(1, 6),
+    outcomes=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_no_signaling_kernel_equals_the_one_trial_check(d1, d2, n, outcomes, seed):
+    # Instruments of 1 to 4 outcomes from the blocks of a Haar isometry: trial
+    # k merges blocks j and j+1, j = k mod outcomes, into one outcome of Kraus
+    # rank 2, so the outcomes' ranks vary by trial and the stack splits into
+    # rank groups.
+    rng = trial_rng(seed)
+    rhos = unit_trace(gram(complex_gaussian(rng, n * d1 * d2, d1 * d2).reshape(n, d1 * d2, -1)))
+    instruments = []
+    for k in range(n):
+        blocks = isometry_blocks(complex_gaussian(rng, (outcomes + 1) * d1, d1), outcomes + 1)
+        j = k % outcomes
+        edges = [*range(j + 1), *range(j + 2, outcomes + 2)]
+        instruments.append([KrausOp._trusted(blocks[a:b]) for a, b in zip(edges, edges[1:])])
+    stacks = [_stack(ops) for ops in zip(*instruments)]
+    no_signaling, traces, reduced = quantum_no_signaling_defects(rhos, stacks, d1, d2)
+    for k, ops in enumerate(instruments):
+        average, trace_defects, reduced_defects = _one_trial_no_signaling(rhos[k], ops, d1, d2)
+        assert no_signaling[k] == average
+        assert traces[k].tolist() == trace_defects and reduced[k].tolist() == reduced_defects
+        report = quantum_no_signaling_check(rhos[k], Instrument(ops), d1, d2)
+        assert report.checks[0].defect == average
+        assert report.details["outcomes"] == [
+            {"trace_defect": t, "reduced_defect": x}
+            for t, x in zip(trace_defects, reduced_defects)
+        ]
+
+
+def test_stacked_choi_distance_at_d36_equals_the_one_trial_distances():
+    # One trial's block product is CHOI_BLOCK x 1296 entries, more than
+    # CHOI_STACK_ENTRIES allow two of: the stack is taken one trial at a time.
+    assert CHOI_STACK_ENTRIES < 2 * CHOI_BLOCK * 36**2
+    rng = trial_rng(64)
+    a = _ops(rng, 36, [1, 2, 2, 1, 2])
+    b = _ops(rng, 36, [1, 1, 1, 1, 1])
+    distances = choi_distance(_stack(a), _stack(b))
+    same_rank = choi_distance(KrausOp._trusted(np.stack([a[1].kraus, a[2].kraus])), b[2])
+    for k in range(5):
+        assert distances[k] == choi_distance(a[k], b[k])
+    assert same_rank.tolist() == [choi_distance(a[k], b[2]) for k in (1, 2)]
+
+
+def test_a_stacked_choi_distance_at_d36_keeps_its_temporaries_small():
+    # Taken all at once, six trials' block products alone would take 8 MB.
+    rng = trial_rng(65)
+    a = KrausOp._trusted(np.stack([op.kraus for op in _ops(rng, 36, [2] * 6)]))
+    b = KrausOp._trusted(np.stack([op.kraus for op in _ops(rng, 36, [1] * 6)]))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        choi_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4e6

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from optheory import cli, framework, quantum, report
 from optheory.cli import SUITES, SuiteConfig, main, run_suite
-from optheory.directsum import DSumModel
+from optheory.directsum import DSumBipartite, DSumModel
 from optheory.quantum import QuantumModel
 from optheory.report import (
     Check,
     VerificationReport,
     combine_reports,
     fold_checks,
-    per_trial,
     run_trials,
     trial_outcomes,
 )
@@ -32,21 +31,26 @@ def _index(rng, k):
     return (k,)
 
 
+def _each_trial(evaluate_one):
+    """An ``evaluate`` that calls ``evaluate_one(*draw)`` on each trial's draw alone."""
+    return lambda drawn: [evaluate_one(*draw) for draw in drawn]
+
+
 class TestRunTrials:
     def test_folds_each_check_and_keeps_the_earliest_worst_trial(self):
         defects = [0.5, 2.0, 1.0, 2.0]
-        evaluate = per_trial(lambda k: {"a": defects[k], "b": 0.0})
+        evaluate = _each_trial(lambda k: {"a": defects[k], "b": 0.0})
         checks = run_trials(0, range(4), _index, evaluate, {"a": 1.0, "b": 1.0})
         assert checks == [Check("a", 2.0, 1.0, 1), Check("b", 0.0, 1.0, 0)]
         assert [c.passed for c in checks] == [False, True]
 
     def test_check_never_evaluated_has_no_worst_trial(self):
-        (check,) = run_trials(3, range(5), _index, per_trial(lambda k: {}), {"rare": 1e-9})
+        (check,) = run_trials(3, range(5), _index, _each_trial(lambda k: {}), {"rare": 1e-9})
         assert check == Check("rare", 0.0, 1e-9, None)
 
     def test_nan_counts_as_inf(self):
         values = [0.1, math.nan, math.inf]
-        evaluate = per_trial(lambda k: {"x": values[k]})
+        evaluate = _each_trial(lambda k: {"x": values[k]})
         (check,) = run_trials(0, range(3), _index, evaluate, {"x": 1.0})
         assert check.defect == math.inf and check.worst_trial == 1
         assert not check.passed
@@ -60,7 +64,7 @@ class TestRunTrials:
 
     def test_unnamed_check_raises(self):
         with pytest.raises(KeyError):
-            run_trials(0, range(1), _index, per_trial(lambda k: {"typo": 0.0}), {"name": 1.0})
+            run_trials(0, range(1), _index, _each_trial(lambda k: {"typo": 0.0}), {"name": 1.0})
 
     @pytest.mark.parametrize("entries", [1, 1000, 2**15, 2**16])
     def test_chunk_length_comes_from_the_draw_size(self, entries):
@@ -76,15 +80,12 @@ class TestRunTrials:
         length = max(1, report.CHUNK_ENTRIES // entries)
         assert chunks == [min(length, 70 - start) for start in range(0, 70, length)]
 
-    def test_a_draw_holding_an_object_fills_a_chunk_alone(self):
-        chunks = []
-
-        def evaluate(drawn):
-            chunks.append(len(drawn))
-            return drawn
-
-        list(trial_outcomes(0, range(4), lambda rng, k: (np.zeros(2), object()), evaluate))
-        assert chunks == [1, 1, 1, 1]
+    @pytest.mark.parametrize("held", [object(), [1.0, 2.0], "text", None])
+    def test_a_draw_holding_anything_but_arrays_and_numbers_is_refused(self, held):
+        draw = lambda rng, k: (np.zeros(2), (k, held))  # noqa: E731
+        with pytest.raises(TypeError, match="holds arrays, numbers and tuples") as refused:
+            list(trial_outcomes(0, range(4), draw, lambda drawn: drawn))
+        assert repr(held)[:40] in str(refused.value)
 
     def test_evaluate_must_return_one_outcome_per_trial(self):
         with pytest.raises(ValueError):
@@ -214,18 +215,15 @@ def test_dsum_gates_the_quotient_at_its_printed_tol(monkeypatch, tmp_path, capsy
 
 
 def test_random_quantum_nosig_keeps_the_per_outcome_verdict(monkeypatch, tmp_path, capsys):
-    # A report that fails only on a trace-preserving outcome's reduced defect.
-    def stub(rho, inst, d1, d2, tol=1e-10, seed=0):
-        checks = [
-            Check("no_signaling", 0.0, tol),
-            Check("trace_preserving_outcomes", 1e-6, quantum.REDUCED_TOL),
-        ]
-        return VerificationReport.from_checks(
-            "quantum-no-signaling", seed, 2, checks, tol, max_defect=0.0
-        )
+    # Stacked defects that fail only on a trace-preserving outcome's reduced defect.
+    def stub(rho, outcomes, d1, d2):
+        n, m = len(rho), len(outcomes)
+        return np.zeros(n), np.zeros((n, m)), np.full((n, m), 1e-6)
 
-    assert not stub(None, None, 2, 3).passed and stub(None, None, 2, 3).max_defect == 0.0
-    monkeypatch.setattr(cli, "quantum_no_signaling_check", stub)
+    (defects,) = quantum.no_signaling_trial_defects(*stub([None], [None] * 2, 2, 3), 1e-8)
+    assert defects == {"no_signaling": 0.0, "trace_preserving_outcomes": 1e-6}
+    assert 1e-6 > quantum.REDUCED_TOL
+    monkeypatch.setattr(cli, "quantum_no_signaling_defects", stub)
     argv = ["--suite", "quantum-nosig", "--trials", "5", "--d1", "2", "--d2", "3"]
     code, report = _json_report(argv, tmp_path, capsys)
     assert code == 1
@@ -516,3 +514,130 @@ def test_two_dsum_shards_split_inside_a_chunk_reproduce_the_full_run():
     halves = [_dsum_outcomes(range(a, b)) for a, b in ((0, split), (split, n))]
     assert halves[0] + halves[1] == full
     assert _merge(*(fold_checks(h, DSUM_TOLS) for h in halves)) == fold_checks(full, DSUM_TOLS)
+
+
+# ---------------------------------------------------------------------------
+# The composite and quantum no-signaling loops are evaluated as stacked chunks
+# ---------------------------------------------------------------------------
+
+def _shards_split_inside_a_chunk(seed: int, n: int, draw, evaluate) -> None:
+    """Assert that two shards of trials 0..n-1, split inside the second chunk,
+    reproduce the full run's outcomes and checks."""
+    chunks = []
+
+    def spy(drawn):
+        chunks.append(len(drawn))
+        return evaluate(drawn)
+
+    full = list(trial_outcomes(seed, range(n), draw, spy))
+    assert len(chunks) >= 3 and chunks[1] >= 2
+    split = chunks[0] + chunks[1] // 2
+    halves = [
+        list(trial_outcomes(seed, range(a, b), draw, evaluate))
+        for a, b in ((0, split), (split, n))
+    ]
+    assert halves[0] + halves[1] == full
+    tols = dict.fromkeys((check for _, outcome in full for check in outcome), 1.0)
+    assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
+
+
+COMPOSITE_CFG = SuiteConfig("opcore", seed=4, d1=6, d2=6)
+COMPOSITES = {
+    "classical": framework.ClassicalBipartite,
+    "quantum": quantum.QuantumBipartite,
+    "dsum": DSumBipartite,
+}
+
+
+def _composite(kind: str):
+    """The composite ``kind`` at COMPOSITE_CFG's dimensions, its draw and
+    evaluate, and the length of its chunks."""
+    bip = COMPOSITES[kind](COMPOSITE_CFG.d1, COMPOSITE_CFG.d2)
+    draw = partial(cli._composite_draw, COMPOSITE_CFG, bip)
+    chunk = report._chunk_length(draw(trial_rng(COMPOSITE_CFG.seed, 0), 0))
+    return bip, draw, partial(cli._composite_evaluate, bip), chunk
+
+
+@pytest.mark.parametrize("kind", sorted(COMPOSITES))
+def test_two_composite_shards_split_inside_a_chunk_reproduce_the_full_run(kind):
+    _, draw, evaluate, chunk = _composite(kind)
+    _shards_split_inside_a_chunk(COMPOSITE_CFG.seed, 2 * chunk + chunk // 2, draw, evaluate)
+
+
+def test_two_random_quantum_nosig_shards_split_inside_a_chunk_reproduce_the_full_run():
+    cfg = SuiteConfig("quantum-nosig", seed=2, d1=6, d2=6)
+    draw = partial(cli._quantum_nosig_draw, cfg)
+    evaluate = partial(cli._quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
+    _shards_split_inside_a_chunk(cfg.seed, 60, draw, evaluate)
+
+
+def test_two_trace_biconditional_shards_split_inside_a_chunk_reproduce_the_full_run(monkeypatch):
+    calls = []
+    real = quantum.trial_outcomes
+
+    def spy(seed, indices, draw, evaluate):
+        calls.append((draw, evaluate))
+        return real(seed, indices, draw, evaluate)
+
+    monkeypatch.setattr(quantum, "trial_outcomes", spy)
+    quantum.trace_biconditional_check(trials=1, d1=6, d2=6, seed=2)
+    ((draw, evaluate),) = calls
+    _shards_split_inside_a_chunk(2, 60, draw, evaluate)
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_a_planted_nan_in_a_middle_composite_chunk_fails_commutation_at_its_trial(
+    kind, monkeypatch
+):
+    bip, draw, evaluate, chunk = _composite(kind)
+    trials, bad = range(2 * chunk + chunk // 2), chunk + chunk // 2
+    clean = list(trial_outcomes(COMPOSITE_CFG.seed, trials, draw, evaluate))
+    chunks, real = [], cli.commutation_defect
+
+    def planted(bip, ta, tb):
+        # A NaN in trial ``bad``'s finished left transformation, once its chunk is drawn.
+        position = bad - sum(chunks)
+        n = len(tb.payload)
+        chunks.append(n)
+        if 0 <= position < n:
+            if isinstance(ta.payload, np.ndarray):
+                ta.payload[position, 0, 0] = math.nan
+            else:
+                group, row = ta.payload._places
+                ta.payload.kraus[group[position]][row[position], 0, 0, 0] = math.nan
+        return real(bip, ta, tb)
+
+    monkeypatch.setattr(cli, "commutation_defect", planted)
+    outcomes = list(trial_outcomes(COMPOSITE_CFG.seed, trials, draw, evaluate))
+    assert chunks == [chunk, chunk, len(trials) - 2 * chunk] and chunk < bad < 2 * chunk
+    assert outcomes[:bad] + outcomes[bad + 1 :] == clean[:bad] + clean[bad + 1 :]
+    defects, clean_defects = outcomes[bad][1], clean[bad][1]
+    assert report.worst_defect(defects["commutation"]) == math.inf
+    assert defects["no_signaling"] == clean_defects["no_signaling"]
+    commutation, no_signaling = fold_checks(outcomes, {"commutation": 1e-10, "no_signaling": 1e-8})
+    assert commutation.defect == math.inf and commutation.worst_trial == bad
+    assert no_signaling.passed
+
+
+def test_a_leaky_stacked_quantum_embedding_fails_opcore_commutation(
+    monkeypatch, tmp_path, capsys
+):
+    # Planted defect: embedding a right operation also flips side 1, on every
+    # trial of a stack.
+    real = quantum.QuantumBipartite._embed
+
+    def leaky(self, t, side):
+        embedded = real(self, t, side)
+        if side == 1:
+            return embedded
+        flip = np.kron(quantum.PAULI_X, np.eye(self.d2))
+        return quantum.KrausStack(tuple(k @ flip for k in embedded.kraus), embedded.trials)
+
+    monkeypatch.setattr(quantum.QuantumBipartite, "_embed", leaky)
+    code, rep = _json_report(["--suite", "opcore", "--trials", "10"], tmp_path, capsys)
+    assert code == 1
+    failing = {r["suite"] for r in _sub_reports(rep) if not r["pass"]}
+    assert failing == {"commutation-and-no-signaling[quantum(4)]"}
+    (sub,) = [r for r in _sub_reports(rep) if r["suite"] in failing]
+    commutation = {c["name"]: c for c in sub["checks"]}["commutation"]
+    assert commutation["defect"] > 1e-3 > commutation["tol"]
