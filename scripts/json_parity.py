@@ -14,9 +14,12 @@ samplers otherwise run at two outcomes only, and dsum at seed 0 at (2,2)
 with 700 trials, which span two full chunks and a partial one, and at
 (6,6) with ``--outcomes 16``, whose 100 trials end in a partial chunk,
 quantum-nosig at (2,2) with 2600 trials, whose random loop and trace
-biconditional each span two full chunks and a partial one, and opcore at
-(2,2) with 2000 trials, whose quantum and direct-sum composite loops end in
-a partial chunk), with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
+biconditional each span two full chunks and a partial one, quantum-nosig at
+(3,3) with 600 trials, whose random loop spans a full chunk and a partial
+one that each hold several outcome-count groups, so each check's columns
+arrive out of trial order, and opcore at (2,2) with 2000 trials, whose quantum and
+direct-sum composite loops end in a partial chunk), with BLAS pinned to one
+thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
@@ -69,6 +72,8 @@ CASES = [
     ("dsum", 6, 6, 0, TRIALS, "--outcomes", "16"),
     # Chunks of 992 (random loop) and 1092 (biconditional) trials at (2,2).
     ("quantum-nosig", 2, 2, 0, 2600),
+    # A chunk of 327 random-loop trials at (3,3) and a partial one, each of three outcome counts.
+    ("quantum-nosig", 3, 3, 0, 600),
     # 400 composite trials: chunks of 348 (quantum) and 376 (direct sum) at (2,2).
     ("opcore", 2, 2, 0, 2000),
 ] + [

@@ -162,24 +162,19 @@ def _composite_draw(cfg: SuiteConfig, bip, rng: np.random.Generator, k: int) -> 
     return left, right, joint, action, probes
 
 
-def _composite_evaluate(bip, drawn: list) -> list[dict]:
-    """The defects of a chunk of trials: its raw draws finished as stacks, and
-    one call per check on them."""
+def _composite_evaluate(bip, drawn: list):
+    """The defect columns of a chunk of trials: its raw draws finished as
+    stacks, and one call per check on them."""
     left, right, joint, action, probes = zip(*drawn)
     ta = bip.left.finish_transformation(*raw_columns(left))
     tb = bip.right.finish_transformation(*raw_columns(right))
-    # One number for a whole stack (a distance that is NaN whatever its
-    # operands, say) holds for each trial.
-    commutation = np.broadcast_to(commutation_defect(bip, ta, tb), (len(drawn),))
+    yield "commutation", slice(None), commutation_defect(bip, ta, tb)
 
     omega = bip.joint.finish_state(*raw_columns(joint))
     action = bip.left.finish_action(*raw_columns(action))
     probes = [bip.right.finish_transformation(*raw_columns(p)) for p in zip(*probes)]
-    no_signaling = worst_defects(*embedded_probe_shifts(omega, action, bip, probes))
-    return [
-        {"commutation": c, "no_signaling": s}
-        for c, s in zip(commutation.tolist(), no_signaling.tolist())
-    ]
+    shifts = embedded_probe_shifts(omega, action, bip, probes)
+    yield "no_signaling", slice(None), worst_defects(*shifts)
 
 
 def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
@@ -212,19 +207,18 @@ def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> t
     return g, n_out, complex_gaussian(rng, n_out * cfg.d1, cfg.d1)
 
 
-def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list) -> list[dict]:
-    """The defects of a chunk of trials, one stacked call per outcome count."""
+def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list):
+    """The defect columns of a chunk of trials, one stacked call per outcome count."""
     g, counts, a = zip(*drawn)
     rho = unit_trace(gram(np.array(g)))
-    defects: list = [None] * len(drawn)
-    for n_out in dict.fromkeys(counts):
-        trials = [k for k, count in enumerate(counts) if count == n_out]
+    counts = np.array(counts)
+    for n_out in dict.fromkeys(counts.tolist()):
+        trials = np.flatnonzero(counts == n_out)
         action = model.finish_action(np.array([a[k] for k in trials]))
         outcomes = [t.payload for t in action.transformations]
         found = quantum_no_signaling_defects(rho[trials], outcomes, cfg.d1, cfg.d2)
-        for k, d in zip(trials, no_signaling_trial_defects(*found, cfg.tol)):
-            defects[k] = d
-    return defects
+        for name, rows, defects in no_signaling_trial_defects(*found, cfg.tol):
+            yield name, trials[rows], defects
 
 
 def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
@@ -273,12 +267,12 @@ def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
     return ginibre_positive(rng, cfg.d1), ginibre_positive(rng, cfg.d1 * cfg.d2)
 
 
-def _lemma_evaluate(cfg: SuiteConfig, drawn: list) -> list[dict]:
-    """The defects of a chunk of trials, from one stacked kernel call."""
+def _lemma_evaluate(cfg: SuiteConfig, drawn: list):
+    """The defect column of a chunk of trials, from one stacked kernel call."""
     a, r = (np.stack(side) for side in zip(*drawn))
     lows = reduced_positivity_min_eigs(a, r, cfg.d1, cfg.d2)
     # np.minimum keeps a NaN low, as min(low, 0.0) does.
-    return [{"reduced_positivity": d} for d in (-np.minimum(lows, 0.0)).tolist()]
+    yield "reduced_positivity", slice(None), -np.minimum(lows, 0.0)
 
 
 def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
@@ -299,35 +293,28 @@ def _dsum_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tup
     return a, b, omega, action, probes
 
 
-def _dsum_evaluate(model, drawn: list) -> list[dict]:
-    """The defects of a chunk of trials: its raw draws finished as stacks, and
-    one call per model operation on them."""
+def _dsum_evaluate(model, drawn: list):
+    """The defect columns of a chunk of trials: its raw draws finished as
+    stacks, and one call per model operation on them."""
     left, right, state, action, probes = zip(*drawn)
     ta = model.from_local(ds_finish_local_op(1, *raw_columns(left)))
     tb = model.from_local(ds_finish_local_op(2, *raw_columns(right)))
     omega = model.finish_state(*raw_columns(state))
     ab = model.compose(ta, tb)
-    commutation = model.transformation_distance(ab, model.compose(tb, ta))
+    yield "commutation", slice(None), model.transformation_distance(ab, model.compose(tb, ta))
 
     outcomes = ds_finish_action(1, *raw_columns(action))
     total = total_of_action(Action(map(model.from_local, outcomes)))
     probes = [model.from_local(ds_finish_local_op(2, *raw_columns(p))) for p in zip(*probes)]
-    no_signaling = worst_defects(*probe_shifts(omega, total, probes))
+    yield "no_signaling", slice(None), worst_defects(*probe_shifts(omega, total, probes))
 
-    defects = [
-        {"commutation": c, "no_signaling": s}
-        for c, s in zip(commutation.tolist(), no_signaling.tolist())
-    ]
     # The Bayes quotient on the sub-stack of trials where a is not too rare.
     pa = prob(omega, ta)
     sub = np.flatnonzero(pa > 1e-6)
     if len(sub):
         o, a, b, ab = take_trials((omega, ta, tb, ab), sub, len(drawn))
         quotient = prob(o, ab) / pa[sub]
-        gaps = np.abs(prob(condition(o, a), b) - quotient)
-        for k, gap in zip(sub.tolist(), gaps.tolist()):
-            defects[k]["conditioning_quotient"] = gap
-    return defects
+        yield "conditioning_quotient", sub, np.abs(prob(condition(o, a), b) - quotient)
 
 
 def _run_dsum(cfg: SuiteConfig) -> VerificationReport:

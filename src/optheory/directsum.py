@@ -318,15 +318,19 @@ class DSumModel(TheoryModel):
         """A local operation: its block map on its own sector, sqrt(p) I on the
         other.  For a stack of local operations the passive blocks are one
         :class:`~optheory.quantum.KrausStack` group, sqrt(p_t) I at trial t."""
-        identity = self._identities[2 - op.side]
-        if isinstance(op.op_block, KrausStack):
-            n = len(op.op_block)
+        return self._local(op.side, op.op_block, op.p, op.label)
+
+    def _local(self, side: int, block, p, label: str = "") -> Transformation:
+        """:meth:`from_local` of a local operation's parts, its ``p`` unchecked."""
+        identity = self._identities[2 - side]
+        if isinstance(block, KrausStack):
+            n = len(block)
             kraus = np.broadcast_to(identity.kraus, (n, *identity.kraus.shape))
             identity = KrausStack((kraus,), (np.arange(n),))
-        passive = scale_kraus(op.p, identity)
-        if op.side == 1:
-            return self.transformation(op.op_block, passive, op.label)
-        return self.transformation(passive, op.op_block, op.label)
+        passive = scale_kraus(p, identity)
+        if side == 1:
+            return self.transformation(block, passive, label)
+        return self.transformation(passive, block, label)
 
     # -- interface ----------------------------------------------------------
     def identity(self) -> Transformation:
@@ -461,7 +465,8 @@ class DSumBipartite(BipartiteModel):
 
     def _embed(self, t: Transformation, side: int) -> tuple:
         p = np.minimum(_mixed_state_prob(effect_of(t)), 1.0)  # one p per trial of a stack
-        return self.joint.from_local(DSumLocalOp(side, t.payload, p, t.label)).payload
+        # Unchecked: p comes from a validated operation, and a NaN in it must fail a check.
+        return self.joint._local(side, t.payload, p, t.label).payload
 
     def product_payloads(self, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
         """Block stacks (q_j K_l,i, p_i K_r,j) of the products of ``lefts[i]``

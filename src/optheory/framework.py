@@ -611,19 +611,13 @@ def model_invariant_suite(
             rng.uniform(0.2, 0.8),
         )
 
-    def evaluate(drawn: list) -> list[dict[str, float]]:
+    def evaluate(drawn: list):
         s1, s2, a, b, c, act, lam = zip(*drawn)
         omega, omega2 = (model.finish_state(*raw_columns(s)) for s in (s1, s2))
         ta, tb, tc = (model.finish_transformation(*raw_columns(t)) for t in (a, b, c))
         action = model.finish_action(*raw_columns(act))
         defects = invariant_defects(model, omega, omega2, ta, tb, tc, action, np.array(lam))
-        outcomes_by_trial: list[dict[str, float]] = [{} for _ in drawn]
-        for name, (rows, values) in defects.items():
-            # A model may answer a whole stack with one number (a distance
-            # that is NaN whatever its operands, say); it holds for each trial.
-            for k, v in zip(rows.tolist(), np.broadcast_to(values, rows.shape).tolist()):
-                outcomes_by_trial[k][name] = v
-        return outcomes_by_trial
+        return [(name, rows, values) for name, (rows, values) in defects.items()]
 
     tols = dict.fromkeys(_INVARIANTS, tol)
     checks = run_trials(seed, range(trials), draw, evaluate, tols)

@@ -73,7 +73,7 @@ from .linalg import (
     trace_norm,
     trial_factor,
 )
-from .report import Check, VerificationReport, fold_checks, trial_outcomes, worst_defect
+from .report import Check, VerificationReport, run_trials, worst_defects
 from .sampling import (
     complex_gaussian,
     ginibre_positive,
@@ -518,6 +518,7 @@ def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
     if len(am) != len(rm):
         raise ValueError(f"{len(am)} local operators for {len(rm)} joint operators")
     reduced = partial_trace(_on_side1(am, rm), d1, d2, side=1)
+    # eigvalsh may return finite values for a NaN matrix: this finiteness scan fails a NaN draw.
     return np.linalg.eigvalsh(require_hermitian_stack(reduced))[:, 0]
 
 
@@ -578,21 +579,16 @@ def quantum_no_signaling_defects(rho, outcomes, d1: int, d2: int) -> tuple:
     return tuple(_scatter(len(r), ((t, p[i]) for t, p in pieces)) for i in range(3))
 
 
-def no_signaling_trial_defects(no_signaling, trace_defects, reduced_defects, tol: float) -> list:
-    """Each trial's named defects from :func:`quantum_no_signaling_defects`:
-    ``no_signaling``, and ``trace_preserving_outcomes``, the worst reduced
-    defect of the outcomes whose trace defect is within ``tol``, when some
-    outcome's is."""
-    trials = []
-    for average, traces, reduced in zip(
-        no_signaling.tolist(), trace_defects.tolist(), reduced_defects.tolist()
-    ):
-        defects = {"no_signaling": average}
-        preserved = [x for t, x in zip(traces, reduced) if t <= tol]
-        if preserved:
-            defects["trace_preserving_outcomes"] = worst_defect(*preserved)
-        trials.append(defects)
-    return trials
+def no_signaling_trial_defects(no_signaling, trace_defects, reduced_defects, tol: float):
+    """Yield the ``(check_name, rows, defects)`` columns of the n trials of
+    :func:`quantum_no_signaling_defects`: ``no_signaling`` at every trial, and
+    ``trace_preserving_outcomes`` at the trials where some outcome's trace
+    defect is within ``tol``, the worst reduced defect of those outcomes."""
+    preserved = trace_defects <= tol
+    rows = np.flatnonzero(preserved.any(axis=-1))
+    worst = np.where(preserved, worst_defects(reduced_defects), -np.inf).max(axis=-1)
+    yield "no_signaling", slice(None), no_signaling
+    yield "trace_preserving_outcomes", rows, worst[rows]
 
 
 def quantum_no_signaling_check(
@@ -616,9 +612,9 @@ def quantum_no_signaling_check(
     outcomes = [KrausStack((op.kraus[None],), one) for op in inst.outcomes]
     r = as_matrix(rho, square=True)[None]
     no_signaling, traces, reduced = quantum_no_signaling_defects(r, outcomes, d1, d2)
-    (defects,) = no_signaling_trial_defects(no_signaling, traces, reduced, tol)
     tols = {"no_signaling": tol, "trace_preserving_outcomes": REDUCED_TOL}
-    checks = [Check(name, defect, tols[name]) for name, defect in defects.items()]
+    columns = no_signaling_trial_defects(no_signaling, traces, reduced, tol)
+    checks = [Check(name, float(d[0]), tols[name]) for name, _, d in columns if len(d)]
     outcome_defects = [
         {"trace_defect": t, "reduced_defect": x}
         for t, x in zip(traces[0].tolist(), reduced[0].tolist())
@@ -637,18 +633,17 @@ def quantum_no_signaling_check(
     )
 
 
-def _biconditional_defect(trace_defect: float, reduced_defect: float) -> float:
-    """The reduced defect of a pair that breaks the trace biconditional, else 0.
+def _biconditional_defect(trace_defects: np.ndarray, reduced_defects: np.ndarray) -> np.ndarray:
+    """The reduced defect of each pair that breaks the trace biconditional, else 0.
 
     Broken: the trace is preserved yet the reduction moved, or the reduction
     moved appreciably while the trace barely dropped.
     """
-    if np.isnan(trace_defect) or np.isnan(reduced_defect):
-        return np.nan  # counts as +inf: a NaN never passes
-    broken = (trace_defect <= TRACE_TOL and reduced_defect > REDUCED_TOL) or (
-        trace_defect <= TRACE_FAIL_TOL and reduced_defect > REDUCED_FAIL_TOL
-    )
-    return reduced_defect if broken else 0.0
+    moved = (trace_defects <= TRACE_TOL) & (reduced_defects > REDUCED_TOL)
+    moved_far = (trace_defects <= TRACE_FAIL_TOL) & (reduced_defects > REDUCED_FAIL_TOL)
+    defects = np.where(moved | moved_far, reduced_defects, 0.0)
+    defects[np.isnan(trace_defects) | np.isnan(reduced_defects)] = np.nan  # a NaN never passes
+    return defects
 
 
 def trace_biconditional_check(
@@ -691,13 +686,12 @@ def trace_biconditional_check(
         p = (basis @ basis.conj().swapaxes(-1, -2))[:, None]
         return unit_trace(side1_kraus_outputs(p, gram(g))[:, 0]), p
 
-    def evaluate(drawn: list) -> list[dict[str, float]]:
-        """A chunk's trace and reduced defects, one stacked call per kind and count."""
+    def defects(drawn: list):
+        """A chunk's ``(rows, trace_defects, reduced_defects)``, one call per kind and count."""
         keys = [raw[:2] for raw in drawn]
-        outcomes: list = [None] * len(drawn)
         for key in dict.fromkeys(keys):
-            trials = [k for k, other in enumerate(keys) if other == key]
-            a, g = (np.array([drawn[k][j] for k in trials]) for j in (2, 3))
+            rows = np.array([k for k, other in enumerate(keys) if other == key])
+            a, g = (np.array([drawn[k][j] for k in rows]) for j in (2, 3))
             r, kraus = finish(*key, a, g)
             joint = side1_kraus_outputs(kraus, r).sum(axis=-3)
             trace_defects = np.abs(
@@ -706,24 +700,23 @@ def trace_biconditional_check(
             reduced_defects = trace_norm(
                 partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
             )
-            for k, t, x in zip(trials, trace_defects.tolist(), reduced_defects.tolist()):
-                outcomes[k] = {"trace_defect": t, "reduced_defect": x}
-        return outcomes
+            yield rows, trace_defects, reduced_defects
 
     preserved_cases = 0
 
-    def defects():  # folded as they arrive, counting the trace-preserved trials
+    def evaluate(drawn: list):
+        """A chunk's biconditional column, its groups end to end; counts trace-preserved trials."""
         nonlocal preserved_cases
-        for k, s in trial_outcomes(seed, range(trials), draw, evaluate):
-            preserved_cases += s["trace_defect"] <= TRACE_TOL
-            yield k, {"biconditional": _biconditional_defect(**s)}
+        rows, trace_defects, reduced_defects = map(np.concatenate, zip(*defects(drawn)))
+        preserved_cases += int(np.count_nonzero(trace_defects <= TRACE_TOL))
+        yield "biconditional", rows, _biconditional_defect(trace_defects, reduced_defects)
 
-    (violation,) = fold_checks(defects(), {"biconditional": REDUCED_TOL})
+    (violation,) = run_trials(seed, range(trials), draw, evaluate, {"biconditional": REDUCED_TOL})
     worst = violation.worst_trial
     witness = None
     if violation.defect > 0.0:
-        (replayed,) = evaluate([draw(trial_rng(seed, worst), worst)])
-        witness = {"trial": worst, **replayed}
+        ((_, (t,), (x,)),) = defects([draw(trial_rng(seed, worst), worst)])
+        witness = {"trial": worst, "trace_defect": float(t), "reduced_defect": float(x)}
     checks = [violation]
     # The trace-preserved branch must be exercised, or the audit is vacuous.
     # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.

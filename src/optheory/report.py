@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from numbers import Number
@@ -34,14 +34,15 @@ def worst_defects(*defects):
     alone, :func:`worst_defect`."""
     if not any(isinstance(d, np.ndarray) for d in defects):
         return worst_defect(*defects)
-    return reduce(np.maximum, (np.where(np.isnan(d) | (d < 0), np.inf, d) for d in defects))
+    return reduce(np.maximum, (np.where(d >= 0, d, np.inf) for d in defects))  # NaN >= 0 is False
 
 
 @dataclass(frozen=True)
 class Check:
     """One named gate of a report: its worst defect, its tolerance, and the
-    earliest trial that reached that defect (None when no trial evaluated
-    the check, or when the check is made once per report)."""
+    smallest index of a trial at that defect, whatever order the trials were
+    folded in (None when no trial evaluated the check, or when the check is
+    made once per report)."""
 
     name: str
     defect: float
@@ -78,41 +79,59 @@ def _chunk_length(drawn: Any) -> int:
 
 
 def trial_outcomes(
-    seed: int, indices: Iterable[int], draw: Callable[..., Any], evaluate: Callable[[list], list]
-) -> Iterator[tuple[int, Any]]:
-    """``(k, outcome)`` for every ``k`` in ``indices``, in order.
+    seed: int, indices: Iterable[int], draw: Callable[..., Any], evaluate: Callable[..., Iterable]
+) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """``(check_name, trials, defects)`` columns of the trials ``indices``.
 
-    Trial ``k`` draws its objects as ``draw(trial_rng(seed, k), k)``.  The
-    draws of a chunk of consecutive trials are evaluated together:
-    ``evaluate(draws)`` returns one outcome per draw.  The chunk length comes
-    from the size of the chunk's first draw (``CHUNK_ENTRIES``); since an
-    outcome depends on its own draw only, no outcome depends on it.
+    Trial ``k`` draws as ``draw(trial_rng(seed, k), k)``; ``evaluate(draws)``
+    of a chunk of consecutive trials yields ``(check_name, rows, defects)``,
+    ``rows`` positions in the chunk (an index array, or ``slice(None)`` for
+    all) and ``defects`` an array over them or one number for each.  The
+    chunk length comes from the size of its first draw (``CHUNK_ENTRIES``);
+    since a defect depends on its own trial's draw only, none depends on it.
     """
     indices = list(indices)
     start = 0
     while start < len(indices):
         first = draw(trial_rng(seed, indices[start]), indices[start])
-        chunk = indices[start : start + _chunk_length(first)]
-        drawn = [first, *(draw(trial_rng(seed, k), k) for k in chunk[1:])]
-        yield from zip(chunk, evaluate(drawn), strict=True)
+        chunk = np.array(indices[start : start + _chunk_length(first)])
+        drawn = [first, *(draw(trial_rng(seed, k), k) for k in chunk[1:].tolist())]
+        for name, rows, defects in evaluate(drawn):
+            if not isinstance(rows, slice) and (np.asarray(rows) < 0).any():
+                raise IndexError(f"{name}: rows {rows} lie outside a chunk of {len(chunk)}")
+            trials = chunk[rows]  # an IndexError past the chunk's end too
+            defects = np.asarray(defects, dtype=float)
+            if defects.shape == ():  # one number for the whole stack
+                defects = np.full(trials.shape, defects)
+            if defects.shape != trials.shape:
+                raise ValueError(f"{name}: {defects.shape} defects for {len(trials)} rows")
+            yield name, trials, defects
         start += len(chunk)
 
 
-def fold_checks(outcomes: Iterable[tuple[int, Mapping[str, float]]], tols: dict) -> list[Check]:
-    """Fold ``(k, {check_name: defect})`` pairs into one :class:`Check` per name.
+def fold_checks(columns: Iterable[tuple[str, np.ndarray, np.ndarray]], tols: dict) -> list[Check]:
+    """Fold ``(check_name, trials, defects)`` columns into one :class:`Check` per name.
 
-    ``tols`` names every check, in report order, with its tolerance; a trial
-    names the checks it evaluated.  Each check's defects are folded with
-    :func:`worst_defect`, and its ``worst_trial`` is the earliest trial at
-    the largest defect.
+    ``tols`` names every check, in report order, with its tolerance.  A
+    check's defect is its largest, NaN and negative ones as +inf
+    (:func:`worst_defects`), and its ``worst_trial`` the smallest trial
+    index at that defect, whatever order the columns come in.
     """
     worst = dict.fromkeys(tols, 0.0)
     at: dict[str, int | None] = dict.fromkeys(tols)
-    for k, defects in outcomes:
-        for name, defect in defects.items():
-            folded = worst_defect(worst[name], defect)
-            if at[name] is None or folded > worst[name]:
-                worst[name], at[name] = folded, k
+    for name, trials, defects in columns:
+        running = worst[name]  # a KeyError for a check ``tols`` does not name
+        if not len(defects):
+            continue
+        folded = worst_defects(defects)
+        top = float(folded.max())
+        if at[name] is not None and top < running:
+            continue  # a column below the running worst moves nothing
+        first = int(trials[folded == top].min())
+        if at[name] is None or top > running:
+            worst[name], at[name] = max(running, top), first  # max keeps 0.0 over -0.0
+        else:
+            at[name] = min(at[name], first)
     return [Check(name, worst[name], tol, at[name]) for name, tol in tols.items()]
 
 
@@ -120,11 +139,11 @@ def run_trials(
     seed: int,
     indices: Iterable[int],
     draw: Callable[..., Any],
-    evaluate: Callable[[list], list[Mapping[str, float]]],
+    evaluate: Callable[[list], Iterable],
     tols: dict,
 ) -> list[Check]:
-    """The checks ``tols`` names, folded over the trials ``indices``: each
-    trial's outcome (see :func:`trial_outcomes`) is ``{check_name: defect}``."""
+    """The checks ``tols`` names, folded over the trials ``indices`` from the
+    columns each chunk's ``evaluate`` yields (see :func:`trial_outcomes`)."""
     return fold_checks(trial_outcomes(seed, indices, draw, evaluate), tols)
 
 

@@ -324,6 +324,17 @@ def _bits(outcomes: list) -> list:
     return [{name: float(v).hex() for name, v in defects.items()} for defects in outcomes]
 
 
+def _rows(columns, n: int) -> list:
+    """Each of ``n`` rows' ``{check: defect}`` from an evaluate's
+    ``(check, rows, defects)`` columns over a chunk of ``n`` trials."""
+    out: list = [{} for _ in range(n)]
+    for name, rows, defects in columns:
+        rows = np.arange(n)[rows]
+        for k, defect in zip(rows.tolist(), np.broadcast_to(defects, rows.shape).tolist()):
+            out[k][name] = defect
+    return out
+
+
 def _one_trial(model: DSumModel, draw: tuple) -> dict:
     """The defects of one dsum trial through the one-object operations: the
     per-trial evaluation that the stacked one replaced."""
@@ -371,7 +382,7 @@ class TestStacks:
         model = DSumModel(d1, d2)
         draws = [cli._dsum_draw(cfg, model, trial_rng(cfg.seed, k), k) for k in range(9)]
         draws = [_rare(draw) if k % 3 == 1 else draw for k, draw in enumerate(draws)]
-        chunk = cli._dsum_evaluate(model, draws)
-        alone = [defects for draw in draws for defects in cli._dsum_evaluate(model, [draw])]
+        chunk = _rows(cli._dsum_evaluate(model, draws), len(draws))
+        alone = [d for draw in draws for d in _rows(cli._dsum_evaluate(model, [draw]), 1)]
         assert _bits(chunk) == _bits(alone) == _bits([_one_trial(model, d) for d in draws])
         assert ["conditioning_quotient" in x for x in chunk] == [k % 3 != 1 for k in range(9)]

@@ -204,7 +204,7 @@ class TestBlockedChoiDistance:
         a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
         assert np.isnan(choi_distance(a, b))
         def evaluate(drawn):
-            return [{"commutation": choi_distance(a, b)} for _ in drawn]
+            yield "commutation", slice(None), choi_distance(a, b)  # one NaN for every trial
 
         [check] = run_trials(0, range(3), lambda rng, k: (), evaluate, {"commutation": 1e-10})
         assert not check.passed

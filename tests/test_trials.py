@@ -32,8 +32,44 @@ def _index(rng, k):
 
 
 def _each_trial(evaluate_one):
-    """An ``evaluate`` that calls ``evaluate_one(*draw)`` on each trial's draw alone."""
-    return lambda drawn: [evaluate_one(*draw) for draw in drawn]
+    """An ``evaluate`` that calls ``evaluate_one(*draw)`` on each trial's draw
+    alone and yields its ``{check: defect}`` as one-row columns."""
+
+    def evaluate(drawn):
+        for row, draw in enumerate(drawn):
+            for name, defect in evaluate_one(*draw).items():
+                yield name, [row], [defect]
+
+    return evaluate
+
+
+def _per_trial(columns) -> dict:
+    """``{trial: {check: defect}}`` rebuilt from ``(check, trials, defects)`` columns."""
+    trials: dict = {}
+    for name, ks, defects in columns:
+        for k, defect in zip(ks.tolist(), defects.tolist()):
+            trials.setdefault(k, {})[name] = defect
+    return trials
+
+
+def _others(columns, trial: int) -> dict:
+    """:func:`_per_trial` of ``columns`` without ``trial``."""
+    per_trial = _per_trial(columns)
+    del per_trial[trial]
+    return per_trial
+
+
+def _reference_fold(per_trial: dict, tols: dict) -> list:
+    """The per-trial fold that the column fold replaced: trials in ascending
+    order, each defect folded with ``worst_defect``, the earliest trial kept
+    at the worst defect."""
+    worst, at = dict.fromkeys(tols, 0.0), dict.fromkeys(tols)
+    for k in sorted(per_trial):
+        for name, defect in per_trial[k].items():
+            folded = report.worst_defect(worst[name], defect)
+            if at[name] is None or folded > worst[name]:
+                worst[name], at[name] = folded, k
+    return [Check(name, worst[name], tol, at[name]) for name, tol in tols.items()]
 
 
 class TestRunTrials:
@@ -57,7 +93,8 @@ class TestRunTrials:
 
     def test_trial_draws_from_its_own_generator(self):
         def draws(indices):
-            return dict(trial_outcomes(7, indices, lambda rng, k: rng.uniform(), lambda d: d))
+            evaluate = lambda drawn: [("u", slice(None), drawn)]  # noqa: E731
+            return _per_trial(trial_outcomes(7, indices, lambda rng, k: rng.uniform(), evaluate))
 
         everything = draws(range(5))
         assert draws([4, 2]) == {4: everything[4], 2: everything[2]}
@@ -72,11 +109,12 @@ class TestRunTrials:
 
         def evaluate(drawn):
             chunks.append(len(drawn))
-            return drawn
+            yield "k", slice(None), [k for k, _ in drawn]
 
         draw = lambda rng, k: (k, np.zeros(entries - 1))  # noqa: E731
         outcomes = list(trial_outcomes(0, range(70), draw, evaluate))
-        assert [k for k, _ in outcomes] == [drawn[0] for _, drawn in outcomes] == list(range(70))
+        trials = [k for _, ks, _ in outcomes for k in ks.tolist()]
+        assert trials == [k for _, _, ks in outcomes for k in ks.tolist()] == list(range(70))
         length = max(1, report.CHUNK_ENTRIES // entries)
         assert chunks == [min(length, 70 - start) for start in range(0, 70, length)]
 
@@ -84,12 +122,26 @@ class TestRunTrials:
     def test_a_draw_holding_anything_but_arrays_and_numbers_is_refused(self, held):
         draw = lambda rng, k: (np.zeros(2), (k, held))  # noqa: E731
         with pytest.raises(TypeError, match="holds arrays, numbers and tuples") as refused:
-            list(trial_outcomes(0, range(4), draw, lambda drawn: drawn))
+            list(trial_outcomes(0, range(4), draw, lambda drawn: ()))
         assert repr(held)[:40] in str(refused.value)
 
-    def test_evaluate_must_return_one_outcome_per_trial(self):
-        with pytest.raises(ValueError):
-            list(trial_outcomes(0, range(3), _index, lambda drawn: drawn[:-1]))
+    def test_a_column_must_lie_in_its_chunk_and_match_its_rows(self):
+        # A chunk of three trials: rows outside it, and defects whose length
+        # differs from their rows, raise.
+        for rows, defects, error in (
+            ([3], [0.0], IndexError),
+            ([-1], [0.0], IndexError),
+            ([0, 1], [0.0], ValueError),
+            (slice(None), [0.0, 0.0], ValueError),
+            (slice(None), [0.0] * 4, ValueError),
+        ):
+            evaluate = lambda drawn: [("x", rows, defects)]  # noqa: E731
+            with pytest.raises(error):
+                list(trial_outcomes(0, range(3), _index, evaluate))
+        # One number holds for every row.
+        one_number = lambda drawn: [("x", [0, 2], 5.0)]  # noqa: E731
+        ((_, trials, defects),) = trial_outcomes(0, range(3), _index, one_number)
+        assert trials.tolist() == [0, 2] and defects.tolist() == [5.0, 5.0]
 
     def test_report_passes_when_every_check_does(self):
         checks = [Check("a", 1e-12, 1e-10), Check("b", 5e-10, 1e-10)]
@@ -108,6 +160,72 @@ class TestRunTrials:
     def test_report_without_checks_or_sub_reports_is_refused(self):
         with pytest.raises(ValueError, match="neither checks nor sub-reports"):
             VerificationReport("x", 0, 1, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The fold: the largest defect and the smallest trial at it, in any column order
+# ---------------------------------------------------------------------------
+
+def _column(name: str, trials: list, defects: list) -> tuple:
+    return name, np.array(trials), np.array(defects, dtype=float)
+
+
+def _quantum_nosig_columns() -> list:
+    """The random quantum-nosig loop's columns at (3,3): a full chunk and a
+    partial one, each yielding one column per check and outcome count."""
+    cfg = SuiteConfig("quantum-nosig", seed=0, d1=3, d2=3)
+    draw = partial(cli._quantum_nosig_draw, cfg)
+    evaluate = partial(cli._quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
+    columns = list(trial_outcomes(cfg.seed, range(400), draw, evaluate))
+    assert len(columns) == 12 and not all(np.diff(np.concatenate([t for _, t, _ in columns])) > 0)
+    return columns
+
+
+QNOSIG_TOLS = {"no_signaling": 1e-8, "trace_preserving_outcomes": 1e-8}
+# Trials 6 and 1 tie at the largest defect in two groups (a NaN and a
+# negative defect both count as +inf); trial 0, the smallest, sits below it
+# in a later group.
+TIED = [
+    _column("x", [4, 6], [2.0, math.nan]),
+    _column("x", [5, 1], [0.5, -1.0]),
+    _column("x", [0, 2], [1.0, 3.0]),
+]
+BELOW = [_column("x", [5, 7], [3.0, 1.0]), _column("x", [0, 1], [1.0, 2.0])]
+
+
+def _same_fold(columns, variant, tols) -> list:
+    """Assert that ``variant`` folds to the checks of ``columns`` and of the
+    per-trial reference fold, worst trials included; return those checks."""
+    checks = fold_checks(columns, tols)
+    assert fold_checks(variant, tols) == checks == _reference_fold(_per_trial(columns), tols)
+    return checks
+
+
+class TestFoldRule:
+    def test_columns_in_reversed_group_order_fold_alike(self):
+        columns = _quantum_nosig_columns()
+        _same_fold(columns, columns[::-1], QNOSIG_TOLS)
+
+    @pytest.mark.parametrize("size", [1, 7, 40])
+    def test_each_column_cut_into_pieces_folds_alike(self, size):
+        columns = _quantum_nosig_columns()
+        pieces = [
+            (name, trials[i : i + size], defects[i : i + size])
+            for name, trials, defects in columns
+            for i in range(0, len(trials), size)
+        ]
+        assert len(pieces) >= 2 * sum(len(trials) > 0 for _, trials, _ in columns)
+        _same_fold(columns, pieces[::-1], QNOSIG_TOLS)
+
+    def test_columns_tied_at_the_maximum_keep_the_smallest_trial(self):
+        (check,) = _same_fold(TIED, TIED[::-1], {"x": 1.0})
+        assert check == Check("x", math.inf, 1.0, 1)
+        (check,) = _same_fold(TIED[:1], TIED[:1], {"x": 1.0})
+        assert check.worst_trial == 6
+
+    def test_a_later_group_below_the_running_worst_moves_nothing(self):
+        (check,) = _same_fold(BELOW, BELOW[::-1], {"x": 1.0})
+        assert check == Check("x", 3.0, 1.0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +258,9 @@ def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
         calls.append((seed, len(indices), draw, evaluate))
         return real(seed, indices, draw, evaluate)
 
-    # run_trials reaches the runner through report; the trace biconditional,
-    # which folds its evaluated trials itself, through quantum.
-    for module in (report, quantum):
-        monkeypatch.setattr(module, "trial_outcomes", spy)
+    # Every trial loop, the trace biconditional's too, reaches the runner
+    # through report.run_trials.
+    monkeypatch.setattr(report, "trial_outcomes", spy)
     run_suite(SuiteConfig(suite=suite, trials=10, d1=2, d2=3, seed=0))
     # A draw is a closure or a partial of a module-level function.
     names = [getattr(draw, "func", draw).__qualname__.split(".")[0] for _, _, draw, _ in calls]
@@ -153,8 +270,8 @@ def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
         halves = [
             list(real(seed, range(a, b), draw, evaluate)) for a, b in ((0, n // 2), (n // 2, n))
         ]
-        assert halves[0] + halves[1] == full, name
-        tols = dict.fromkeys((check for _, outcome in full for check in outcome), 1.0)
+        assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full), name
+        tols = dict.fromkeys((check for check, _, _ in full), 1.0)
         assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols), name
 
 
@@ -220,8 +337,11 @@ def test_random_quantum_nosig_keeps_the_per_outcome_verdict(monkeypatch, tmp_pat
         n, m = len(rho), len(outcomes)
         return np.zeros(n), np.zeros((n, m)), np.full((n, m), 1e-6)
 
-    (defects,) = quantum.no_signaling_trial_defects(*stub([None], [None] * 2, 2, 3), 1e-8)
-    assert defects == {"no_signaling": 0.0, "trace_preserving_outcomes": 1e-6}
+    columns = quantum.no_signaling_trial_defects(*stub([None], [None] * 2, 2, 3), 1e-8)
+    assert [(name, np.arange(1)[rows].tolist(), d.tolist()) for name, rows, d in columns] == [
+        ("no_signaling", [0], [0.0]),
+        ("trace_preserving_outcomes", [0], [1e-6]),
+    ]
     assert 1e-6 > quantum.REDUCED_TOL
     monkeypatch.setattr(cli, "quantum_no_signaling_defects", stub)
     argv = ["--suite", "quantum-nosig", "--trials", "5", "--d1", "2", "--d2", "3"]
@@ -305,8 +425,8 @@ def test_stacked_lemma_equals_the_per_matrix_kernel_bit_for_bit(d1, d2, monkeypa
         assert expected[-1] == min_eig_herm(partial_trace(product, d1, d2, side=1))
     assert lows == expected
     # The per-trial loop's fold of -min(low, 0.0) gives the same check.
-    (check,) = fold_checks(
-        enumerate({"reduced_positivity": -min(low, 0.0)} for low in expected),
+    (check,) = _reference_fold(
+        {k: {"reduced_positivity": -min(low, 0.0)} for k, low in enumerate(expected)},
         {"reduced_positivity": 1e-10},
     )
     assert rep.checks == (check,) and rep.passed
@@ -330,6 +450,26 @@ def test_a_planted_reduction_in_a_middle_chunk_fails_reduced_positivity(
     assert check.defect == defect and check.worst_trial == bad
 
 
+def test_a_nan_in_a_middle_lemma_draw_never_passes(monkeypatch):
+    # np.linalg.eigvalsh can return finite eigenvalues for a matrix holding a
+    # NaN, so only the validators' finiteness scan keeps this draw from passing.
+    real, bad = cli._lemma_draw, 250
+
+    def planted(cfg, rng, k):
+        a, r = real(cfg, rng, k)
+        if k == bad:
+            r[0, 0] = math.nan
+        return a, r
+
+    monkeypatch.setattr(cli, "_lemma_draw", planted)
+    try:
+        rep = run_suite(SuiteConfig("lemma", trials=500, d1=2, d2=2))
+    except ValueError as exc:
+        assert "must be finite" in str(exc)
+    else:
+        assert not rep.passed
+
+
 def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
     cfg = SuiteConfig("lemma", seed=3, trials=60, d1=6, d2=6)
     chunk, split = _lemma_chunk(6, 6), 30
@@ -340,7 +480,7 @@ def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
         list(trial_outcomes(cfg.seed, range(a, b), draw, evaluate))
         for a, b in ((0, split), (split, 60))
     ]
-    assert halves[0] + halves[1] == full
+    assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full)
     tols = {"reduced_positivity": 1e-10}
     assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
 
@@ -450,7 +590,7 @@ def test_two_invariant_shards_split_inside_a_chunk_reproduce_the_full_run(
     halves = [
         list(real(3, range(a, b), draw, evaluate)) for a, b in ((0, split), (split, trials))
     ]
-    assert halves[0] + halves[1] == full
+    assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full)
     tols = dict.fromkeys(framework._INVARIANTS, 1e-9)
     assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
 
@@ -464,8 +604,8 @@ DSUM_TOLS = {"commutation": 1e-12, "no_signaling": 1e-8, "conditioning_quotient"
 
 
 def _dsum_outcomes(indices, evaluate=None) -> list:
-    """``(k, defects)`` of the dsum suite's trials ``indices`` under DSUM_CFG,
-    each chunk evaluated by ``evaluate`` (default: ``cli._dsum_evaluate``)."""
+    """The defect columns of the dsum suite's trials ``indices`` under
+    DSUM_CFG, each chunk evaluated by ``evaluate`` (default: ``cli._dsum_evaluate``)."""
     model = DSumModel(DSUM_CFG.d1, DSUM_CFG.d2)
     draw = partial(cli._dsum_draw, DSUM_CFG, model)
     evaluate = evaluate or partial(cli._dsum_evaluate, model)
@@ -494,8 +634,8 @@ def test_a_planted_nan_in_a_middle_dsum_chunk_fails_commutation_at_its_trial(mon
     outcomes = _dsum_outcomes(trials, evaluate)
     chunk = chunks[0]
     assert chunks == [chunk, chunk, DSUM_CFG.trials - 2 * chunk] and chunk < bad < 2 * chunk
-    assert outcomes[:bad] + outcomes[bad + 1 :] == clean[:bad] + clean[bad + 1 :]
-    defects, clean_defects = outcomes[bad][1], clean[bad][1]
+    defects, clean_defects = _per_trial(outcomes).pop(bad), _per_trial(clean).pop(bad)
+    assert _others(outcomes, bad) == _others(clean, bad)
     assert defects["commutation"] == math.inf
     assert defects["no_signaling"] == clean_defects["no_signaling"]
     # Its probability of the planted operation is NaN, so it joins no quotient.
@@ -512,7 +652,7 @@ def test_two_dsum_shards_split_inside_a_chunk_reproduce_the_full_run():
     assert chunk < split < 2 * chunk
     full = _dsum_outcomes(range(n))
     halves = [_dsum_outcomes(range(a, b)) for a, b in ((0, split), (split, n))]
-    assert halves[0] + halves[1] == full
+    assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full)
     assert _merge(*(fold_checks(h, DSUM_TOLS) for h in halves)) == fold_checks(full, DSUM_TOLS)
 
 
@@ -536,8 +676,8 @@ def _shards_split_inside_a_chunk(seed: int, n: int, draw, evaluate) -> None:
         list(trial_outcomes(seed, range(a, b), draw, evaluate))
         for a, b in ((0, split), (split, n))
     ]
-    assert halves[0] + halves[1] == full
-    tols = dict.fromkeys((check for _, outcome in full for check in outcome), 1.0)
+    assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full)
+    tols = dict.fromkeys((check for check, _, _ in full), 1.0)
     assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols)
 
 
@@ -573,19 +713,19 @@ def test_two_random_quantum_nosig_shards_split_inside_a_chunk_reproduce_the_full
 
 def test_two_trace_biconditional_shards_split_inside_a_chunk_reproduce_the_full_run(monkeypatch):
     calls = []
-    real = quantum.trial_outcomes
+    real = report.trial_outcomes
 
     def spy(seed, indices, draw, evaluate):
         calls.append((draw, evaluate))
         return real(seed, indices, draw, evaluate)
 
-    monkeypatch.setattr(quantum, "trial_outcomes", spy)
+    monkeypatch.setattr(report, "trial_outcomes", spy)
     quantum.trace_biconditional_check(trials=1, d1=6, d2=6, seed=2)
     ((draw, evaluate),) = calls
     _shards_split_inside_a_chunk(2, 60, draw, evaluate)
 
 
-@pytest.mark.parametrize("kind", ["classical", "quantum"])
+@pytest.mark.parametrize("kind", ["classical", "quantum", "dsum"])
 def test_a_planted_nan_in_a_middle_composite_chunk_fails_commutation_at_its_trial(
     kind, monkeypatch
 ):
@@ -610,8 +750,8 @@ def test_a_planted_nan_in_a_middle_composite_chunk_fails_commutation_at_its_tria
     monkeypatch.setattr(cli, "commutation_defect", planted)
     outcomes = list(trial_outcomes(COMPOSITE_CFG.seed, trials, draw, evaluate))
     assert chunks == [chunk, chunk, len(trials) - 2 * chunk] and chunk < bad < 2 * chunk
-    assert outcomes[:bad] + outcomes[bad + 1 :] == clean[:bad] + clean[bad + 1 :]
-    defects, clean_defects = outcomes[bad][1], clean[bad][1]
+    defects, clean_defects = _per_trial(outcomes).pop(bad), _per_trial(clean).pop(bad)
+    assert _others(outcomes, bad) == _others(clean, bad)
     assert report.worst_defect(defects["commutation"]) == math.inf
     assert defects["no_signaling"] == clean_defects["no_signaling"]
     commutation, no_signaling = fold_checks(outcomes, {"commutation": 1e-10, "no_signaling": 1e-8})
