@@ -17,9 +17,10 @@ quantum-nosig at (2,2) with 2600 trials, whose random loop and trace
 biconditional each span two full chunks and a partial one, quantum-nosig at
 (3,3) with 600 trials, whose random loop spans a full chunk and a partial
 one that each hold several outcome-count groups, so each check's columns
-arrive out of trial order, and opcore at (2,2) with 2000 trials, whose quantum and
-direct-sum composite loops end in a partial chunk), with BLAS pinned to one
-thread.  ``CHANGE_ROOT`` defaults to
+arrive out of trial order, opcore at (2,2) with 2000 trials, whose quantum and
+direct-sum composite loops end in a partial chunk, and the lemma at (2,3)
+and (3,2) with 1000 trials, a full chunk and a partial one of unequal
+sides), with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
@@ -76,6 +77,9 @@ CASES = [
     ("quantum-nosig", 3, 3, 0, 600),
     # 400 composite trials: chunks of 348 (quantum) and 376 (direct sum) at (2,2).
     ("opcore", 2, 2, 0, 2000),
+    # Chunks of 819 lemma trials at (2,3) and of 728 at (3,2).
+    ("lemma", 2, 3, 0, 1000),
+    ("lemma", 3, 2, 0, 1000),
 ] + [
     (suite, 2, 2, 0, TRIALS, flag, name)
     for suite, flag, name in (

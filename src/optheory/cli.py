@@ -47,6 +47,7 @@ from .framework import (
     take_trials,
     total_of_action,
 )
+from .linalg import hermitian_part
 from .quantum import (
     REDUCED_TOL,
     QuantumBipartite,
@@ -54,9 +55,9 @@ from .quantum import (
     no_signaling_trial_defects,
     quantum_no_signaling_check,
     quantum_no_signaling_defects,
-    reduced_positivity_min_eigs,
     singlet_state,
     trace_biconditional_check,
+    trusted_reduced_min_eigs,
     x_instrument,
     z_instrument,
 )
@@ -69,7 +70,6 @@ from .report import (
 )
 from .sampling import (
     complex_gaussian,
-    ginibre_positive,
     ginibre_state,
     gram,
     trial_rng,
@@ -208,17 +208,22 @@ def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> t
 
 
 def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list):
-    """The defect columns of a chunk of trials, one stacked call per outcome count."""
+    """The defect columns of a chunk of trials, one stacked call per outcome
+    count and one column per check, its groups end to end."""
     g, counts, a = zip(*drawn)
     rho = unit_trace(gram(np.array(g)))
     counts = np.array(counts)
+    columns = {}
     for n_out in dict.fromkeys(counts.tolist()):
         trials = np.flatnonzero(counts == n_out)
         action = model.finish_action(np.array([a[k] for k in trials]))
         outcomes = [t.payload for t in action.transformations]
         found = quantum_no_signaling_defects(rho[trials], outcomes, cfg.d1, cfg.d2)
         for name, rows, defects in no_signaling_trial_defects(*found, cfg.tol):
-            yield name, trials[rows], defects
+            columns.setdefault(name, []).append((trials[rows], defects))
+    for name, parts in columns.items():
+        rows, defects = map(np.concatenate, zip(*parts))
+        yield name, rows, defects
 
 
 def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
@@ -264,13 +269,16 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
-    return ginibre_positive(rng, cfg.d1), ginibre_positive(rng, cfg.d1 * cfg.d2)
+    """The Gaussians of trial ``k``'s A and R, whose finish is ``G G^dag``."""
+    d = cfg.d1 * cfg.d2
+    return complex_gaussian(rng, cfg.d1, cfg.d1), complex_gaussian(rng, d, d)
 
 
 def _lemma_evaluate(cfg: SuiteConfig, drawn: list):
-    """The defect column of a chunk of trials, from one stacked kernel call."""
-    a, r = (np.stack(side) for side in zip(*drawn))
-    lows = reduced_positivity_min_eigs(a, r, cfg.d1, cfg.d2)
+    """The defect column of a chunk of trials: its raw draws finished as
+    stacks, PSD by construction, and one call of the trusted kernel."""
+    a, r = (hermitian_part(gram(np.stack(side))) for side in zip(*drawn))
+    lows = trusted_reduced_min_eigs(a, r, cfg.d1, cfg.d2)
     # np.minimum keeps a NaN low, as min(low, 0.0) does.
     yield "reduced_positivity", slice(None), -np.minimum(lows, 0.0)
 
@@ -438,10 +446,8 @@ def _print_box_table(name: str, entries: list[float]) -> None:
 def _print_checks(report: VerificationReport, indent: str) -> None:
     for c in report.checks:
         verdict = "ok" if c.passed else "FAIL"
-        print(
-            f"{indent}{verdict:<4} {c.name:<28} defect={c.defect:.3e} "
-            f"tol={c.tol:.1e} worst_trial={c.worst_trial}"
-        )
+        where = f"worst_trial={c.worst_trial}" if c.evaluated else "not evaluated"
+        print(f"{indent}{verdict:<4} {c.name:<28} defect={c.defect:.3e} tol={c.tol:.1e} {where}")
 
 
 def _print_sub_report(sub: VerificationReport, cfg: SuiteConfig, indent: str) -> None:

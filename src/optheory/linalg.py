@@ -61,6 +61,14 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + mh) / 2
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(M + M^dag) / 2`` of every matrix on the last two axes, unvalidated.
+
+    For a finite Hermitian ``M`` it is what the validators return, bit for
+    bit: kernels use it on matrices that are Hermitian by construction."""
+    return (m + m.conj().swapaxes(-2, -1)) / 2
+
+
 def require_hermitian(a) -> np.ndarray:
     """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
     return _symmetrized(as_matrix(a, square=True))

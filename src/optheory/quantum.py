@@ -61,6 +61,7 @@ from .linalg import (
     as_matrix,
     as_matrix_stack,
     hermitian_coords,
+    hermitian_part,
     max_eig_herm,
     partial_trace,
     psd_sqrt,
@@ -503,13 +504,38 @@ def side1_kraus_outputs(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _on_side1(kraus, left.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
+def trusted_reduced_min_eigs(am: np.ndarray, rm: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
+    of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``, both
+    symmetrized and trusted: no eigensolve checks either.  The suite's own
+    ``G G^dag`` draws are PSD by construction;
+    :func:`reduced_positivity_min_eigs` validates anything else first.
+
+    A trial whose product or reduction is not finite gets a NaN low, so a
+    NaN in one draw fails that trial alone.  Its matrices are zeroed before
+    ``partial_trace``, which refuses a stack holding a NaN, and before
+    ``eigvalsh``, which may return finite values for a NaN matrix.
+    """
+    product = _on_side1(am, rm)
+    broken = ~np.isfinite(product).all(axis=(-2, -1))
+    product[broken] = 0.0
+    reduced = hermitian_part(partial_trace(product, d1, d2, side=1))
+    broken |= ~np.isfinite(reduced).all(axis=(-2, -1))
+    reduced[broken] = 0.0
+    lows = np.linalg.eigvalsh(reduced)[:, 0]
+    lows[broken] = np.nan
+    return lows
+
+
 def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
     """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
     of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``.
 
-    Each entry equals :func:`reduced_positivity_min_eig` of its pair alone:
-    the stacked product, partial trace and eigensolve repeat that call's
-    arithmetic matrix by matrix.
+    The validating form of :func:`trusted_reduced_min_eigs`, for input from
+    outside the package: it checks that both stacks are finite, Hermitian
+    and PSD (one eigensolve each) and of matching lengths, runs that kernel,
+    and refuses a reduction that is not finite.  Each entry equals
+    :func:`reduced_positivity_min_eig` of its pair alone.
     """
     am = require_psd_stack(a, "local operator A must be PSD")
     rm = require_psd_stack(r, "joint operator R must be PSD")
@@ -517,9 +543,10 @@ def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
         raise ValueError(f"local operator A acts on dimension {am.shape[-1]}, expected d1={d1}")
     if len(am) != len(rm):
         raise ValueError(f"{len(am)} local operators for {len(rm)} joint operators")
-    reduced = partial_trace(_on_side1(am, rm), d1, d2, side=1)
-    # eigvalsh may return finite values for a NaN matrix: this finiteness scan fails a NaN draw.
-    return np.linalg.eigvalsh(require_hermitian_stack(reduced))[:, 0]
+    lows = trusted_reduced_min_eigs(am, rm, d1, d2)
+    if np.isnan(lows).any():  # finite operands whose product overflows
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return lows
 
 
 def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:

@@ -42,12 +42,15 @@ class Check:
     """One named gate of a report: its worst defect, its tolerance, and the
     smallest index of a trial at that defect, whatever order the trials were
     folded in (None when no trial evaluated the check, or when the check is
-    made once per report)."""
+    made once per report).  ``evaluated`` is False for a trial suite's check
+    that no trial evaluated; the text summary says so, the JSON does not
+    carry it."""
 
     name: str
     defect: float
     tol: float
     worst_trial: int | None = None
+    evaluated: bool = field(default=True, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -132,7 +135,10 @@ def fold_checks(columns: Iterable[tuple[str, np.ndarray, np.ndarray]], tols: dic
             worst[name], at[name] = max(running, top), first  # max keeps 0.0 over -0.0
         else:
             at[name] = min(at[name], first)
-    return [Check(name, worst[name], tol, at[name]) for name, tol in tols.items()]
+    return [
+        Check(name, worst[name], tol, at[name], evaluated=at[name] is not None)
+        for name, tol in tols.items()
+    ]
 
 
 def run_trials(
@@ -211,7 +217,9 @@ class VerificationReport:
         if details:
             out["details"] = details
         if self.checks:
-            out["checks"] = [asdict(c) for c in self.checks]
+            out["checks"] = [
+                {k: v for k, v in asdict(c).items() if k != "evaluated"} for c in self.checks
+            ]
         return out
 
     def to_json(self) -> str:

@@ -348,7 +348,7 @@ class TestMutantDetection:
             flipped_defects.extend(-low for low in lows)
             return np.array(lows)
 
-        monkeypatch.setattr(cli, "reduced_positivity_min_eigs", flipped)
+        monkeypatch.setattr(cli, "trusted_reduced_min_eigs", flipped)
         out = tmp_path / "out.json"
         assert main(["--suite", "lemma", "--json", str(out)]) == 1
         capsys.readouterr()
@@ -541,6 +541,23 @@ def test_report_json_schema():
     assert {"suite", "seed", "trials", "max_defect", "tol", "pass", "witness"} <= set(obj)
     assert isinstance(obj["pass"], bool)
     json.dumps(obj)  # everything must be JSON-serializable
+
+
+def test_text_summary_names_a_check_no_trial_evaluated(tmp_path, capsys):
+    # Haar-random outcomes never preserve the trace, so no trial evaluates
+    # trace_preserving_outcomes; a check made once per report keeps its line.
+    out = tmp_path / "out.json"
+    assert main(["--suite", "quantum-nosig", "--trials", "20", "--json", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (unevaluated,) = [line for line in lines if "trace_preserving_outcomes" in line]
+    assert unevaluated.endswith("tol=1.0e-08 not evaluated")
+    (once,) = [line for line in lines if "no_trace_preserved_case" in line]
+    assert once.endswith("worst_trial=None")
+    # The JSON is unchanged: the check lists its four fields alone.
+    (random, *_) = json.loads(out.read_text())["report"]["details"]["sub_reports"]
+    assert random["checks"][1] == {
+        "name": "trace_preserving_outcomes", "defect": 0.0, "tol": 1e-08, "worst_trial": None
+    }
 
 
 def test_main_all_suites(capsys):

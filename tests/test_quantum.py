@@ -388,6 +388,12 @@ class TestReducedPositivity:
         with pytest.raises(ValueError, match="3 local operators for 2 joint operators"):
             quantum.reduced_positivity_min_eigs(r[:, :2, :2], r[:2], 2, 2)
 
+    def test_a_reduction_that_overflows_is_refused_not_returned(self):
+        # Finite PSD operands pass validation; their product does not fit a float.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                reduced_positivity_min_eig(1e200 * np.eye(2), 1e200 * np.eye(4), 2, 2)
+
 
 class TestInstruments:
     def test_haar_instrument_complete(self):

@@ -22,8 +22,8 @@ from optheory.report import (
     run_trials,
     trial_outcomes,
 )
-from optheory.linalg import min_eig_herm, partial_trace, require_psd
-from optheory.sampling import ginibre_positive, trial_rng
+from optheory.linalg import hermitian_part, min_eig_herm, partial_trace, require_psd
+from optheory.sampling import complex_gaussian, ginibre_positive, gram, trial_rng
 
 
 def _index(rng, k):
@@ -172,12 +172,13 @@ def _column(name: str, trials: list, defects: list) -> tuple:
 
 def _quantum_nosig_columns() -> list:
     """The random quantum-nosig loop's columns at (3,3): a full chunk and a
-    partial one, each yielding one column per check and outcome count."""
+    partial one, each yielding one column per check, its outcome-count
+    groups end to end, so the trials of a column are out of order."""
     cfg = SuiteConfig("quantum-nosig", seed=0, d1=3, d2=3)
     draw = partial(cli._quantum_nosig_draw, cfg)
     evaluate = partial(cli._quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
     columns = list(trial_outcomes(cfg.seed, range(400), draw, evaluate))
-    assert len(columns) == 12 and not all(np.diff(np.concatenate([t for _, t, _ in columns])) > 0)
+    assert len(columns) == 4 and not all(np.diff(np.concatenate([t for _, t, _ in columns])) > 0)
     return columns
 
 
@@ -394,7 +395,7 @@ def _spy_on_the_stacked_kernel(monkeypatch, plant=None):
     """Record each chunk's length and minimum eigenvalues; ``plant(lows, offset)``
     may overwrite some of them, ``offset`` being the chunk's first trial."""
     chunks, lows_seen = [], []
-    real = cli.reduced_positivity_min_eigs
+    real = cli.trusted_reduced_min_eigs
 
     def spy(a, r, d1, d2):
         lows = real(a, r, d1, d2)
@@ -404,7 +405,7 @@ def _spy_on_the_stacked_kernel(monkeypatch, plant=None):
         lows_seen.extend(lows.tolist())
         return lows
 
-    monkeypatch.setattr(cli, "reduced_positivity_min_eigs", spy)
+    monkeypatch.setattr(cli, "trusted_reduced_min_eigs", spy)
     return chunks, lows_seen
 
 
@@ -468,6 +469,53 @@ def test_a_nan_in_a_middle_lemma_draw_never_passes(monkeypatch):
         assert "must be finite" in str(exc)
     else:
         assert not rep.passed
+
+
+def test_a_nan_in_a_middle_lemma_draw_fails_its_own_trial(monkeypatch):
+    real, bad = cli._lemma_draw, 250
+
+    def planted(cfg, rng, k):
+        a, r = real(cfg, rng, k)
+        if k == bad:
+            r[0, 0] = math.nan
+        return a, r
+
+    monkeypatch.setattr(cli, "_lemma_draw", planted)
+    rep = run_suite(SuiteConfig("lemma", trials=500, d1=2, d2=2))
+    (check,) = rep.checks
+    assert check.name == "reduced_positivity" and not rep.passed
+    assert check.defect == math.inf and check.worst_trial == bad
+
+
+def test_the_lemma_runs_one_eigensolve_per_chunk_and_none_of_its_draws(monkeypatch):
+    # The suite's G G^dag draws are PSD by construction: only the reductions
+    # reach eigvalsh, one stacked call per chunk.
+    chunk = _lemma_chunk(6, 6)
+    trials, calls = 2 * chunk + 1, []
+    real = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rep = run_suite(SuiteConfig("lemma", trials=trials, d1=6, d2=6))
+    assert rep.passed and calls == [(chunk, 6, 6), (chunk, 6, 6), (1, 6, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d1=st.integers(1, 4),
+    d2=st.integers(1, 4),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_trusted_lemma_kernel_equals_the_validating_one_bit_for_bit(d1, d2, n, seed):
+    rng = np.random.default_rng(seed)
+    a, r = (gram(complex_gaussian(rng, n * d, d).reshape(n, d, d)) for d in (d1, d1 * d2))
+    trusted = quantum.trusted_reduced_min_eigs(hermitian_part(a), hermitian_part(r), d1, d2)
+    validated = quantum.reduced_positivity_min_eigs(a, r, d1, d2)
+    assert trusted.tobytes() == validated.tobytes()
 
 
 def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
