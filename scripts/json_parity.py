@@ -3,8 +3,8 @@
     python3 scripts/json_parity.py PARENT_ROOT [CHANGE_ROOT]
 
 Runs ``python -m optheory --json`` from each root's ``src`` directory for
-every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,3) and
-(3,2) for seeds 0-2, the benchmark's lemma verdicts (500 trials at (2,2) and
+every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,2), (2,3)
+and (3,2) for seeds 0-2, the benchmark's lemma verdicts (500 trials at (2,2) and
 300 at (6,6)) and its small-dims opcore verdict (20 trials at (2,2)) for
 seeds 0-2, opcore at (6,6) with 150 trials, whose invariant suites end in a
 partial chunk, tomo-audit at the benchmark's sizes and at (6,5), boxworld's
@@ -49,7 +49,11 @@ CASES = [
     for seed in range(3)
     for d1, d2 in ((2, 2), (2, 3), (3, 3), (6, 6))
     for suite in SUITES + (("all",) if d1 < 6 else ())
-] + [("tomo-audit", d1, d2, seed, TRIALS) for seed in range(3) for d1, d2 in ((2, 3), (3, 2))] + [
+] + [
+    ("tomo-audit", d1, d2, seed, TRIALS)
+    for seed in range(3)
+    for d1, d2 in ((2, 2), (2, 3), (3, 2))
+] + [
     # The benchmark's lemma verdicts: one chunk of trials at (2,2), many at (6,6).
     ("lemma", d, d, seed, trials)
     for seed in range(3)

@@ -40,6 +40,7 @@ from .framework import (
     TOL_EFFECT,
     Transformation,
     condition,
+    draw_trials,
     effect_of,
     probe_shifts,
     total_of_action,
@@ -54,6 +55,7 @@ from .linalg import (
     require_psd,
     trace_norm,
     trial_factor,
+    trusted_hermitian_coords,
     value,
     vdots,
 )
@@ -72,7 +74,7 @@ from .quantum import (
     scale_kraus,
 )
 from .report import Check, VerificationReport, worst_defect, worst_defects
-from .sampling import complex_gaussian, gram, simplex, trial_rng, unit_trace
+from .sampling import complex_gaussian, gram, simplex, unit_trace
 
 
 def _each(f, *pairs) -> tuple:
@@ -248,9 +250,7 @@ def ds_local_effect_span(d1: int, d2: int, samples: int, seed: int = 0) -> int:
     """
     if samples < (d1 + d2) ** 2:
         raise ValueError(f"need at least {(d1 + d2) ** 2} samples for a decisive rank")
-    bip = DSumBipartite(d1, d2)
-    payloads = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(samples)]
-    return rank_of_rows(bip.ambient_rows(bip.joint.stack_effects(payloads)))
+    return rank_of_rows(DSumBipartite(d1, d2).random_product_rows(seed, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +484,26 @@ class DSumBipartite(BipartiteModel):
         return (self.d1 + self.d2) ** 2
 
     def ambient_rows(self, stack) -> np.ndarray:
-        """``hermitian_coords`` of each block pair as the block-diagonal
-        K_plus (+) K_minus on C^(d1+d2), built as one stack."""
-        return hermitian_coords(direct_sum(*stack))
+        """``trusted_hermitian_coords`` of each block pair as the block-diagonal
+        K_plus (+) K_minus on C^(d1+d2), built as one stack; the blocks are
+        ones the package built from validated local effects."""
+        return trusted_hermitian_coords(direct_sum(*stack))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         a = self.joint.from_local(ds_random_local_op(rng, 1, self.d1))
         b = self.joint.from_local(ds_random_local_op(rng, 2, self.d2))
         return self.joint.effect_of(self.joint.compose(a, b))
+
+    def random_product_rows(self, seed: int, n: int) -> np.ndarray:
+        """The rows of ``random_product_effect(trial_rng(seed, k))`` for k < n,
+        bit for bit: every trial's two ``ds_draw_local_op`` draws, then one
+        stacked ``ds_finish_local_op``, ``from_local``, ``compose`` and
+        ``effect_of``."""
+        draw = ds_draw_local_op
+        left, right = draw_trials(seed, n, partial(draw, d=self.d1), partial(draw, d=self.d2))
+        a = self.joint.from_local(ds_finish_local_op(1, *left))
+        b = self.joint.from_local(ds_finish_local_op(2, *right))
+        return self.ambient_rows(self.joint.effect_of(self.joint.compose(a, b)).payload)
 
 
 def _hilbert_schmidt(k: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .sampling import (
     simplex,
     stochastic_split,
     substochastic,
+    trial_rng,
 )
 
 # Conditioning on events rarer than this raises ZeroProbability.
@@ -291,6 +292,9 @@ class BipartiteModel(ABC):
     A composite writes only ``_embed``, and ``product_payloads`` and
     ``ambient_rows`` when its joint effects are not array payloads.  Stacks
     of joint effect payloads are the joint model's (``stack_effects``, ``take``).
+    ``ambient_rows`` is only given products the package built, from the
+    effects of an ``Observable`` (which checked each one) or from its own
+    random draws, so a composite may write it without re-validating them.
     """
 
     left: TheoryModel
@@ -335,13 +339,31 @@ class BipartiteModel(ABC):
 
     def ambient_rows(self, stack) -> np.ndarray:
         """Coordinates of a stack of joint effect payloads in the ambient
-        composite system, one row each."""
+        composite system, one row each, of products the package built."""
         return self.joint.effect_coords(Effect(self.joint, stack))
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         tl = self.left.random_transformation(rng)
         tr = self.right.random_transformation(rng)
         return self.product_effect(effect_of(tl), effect_of(tr))
+
+    def random_product_rows(self, seed: int, n: int) -> np.ndarray:
+        """Ambient rows of ``n`` random product effects, row k that of
+        ``random_product_effect(trial_rng(seed, k))`` bit for bit: every
+        trial's raw draws, then one stacked finish of all n.  Each product is
+        built by ``product_effect``, so the composite's ``product_payloads``
+        builds it."""
+        left, right = self.left, self.right
+        raw_left, raw_right = draw_trials(
+            seed, n, left.draw_transformation, right.draw_transformation
+        )
+        kl = left.effect_of(left.finish_transformation(*raw_left)).payload
+        kr = right.effect_of(right.finish_transformation(*raw_right)).payload
+        payloads = []
+        for k in range(n):
+            pair = Effect(left, left.take(kl, k)), Effect(right, right.take(kr, k))
+            payloads.append(self.product_effect(*pair).payload)
+        return self.ambient_rows(self.joint.stack_effects(payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +656,16 @@ def model_invariant_suite(
 def raw_columns(raws) -> list[np.ndarray]:
     """Raw draws' values stacked along a new leading trial axis, one array per value."""
     return [np.array(column) for column in zip(*raws)]
+
+
+def draw_trials(seed: int, n: int, *draws) -> list[list[np.ndarray]]:
+    """The raw draws of trials 0..n-1, trial k's from ``trial_rng(seed, k)``
+    by each of ``draws`` in turn, as the ``raw_columns`` of each draw."""
+    raws = []
+    for k in range(n):
+        rng = trial_rng(seed, k)
+        raws.append([draw(rng) for draw in draws])
+    return [raw_columns(column) for column in zip(*raws)]
 
 
 def take_trials(objects, trials: np.ndarray, n: int) -> list:

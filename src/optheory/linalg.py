@@ -49,16 +49,21 @@ def _matrices(a, *, square: bool = True) -> np.ndarray:
     return as_matrix_stack(a) if np.ndim(a) == 3 else as_matrix(a, square=square)
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity of the finite matrices on the last two axes of
-    ``m`` within ``TOL_HERM`` and return them symmetrized.  The defect named
-    by the error is the largest of a stack, so a stack with one bad matrix
-    raises the message of that matrix alone."""
+def _checked_adjoint(m: np.ndarray) -> np.ndarray:
+    """The adjoints of the finite matrices on the last two axes of ``m``,
+    which must be Hermitian within ``TOL_HERM``.  The defect named by the
+    error is the largest of a stack, so a stack with one bad matrix raises
+    the message of that matrix alone."""
     mh = m.conj().swapaxes(-2, -1)
     defect = float(np.abs(m - mh).max())
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.3e}")
-    return (m + mh) / 2
+    return mh
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """The matrices of ``m``, checked by ``_checked_adjoint``, symmetrized."""
+    return (m + _checked_adjoint(m)) / 2
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -238,21 +243,32 @@ def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, k=1)
 
 
+def trusted_hermitian_coords(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_coords` of a matrix or stack the package built
+    Hermitian, unvalidated: ``Re M_ii``, then sqrt(2) times the real and
+    imaginary parts of ``(M_ij + conj(M_ji)) / 2`` for i < j.  That is the
+    symmetrized upper triangle, so for a finite ``M`` within ``TOL_HERM`` of
+    Hermitian the rows equal ``hermitian_coords``'s bit for bit."""
+    rows, cols = _strict_upper(m.shape[-1])
+    upper = (m[..., rows, cols] + m[..., cols, rows].conj()) / 2
+    return np.concatenate(
+        [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
+    )
+
+
 def hermitian_coords(a) -> np.ndarray:
     """Real coordinate vector of a Hermitian matrix in ``hermitian_basis``.
 
     Computed entrywise (diagonal, then sqrt(2) times the real and imaginary
     upper-triangle parts) rather than by pairing against the dense basis;
     the orderings coincide.  A stack ``(n, d, d)`` gives one row of ``d^2``
-    coordinates per matrix, each equal to the call on that matrix alone;
-    every matrix is validated, by ``require_hermitians``.
+    coordinates per matrix, each equal to the call on that matrix alone.
+    Every matrix is validated, finite and Hermitian within ``TOL_HERM``,
+    then :func:`trusted_hermitian_coords` computes the rows.
     """
-    m = require_hermitians(a)
-    rows, cols = _strict_upper(m.shape[-1])
-    upper = m[..., rows, cols]
-    return np.concatenate(
-        [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
-    )
+    m = _matrices(a)
+    _checked_adjoint(m)
+    return trusted_hermitian_coords(m)
 
 
 def hermitian_from_coords(v, d: int) -> np.ndarray:

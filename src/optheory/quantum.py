@@ -73,6 +73,7 @@ from .linalg import (
     span_rank,
     trace_norm,
     trial_factor,
+    trusted_hermitian_coords,
 )
 from .report import Check, VerificationReport, run_trials, worst_defects
 from .sampling import (
@@ -922,6 +923,11 @@ class QuantumBipartite(BipartiteModel):
 
     def _embed(self, t: Transformation, side: int) -> KrausOp:
         return local_embed(t.payload, self.d2 if side == 1 else self.d1, side)
+
+    def ambient_rows(self, stack) -> np.ndarray:
+        """``trusted_hermitian_coords`` of product payloads the package built
+        from validated local effects."""
+        return trusted_hermitian_coords(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,12 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """A ``(rows, cols)`` complex Gaussian: one ``standard_normal`` call for
+    the real parts, then one for the imaginary parts, filled in place."""
+    out = np.empty((rows, cols), dtype=complex)
+    out.real = rng.standard_normal((rows, cols))
+    out.imag = rng.standard_normal((rows, cols))
+    return out
 
 
 def gram(g: np.ndarray) -> np.ndarray:

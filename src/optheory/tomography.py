@@ -18,7 +18,6 @@ import numpy as np
 from .framework import BipartiteModel, Effect, TheoryModel, TOL_EFFECT, unit_sum_defect
 from .linalg import full_rank_bound, rank_of_rows
 from .report import Check, VerificationReport
-from .sampling import trial_rng
 
 
 # Products per call of ``BipartiteModel.product_payloads`` in ``product_rows``:
@@ -34,13 +33,17 @@ class NotInformationallyComplete(ValueError):
 
 
 def _require_unit_sum(defect: float) -> None:
-    if defect > TOL_EFFECT:
+    if not defect <= TOL_EFFECT:  # a NaN defect fails too
         raise ValueError(f"effects do not sum to the unit: defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A complete measurement: effects summing to the unit effect."""
+    """A complete measurement: effects summing to the unit effect.
+
+    The constructor is the effects' boundary: it computes every effect's
+    coordinates, which checks each one (a quantum effect must be Hermitian
+    within ``TOL_HERM``), and then their sum."""
 
     model: TheoryModel
     effects: tuple[Effect, ...]
@@ -55,6 +58,7 @@ class Observable:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "effects", effs)
         try:
+            self.coordinate_rows()
             defect = unit_sum_defect(model, effs)
         except NotImplementedError as exc:
             raise ValueError("model does not expose dual effect coordinates") from exc
@@ -147,7 +151,8 @@ def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndar
     The rows come from ``bip.product_payloads`` and ``bip.ambient_rows``, at
     most ``PRODUCT_CHUNK`` products per call, without an ``Effect`` per
     product.  As for an ``Observable``, their sum must equal the coordinates
-    of the unit effect within ``TOL_EFFECT``.
+    of the unit effect within ``TOL_EFFECT``; ``ambient_rows`` does not
+    re-validate the products, so this check is also what refuses a NaN.
     """
     _require_components(o1, o2, bip)
     lefts, rights = o1.effects, o2.effects
@@ -172,9 +177,11 @@ def local_observability_audit(
 
     Passes when the jointly measured product of the components' built-in
     minimal IC observables (its coordinates from :func:`product_rows`) spans
-    the composite's ambient effect space.  When it falls short,
-    ``ambient + 32`` random local product effects (row k from
-    ``trial_rng(seed, k)``) join the rows and the rank of the union decides.
+    the composite's ambient effect space.  When it falls short, the rows of
+    ``ambient + 32`` random local product effects join them, drawn as one
+    stack by ``bip.random_product_rows`` (row k that of
+    ``bip.random_product_effect(trial_rng(seed, k))``), and the rank of the
+    union decides.
     ``trials`` counts the rows audited.  The details record
     ``linalg.full_rank_bound`` of each row set: above
     ``FULL_RANK_MARGIN * RANK_TOL`` it certified full rank without an SVD.
@@ -186,9 +193,7 @@ def local_observability_audit(
     product_rank = rank = rank_of_rows(rows, bound=product_bound)
     bounds = {"product_full_rank_bound": product_bound}
     if product_rank < ambient:
-        n_samples = ambient + 32
-        drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(n_samples)]
-        rows = np.concatenate([rows, bip.ambient_rows(bip.joint.stack_effects(drawn))])
+        rows = np.concatenate([rows, bip.random_product_rows(seed, ambient + 32)])
         bounds["union_full_rank_bound"] = union_bound = full_rank_bound(rows)
         rank = rank_of_rows(rows, bound=union_bound)
     return VerificationReport.from_checks(

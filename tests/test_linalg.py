@@ -29,6 +29,7 @@ from optheory.linalg import (
     span_rank,
     tensor,
     trace_norm,
+    trusted_hermitian_coords,
 )
 from optheory.directsum import DSumState
 from optheory.framework import Effect
@@ -261,6 +262,22 @@ class TestStackedHermitianCoords:
         assert rows.shape == (n, d * d)
         for k in range(n):
             assert rows[k].tobytes() == hermitian_coords(stack[k]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_trusted_kernel_equals_the_coords_of_the_symmetrized_copy(self, d, n, seed):
+        # The formula hermitian_coords used before its kernel was split out:
+        # the validated, symmetrized copy's diagonal and upper triangle.
+        stack = hermitian_stack(seed, n, d)
+        m = require_hermitian_stack(stack)
+        rows, cols = np.triu_indices(d, k=1)
+        upper = m[..., rows, cols]
+        reference = np.concatenate(
+            [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
+        )
+        assert trusted_hermitian_coords(stack).tobytes() == reference.tobytes()
+        assert hermitian_coords(stack).tobytes() == reference.tobytes()
+        assert trusted_hermitian_coords(stack[0]).tobytes() == reference[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

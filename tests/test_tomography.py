@@ -16,6 +16,7 @@ from optheory.linalg import (
     require_hermitian,
 )
 from optheory.quantum import QuantumBipartite, QuantumModel
+from optheory.sampling import trial_rng
 from optheory.tomography import (
     PRODUCT_CHUNK,
     ICCertificate,
@@ -209,10 +210,11 @@ class TestObservabilityAudit:
         "bip", [QuantumBipartite(3, 3), ClassicalBipartite(2, 3)], ids=["quantum", "classical"]
     )
     def test_full_product_rank_draws_no_samples(self, bip, monkeypatch):
-        def no_sampling(self, rng):
+        def no_sampling(self, *args):
             raise AssertionError("a full product rank needs no sampled effects")
 
         monkeypatch.setattr(BipartiteModel, "random_product_effect", no_sampling)
+        monkeypatch.setattr(BipartiteModel, "random_product_rows", no_sampling)
         report = local_observability_audit(bip, seed=2)
         d = report.details
         assert report.passed
@@ -237,6 +239,32 @@ class TestObservabilityAudit:
         assert not report.passed
         assert d["product_observable_rank"] == d["rank"] == 4 < d["ambient_effect_dim"] == 36
         assert report.trials == d["product_outcomes"] + 36 + 32
+
+
+class TestRandomProductRows:
+    """The stacked sampler repeats ``random_product_effect`` trial by trial."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (6, 6)], ids=str)
+    def test_dsum_union_rows_equal_the_per_trial_effects(self, dims, seed):
+        bip = DSumBipartite(*dims)
+        n = bip.ambient_effect_dim + 32  # the audit's sample count
+        drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(n)]
+        plus, minus = bip.joint.stack_effects(drawn)
+        expected = hermitian_coords(direct_sum(plus, minus))
+        rows = bip.random_product_rows(seed, n)
+        assert rows.shape == (n, bip.ambient_effect_dim)
+        assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "composite", [ClassicalBipartite, QuantumBipartite], ids=lambda c: c.__name__
+    )
+    def test_generic_rows_equal_the_per_trial_effects(self, composite, seed):
+        bip = composite(2, 3)
+        drawn = [bip.random_product_effect(trial_rng(seed, k)).payload for k in range(40)]
+        expected = bip.joint.effect_coords(Effect(bip.joint, np.stack(drawn)))
+        assert bip.random_product_rows(seed, 40).tobytes() == expected.tobytes()
 
 
 def reference_rows(bip: BipartiteModel, o1: Observable, o2: Observable) -> np.ndarray:
@@ -277,7 +305,7 @@ class TestProductRows:
         assert bip.ambient_rows(bip.joint.stack_effects(products)).tobytes() == expected.tobytes()
 
     def test_no_call_exceeds_the_chunk(self, monkeypatch):
-        coords = quantum.hermitian_coords
+        coords = quantum.trusted_hermitian_coords
         sizes = []
 
         def spy(a):
@@ -285,7 +313,7 @@ class TestProductRows:
             sizes.append(len(rows) if rows.ndim == 2 else 1)
             return rows
 
-        monkeypatch.setattr(quantum, "hermitian_coords", spy)
+        monkeypatch.setattr(quantum, "trusted_hermitian_coords", spy)
         report = local_observability_audit(QuantumBipartite(6, 6), seed=0)
         assert report.passed and report.details["product_outcomes"] == 1296
         assert max(sizes) <= PRODUCT_CHUNK < 1296 <= sum(sizes)
@@ -302,6 +330,28 @@ class TestProductRows:
 
         with pytest.raises(ValueError, match="effects do not sum to the unit: defect"):
             local_observability_audit(Dropped(2, 3), seed=0)
+
+    @pytest.mark.parametrize(
+        "composite,message",
+        [
+            (ClassicalBipartite, "effects do not sum to the unit: defect nan"),
+            (QuantumBipartite, "effects do not sum to the unit: defect nan"),
+            (DSumBipartite, "must be finite"),  # direct_sum scans its blocks
+        ],
+        ids=["classical", "quantum", "dsum"],
+    )
+    def test_a_nan_product_is_refused(self, composite, message):
+        class Poisoned(composite):
+            def product_payloads(self, lefts, rights):
+                stack = super().product_payloads(lefts, rights)
+                first = stack[0] if isinstance(stack, tuple) else stack
+                first[(0,) * first.ndim] = np.nan
+                return stack
+
+        bip = Poisoned(2, 3)
+        o1, o2 = minimal_ic_observable(bip.left), minimal_ic_observable(bip.right)
+        with pytest.raises(ValueError, match=message):
+            product_rows(o1, o2, bip)
 
 
 class TestFullRankCertificateInAudit:
@@ -441,6 +491,15 @@ def test_certificate_dataclass_consistency():
 def test_incomplete_observable_rejected():
     with pytest.raises(ValueError, match="effects do not sum to the unit: defect 1.000e"):
         Observable([Effect(qubit, P0)])
+
+
+def test_non_hermitian_local_effect_is_refused_at_the_observable():
+    # The product rows skip re-validation, so the observable is the check.
+    # The two skews cancel: the effects sum to the unit, so only a check of
+    # each effect refuses them.
+    skew = P0 + 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Observable([Effect(qubit, skew), Effect(qubit, np.eye(2) - skew)])
 
 
 def test_model_without_dual_coordinates_rejected():
