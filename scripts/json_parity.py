@@ -20,7 +20,9 @@ one that each hold several outcome-count groups, so each check's columns
 arrive out of trial order, opcore at (2,2) with 2000 trials, whose quantum and
 direct-sum composite loops end in a partial chunk, and the lemma at (2,3)
 and (3,2) with 1000 trials, a full chunk and a partial one of unequal
-sides), with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
+sides, and the lemma at (2,2) with 500 trials and quantum-nosig at (2,3)
+at seed 2**32 + 7, whose trial generators are seeded from a two-word seed),
+with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
 the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
@@ -84,6 +86,9 @@ CASES = [
     # Chunks of 819 lemma trials at (2,3) and of 728 at (3,2).
     ("lemma", 2, 3, 0, 1000),
     ("lemma", 3, 2, 0, 1000),
+    # A seed of two 32-bit words.
+    ("lemma", 2, 2, 2**32 + 7, 500),
+    ("quantum-nosig", 2, 3, 2**32 + 7, TRIALS),
 ] + [
     (suite, 2, 2, 0, TRIALS, flag, name)
     for suite, flag, name in (

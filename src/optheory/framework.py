@@ -47,7 +47,7 @@ from .sampling import (
     simplex,
     stochastic_split,
     substochastic,
-    trial_rng,
+    trial_rngs,
 )
 
 # Conditioning on events rarer than this raises ZeroProbability.
@@ -660,11 +660,9 @@ def raw_columns(raws) -> list[np.ndarray]:
 
 def draw_trials(seed: int, n: int, *draws) -> list[list[np.ndarray]]:
     """The raw draws of trials 0..n-1, trial k's from ``trial_rng(seed, k)``
-    by each of ``draws`` in turn, as the ``raw_columns`` of each draw."""
-    raws = []
-    for k in range(n):
-        rng = trial_rng(seed, k)
-        raws.append([draw(rng) for draw in draws])
+    (one ``trial_rngs`` batch) by each of ``draws`` in turn, as the
+    ``raw_columns`` of each draw."""
+    raws = [[draw(rng) for draw in draws] for rng in trial_rngs(seed, range(n))]
     return [raw_columns(column) for column in zip(*raws)]
 
 

@@ -238,9 +238,11 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle, row-major."""
-    return np.triu_indices(d, k=1)
+def _strict_upper_flat(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices in a row-major ``d x d`` matrix of the strict upper
+    triangle, row-major, and of the entries across the diagonal from them."""
+    rows, cols = np.triu_indices(d, k=1)
+    return rows * d + cols, cols * d + rows
 
 
 def trusted_hermitian_coords(m: np.ndarray) -> np.ndarray:
@@ -248,12 +250,19 @@ def trusted_hermitian_coords(m: np.ndarray) -> np.ndarray:
     Hermitian, unvalidated: ``Re M_ii``, then sqrt(2) times the real and
     imaginary parts of ``(M_ij + conj(M_ji)) / 2`` for i < j.  That is the
     symmetrized upper triangle, so for a finite ``M`` within ``TOL_HERM`` of
-    Hermitian the rows equal ``hermitian_coords``'s bit for bit."""
-    rows, cols = _strict_upper(m.shape[-1])
-    upper = (m[..., rows, cols] + m[..., cols, rows].conj()) / 2
-    return np.concatenate(
-        [m.diagonal(0, -2, -1).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1
-    )
+    Hermitian the rows equal ``hermitian_coords``'s bit for bit.  Each part
+    is gathered from the flattened matrices straight into its columns."""
+    d = m.shape[-1]
+    upper, lower = _strict_upper_flat(d)
+    flat = m.reshape(*m.shape[:-2], d * d)
+    out = np.empty(flat.shape)
+    out[..., :d] = m.diagonal(0, -2, -1).real
+    sym = np.take(flat, upper, axis=-1)
+    sym += np.take(flat, lower, axis=-1).conj()
+    sym /= 2
+    np.multiply(sym.real, np.sqrt(2), out=out[..., d : d + len(upper)])
+    np.multiply(sym.imag, np.sqrt(2), out=out[..., d + len(upper) :])
+    return out
 
 
 def hermitian_coords(a) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .sampling import trial_rng
+from .sampling import trial_rngs
 
 
 def worst_defect(*defects: float) -> float:
@@ -86,7 +86,8 @@ def trial_outcomes(
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
     """``(check_name, trials, defects)`` columns of the trials ``indices``.
 
-    Trial ``k`` draws as ``draw(trial_rng(seed, k), k)``; ``evaluate(draws)``
+    Trial ``k`` draws as ``draw(trial_rng(seed, k), k)``, its generator
+    taken from one ``trial_rngs`` batch of ``indices``; ``evaluate(draws)``
     of a chunk of consecutive trials yields ``(check_name, rows, defects)``,
     ``rows`` positions in the chunk (an index array, or ``slice(None)`` for
     all) and ``defects`` an array over them or one number for each.  The
@@ -94,11 +95,12 @@ def trial_outcomes(
     since a defect depends on its own trial's draw only, none depends on it.
     """
     indices = list(indices)
+    rngs = trial_rngs(seed, indices)
     start = 0
     while start < len(indices):
-        first = draw(trial_rng(seed, indices[start]), indices[start])
+        first = draw(next(rngs), indices[start])
         chunk = np.array(indices[start : start + _chunk_length(first)])
-        drawn = [first, *(draw(trial_rng(seed, k), k) for k in chunk[1:].tolist())]
+        drawn = [first, *(draw(next(rngs), k) for k in chunk[1:].tolist())]
         for name, rows, defects in evaluate(drawn):
             if not isinstance(rows, slice) and (np.asarray(rows) < 0).any():
                 raise IndexError(f"{name}: rows {rows} lie outside a chunk of {len(chunk)}")
