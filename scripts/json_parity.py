@@ -7,7 +7,8 @@ every case in ``CASES`` (100 trials, seeds 0-2, plus tomo-audit at (2,2), (2,3)
 and (3,2) for seeds 0-2, the benchmark's lemma verdicts (500 trials at (2,2) and
 300 at (6,6)) and its small-dims opcore verdict (20 trials at (2,2)) for
 seeds 0-2, opcore at (6,6) with 150 trials, whose invariant suites end in a
-partial chunk, tomo-audit at the benchmark's sizes and at (6,5), boxworld's
+partial chunk, tomo-audit at the benchmark's sizes, at (6,5), and at (4,4)
+and (3,4), whose d = 4 POVM no other case builds, boxworld's
 landmarks and the packaged fixtures at seed 0, opcore (20 trials) and
 dsum (100 trials) at (2,3) with ``--outcomes 4`` at seed 0, whose action
 samplers otherwise run at two outcomes only, and dsum at seed 0 at (2,2)
@@ -71,6 +72,8 @@ CASES = [
     ("tomo-audit", 5, 6, 0, TRIALS),
     ("tomo-audit", 6, 6, 0, TRIALS),
     ("tomo-audit", 6, 5, 0, TRIALS),
+    ("tomo-audit", 4, 4, 0, TRIALS),
+    ("tomo-audit", 3, 4, 0, TRIALS),
     ("boxworld", 2, 2, 0, TRIALS),
     ("opcore", 2, 3, 0, 20, "--outcomes", "4"),
     ("dsum", 2, 3, 0, TRIALS, "--outcomes", "4"),

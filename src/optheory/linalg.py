@@ -315,11 +315,11 @@ def full_rank_bound(rows) -> float:
 
     The bound is ``1 / (||A||_F ||R^-1||_F)`` with R the triangular factor of a
     Householder QR of A (of A^T when A is wide): sigma_max <= ||A||_F and
-    sigma_min = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F.  It declines without
-    inverting R when ``min|r_ii| <= FULL_RANK_MARGIN * RANK_TOL * max|r_ii|``, since
-    then sigma_min / sigma_max <= min|r_ii| / max|r_ii| cannot clear the
-    margin; it also declines on empty, zero or non-finite rows and on a
-    non-finite bound.
+    sigma_min = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F.  It does not cover the QR's own
+    rounding: the computed R is the exact factor of a nearby A + dA (Higham, ch. 19).
+    It declines without inverting R when ``min|r_ii| <= FULL_RANK_MARGIN * RANK_TOL *
+    max|r_ii|``, since then sigma_min / sigma_max <= min|r_ii| / max|r_ii| cannot clear
+    the margin; it also declines on empty, zero or non-finite rows and on a non-finite bound.
     """
     m = np.atleast_2d(np.asarray(rows, dtype=float))
     if min(m.shape) == 0:

@@ -78,7 +78,6 @@ from .linalg import (
 from .report import Check, VerificationReport, run_trials, worst_defects
 from .sampling import (
     complex_gaussian,
-    ginibre_positive,
     gram,
     isometry_blocks,
     trial_rng,
@@ -958,45 +957,45 @@ def x_instrument() -> Instrument:
     return projective_instrument(np.pi / 2)
 
 
+# Weyl-Heisenberg SIC fiducials, psi_0 real: |<psi|X^a Z^b psi>| = 1/sqrt(d+1) for
+# (a, b) != (0, 0).  d = 2 gives the tetrahedron, d = 3 the orbit of (0, 1, -1)/sqrt(2);
+# d = 4..6 were found offline by minimising the frame potential sum |<psi|D_ab psi>|^4.
+_SIC_FIDUCIALS = {
+    2: (0.8880738339771153, 0.3250575836718681 + 0.32505758367186804j),
+    3: (0.0, 0.7071067811865475, -0.7071067811865475),
+    4: (0.40084839132434086, -0.15440391488017485 - 0.12898169793524525j,
+        -0.5578338408973449 + 0.5017457233224643j, -0.3113893644531789 + 0.372764025387219j),
+    5: (0.19993636214633706, 0.048846699566617045 + 0.23669126770086601j,
+        0.6483220181641407 + 0.2690414456618805j, -0.09348065941601331 - 0.4054648607900135j,
+        -0.39520446790534675 - 0.28210813110289745j),
+    6: (0.3506319357181344, 0.38782124303529136 + 0.20798601163925803j,
+        -0.10478674292741638 - 0.35384003430189886j, -0.4789721315690839 - 0.47897213156908397j,
+        -0.2180805909699498 + 0.06582426318640103j, 0.09115983153918845 - 0.16786905132171584j),
+}
+
+
 @lru_cache(maxsize=8)
 def minimal_ic_povm(d: int) -> tuple[np.ndarray, ...]:
-    """d^2 linearly independent effects summing to I, validated by rank.
-
-    d=2 uses the tetrahedral construction (I + s_i . sigma)/4; d=3 the
-    fiducial orbit of (0, 1, -1)/sqrt(2) under the discrete displacement
-    group; other dimensions use a deterministic whitened random POVM.
-    Construction is always certified: rank must equal d^2.
+    """The d^2 effects ``D_ab |psi><psi| D_ab^dag / d`` for d in 2..6, with
+    ``D_ab = X^a Z^b`` (X|j> = |j+1 mod d>, Z|j> = exp(2 pi i j/d) |j>) and psi the
+    fiducial ``_SIC_FIDUCIALS[d]``.  They sum to I for any unit psi and are linearly
+    independent iff no ``<psi|D_ab psi>`` vanishes; each has modulus 1/sqrt(d+1), which
+    also sets the rows' conditioning (Renes et al., J. Math. Phys. 45, 2171 (2004)).
+    Completeness and rank d^2 are certified (``RuntimeError``); another d is a ``ValueError``.
     """
-    if d == 2:
-        s = 1.0 / np.sqrt(3)
-        dirs = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
-        effects = [
-            (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 4 for x, y, z in dirs
-        ]
-    elif d == 3:
-        shift = np.zeros((3, 3), dtype=complex)
-        for j in range(3):
-            shift[(j + 1) % 3, j] = 1.0
-        clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
-        fiducial = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2)
-        effects = []
-        for a in range(3):
-            for b in range(3):
-                v = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) @ fiducial
-                effects.append(np.outer(v, v.conj()) / 3)
-    else:
-        rng = trial_rng(0xD1CE, d)
-        raw = [ginibre_positive(rng, d) for _ in range(d * d)]
-        total = sum(raw)
-        w, v = np.linalg.eigh(total)
-        whiten = (v / np.sqrt(w)) @ v.conj().T
-        effects = [whiten @ r @ whiten for r in raw]
-    total = sum(effects)
-    if np.abs(total - np.eye(d)).max() > 1e-9:
+    if d not in _SIC_FIDUCIALS:
+        raise ValueError(f"minimal_ic_povm covers d in 2..6, got {d!r}")
+    fiducial = np.array(_SIC_FIDUCIALS[d], dtype=complex)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    shifts = [np.linalg.matrix_power(shift, a) for a in range(d)]
+    clocks = [np.linalg.matrix_power(clock, b) for b in range(d)]
+    orbit = [x @ z @ fiducial for x in shifts for z in clocks]
+    effects = [np.outer(v, v.conj()) / d for v in orbit]
+    if np.abs(sum(effects) - np.eye(d)).max() > 1e-9:
         raise RuntimeError(f"IC POVM construction failed completeness at d={d}")
     if span_rank(effects) != d * d:
         raise RuntimeError(f"IC POVM construction is rank-deficient at d={d}")
-    out = tuple(e.copy() for e in effects)
-    for e in out:
+    for e in effects:
         e.flags.writeable = False
-    return out
+    return tuple(effects)

@@ -182,9 +182,9 @@ def local_observability_audit(
     stack by ``bip.random_product_rows`` (row k that of
     ``bip.random_product_effect(trial_rng(seed, k))``), and the rank of the
     union decides.
-    ``trials`` counts the rows audited.  The details record
-    ``linalg.full_rank_bound`` of each row set: above
-    ``FULL_RANK_MARGIN * RANK_TOL`` it certified full rank without an SVD.
+    ``trials`` counts the rows audited.  The details record ``linalg.full_rank_bound``
+    of each row set: above ``FULL_RANK_MARGIN * RANK_TOL`` it certified full rank
+    without an SVD, up to the QR's own rounding, which it does not cover (Higham, ch. 19).
     """
     rows = product_rows(minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip)
     outcomes = len(rows)

@@ -7,7 +7,7 @@ import pytest
 
 from optheory import quantum
 from optheory.framework import Transformation, commutation_defect, probe_shifts, total_of_action
-from optheory.linalg import min_eig_herm, partial_trace, tensor, trace_norm
+from optheory.linalg import hermitian_coords, min_eig_herm, partial_trace, tensor, trace_norm
 from optheory.report import run_trials
 from optheory.quantum import (
     CHOI_BLOCK,
@@ -621,15 +621,102 @@ class TestModelInterface:
             model.state(np.diag([0.7, 0.7]))
 
 
+def tetrahedron_povm() -> list[np.ndarray]:
+    """Reference: the qubit tetrahedron (I + s . sigma)/4, s in {(1,1,1), (1,-1,-1),
+    (-1,1,-1), (-1,-1,1)}/sqrt(3), once built explicitly instead of as an orbit."""
+    s = 1.0 / np.sqrt(3)
+    dirs = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
+    return [
+        (np.eye(2) + x * PAULI_X + y * quantum.PAULI_Y + z * quantum.PAULI_Z) / 4
+        for x, y, z in dirs
+    ]
+
+
+def qutrit_orbit_povm() -> list[np.ndarray]:
+    """Reference: the d = 3 orbit of (0, 1, -1)/sqrt(2) as it was once built, with
+    the shift and clock matrices written out."""
+    shift = np.zeros((3, 3), dtype=complex)
+    for j in range(3):
+        shift[(j + 1) % 3, j] = 1.0
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    fiducial = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2)
+    effects = []
+    for a in range(3):
+        for b in range(3):
+            v = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) @ fiducial
+            effects.append(np.outer(v, v.conj()) / 3)
+    return effects
+
+
+def displaced(psi: np.ndarray, a: int, b: int) -> np.ndarray:
+    """X^a Z^b psi from index arithmetic: Z multiplies psi_j by exp(2 pi i j / d),
+    X moves entry j to j + 1 mod d."""
+    d = len(psi)
+    return np.roll(np.exp(2j * np.pi * b * np.arange(d) / d) * psi, a)
+
+
 class TestICPovm:
-    @pytest.mark.parametrize("d,expected", [(2, 4), (3, 9), (4, 16)])
+    @pytest.mark.parametrize("d,expected", [(d, d * d) for d in range(2, 7)])
     def test_complete_and_full_rank(self, d, expected):
         effects = minimal_ic_povm(d)
         assert len(effects) == expected
-        assert np.abs(sum(effects) - np.eye(d)).max() <= 1e-9
+        assert np.abs(sum(effects) - np.eye(d)).max() <= 1e-14
         from optheory.linalg import span_rank
 
         assert span_rank(list(effects)) == expected
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_effects_are_the_fiducial_orbit(self, d):
+        psi = np.array(quantum._SIC_FIDUCIALS[d], dtype=complex)
+        assert psi[0].imag == 0.0
+        assert abs(np.vdot(psi, psi) - 1.0) <= 1e-15
+        effects = minimal_ic_povm(d)
+        for k, (a, b) in enumerate((a, b) for a in range(d) for b in range(d)):
+            v = displaced(psi, a, b)
+            np.testing.assert_allclose(effects[k], np.outer(v, v.conj()) / d, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_fiducial_overlaps_stay_away_from_zero(self, d):
+        # IC exactly when no overlap vanishes; a SIC fiducial has them all at 1/sqrt(d+1).
+        psi = np.array(quantum._SIC_FIDUCIALS[d], dtype=complex)
+        overlaps = [
+            abs(np.vdot(psi, displaced(psi, a, b)))
+            for a in range(d)
+            for b in range(d)
+            if (a, b) != (0, 0)
+        ]
+        assert min(overlaps) >= 0.2
+        assert max(abs(o - 1 / np.sqrt(d + 1)) for o in overlaps) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_local_coordinate_rows_are_well_conditioned(self, d):
+        svals = np.linalg.svd(hermitian_coords(np.array(minimal_ic_povm(d))), compute_uv=False)
+        assert svals.min() / svals.max() >= 0.2
+
+    def test_six_by_six_product_rows_are_well_conditioned(self):
+        from optheory.tomography import minimal_ic_observable, product_rows
+
+        bip = QuantumBipartite(6, 6)
+        rows = product_rows(minimal_ic_observable(bip.left), minimal_ic_observable(bip.right), bip)
+        svals = np.linalg.svd(rows, compute_uv=False)
+        assert rows.shape == (1296, 1296)
+        assert svals.min() / svals.max() >= 0.1
+
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_dimension_outside_the_table_is_refused(self, d):
+        with pytest.raises(ValueError, match=r"2\.\.6"):
+            minimal_ic_povm(d)
+
+    def test_qubit_effects_are_the_tetrahedron(self):
+        effects, reference = minimal_ic_povm(2), tetrahedron_povm()
+        matches = [
+            [k for k, r in enumerate(reference) if np.abs(e - r).max() <= 1e-15] for e in effects
+        ]
+        assert sorted(k for m in matches for k in m) == [0, 1, 2, 3]
+
+    def test_qutrit_effects_equal_the_written_out_orbit_bit_for_bit(self):
+        for got, want in zip(minimal_ic_povm(3), qutrit_orbit_povm(), strict=True):
+            assert np.array_equal(got, want)
 
     def test_qubit_tetrahedron_overlaps(self):
         effects = minimal_ic_povm(2)
