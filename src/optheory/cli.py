@@ -113,8 +113,8 @@ class SuiteConfig:
             raise UsageError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.seed < 0:
             raise UsageError("seed must be a nonnegative integer")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
+        if not 1 <= self.trials <= 2**32:  # trial indices lie in [0, 2**32)
+            raise UsageError("trials must lie in [1, 2**32]")
         if not (2 <= self.d1 <= 6 and 2 <= self.d2 <= 6):
             raise UsageError("d1 and d2 must lie in [2, 6]")
         if not (2 <= self.outcomes <= 16):
@@ -450,28 +450,34 @@ def _print_checks(report: VerificationReport, indent: str) -> None:
         print(f"{indent}{verdict:<4} {c.name:<28} defect={c.defect:.3e} tol={c.tol:.1e} {where}")
 
 
-def _print_sub_report(sub: VerificationReport, cfg: SuiteConfig, indent: str) -> None:
+def _print_tables(report: VerificationReport) -> None:
+    """The values and tables of a boxworld or tomo-audit report, after its checks."""
+    if report.suite.startswith("boxworld["):
+        for key, value in report.details.items():
+            print(f"      {key} = {value:.10f}")
+        for key, value in (report.witness or {}).items():
+            if isinstance(value, list) and len(value) == 16:
+                _print_box_table(key, value)
+    if report.suite == "tomo-audit":
+        _print_tomo_table(report.details["rows"])
+
+
+def _print_sub_report(sub: VerificationReport, indent: str) -> None:
     verdict = "PASS" if sub.passed else "FAIL"
     if sub.expected_failure:
         verdict += " (expected)" if not sub.passed else " (unexpected)"
     print(f"{indent}{verdict:<18} {sub.suite:<42} max_defect={sub.max_defect:.3e}")
     _print_checks(sub, indent + "    ")
     for nested in sub.sub_reports:
-        _print_sub_report(nested, cfg, indent + "  ")
-    if cfg.suite == "boxworld":
-        for key, value in sub.details.items():
-            print(f"      {key} = {value:.10f}")
-        for key, value in (sub.witness or {}).items():
-            if isinstance(value, list) and len(value) == 16:
-                _print_box_table(key, value)
+        _print_sub_report(nested, indent + "  ")
+    _print_tables(sub)
 
 
 def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
     for sub in report.sub_reports:
-        _print_sub_report(sub, cfg, "  ")
+        _print_sub_report(sub, "  ")
     _print_checks(report, "  ")
-    if cfg.suite == "tomo-audit":
-        _print_tomo_table(report.details["rows"])
+    _print_tables(report)
     print(report.summary())
     if cfg.json_path:
         echoed = ("suite", *SUITE_FLAGS[cfg.suite])

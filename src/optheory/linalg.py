@@ -18,8 +18,8 @@ TOL_HERM = 1e-9
 PSD_SLACK = 1e-10
 # Singular values below RANK_TOL * sigma_max do not contribute to span ranks.
 RANK_TOL = 1e-7
-# Full rank is certified without an SVD when a lower bound on
-# sigma_min / sigma_max exceeds FULL_RANK_MARGIN * RANK_TOL.
+# A certified lower bound on sigma_min / sigma_max above FULL_RANK_MARGIN * RANK_TOL
+# decides full rank without an SVD (tomography's Gram certificate of product rows).
 FULL_RANK_MARGIN = 10.0
 
 
@@ -287,76 +287,12 @@ def hermitian_from_coords(v, d: int) -> np.ndarray:
     return np.einsum("k,kij->ij", vec, hermitian_basis(d))
 
 
-_INVERSE_LEAF = 64
-
-
-def _invert_upper_in_place(r: np.ndarray) -> None:
-    """Overwrite the square ``r`` with the inverse of its upper triangle.
-
-    Blocked: X11 = R11^-1, X22 = R22^-1, X12 = -X11 R12 X22, with
-    ``np.linalg.inv`` on leaves of at most ``_INVERSE_LEAF`` rows.  The strict
-    lower triangle is read as zero and left zero.
-    """
-    n = r.shape[0]
-    if n <= _INVERSE_LEAF:
-        r[...] = np.linalg.inv(np.triu(r))
-        return
-    h = n // 2
-    r[h:, :h] = 0.0
-    _invert_upper_in_place(r[:h, :h])
-    _invert_upper_in_place(r[h:, h:])
-    x12 = r[:h, :h] @ r[:h, h:]
-    np.matmul(x12, r[h:, h:], out=r[:h, h:])
-    r[:h, h:] *= -1.0
-
-
-def full_rank_bound(rows) -> float:
-    """A lower bound on sigma_min / sigma_max of the rows, or 0.0 when it declines.
-
-    The bound is ``1 / (||A||_F ||R^-1||_F)`` with R the triangular factor of a
-    Householder QR of A (of A^T when A is wide): sigma_max <= ||A||_F and
-    sigma_min = 1 / ||R^-1||_2 >= 1 / ||R^-1||_F.  It does not cover the QR's own
-    rounding: the computed R is the exact factor of a nearby A + dA (Higham, ch. 19).
-    It declines without inverting R when ``min|r_ii| <= FULL_RANK_MARGIN * RANK_TOL *
-    max|r_ii|``, since then sigma_min / sigma_max <= min|r_ii| / max|r_ii| cannot clear
-    the margin; it also declines on empty, zero or non-finite rows and on a non-finite bound.
-    """
-    m = np.atleast_2d(np.asarray(rows, dtype=float))
-    if min(m.shape) == 0:
-        return 0.0
-    frobenius = float(np.linalg.norm(m))
-    if not np.isfinite(frobenius) or frobenius == 0.0:
-        return 0.0
-    tall = m if m.shape[0] >= m.shape[1] else m.T
-    k = tall.shape[1]
-    # mode='raw' hands back the LAPACK array transposed: R is the upper
-    # triangle of h.T[:k, :k], the reflectors sit below it, and h is ours.
-    h, _ = np.linalg.qr(tall, mode="raw")
-    r = h.T[:k, :k]
-    diag = np.abs(np.diagonal(r))
-    if diag.min() <= FULL_RANK_MARGIN * RANK_TOL * diag.max():
-        return 0.0
-    _invert_upper_in_place(r)
-    bound = 1.0 / (frobenius * float(np.linalg.norm(r)))
-    return bound if np.isfinite(bound) else 0.0
-
-
-def rank_of_rows(rows, *, bound: float | None = None) -> int:
+def rank_of_rows(rows) -> int:
     """Number of singular values of a stacked row family above ``RANK_TOL * sigma_max``.
 
-    Full rank is certified first: when ``full_rank_bound`` exceeds
-    ``FULL_RANK_MARGIN * RANK_TOL``, every singular value clears
-    ``RANK_TOL * sigma_max`` and the count is ``min(rows, cols)`` with no SVD.
-    Otherwise the singular values are computed and counted.  ``bound`` passes
-    a ``full_rank_bound`` the caller already computed for these rows.  Rows
-    with a NaN or Inf raise ``np.linalg.LinAlgError``.
+    Rows with a NaN or Inf raise ``np.linalg.LinAlgError``.
     """
-    m = np.atleast_2d(np.asarray(rows, dtype=float))
-    if bound is None:
-        bound = full_rank_bound(m)
-    if bound > FULL_RANK_MARGIN * RANK_TOL:
-        return min(m.shape)
-    svals = np.linalg.svd(m, compute_uv=False)
+    svals = np.linalg.svd(np.atleast_2d(np.asarray(rows, dtype=float)), compute_uv=False)
     smax = svals.max(initial=0.0)
     if np.isnan(smax):
         raise np.linalg.LinAlgError("singular values are not finite")

@@ -58,6 +58,7 @@ from .framework import (
     value,
 )
 from .linalg import (
+    RANK_TOL,
     as_matrix,
     as_matrix_stack,
     hermitian_coords,
@@ -70,7 +71,6 @@ from .linalg import (
     require_hermitians,
     require_psd,
     require_psd_stack,
-    span_rank,
     trace_norm,
     trial_factor,
     trusted_hermitian_coords,
@@ -994,7 +994,11 @@ def minimal_ic_povm(d: int) -> tuple[np.ndarray, ...]:
     effects = [np.outer(v, v.conj()) / d for v in orbit]
     if np.abs(sum(effects) - np.eye(d)).max() > 1e-9:
         raise RuntimeError(f"IC POVM construction failed completeness at d={d}")
-    if span_rank(effects) != d * d:
+    # The eigenvalues of the rows' Gram matrix are their squared singular values:
+    # span_rank's full-rank count, without an SVD.
+    rows = hermitian_coords(np.stack(effects))
+    gram = np.linalg.eigvalsh(rows @ rows.T)
+    if not gram[0] > RANK_TOL**2 * gram[-1]:
         raise RuntimeError(f"IC POVM construction is rank-deficient at d={d}")
     for e in effects:
         e.flags.writeable = False

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import operator
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import optheory
 from optheory import cli
 from optheory.cli import SuiteConfig, UsageError, exit_code, main, run_suite
 from optheory.fixtures import (
@@ -41,12 +43,16 @@ class TestSuiteConfig:
     def test_defaults_valid(self):
         SuiteConfig(suite="lemma").validate()
 
+    def test_every_trial_index_below_two_to_the_32_is_valid(self):
+        SuiteConfig(suite="lemma", trials=2**32).validate()  # validation only: no trial runs
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"suite": "bogus"},
             {"suite": "lemma", "seed": -1},
             {"suite": "lemma", "trials": 0},
+            {"suite": "lemma", "trials": 2**32 + 1},
             {"suite": "lemma", "d1": 7},
             {"suite": "lemma", "d2": 1},
             {"suite": "lemma", "outcomes": 17},
@@ -385,6 +391,18 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and "tol must be finite and positive" in err
 
+    @pytest.mark.parametrize("suite", ["lemma", "all"])
+    def test_trials_past_the_index_range_exit_two(self, suite, monkeypatch, capsys):
+        # Trial indices lie in [0, 2**32).  The loop must not start: building
+        # its index list alone would take tens of GB.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an out-of-range --trials reached the trial loop")
+
+        monkeypatch.setattr("optheory.report.trial_outcomes", unreachable)
+        assert main(["--suite", suite, "--trials", str(2**32 + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "trials must lie in [1, 2**32]" in err
+
     def test_missing_fixture_file_exits_two(self, capsys):
         assert main(["--suite", "quantum-nosig", "--fixture", "/no/such.json"]) == 2
         assert "usage error" in capsys.readouterr().err
@@ -564,6 +582,33 @@ def test_main_all_suites(capsys):
     assert main(["--suite", "all", "--trials", "10"]) == 0
     out = capsys.readouterr().out
     assert "all: PASS" in out
+
+
+def test_all_suites_print_the_tables_of_each_suite(capsys):
+    assert main(["--suite", "all", "--trials", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "      classical_max = 2.0000000000\n" in out
+    assert "pr_box p(a,b|x,y):\n" in out and "singlet_box p(a,b|x,y):\n" in out
+    assert out.count("model               adm(S)  adm(P1)  local-obs") == 1
+
+
+def test_runs_import_no_undeclared_dependency():
+    # pyproject.toml declares numpy alone at runtime; scipy, mpmath and sympy
+    # may be installed, so only a fresh interpreter shows that none is imported.
+    code = (
+        "import json, sys\n"
+        "from optheory.cli import main\n"
+        "codes = [main(['--suite', 'all', '--trials', '3']),\n"
+        "         main(['--suite', 'tomo-audit', '--d1', '3', '--d2', '3'])]\n"
+        "roots = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(json.dumps([codes, sorted(roots & {'scipy', 'mpmath', 'sympy'})]))\n"
+    )
+    src = str(Path(optheory.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 # Defects of the d=6 verdicts as computed by the superoperator (sum of

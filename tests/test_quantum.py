@@ -707,6 +707,12 @@ class TestICPovm:
         with pytest.raises(ValueError, match=r"2\.\.6"):
             minimal_ic_povm(d)
 
+    def test_a_rank_deficient_orbit_is_refused(self, monkeypatch):
+        # The orbit of |0> is the d basis projectors, each d times: complete, rank d.
+        monkeypatch.setitem(quantum._SIC_FIDUCIALS, 3, (1.0, 0.0, 0.0))
+        with pytest.raises(RuntimeError, match="rank-deficient at d=3"):
+            minimal_ic_povm.__wrapped__(3)  # past the cache
+
     def test_qubit_effects_are_the_tetrahedron(self):
         effects, reference = minimal_ic_povm(2), tetrahedron_povm()
         matches = [

@@ -2,8 +2,12 @@
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optheory import quantum
 from optheory.directsum import DSumBipartite, DSumModel
@@ -19,6 +23,7 @@ from optheory.quantum import QuantumBipartite, QuantumModel
 from optheory.sampling import trial_rng
 from optheory.tomography import (
     PRODUCT_CHUNK,
+    _gram_full_rank_bound,
     ICCertificate,
     NotInformationallyComplete,
     Observable,
@@ -183,6 +188,17 @@ class TestProductObservable:
         assert len(obs) == 36
 
 
+class Depolarized(QuantumBipartite):
+    """Planted defect: the right factor of every product effect is replaced by
+    its value on the maximally mixed state, Tr[e] I/d2."""
+
+    def product_payloads(self, lefts, rights):
+        mixed = [
+            Effect(self.right, np.trace(e.payload) * np.eye(self.d2) / self.d2) for e in rights
+        ]
+        return super().product_payloads(lefts, mixed)
+
+
 class TestObservabilityAudit:
     def test_two_qubit_tensor_passes(self):
         report = local_observability_audit(QuantumBipartite(2, 2), seed=1)
@@ -222,18 +238,8 @@ class TestObservabilityAudit:
         assert report.trials == d["product_outcomes"]
 
     def test_planted_defect_takes_the_sampled_path(self):
-        # Planted defect: the right factor of every product effect is replaced
-        # by its value on the maximally mixed state, Tr[e] I/d2.  The product
-        # observable stays complete, but it spans only d1^2 of (d1 d2)^2
-        # dimensions, so the audit must sample and still fail.
-        class Depolarized(QuantumBipartite):
-            def product_payloads(self, lefts, rights):
-                mixed = [
-                    Effect(self.right, np.trace(e.payload) * np.eye(self.d2) / self.d2)
-                    for e in rights
-                ]
-                return super().product_payloads(lefts, mixed)
-
+        # The product observable of Depolarized stays complete, but it spans
+        # only d1^2 of (d1 d2)^2 dimensions, so the audit must sample and still fail.
         report = local_observability_audit(Depolarized(2, 3), seed=0)
         d = report.details
         assert not report.passed
@@ -385,9 +391,80 @@ class TestFullRankCertificateInAudit:
         report = local_observability_audit(DSumBipartite(2, 3), seed=0)
         d = report.details
         assert not report.passed and d["rank"] == 13
-        # Both the product rows and their union with the sampled batch decline.
+        # The certificate declines on the product rows, so the SVD decides them
+        # and then their union with the sampled batch.
         assert shapes == [(36, 25), (36 + 25 + 32, 25)]
-        assert d["product_full_rank_bound"] == d["union_full_rank_bound"] == 0.0
+        assert d["product_full_rank_bound"] == 0.0 and "union_full_rank_bound" not in d
+
+
+class TestGramCertificate:
+    """``_gram_full_rank_bound`` against the SVD of the rows it certifies."""
+
+    @staticmethod
+    def bound_and_svd_ratio(bip, perturbation=None):
+        o1, o2 = minimal_ic_observable(bip.left), minimal_ic_observable(bip.right)
+        rows = product_rows(o1, o2, bip)
+        if perturbation is not None:
+            rows = rows + perturbation(rows.shape)
+        s = np.linalg.svd(rows, compute_uv=False)
+        bound = _gram_full_rank_bound(rows, o1.coordinate_rows(), o2.coordinate_rows())
+        return bound, s.min() / s.max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        composite=st.sampled_from([ClassicalBipartite, QuantumBipartite]),
+        d1=st.integers(2, 4),
+        d2=st.integers(2, 4),
+        scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_never_exceeds_the_svd_ratio(self, composite, d1, d2, scale, seed):
+        # A perturbation of the rows breaks their Gram identity by about its scale.
+        noise = np.random.default_rng(seed).standard_normal
+        bound, ratio = self.bound_and_svd_ratio(composite(d1, d2), lambda s: scale * noise(s))
+        assert 0.0 <= bound <= ratio
+        if scale <= 1e-12:
+            assert bound > FULL_RANK_MARGIN * RANK_TOL
+
+    @pytest.mark.parametrize("dims", [(5, 6), (6, 6)], ids=str)
+    def test_large_quantum_bound_is_nearly_the_svd_ratio(self, dims):
+        bound, ratio = self.bound_and_svd_ratio(QuantumBipartite(*dims))
+        assert ratio - 1e-6 < bound <= ratio
+        assert bound >= 0.1
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 4)], ids=str)
+    @pytest.mark.parametrize("composite", [DSumBipartite, Depolarized], ids=lambda c: c.__name__)
+    def test_deficient_rows_read_zero_and_the_svd_decides(self, composite, dims, monkeypatch):
+        svd = np.linalg.svd
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report = local_observability_audit(composite(*dims), seed=0)
+        d = report.details
+        outcomes, ambient = d["product_outcomes"], d["ambient_effect_dim"]
+        assert d["product_full_rank_bound"] == 0.0
+        assert shapes == [(outcomes, ambient), (outcomes + ambient + 32, ambient)]
+        assert not report.passed and d["rank"] < ambient
+
+    def test_more_rows_than_columns_decline_before_any_gram(self):
+        # Such rows cannot be independent: the local rows are never read.
+        assert _gram_full_rank_bound(np.ones((5, 4)), None, None) == 0.0
+
+    def test_holds_one_gram_sized_temporary(self):
+        bip = QuantumBipartite(6, 6)
+        o1, o2 = minimal_ic_observable(bip.left), minimal_ic_observable(bip.right)
+        rows, c1, c2 = product_rows(o1, o2, bip), o1.coordinate_rows(), o2.coordinate_rows()
+        tracemalloc.start()
+        try:
+            _gram_full_rank_bound(rows, c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows.shape[0] ** 2 * rows.itemsize
 
 
 class TestDimensionIdentity:
