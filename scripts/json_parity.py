@@ -22,9 +22,12 @@ arrive out of trial order, opcore at (2,2) with 2000 trials, whose quantum and
 direct-sum composite loops end in a partial chunk, and the lemma at (2,3)
 and (3,2) with 1000 trials, a full chunk and a partial one of unequal
 sides, and the lemma at (2,2) with 500 trials and quantum-nosig at (2,3)
-at seed 2**32 + 7, whose trial generators are seeded from a two-word seed),
-with BLAS pinned to one thread.  ``CHANGE_ROOT`` defaults to
-the checkout holding this script.
+at seed 2**32 + 7, whose trial generators are seeded from a two-word seed,
+``--suite all`` at (2,3) with 20 trials and the ``z-instrument`` fixture, where
+quantum-nosig runs the fixture alone and every other suite its trials, and
+quantum-nosig at (2,2) with one trial, whose trace biconditional adds no
+``no_trace_preserved_case`` check), with BLAS pinned to one thread.
+``CHANGE_ROOT`` defaults to the checkout holding this script.
 Apart from the timestamp the two reports must be equal: every float bit for
 bit (compared by ``repr``, so -0.0 differs from 0.0), every ``worst_trial``,
 every other value, and the exit code.  Prints each difference and a summary
@@ -100,6 +103,11 @@ CASES = [
         ("boxworld", "--box", "signaling-box"),
         ("boxworld", "--box", "pr-box"),
     )
+] + [
+    # All with a fixture: quantum-nosig runs no trial loop, the other suites do.
+    ("all", 2, 3, 0, 20, "--fixture", "z-instrument"),
+    # One biconditional trial, too few to add no_trace_preserved_case.
+    ("quantum-nosig", 2, 2, 0, 1),
 ]
 
 

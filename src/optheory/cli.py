@@ -40,7 +40,7 @@ from .framework import (
     commutation_defect,
     condition,
     embedded_probe_shifts,
-    model_invariant_suite,
+    invariant_report,
     prob,
     probe_shifts,
     raw_columns,
@@ -52,20 +52,20 @@ from .quantum import (
     REDUCED_TOL,
     QuantumBipartite,
     QuantumModel,
+    biconditional_report,
     no_signaling_trial_defects,
     quantum_no_signaling_check,
     quantum_no_signaling_defects,
     singlet_state,
-    trace_biconditional_check,
     trusted_reduced_min_eigs,
     x_instrument,
     z_instrument,
 )
 from .report import (
     Check,
+    TrialReport,
     VerificationReport,
     combine_reports,
-    run_trials,
     worst_defects,
 )
 from .sampling import (
@@ -142,13 +142,6 @@ def _rejected(
     return VerificationReport.from_checks(suite, cfg.seed, 1, checks, tol, witness=witness)
 
 
-def _from_trials(suite, cfg, trials, draw, evaluate, tols) -> VerificationReport:
-    """Report of trials 0..trials-1 drawn by ``draw`` and evaluated by
-    ``evaluate``, with ``cfg.tol`` as its headline tolerance."""
-    checks = run_trials(cfg.seed, range(trials), draw, evaluate, tols)
-    return VerificationReport.from_checks(suite, cfg.seed, trials, checks, cfg.tol)
-
-
 def _defects(report: VerificationReport) -> VerificationReport:
     """``report`` with its check defects as details, by name."""
     return replace(report, details={c.name: c.defect for c in report.checks})
@@ -177,30 +170,6 @@ def _composite_evaluate(bip, drawn: list):
     yield "no_signaling", slice(None), worst_defects(*shifts)
 
 
-def _run_opcore(cfg: SuiteConfig) -> VerificationReport:
-    """Generic framework invariants on all three models, plus the implication
-    "embedded local transformations commute, hence no signaling"."""
-    models = [ClassicalModel(cfg.d1), QuantumModel(cfg.d1), DSumModel(cfg.d1, cfg.d2)]
-    reports = [
-        model_invariant_suite(
-            m, seed=cfg.seed, trials=cfg.trials, outcomes=cfg.outcomes, tol=1e-9
-        )
-        for m in models
-    ]
-    composites = [
-        ClassicalBipartite(cfg.d1, cfg.d2),
-        QuantumBipartite(cfg.d1, cfg.d2),
-        DSumBipartite(cfg.d1, cfg.d2),
-    ]
-    tols = {"commutation": 1e-10, "no_signaling": cfg.tol}
-    for bip in composites:
-        suite = f"commutation-and-no-signaling[{bip.joint.name}]"
-        draw, evaluate = partial(_composite_draw, cfg, bip), partial(_composite_evaluate, bip)
-        trials = max(cfg.trials // 5, 5)
-        reports.append(_defects(_from_trials(suite, cfg, trials, draw, evaluate, tols)))
-    return combine_reports("opcore", reports)
-
-
 def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
     g = complex_gaussian(rng, cfg.d1 * cfg.d2, cfg.d1 * cfg.d2)
     n_out = int(rng.integers(2, 5))
@@ -226,8 +195,8 @@ def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list):
         yield name, rows, defects
 
 
-def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
-    reports = []
+def _run_quantum_nosig(cfg: SuiteConfig, ran: list) -> list:
+    """The fixture's report, or ``ran`` with the singlet's checks after the random loop at (2,2)."""
     if cfg.fixture is not None:
         from .fixtures import load_instrument
 
@@ -238,34 +207,19 @@ def _run_quantum_nosig(cfg: SuiteConfig) -> VerificationReport:
                     f"fixture instrument acts on dimension {inst.dim}, expected {cfg.d1}"
                 )
             rho = ginibre_state(trial_rng(cfg.seed, 0), cfg.d1 * cfg.d2)
-            reports.append(
-                quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, tol=cfg.tol, seed=cfg.seed)
-            )
+            return [quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, cfg.tol, cfg.seed)]
         except UsageError:
             raise
         except ValueError as exc:  # IncompleteInstrument is a ValueError too
-            suite = "quantum-no-signaling[fixture]"
-            reports.append(_rejected(suite, cfg, cfg.fixture, cfg.tol, exc))
-    else:
-        draw = partial(_quantum_nosig_draw, cfg)
-        evaluate = partial(_quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
-        tols = {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL}
-        suite = "quantum-no-signaling[random]"
-        random = _from_trials(suite, cfg, cfg.trials, draw, evaluate, tols)
-        # Its headline defect stays the averaged-instrument one.
-        reports.append(replace(random, max_defect=random.checks[0].defect))
-        if cfg.d1 == 2 and cfg.d2 == 2:
-            rho = singlet_state()
-            for name, inst in (("z", z_instrument()), ("x", x_instrument())):
-                rep = quantum_no_signaling_check(rho, inst, 2, 2, tol=1e-12, seed=cfg.seed)
-                suite = f"quantum-no-signaling[singlet-{name}]"
-                reports.append(replace(rep, suite=suite, trials=1, details={}))
-        reports.append(
-            trace_biconditional_check(
-                trials=cfg.trials, d1=cfg.d1, d2=cfg.d2, seed=cfg.seed
-            )
-        )
-    return combine_reports("quantum-nosig", reports)
+            return [_rejected("quantum-no-signaling[fixture]", cfg, cfg.fixture, cfg.tol, exc)]
+    if cfg.d1 != 2 or cfg.d2 != 2:
+        return ran
+    singlet = [
+        replace(quantum_no_signaling_check(singlet_state(), inst, 2, 2, 1e-12, cfg.seed),
+                suite=f"quantum-no-signaling[singlet-{name}]", trials=1, details={})
+        for name, inst in (("z", z_instrument()), ("x", x_instrument()))
+    ]
+    return [ran[0], *singlet, *ran[1:]]
 
 
 def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
@@ -281,15 +235,6 @@ def _lemma_evaluate(cfg: SuiteConfig, drawn: list):
     lows = trusted_reduced_min_eigs(a, r, cfg.d1, cfg.d2)
     # np.minimum keeps a NaN low, as min(low, 0.0) does.
     yield "reduced_positivity", slice(None), -np.minimum(lows, 0.0)
-
-
-def _run_lemma(cfg: SuiteConfig) -> VerificationReport:
-    """Positivity of remote reductions under local positive filters, evaluated
-    as stacks of trials."""
-    tols = {"reduced_positivity": 1e-10}
-    draw, evaluate = partial(_lemma_draw, cfg), partial(_lemma_evaluate, cfg)
-    checks = run_trials(cfg.seed, range(cfg.trials), draw, evaluate, tols)
-    return VerificationReport.from_checks("lemma", cfg.seed, cfg.trials, checks, 1e-10)
 
 
 def _dsum_draw(cfg: SuiteConfig, model, rng: np.random.Generator, k: int) -> tuple:
@@ -325,14 +270,44 @@ def _dsum_evaluate(model, drawn: list):
         yield "conditioning_quotient", sub, np.abs(prob(condition(o, a), b) - quotient)
 
 
-def _run_dsum(cfg: SuiteConfig) -> VerificationReport:
-    """Commutation, no-signaling and the Bayes quotient of direct-sum local
-    operations (free sector weight p), all through :class:`DSumModel`, each
-    chunk of trials evaluated as stacks."""
-    model = DSumModel(cfg.d1, cfg.d2)
-    draw, evaluate = partial(_dsum_draw, cfg, model), partial(_dsum_evaluate, model)
-    tols = {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10}
-    return _defects(_from_trials("dsum", cfg, cfg.trials, draw, evaluate, tols))
+def trial_reports(cfg: SuiteConfig) -> dict[str, list[TrialReport]]:
+    """Every trial sub-report of each suite, in run order: its name, draw, evaluation,
+    trial count, the tolerance of each of its checks and the finish that shapes its report."""
+    quantum, dsum = QuantumModel(cfg.d1), DSumModel(cfg.d1, cfg.d2)
+    composites = [b(cfg.d1, cfg.d2) for b in (ClassicalBipartite, QuantumBipartite, DSumBipartite)]
+    return {
+        # Framework axioms on three models; commutation, hence no signaling, on three composites.
+        "opcore": [
+            *(invariant_report(m, cfg.trials, cfg.outcomes, 1e-9)
+              for m in (ClassicalModel(cfg.d1), quantum, dsum)),
+            *(TrialReport(
+                f"commutation-and-no-signaling[{bip.joint.name}]",
+                partial(_composite_draw, cfg, bip), partial(_composite_evaluate, bip),
+                max(cfg.trials // 5, 5), {"commutation": 1e-10, "no_signaling": cfg.tol}, _defects,
+            ) for bip in composites),
+        ],
+        # Averaged instruments fix the remote reduction; trace preserved iff reduction fixed.
+        "quantum-nosig": [] if cfg.fixture is not None else [
+            TrialReport(
+                "quantum-no-signaling[random]",
+                partial(_quantum_nosig_draw, cfg), partial(_quantum_nosig_evaluate, cfg, quantum),
+                cfg.trials, {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL},
+                lambda r: replace(r, max_defect=r.checks[0].defect),  # the averaged instrument's
+            ),
+            biconditional_report(cfg.trials, cfg.d1, cfg.d2),
+        ],
+        # Local positive filters keep the remote reduction positive.
+        "lemma": [TrialReport(
+            "lemma", partial(_lemma_draw, cfg), partial(_lemma_evaluate, cfg),
+            cfg.trials, {"reduced_positivity": 1e-10},
+        )],
+        # Commutation, no signaling and the Bayes quotient of direct-sum local operations.
+        "dsum": [TrialReport(
+            "dsum", partial(_dsum_draw, cfg, dsum), partial(_dsum_evaluate, dsum), cfg.trials,
+            {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10},
+            _defects,
+        )],
+    }
 
 
 def _run_tomo_audit(cfg: SuiteConfig) -> VerificationReport:
@@ -396,24 +371,25 @@ def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
     return combine_reports("boxworld", reports)
 
 
-_RUNNERS = {
-    "opcore": _run_opcore,
+# The once-per-report sub-reports of a suite, placed around its trial sub-reports ``ran``.
+_ONCE = {
     "quantum-nosig": _run_quantum_nosig,
-    "lemma": _run_lemma,
-    "dsum": _run_dsum,
-    "tomo-audit": _run_tomo_audit,
-    "boxworld": _run_boxworld,
+    "tomo-audit": lambda cfg, ran: [_run_tomo_audit(cfg)],
+    "boxworld": lambda cfg, ran: [_run_boxworld(cfg)],
 }
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    """Run one suite (or all) under a validated configuration."""
+    """Run one suite (or all) under a validated configuration: each suite's
+    trial sub-reports in table order, then its once-per-report ones.  A suite
+    whose one sub-report bears its name reports as that sub-report."""
     cfg.validate()
-    if cfg.suite == "all":
-        return combine_reports(
-            "all", [_RUNNERS[name](cfg) for name in SUITES if name != "all"]
-        )
-    return _RUNNERS[cfg.suite](cfg)
+    table, suites = trial_reports(cfg), []
+    for name in [s for s in SUITES if s != "all"] if cfg.suite == "all" else [cfg.suite]:
+        ran = [record.run(cfg.seed) for record in table.get(name, [])]
+        subs = _ONCE.get(name, lambda cfg, ran: ran)(cfg, ran)
+        suites.append(subs[0] if [r.suite for r in subs] == [name] else combine_reports(name, subs))
+    return combine_reports("all", suites) if cfg.suite == "all" else suites[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +456,9 @@ def _emit(report: VerificationReport, cfg: SuiteConfig) -> None:
     _print_tables(report)
     print(report.summary())
     if cfg.json_path:
-        echoed = ("suite", *SUITE_FLAGS[cfg.suite])
+        echoed = ["suite", *SUITE_FLAGS[cfg.suite]]
+        if cfg.suite == "quantum-nosig" and cfg.fixture is not None:
+            echoed.remove("trials")  # a fixture's check runs no trials
         payload = {
             "config": {k: v for k, v in asdict(cfg).items() if k in echoed},
             "report": report.to_dict(),

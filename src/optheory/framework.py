@@ -40,7 +40,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import rank_of_rows, trial_factor, value, vdots
-from .report import Check, VerificationReport, run_trials, worst_defect, worst_defects
+from .report import Check, TrialReport, VerificationReport, worst_defect, worst_defects
 from .sampling import (
     draw_stochastic_split,
     draw_substochastic,
@@ -609,7 +609,12 @@ def model_invariant_suite(
     outcomes: int = 3,
     tol: float = 1e-9,
 ) -> VerificationReport:
-    """Randomized audit of the framework axioms on one concrete model.
+    """Randomized audit of the framework axioms on ``model``: :func:`invariant_report`, run."""
+    return invariant_report(model, trials, outcomes, tol).run(seed)
+
+
+def invariant_report(model: TheoryModel, trials: int, outcomes: int, tol: float) -> TrialReport:
+    """The trial sub-report auditing the framework axioms on ``model``.
 
     Per trial: action completeness, the Bayes chain for composition,
     linearity of transformations on mixtures, monoid laws for composition,
@@ -641,16 +646,11 @@ def model_invariant_suite(
         defects = invariant_defects(model, omega, omega2, ta, tb, tc, action, np.array(lam))
         return [(name, rows, values) for name, (rows, values) in defects.items()]
 
-    tols = dict.fromkeys(_INVARIANTS, tol)
-    checks = run_trials(seed, range(trials), draw, evaluate, tols)
-    return VerificationReport.from_checks(
-        f"framework-invariants[{model.name}]",
-        seed,
-        trials,
-        checks,
-        tol,
-        details={"per_invariant": {c.name: c.defect for c in checks}},
-    )
+    def finish(report: VerificationReport) -> VerificationReport:
+        return replace(report, details={"per_invariant": {c.name: c.defect for c in report.checks}})
+
+    name = f"framework-invariants[{model.name}]"
+    return TrialReport(name, draw, evaluate, trials, dict.fromkeys(_INVARIANTS, tol), finish)
 
 
 def raw_columns(raws) -> list[np.ndarray]:

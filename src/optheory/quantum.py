@@ -41,7 +41,7 @@ temporaries stay about as small as one operation's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -75,7 +75,7 @@ from .linalg import (
     trial_factor,
     trusted_hermitian_coords,
 )
-from .report import Check, VerificationReport, run_trials, worst_defects
+from .report import Check, TrialReport, VerificationReport, worst_defects
 from .sampling import (
     complex_gaussian,
     gram,
@@ -679,7 +679,12 @@ def trace_biconditional_check(
     d2: int = 2,
     seed: int = 0,
 ) -> VerificationReport:
-    """Randomized audit of the trace-preservation equivalence for local operations.
+    """Randomized audit of the trace-preservation equivalence: :func:`biconditional_report`, run."""
+    return biconditional_report(trials, d1, d2).run(seed)
+
+
+def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
+    """The trial sub-report auditing the trace-preservation equivalence.
 
     For sampled pairs (R, M) with M acting on side 1 only: whenever the total
     trace is preserved the remote reduction must be unchanged, and whenever
@@ -738,27 +743,23 @@ def trace_biconditional_check(
         preserved_cases += int(np.count_nonzero(trace_defects <= TRACE_TOL))
         yield "biconditional", rows, _biconditional_defect(trace_defects, reduced_defects)
 
-    (violation,) = run_trials(seed, range(trials), draw, evaluate, {"biconditional": REDUCED_TOL})
-    worst = violation.worst_trial
-    witness = None
-    if violation.defect > 0.0:
-        ((_, (t,), (x,)),) = defects([draw(trial_rng(seed, worst), worst)])
-        witness = {"trial": worst, "trace_defect": float(t), "reduced_defect": float(x)}
-    checks = [violation]
-    # The trace-preserved branch must be exercised, or the audit is vacuous.
-    # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
-    if trials > 1:
-        checks.append(Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0))
-    return VerificationReport.from_checks(
-        "trace-biconditional",
-        seed,
-        trials,
-        checks,
-        REDUCED_TOL,
-        max_defect=violation.defect,
-        witness=witness,
-        details={"trace_preserved_cases": preserved_cases},
-    )
+    def conclude(report: VerificationReport) -> VerificationReport:
+        """Add the worst trial's witness and the trace-preserved count, reset for a next run."""
+        nonlocal preserved_cases
+        (violation,) = checks = report.checks
+        worst, witness = violation.worst_trial, None
+        if violation.defect > 0.0:
+            ((_, (t,), (x,)),) = defects([draw(trial_rng(report.seed, worst), worst)])
+            witness = {"trial": worst, "trace_defect": float(t), "reduced_defect": float(x)}
+        # The trace-preserved branch must be exercised, or the audit is vacuous.
+        # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
+        if trials > 1:
+            checks += (Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0),)
+        details, preserved_cases = {"trace_preserved_cases": preserved_cases}, 0
+        return replace(report, checks=checks, witness=witness, details=details)
+
+    tols = {"biconditional": REDUCED_TOL}
+    return TrialReport("trace-biconditional", draw, evaluate, trials, tols, conclude)
 
 
 def steering_witness(

@@ -237,6 +237,27 @@ class VerificationReport:
         )
 
 
+@dataclass(frozen=True)
+class TrialReport:
+    """Trials 0..trials-1 of ``draw`` and ``evaluate`` (:func:`trial_outcomes`)
+    folded into the checks ``tols`` names, at their tolerances; the headline
+    tolerance is the ``no_signaling`` check's, else the largest.  ``finish``,
+    if given, shapes the folded report (its details, headline, added checks)."""
+
+    name: str
+    draw: Callable[..., Any]
+    evaluate: Callable[[list], Iterable]
+    trials: int
+    tols: dict[str, float]
+    finish: Callable[[VerificationReport], VerificationReport] | None = None
+
+    def run(self, seed: int) -> VerificationReport:
+        checks = run_trials(seed, range(self.trials), self.draw, self.evaluate, self.tols)
+        tol = self.tols.get("no_signaling", max(self.tols.values()))
+        report = VerificationReport.from_checks(self.name, seed, self.trials, checks, tol)
+        return report if self.finish is None else self.finish(report)
+
+
 def combine_reports(suite: str, reports: list[VerificationReport]) -> VerificationReport:
     """Aggregate sub-reports: worst defect; passes when every sub-report is ok."""
     if not reports:

@@ -133,6 +133,21 @@ class TestDeterminism:
         assert set(config) == flags - ignored
         assert config["suite"] == suite
 
+    @pytest.mark.parametrize("suite,reads_trials", [("quantum-nosig", False), ("all", True)])
+    def test_a_fixture_run_echoes_trials_only_where_a_suite_reads_them(
+        self, suite, reads_trials, tmp_path, capsys
+    ):
+        # quantum-nosig checks a fixture once and runs no trials; `all`'s other suites do.
+        payloads = []
+        for trials in ("5", "7"):
+            path = tmp_path / f"{trials}.json"
+            argv = ["--suite", suite, "--fixture", "z-instrument", "--trials", trials]
+            assert main(argv + ["--json", str(path)]) == 0
+            payloads.append(json.loads(path.read_text()))
+        capsys.readouterr()
+        assert [("trials" in p["config"]) for p in payloads] == [reads_trials] * 2
+        assert (payloads[0]["report"] == payloads[1]["report"]) is not reads_trials
+
     def test_seed_changes_report(self):
         a = run_suite(SuiteConfig(suite="quantum-nosig", trials=10, seed=1))
         b = run_suite(SuiteConfig(suite="quantum-nosig", trials=10, seed=2))
@@ -576,6 +591,60 @@ def test_text_summary_names_a_check_no_trial_evaluated(tmp_path, capsys):
     assert random["checks"][1] == {
         "name": "trace_preserving_outcomes", "defect": 0.0, "tol": 1e-08, "worst_trial": None
     }
+
+
+def _leaf_reports(report: dict):
+    """The reports under ``report`` (itself included) that list checks."""
+    subs = (report.get("details") or {}).get("sub_reports", [])
+    return [report] * ("checks" in report) + [leaf for sub in subs for leaf in _leaf_reports(sub)]
+
+
+# The checks made once per report, outside the trial table, by sub-report:
+# a rejected fixture's, the singlet's two instruments at (2,2), boxworld's
+# landmarks, and tomo-audit's two verdicts per composite.
+ONCE_PER_REPORT = {
+    "quantum-no-signaling[fixture]": {"valid_fixture"},
+    "quantum-no-signaling[singlet-z]": {"no_signaling"},
+    "quantum-no-signaling[singlet-x]": {"no_signaling"},
+    "boxworld[landmarks]": {
+        "classical_chsh", "pr_chsh", "pr_no_signaling", "singlet_chsh", "singlet_no_signaling"
+    },
+    "tomo-audit": {
+        f"{verdict}[{composite}]"
+        for verdict in ("local_observability", "dimension_identity")
+        for composite in ("classical", "quantum", "dsum")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "d1,d2,tol,rejected_fixture",
+    [(2, 2, "1e-8", False), (2, 3, "1e-8", False), (2, 3, "1e-9", False), (2, 2, "1e-8", True)],
+    ids=["2x2", "2x3", "2x3-tol", "2x2-rejected-fixture"],
+)
+def test_printed_checks_match_the_trial_table(d1, d2, tol, rejected_fixture, tmp_path, capsys):
+    path, fixture = tmp_path / "out.json", tmp_path / "rejected.json"
+    argv = ["--suite", "all", "--trials", "20", "--d1", str(d1), "--d2", str(d2), "--tol", tol]
+    if rejected_fixture:
+        fixture.write_text("{}")
+        argv += ["--fixture", str(fixture)]
+    assert main(argv + ["--json", str(path)]) == int(rejected_fixture)
+    capsys.readouterr()
+    payload = json.loads(path.read_text())
+    table = cli.trial_reports(SuiteConfig(**payload["config"]))
+    records = {record.name: record for suite in table.values() for record in suite}
+    ran = set()
+    for leaf in _leaf_reports(payload["report"]):
+        checks = {c["name"]: c["tol"] for c in leaf["checks"]}
+        if leaf["suite"] not in records:
+            assert set(checks) <= ONCE_PER_REPORT[leaf["suite"]], leaf["suite"]
+            continue
+        ran.add(leaf["suite"])
+        tols = dict(records[leaf["suite"]].tols)
+        if leaf["suite"] == "trace-biconditional":  # its finish adds a check made once
+            tols["no_trace_preserved_case"] = 0.0
+        assert checks == tols, leaf["suite"]
+    assert ran == set(records)
 
 
 def test_main_all_suites(capsys):

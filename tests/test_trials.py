@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -241,16 +241,16 @@ def _merge(first: list[Check], second: list[Check]) -> list[Check]:
     ]
 
 
-@pytest.mark.parametrize(
-    "suite,trial_functions",
-    [
-        ("opcore", {"model_invariant_suite", "_composite_draw"}),
-        ("quantum-nosig", {"_quantum_nosig_draw", "trace_biconditional_check"}),
-        ("lemma", {"_lemma_draw"}),
-        ("dsum", {"_dsum_draw"}),
-    ],
-)
-def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
+SHARD_CFG = SuiteConfig(suite="all", trials=10, d1=2, d2=3, seed=0)
+
+
+def _loop_name(draw) -> str:
+    """The function a draw comes from: a closure's builder, or a partial's function."""
+    return getattr(draw, "func", draw).__qualname__.split(".")[0]
+
+
+@pytest.mark.parametrize("suite", sorted(cli.trial_reports(SHARD_CFG)))
+def test_two_shards_reproduce_the_full_run(suite, monkeypatch):
     calls = []
     real = report.trial_outcomes
 
@@ -259,13 +259,14 @@ def test_two_shards_reproduce_the_full_run(suite, trial_functions, monkeypatch):
         calls.append((seed, len(indices), draw, evaluate))
         return real(seed, indices, draw, evaluate)
 
-    # Every trial loop, the trace biconditional's too, reaches the runner
-    # through report.run_trials.
+    # Every trial loop of the suite, as the table lists it, reaches the runner
+    # through report.run_trials, in table order.
     monkeypatch.setattr(report, "trial_outcomes", spy)
-    run_suite(SuiteConfig(suite=suite, trials=10, d1=2, d2=3, seed=0))
-    # A draw is a closure or a partial of a module-level function.
-    names = [getattr(draw, "func", draw).__qualname__.split(".")[0] for _, _, draw, _ in calls]
-    assert set(names) == trial_functions
+    cfg = replace(SHARD_CFG, suite=suite)
+    run_suite(cfg)
+    names = [_loop_name(draw) for _, _, draw, _ in calls]
+    expected = [(_loop_name(record.draw), record.trials) for record in cli.trial_reports(cfg)[suite]]
+    assert [(name, n) for name, (_, n, _, _) in zip(names, calls)] == expected
     for (seed, n, draw, evaluate), name in zip(calls, names):
         full = list(real(seed, range(n), draw, evaluate))
         halves = [
