@@ -11,8 +11,11 @@ partial chunk, tomo-audit at the benchmark's sizes, at (6,5), and at (4,4)
 and (3,4), whose d = 4 POVM no other case builds, boxworld's
 landmarks and the packaged fixtures at seed 0, opcore (20 trials) and
 dsum (100 trials) at (2,3) with ``--outcomes 4`` at seed 0, whose action
-samplers otherwise run at two outcomes only, and dsum at seed 0 at (2,2)
-with 700 trials, which span two full chunks and a partial one, and at
+samplers otherwise run at two outcomes only, opcore at (3,3) with
+``--outcomes 16`` at seed 0, whose coarse-grained action totals of Kraus
+rank 16 meet zero-padded operations of rank 2 in both composite loops, and
+dsum at seed 0 at (2,2) with 700 trials, which span two full chunks and a
+partial one, and at
 (6,6) with ``--outcomes 16``, whose 100 trials end in a partial chunk,
 quantum-nosig at (2,2) with 2600 trials, whose random loop and trace
 biconditional each span two full chunks and a partial one, quantum-nosig at
@@ -80,6 +83,8 @@ CASES = [
     ("boxworld", 2, 2, 0, TRIALS),
     ("opcore", 2, 3, 0, 20, "--outcomes", "4"),
     ("dsum", 2, 3, 0, TRIALS, "--outcomes", "4"),
+    # Action totals of rank 16 composed with stacks padded to rank 2.
+    ("opcore", 3, 3, 0, TRIALS, "--outcomes", "16"),
     # Chunks of 348 trials at (2,2), and of 26 at (6,6) with 16 outcomes.
     ("dsum", 2, 2, 0, 700),
     ("dsum", 6, 6, 0, TRIALS, "--outcomes", "16"),

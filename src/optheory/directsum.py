@@ -61,7 +61,6 @@ from .linalg import (
 )
 from .quantum import (
     KrausOp,
-    KrausStack,
     QuantumModel,
     apply_quantum_op,
     choi_distance,
@@ -133,12 +132,12 @@ class DSumLocalOp:
     """A local transformation: a block operation on the op's own sector plus an
     occurrence probability p on the opposite sector.
 
-    A stack of trials' local operations on one side has a
-    :class:`~optheory.quantum.KrausStack` block and one p per trial; every
+    A stack of trials' local operations on one side has a stacked
+    :class:`~optheory.quantum.KrausOp` block and one p per trial; every
     trial's p is checked."""
 
     side: int
-    op_block: KrausOp | KrausStack
+    op_block: KrausOp
     p: float | np.ndarray
     label: str = ""
 
@@ -209,7 +208,8 @@ def ds_draw_local_op(rng: np.random.Generator, d: int) -> tuple:
 
 def ds_finish_local_op(side: int, a, keep, lam, p) -> DSumLocalOp:
     """Finish of :func:`ds_draw_local_op` on ``side``; stacked raw draws give
-    the stack of local operations, its block a :class:`~optheory.quantum.KrausStack`."""
+    the stack of local operations, its block one stacked
+    :class:`~optheory.quantum.KrausOp`, zero-padded to the stack's largest Kraus rank."""
     return DSumLocalOp(side, finish_kraus(a, keep, lam), p, "random")
 
 
@@ -266,10 +266,11 @@ class DSumModel(TheoryModel):
     payloads are (K_plus, K_minus) Hermitian pairs.  ``sectors`` holds the
     two :class:`~optheory.quantum.QuantumModel` sectors.  A stack of trials
     has stacked blocks: a :class:`DSumState` of ``(n, d, d)`` blocks, a pair
-    of :class:`~optheory.quantum.KrausStack`, each sector grouped by its own
-    Kraus ranks, and pairs of ``(n, d, d)`` effect blocks.  The operations
-    the invariant suite and the dsum suite run, :meth:`from_local` among
-    them, take stacks as well as single objects.
+    of stacked :class:`~optheory.quantum.KrausOp`, each ``(n, r, d, d)`` and
+    zero-padded to its sector's largest Kraus rank, and pairs of
+    ``(n, d, d)`` effect blocks.  The operations the invariant suite and
+    the dsum suite run, :meth:`from_local` among them, take stacks as well
+    as single objects.
     """
 
     d1: int
@@ -316,17 +317,16 @@ class DSumModel(TheoryModel):
 
     def from_local(self, op: DSumLocalOp) -> Transformation:
         """A local operation: its block map on its own sector, sqrt(p) I on the
-        other.  For a stack of local operations the passive blocks are one
-        :class:`~optheory.quantum.KrausStack` group, sqrt(p_t) I at trial t."""
+        other.  For a stack of local operations the passive block is one
+        stacked operation of rank 1, sqrt(p_t) I at trial t."""
         return self._local(op.side, op.op_block, op.p, op.label)
 
     def _local(self, side: int, block, p, label: str = "") -> Transformation:
         """:meth:`from_local` of a local operation's parts, its ``p`` unchecked."""
         identity = self._identities[2 - side]
-        if isinstance(block, KrausStack):
-            n = len(block)
-            kraus = np.broadcast_to(identity.kraus, (n, *identity.kraus.shape))
-            identity = KrausStack((kraus,), (np.arange(n),))
+        if block.kraus.ndim == 4:
+            kraus = identity.kraus
+            identity = KrausOp._trusted(np.broadcast_to(kraus, block.kraus.shape[:1] + kraus.shape))
         passive = scale_kraus(p, identity)
         if side == 1:
             return self.transformation(block, passive, label)
@@ -340,7 +340,7 @@ class DSumModel(TheoryModel):
         return Effect(self, self._units)
 
     def effect_of(self, t: Transformation) -> Effect:
-        plus, minus = t.payload  # KrausOp or KrausStack blocks alike
+        plus, minus = t.payload  # single or stacked blocks alike
         return Effect(self, (plus.trace_operator(), minus.trace_operator()))
 
     def apply(self, t: Transformation, s: State) -> State:

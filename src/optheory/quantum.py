@@ -9,11 +9,15 @@ steer the remote conditional state without signaling on average.
 
 A :class:`KrausOp` stores its r Kraus operators as one ``(r, d_out, d_in)``
 array, so applying, composing and coarse-graining operations are single
-batched ``matmul`` or ``concatenate`` calls.  The kernels broadcast over
-leading axes, and each also takes a :class:`KrausStack`, the operations of
-a stack of trials grouped by Kraus rank: it runs once per group of trials
-whose operands share their ranks, never padding one rank to another, and
-each trial's result equals the kernel on that trial alone, bit for bit.
+batched ``matmul`` or ``concatenate`` calls.  The operations of a stack of n
+trials are one :class:`KrausOp` as well, of shape ``(n, r, d_out, d_in)``
+with r the stack's largest Kraus rank: a trial of lower rank is padded
+with zero operators, which change neither ``sum_k K_k rho K_k^dag`` nor the
+Choi matrix (Choi, Linear Algebra Appl. 10, 285 (1975); Watrous, section
+2.2).  The kernels broadcast over the leading axes, and since adding an
+exact zero leaves a floating-point sum unchanged, each trial's result
+equals the kernel on that trial's unpadded operation alone, bit for bit;
+``tests/test_stacks.py`` checks that the BLAS in use keeps this.
 The verifiers never build ``M (x) I``: :func:`side1_kraus_outputs` reads a joint operator on
 ``d1*d2`` as a ``d1 x (d2*D)`` matrix, so that ``(K (x) I) R`` is the
 product ``K @ R.reshape(d1, -1)``, and applies that product on both sides of
@@ -42,7 +46,7 @@ temporaries stay about as small as one operation's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,9 +110,12 @@ class KrausOp:
     array or any sequence of equally shaped matrices and checks, once on the
     stacked array, that the entries are finite and that the operation does
     not increase the trace.  Kernels that derive an operation from validated
-    ones store it with ``_trusted``, which checks nothing; inside the
-    kernels a trusted ``kraus`` may carry leading axes, ``(..., r, d_out,
-    d_in)``, a stack of operations of one Kraus rank.
+    ones store it with ``_trusted``, which checks nothing.  A trusted
+    ``kraus`` may carry a leading trial axis, ``(n, r, d_out, d_in)``: the
+    stack of n operations, each of Kraus rank at most r and padded to r
+    with zero operators.  Zero operators add only exact zeros to every sum
+    the kernels form, so padding changes no result.  Indexing a stack gives
+    one trial's operation or a sub-stack.
     """
 
     kraus: np.ndarray
@@ -145,6 +152,10 @@ class KrausOp:
         object.__setattr__(op, "kraus", np.asarray(kraus, dtype=complex))
         return op
 
+    def __getitem__(self, trials) -> "KrausOp":
+        """Trial ``trials`` of a stack, or the sub-stack of the trials ``trials``."""
+        return KrausOp._trusted(self.kraus[trials])
+
     @property
     def dim_in(self) -> int:
         return self.kraus.shape[-1]
@@ -162,126 +173,6 @@ class KrausOp:
         rows = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
         k = rows.conj().swapaxes(-1, -2) @ rows
         return (k + k.conj().swapaxes(-1, -2)) / 2
-
-
-@dataclass(frozen=True, eq=False)
-class KrausStack:
-    """The operations of a stack of trials, grouped by Kraus rank.
-
-    ``kraus[g]`` is an ``(m_g, r_g, d_out, d_in)`` array holding the
-    operations of trials ``trials[g]`` (ascending), all of Kraus rank
-    ``r_g``; the groups' trials partition ``range(len(stack))``.  The
-    kernels of this module take a stack wherever they take a
-    :class:`KrausOp`: they run once per group of trials whose stacked
-    operands share their Kraus ranks, on arrays with a leading trial axis,
-    and put each result back at its trial, so no operation is padded to
-    another rank.  A :class:`KrausOp` operand next to a stack acts on every
-    trial.  Each trial's result equals the kernel on that trial's
-    operation alone, bit for bit.
-    """
-
-    kraus: tuple[np.ndarray, ...]
-    trials: tuple[np.ndarray, ...]
-
-    @classmethod
-    def gather(cls, pieces) -> "KrausStack":
-        """The stack of ``(trials, op)`` pieces, ``op.kraus`` holding one
-        operation per trial of ``trials``; pieces of one rank are merged."""
-        by_rank: dict[int, list] = {}
-        for trials, op in pieces:
-            by_rank.setdefault(op.kraus.shape[-3], []).append((trials, op.kraus))
-        kraus, groups = [], []
-        for parts in by_rank.values():
-            if len(parts) == 1:
-                (trials, k), = parts
-            else:
-                trials = np.concatenate([t for t, _ in parts])
-                order = np.argsort(trials, kind="stable")
-                trials, k = trials[order], np.concatenate([k for _, k in parts])[order]
-            groups.append(trials)
-            kraus.append(k)
-        return cls(tuple(kraus), tuple(groups))
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self.trials)
-
-    @property
-    def dim_in(self) -> int:
-        return self.kraus[0].shape[-1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.kraus[0].shape[-2]
-
-    @cached_property
-    def _places(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's group and its row in that group's array."""
-        group, row = np.empty(len(self), dtype=np.intp), np.empty(len(self), dtype=np.intp)
-        for g, trials in enumerate(self.trials):
-            group[trials] = g
-            row[trials] = np.arange(len(trials))
-        return group, row
-
-    def _rows(self, trials: np.ndarray) -> KrausOp:
-        """The operations of ``trials``, which lie in one group, as one stacked operation."""
-        group, row = self._places
-        g = group[trials[0]]
-        if len(trials) == len(self.trials[g]):
-            return KrausOp._trusted(self.kraus[g])
-        return KrausOp._trusted(self.kraus[g][row[trials]])
-
-    def __getitem__(self, trials) -> "KrausStack":
-        """The sub-stack of the ascending trial indices ``trials``, renumbered from 0."""
-        chosen = np.zeros(len(self), dtype=bool)
-        chosen[trials] = True
-        renumbered = np.cumsum(chosen) - 1
-        kraus, groups = [], []
-        for k, t in zip(self.kraus, self.trials):
-            keep = chosen[t]
-            if keep.any():
-                kraus.append(k[keep])
-                groups.append(renumbered[t[keep]])
-        return KrausStack(tuple(kraus), tuple(groups))
-
-    def trace_operator(self) -> np.ndarray:
-        """``(n, d_in, d_in)``: each trial's :meth:`KrausOp.trace_operator`."""
-        return _scatter(len(self), ((t, op.trace_operator()) for t, (op,) in _rank_groups(self)))
-
-
-def _rank_groups(*ops):
-    """``(trials, operands)`` for every group of trials on which the
-    :class:`KrausStack` operands of ``ops`` each have one Kraus rank; a
-    stack operand becomes the stacked :class:`KrausOp` of its group's
-    trials, any other operand is passed as it is."""
-    stacks = [op for op in ops if isinstance(op, KrausStack)]
-    if len(stacks) == 1:
-        for trials, k in zip(stacks[0].trials, stacks[0].kraus):
-            yield trials, [KrausOp._trusted(k) if op is stacks[0] else op for op in ops]
-        return
-    n = len(stacks[0])
-    if any(len(s) != n for s in stacks):
-        raise ValueError(f"stacks of {[len(s) for s in stacks]} trials do not align")
-    key = np.zeros(n, dtype=np.intp)
-    for s in stacks:
-        key = key * len(s.kraus) + s._places[0]
-    # np.bincount, not np.unique: the first np.unique call imports numpy.ma.
-    for k in np.flatnonzero(np.bincount(key)):
-        trials = np.flatnonzero(key == k)
-        yield trials, [op._rows(trials) if isinstance(op, KrausStack) else op for op in ops]
-
-
-def _scatter(n: int, pieces) -> np.ndarray:
-    """An ``(n, ...)`` array holding each piece's rows at its trials."""
-    out = None
-    for trials, values in pieces:
-        if out is None:
-            out = np.empty((n, *values.shape[1:]), dtype=values.dtype)
-        out[trials] = values
-    return out
-
-
-def _stacked(a, b) -> bool:
-    return isinstance(a, KrausStack) or isinstance(b, KrausStack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,14 +204,11 @@ class Instrument:
 def apply_quantum_op(m, rho) -> np.ndarray:
     """sum_k M_k rho M_k^dag; PSD in, PSD out, trace possibly decreased.
 
-    A :class:`KrausStack` of n operations applies to a stack ``(n, d, d)`` of
-    operators, trial by trial."""
-    stacked = isinstance(m, KrausStack)
-    r = as_matrix_stack(rho) if stacked else as_matrix(rho, square=True)
+    A stack of n operations applies to a stack ``(n, d, d)`` of operators,
+    trial by trial."""
+    r = as_matrix_stack(rho) if m.kraus.ndim == 4 else as_matrix(rho, square=True)
     if r.shape[-1] != m.dim_in:
         raise ValueError(f"operator dim {r.shape[-1]} does not match Kraus dim {m.dim_in}")
-    if stacked:
-        return _scatter(len(r), ((t, _apply(op.kraus, r[t])) for t, (op,) in _rank_groups(m)))
     return _apply(m.kraus, r)
 
 
@@ -332,27 +220,19 @@ def _apply(k: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def compose_kraus(first, then):
     """``first`` followed by ``then``: the products N_j M_k, j major."""
-    if _stacked(first, then):
-        return KrausStack.gather((t, compose_kraus(*ops)) for t, ops in _rank_groups(first, then))
     products = then.kraus[..., None, :, :] @ first.kraus[..., None, :, :, :]
     return KrausOp._trusted(products.reshape(products.shape[:-4] + (-1,) + products.shape[-2:]))
 
 
 def coarse_grain_kraus(a, b):
     """The coarse-graining a + b: one operation holding both Kraus lists."""
-    if _stacked(a, b):
-        return KrausStack.gather((t, coarse_grain_kraus(*ops)) for t, ops in _rank_groups(a, b))
     return KrausOp._trusted(np.concatenate([a.kraus, b.kraus], axis=-3))
 
 
 def scale_kraus(lam, m):
     """lam * m: every Kraus operator scaled by sqrt(lam).  For a stack ``m``
     of n operations, ``lam`` may hold one factor per trial."""
-    if isinstance(m, KrausStack):
-        lam = np.broadcast_to(lam, (len(m),))
-        return KrausStack.gather((t, scale_kraus(lam[t], op)) for t, (op,) in _rank_groups(m))
-    root = np.sqrt(lam)
-    return KrausOp._trusted(trial_factor(root, m.kraus) * m.kraus)
+    return KrausOp._trusted(trial_factor(np.sqrt(lam), m.kraus) * m.kraus)
 
 
 def draw_kraus(rng: np.random.Generator, d: int, lam_low: float) -> tuple:
@@ -363,16 +243,15 @@ def draw_kraus(rng: np.random.Generator, d: int, lam_low: float) -> tuple:
 
 def finish_kraus(a, keep, lam):
     """Finish of :func:`random_kraus`: the first ``keep`` blocks of the
-    isometry of ``a``, scaled by sqrt(lam).  Stacked raw draws give a
-    :class:`KrausStack`, its trials grouped by ``keep``."""
+    isometry of ``a``, scaled by sqrt(lam).  Stacked raw draws give their
+    stack at Kraus rank ``max(keep)``, each trial's blocks past its own
+    ``keep`` set to exact (positive) zeros."""
     blocks = isometry_blocks(a, 3)
     if not isinstance(keep, np.ndarray):
         return scale_kraus(lam, KrausOp._trusted(blocks[:keep]))
-    pieces = []
-    for k in np.flatnonzero(np.bincount(keep)):
-        t = np.flatnonzero(keep == k)
-        pieces.append((t, scale_kraus(lam[t], KrausOp._trusted(blocks[t, :k]))))
-    return KrausStack.gather(pieces)
+    rank = keep.max()
+    kept = np.arange(rank)[:, None, None] < keep[:, None, None, None]
+    return scale_kraus(lam, KrausOp._trusted(np.where(kept, blocks[:, :rank], 0)))
 
 
 def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
@@ -384,12 +263,9 @@ def random_kraus(rng: np.random.Generator, d: int, lam_low: float) -> KrausOp:
 def finish_outcomes(a: np.ndarray, d: int) -> list:
     """Finish of :func:`haar_outcomes` for its Gaussian ``a`` ``(n*d, d)``: the
     n one-Kraus outcomes; for stacked Gaussians ``(m, n*d, d)``, each
-    outcome's :class:`KrausStack` of m trials."""
+    outcome's stack of m trials."""
     blocks = isometry_blocks(a, a.shape[-2] // d)
-    if blocks.ndim == 3:
-        return [KrausOp._trusted(blocks[j : j + 1]) for j in range(len(blocks))]
-    trials = (np.arange(len(blocks)),)
-    return [KrausStack((blocks[:, j : j + 1],), trials) for j in range(blocks.shape[1])]
+    return [KrausOp._trusted(blocks[..., j : j + 1, :, :]) for j in range(blocks.shape[-3])]
 
 
 def haar_outcomes(rng: np.random.Generator, d: int, n: int) -> list[KrausOp]:
@@ -433,9 +309,6 @@ def choi_distance(a, b):
     as many trials at a time as keep a block product within
     ``CHOI_STACK_ENTRIES`` (one at a time at D = 36).
     """
-    if _stacked(a, b):
-        n = len(a) if isinstance(a, KrausStack) else len(b)
-        return _scatter(n, ((t, choi_distance(*ops)) for t, ops in _rank_groups(a, b)))
     ka, kb = a.kraus, b.kraus
     if ka.shape[-2:] != kb.shape[-2:]:
         raise ValueError(f"operations map {ka.shape[-2:]} and {kb.shape[-2:]}")
@@ -466,10 +339,7 @@ def choi_distance(a, b):
 
 def local_embed(m, d_other: int, side: int = 1):
     """Extend a local operation to the joint space by tensoring with identity;
-    a :class:`KrausStack` gives the stack of its trials' extensions."""
-    if isinstance(m, KrausStack):
-        groups = (local_embed(KrausOp._trusted(k), d_other, side).kraus for k in m.kraus)
-        return KrausStack(tuple(groups), m.trials)
+    a stack gives the stack of its trials' extensions."""
     # A leading axis of length 1 makes np.kron act blockwise on every Kraus operator.
     eye = np.eye(d_other)[None]
     if side == 1:
@@ -576,9 +446,9 @@ def quantum_no_signaling_defects(rho, outcomes, d1: int, d2: int) -> tuple:
     """The defects of :func:`quantum_no_signaling_check` on a stack of n
     trials: ``rho`` an ``(n, D, D)`` stack of Hermitian joint operators
     (validated and symmetrized here) and ``outcomes`` an instrument's
-    outcomes, each a :class:`KrausStack` of n trials.  Returns the ``(n,)``
-    trace-norm defects of the averaged instrument and the ``(n, m)`` trace
-    and reduced-state defects of its m outcomes, each trial's equal to the
+    outcomes, each a stack of n trials.  Returns the ``(n,)`` trace-norm
+    defects of the averaged instrument and the ``(n, m)`` trace and
+    reduced-state defects of its m outcomes, each trial's equal to the
     check on that trial alone, bit for bit.
     """
     r = require_hermitian_stack(rho)
@@ -586,24 +456,20 @@ def quantum_no_signaling_defects(rho, outcomes, d1: int, d2: int) -> tuple:
         raise ValueError("joint state dimension does not match d1*d2")
     if outcomes[0].dim_in != d1:
         raise ValueError(f"instrument acts on dimension {outcomes[0].dim_in}, expected d1={d1}")
-    pieces = []
-    for trials, ops in _rank_groups(*outcomes):
-        # All Kraus operators of a trial in one stack.  reduceat sums the traces and
-        # remote reductions of each outcome's run of it: on the D x D outputs it is slower.
-        kraus = np.concatenate([op.kraus for op in ops], axis=-3)
-        starts = np.cumsum([0, *(op.kraus.shape[-3] for op in ops[:-1])])
-        rt = r[trials]
-        outs = side1_kraus_outputs(kraus, rt)
-        weights = np.trace(rt, axis1=-2, axis2=-1).real
-        traces = np.add.reduceat(np.trace(outs, axis1=-2, axis2=-1).real, starts, axis=-1)
-        per_kraus = partial_trace(outs.reshape(-1, *rt.shape[-2:]), d1, d2, side=1)
-        reduced = np.add.reduceat(per_kraus.reshape(outs.shape[:-2] + (d2, d2)), starts, axis=-3)
-        # Trace norms of every outcome's shift and of the average's, in one SVD call.
-        shifts = np.concatenate([reduced, reduced.sum(axis=-3)[:, None]], axis=-3)
-        shifts -= partial_trace(rt, d1, d2, side=1)[:, None]
-        norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
-        pieces.append((trials, (norms[:, -1], np.abs(traces - weights[:, None]), norms[:, :-1])))
-    return tuple(_scatter(len(r), ((t, p[i]) for t, p in pieces)) for i in range(3))
+    # All Kraus operators of a trial in one stack.  reduceat sums the traces and
+    # remote reductions of each outcome's run of it: on the D x D outputs it is slower.
+    kraus = np.concatenate([op.kraus for op in outcomes], axis=-3)
+    starts = np.cumsum([0, *(op.kraus.shape[-3] for op in outcomes[:-1])])
+    outs = side1_kraus_outputs(kraus, r)
+    weights = np.trace(r, axis1=-2, axis2=-1).real
+    traces = np.add.reduceat(np.trace(outs, axis1=-2, axis2=-1).real, starts, axis=-1)
+    per_kraus = partial_trace(outs.reshape(-1, *r.shape[-2:]), d1, d2, side=1)
+    reduced = np.add.reduceat(per_kraus.reshape(outs.shape[:-2] + (d2, d2)), starts, axis=-3)
+    # Trace norms of every outcome's shift and of the average's, in one SVD call.
+    shifts = np.concatenate([reduced, reduced.sum(axis=-3)[:, None]], axis=-3)
+    shifts -= partial_trace(r, d1, d2, side=1)[:, None]
+    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
+    return norms[:, -1], np.abs(traces - weights[:, None]), norms[:, :-1]
 
 
 def no_signaling_trial_defects(no_signaling, trace_defects, reduced_defects, tol: float):
@@ -635,8 +501,7 @@ def quantum_no_signaling_check(
     some outcome preserves the trace.  One state and instrument:
     :func:`quantum_no_signaling_defects` of a stack of one.
     """
-    one = (np.zeros(1, dtype=np.intp),)
-    outcomes = [KrausStack((op.kraus[None],), one) for op in inst.outcomes]
+    outcomes = [KrausOp._trusted(op.kraus[None]) for op in inst.outcomes]
     r = as_matrix(rho, square=True)[None]
     no_signaling, traces, reduced = quantum_no_signaling_defects(r, outcomes, d1, d2)
     tols = {"no_signaling": tol, "trace_preserving_outcomes": REDUCED_TOL}
@@ -841,7 +706,7 @@ class QuantumModel(TheoryModel):
 
     # -- interface ----------------------------------------------------------
     # Payloads may be stacks of trials: states and effects ``(n, d, d)``,
-    # transformations a KrausStack; every method works on either.
+    # transformations a KrausOp of ``(n, r, d, d)``; every method works on either.
     def identity(self) -> Transformation:
         return Transformation(self, KrausOp._trusted([np.eye(self.d)]), "identity")
 

@@ -29,7 +29,7 @@ from optheory.fixtures import (
 from optheory.boxes import is_nosignaling_box, pr_box
 from optheory.directsum import DSumModel
 from optheory.linalg import min_eig_herm, partial_trace, tensor
-from optheory.quantum import PAULI_X, KrausStack, z_instrument
+from optheory.quantum import PAULI_X, KrausOp, z_instrument
 from optheory.report import Check, VerificationReport, combine_reports
 
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
@@ -310,11 +310,10 @@ class TestMutantDetection:
         # Planted defect: the passive sector gets sqrt(p) X instead of sqrt(p) I
         # (qubit sectors, the default), so opposite-side operations stop
         # commuting.  The suite embeds each chunk's stack of local operations,
-        # so the mutant builds a stack of passive blocks, one group of trials.
+        # so the mutant builds a stack of rank-1 passive blocks.
         def leaky_from_local(self, op):
-            n = len(op.op_block)
             x = np.sqrt(op.p)[:, None, None, None] * PAULI_X
-            passive = KrausStack((x,), (np.arange(n),))
+            passive = KrausOp._trusted(x)
             blocks = (op.op_block, passive) if op.side == 1 else (passive, op.op_block)
             return self.transformation(*blocks, op.label)
 
@@ -333,8 +332,7 @@ class TestMutantDetection:
         def planted(side, *raw):
             op = real(side, *raw)
             if not finished:
-                group, row = op.op_block._places
-                op.op_block.kraus[group[0]][row[0], 0, 0, 0] = np.nan
+                op.op_block.kraus[0, 0, 0, 0] = np.nan
             finished.append(op)
             return op
 

@@ -12,19 +12,33 @@ probability at most k/17 (DeMillo and Lipton, IPL 7(4), 1978; Schwartz, JACM
 The kernels are the unvalidated ones (``KrausOp._trusted``): integer Kraus
 sets do not preserve or decrease the trace, and these identities need no
 physics.
+
+Two more identities are exact for the same reason.  A stack of operations
+of mixed Kraus ranks is padded with zero operators, which leaves every
+trial's map unchanged; so each kernel on the padded stack gives each
+trial's unpadded result with a gap of exactly 0.0, in any summation order.
+And the remote reduction after a side-1 operation depends on that
+operation only through its trace operator T_A = sum_k A_k^dag A_k:
+``Tr_1[sum_k (A_k (x) I) R (A_k (x) I)^dag] = Tr_1[(T_A (x) I) R]``.  No
+signaling is this identity at T_A = I.
 """
 
 import numpy as np
 import pytest
 
+from optheory import quantum
 from optheory.framework import Transformation
+from optheory.linalg import partial_trace
 from optheory.quantum import (
     KrausOp,
     QuantumModel,
+    apply_quantum_op,
     choi_distance,
+    coarse_grain_kraus,
     compose_kraus,
     local_embed,
     scale_kraus,
+    side1_kraus_outputs,
 )
 from optheory.sampling import trial_rng
 
@@ -32,10 +46,18 @@ DIMS = [(2, 2), (3, 3)]
 SEEDS = range(4)
 
 
-def integer_kraus(rng: np.random.Generator, d: int) -> KrausOp:
-    """One to three d x d Kraus operators with entries in [-8, 8] + i[-8, 8]."""
-    re, im = rng.integers(-8, 9, size=(2, int(rng.integers(1, 4)), d, d))
+def integer_kraus(rng: np.random.Generator, d: int, rank: int | None = None) -> KrausOp:
+    """``rank`` (default: one to three) d x d Kraus operators with entries in [-8, 8] + i[-8, 8]."""
+    rank = int(rng.integers(1, 4)) if rank is None else rank
+    re, im = rng.integers(-8, 9, size=(2, rank, d, d))
     return KrausOp._trusted(re + 1j * im)
+
+
+def integer_positive(rng: np.random.Generator, d: int) -> np.ndarray:
+    """``G G^dag + I`` for a Gaussian-integer G: an integer matrix with a positive diagonal."""
+    re, im = rng.integers(-8, 9, size=(2, d, d))
+    g = re + 1j * im
+    return g @ g.conj().T + np.eye(d)
 
 
 def embedded_pair(seed: int, d1: int, d2: int) -> tuple[KrausOp, KrausOp]:
@@ -96,3 +118,107 @@ def test_a_compose_scaled_by_one_plus_1e_9_is_caught(dims, seed, monkeypatch):
     model = QuantumModel(dims[0] * dims[1])
     t = Transformation(model, integer_kraus(trial_rng(seed), model.d))
     assert model.transformation_distance(model.compose(model.identity(), t), t) > 0.0
+
+
+# Kraus ranks of the trials of the two padded stacks: each has trials below its
+# largest rank, and the ranks of a trial's two operations differ or agree.
+RANKS_A, RANKS_B = (1, 2, 3, 2, 1), (2, 3, 1, 1, 3)
+# A zero operator pads a stack; the mutant pads with this one-entry integer matrix.
+FILLS = {"zero": 0, "one-entry": 1}
+
+
+def padded(ops: list[KrausOp], fill: int) -> KrausOp:
+    """``ops`` as one stack at their largest Kraus rank, each padded with the
+    matrix that is ``fill`` at entry (0, 0) and zero elsewhere."""
+    rank = max(len(op.kraus) for op in ops)
+    kraus = np.zeros((len(ops), rank, *ops[0].kraus.shape[1:]), dtype=complex)
+    kraus[:, :, 0, 0] = fill
+    for k, op in enumerate(ops):
+        kraus[k, : len(op.kraus)] = op.kraus
+    return KrausOp._trusted(kraus)
+
+
+def padding_gaps(seed: int, d1: int, d2: int, fill: int) -> dict[str, np.ndarray]:
+    """Each kernel's gap, trial by trial, between its result on padded stacks
+    and its result on each trial's unpadded operations."""
+    rng = trial_rng(seed)
+    a = [integer_kraus(rng, d1, r) for r in RANKS_A]
+    b = [integer_kraus(rng, d1, r) for r in RANKS_B]
+    rhos = np.stack([integer_positive(rng, d1) for _ in a])
+    sa, sb = padded(a, fill), padded(b, fill)
+    embedded = local_embed(sa, d2, 1)
+    return {
+        "compose_kraus": choi_distance(
+            compose_kraus(sa, sb), padded([compose_kraus(x, y) for x, y in zip(a, b)], 0)
+        ),
+        "coarse_grain_kraus": choi_distance(
+            coarse_grain_kraus(sa, sb), padded([coarse_grain_kraus(x, y) for x, y in zip(a, b)], 0)
+        ),
+        "trace_operator": np.abs(
+            sa.trace_operator() - np.stack([x.trace_operator() for x in a])
+        ).max(axis=(-2, -1)),
+        "apply_quantum_op": np.abs(
+            apply_quantum_op(sa, rhos) - np.stack([apply_quantum_op(x, r) for x, r in zip(a, rhos)])
+        ).max(axis=(-2, -1)),
+        "local_embed": np.array(
+            [choi_distance(embedded[k], local_embed(x, d2, 1)) for k, x in enumerate(a)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_zero_padding_changes_no_kernel_result(dims, seed):
+    gaps = padding_gaps(seed, *dims, FILLS["zero"])
+    assert {name: gap.tolist() for name, gap in gaps.items()} == {
+        name: [0.0] * len(RANKS_A) for name in gaps
+    }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_padding_with_a_one_entry_matrix_is_caught_at_every_padded_trial(dims, seed):
+    gaps = padding_gaps(seed, *dims, FILLS["one-entry"])
+    top_a, top_b = max(RANKS_A), max(RANKS_B)
+    padded_a = np.array([r < top_a for r in RANKS_A])
+    either = padded_a | np.array([r < top_b for r in RANKS_B])
+    for name, gap in gaps.items():
+        where = either if name in ("compose_kraus", "coarse_grain_kraus") else padded_a
+        assert (gap[where] > 0.0).all() and (gap[~where] == 0.0).all(), name
+
+
+PARTIAL_TRACE_DIMS = [(2, 2), (2, 3), (3, 3)]
+
+
+def reduction_gap(seed: int, d1: int, d2: int) -> float:
+    """``max |Tr_1[sum_k (A_k (x) I) R (A_k (x) I)^dag] - Tr_1[(T_A (x) I) R]|`` for
+    an integer Kraus set A and an integer R, the left side through
+    ``side1_kraus_outputs`` and the right through an explicit ``np.kron``."""
+    rng = trial_rng(seed)
+    a, r = integer_kraus(rng, d1), integer_positive(rng, d1 * d2)
+    left = partial_trace(side1_kraus_outputs(a.kraus, r).sum(axis=0), d1, d2, side=1)
+    right = partial_trace(np.kron(a.trace_operator(), np.eye(d2)) @ r, d1, d2, side=1)
+    return float(np.abs(left - right).max())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", PARTIAL_TRACE_DIMS, ids=str)
+def test_the_remote_reduction_depends_only_on_the_trace_operator(dims, seed):
+    assert reduction_gap(seed, *dims) == 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", PARTIAL_TRACE_DIMS, ids=str)
+def test_a_one_entry_leak_in_the_side1_product_is_caught(dims, seed, monkeypatch):
+    # Both factors of each output gain 1/4 at entry (0, 0), which moves the
+    # reduction's (0, 0) entry by r/4 plus conj(A_k[0, 0]) summed over the
+    # r <= 3 Kraus operators: an integer plus a non-integer, never zero.
+    real = quantum._on_side1
+
+    def leaky(a, r):
+        out = real(a, r)
+        out[..., 0, 0] += 0.25
+        return out
+
+    monkeypatch.setattr(quantum, "_on_side1", leaky)
+    assert reduction_gap(seed, *dims) > 0.0

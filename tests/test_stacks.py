@@ -1,12 +1,16 @@
 """Stacks of trials: every stacked kernel and finish equals the one-object call.
 
 A stack holds the objects of several trials along a leading axis; quantum
-operations of mixed Kraus ranks are held by a ``KrausStack``, grouped by
-rank.  Each member of a stacked result must equal, with ``np.array_equal``
-(so bit for bit), the one-object call on that member's operands alone, at
-that member's index.  The last property runs the invariant suite's stacked
-evaluation against the one-object evaluation it replaced, on stacks whose
-trials all take, all skip, or partly take the ``pa > 1e-6`` branches.
+operations of mixed Kraus ranks are one ``KrausOp`` of shape
+``(n, r, d, d)``, each trial padded with zero operators to the largest rank
+r.  Each member of a stacked result, its zero operators dropped, must equal,
+with ``np.array_equal`` (so bit for bit), the one-object call on that
+member's operands alone, at that member's index.  Padding changes no
+result only because every sum the kernels form is exact on zero terms: a
+BLAS whose sums were not would fail these properties.  The last property
+runs the invariant suite's stacked evaluation against the one-object
+evaluation it replaced, on stacks whose trials all take, all skip, or
+partly take the ``pa > 1e-6`` branches.
 The composites' embeddings, the quantum no-signaling kernel and the Choi
 distance of large joint operations are compared with their one-trial forms
 the same way.
@@ -37,7 +41,6 @@ from optheory.quantum import (
     CHOI_BLOCK,
     CHOI_STACK_ENTRIES,
     KrausOp,
-    KrausStack,
     QuantumBipartite,
     Instrument,
     QuantumModel,
@@ -81,19 +84,23 @@ def _ops(rng, d: int, ranks) -> list[KrausOp]:
     ]
 
 
-def _stack(ops) -> KrausStack:
-    pieces = [(np.array([k]), KrausOp._trusted(op.kraus[None])) for k, op in enumerate(ops)]
-    return KrausStack.gather(pieces)
+def _stack(ops) -> KrausOp:
+    """The operations ``ops`` as one stack, each padded with zero operators to the largest rank."""
+    kraus = np.zeros((len(ops), max(len(op.kraus) for op in ops), *ops[0].kraus.shape[1:]), complex)
+    for k, op in enumerate(ops):
+        kraus[k, : len(op.kraus)] = op.kraus
+    return KrausOp._trusted(kraus)
 
 
-def _member(stack: KrausStack, k: int) -> np.ndarray:
-    """The Kraus array of trial ``k`` of a stack, through its one-trial sub-stack."""
+def _member(stack: KrausOp, k: int) -> np.ndarray:
+    """The Kraus array of trial ``k`` of a stack, through its one-trial sub-stack,
+    without its zero operators."""
     (kraus,) = stack[np.array([k])].kraus
-    return kraus[0]
+    return kraus[kraus.any(axis=(-2, -1))]
 
 
-def _equal_ops(stack: KrausStack, ops) -> bool:
-    return len(stack) == len(ops) and all(
+def _equal_ops(stack: KrausOp, ops) -> bool:
+    return len(stack.kraus) == len(ops) and all(
         np.array_equal(_member(stack, k), op.kraus) for k, op in enumerate(ops)
     )
 
@@ -155,6 +162,10 @@ def test_stacked_finishes_equal_the_one_object_finishes(d, n, outcomes, seed):
     matrices = substochastic(*map(np.array, zip(*sub)))
     splits = stochastic_split(parts)
     assert _equal_ops(ops, [finish_kraus(*raw) for raw in kraus])
+    # Each trial's padding is exact positive zeros: no -0.0 reaches a sum.
+    for k, (_, keep, _) in enumerate(kraus):
+        padding = ops.kraus[k, keep:].view(float)
+        assert not padding.any() and not np.signbit(padding).any()
     for k in range(n):
         assert np.array_equal(states[k], unit_trace(gram(g[k])))
         assert np.array_equal(blocks[k], isometry_blocks(a[k], outcomes))
@@ -282,8 +293,8 @@ COMPOSITES = {"classical": ClassicalBipartite, "quantum": QuantumBipartite, "dsu
 
 
 def _equal_payloads(stacked, alone, k: int) -> bool:
-    """Whether trial ``k`` of a stacked payload (an array, a KrausStack or a
-    pair of them) equals a one-trial payload bit for bit."""
+    """Whether trial ``k`` of a stacked payload (an array, a stacked KrausOp
+    or a pair of them) equals a one-trial payload bit for bit."""
     if isinstance(alone, tuple):
         return all(_equal_payloads(s, a, k) for s, a in zip(stacked, alone))
     if isinstance(alone, KrausOp):
@@ -336,8 +347,7 @@ def _one_trial_no_signaling(rho, outcomes, d1, d2):
 def test_stacked_no_signaling_kernel_equals_the_one_trial_check(d1, d2, n, outcomes, seed):
     # Instruments of 1 to 4 outcomes from the blocks of a Haar isometry: trial
     # k merges blocks j and j+1, j = k mod outcomes, into one outcome of Kraus
-    # rank 2, so the outcomes' ranks vary by trial and the stack splits into
-    # rank groups.
+    # rank 2, so the outcomes' ranks vary by trial and their stacks are padded.
     rng = trial_rng(seed)
     rhos = unit_trace(gram(complex_gaussian(rng, n * d1 * d2, d1 * d2).reshape(n, d1 * d2, -1)))
     instruments = []

@@ -671,8 +671,7 @@ def test_a_planted_nan_in_a_middle_dsum_chunk_fails_commutation_at_its_trial(mon
         op = real(side, *raw)
         position = bad - sum(chunks[:-1])
         if side == 1 and 0 <= position < chunks[-1]:
-            group, row = op.op_block._places
-            op.op_block.kraus[group[position]][row[position], 0, 0, 0] = math.nan
+            op.op_block.kraus[position, 0, 0, 0] = math.nan
         return op
 
     def evaluate(drawn):
@@ -786,14 +785,12 @@ def test_a_planted_nan_in_a_middle_composite_chunk_fails_commutation_at_its_tria
     def planted(bip, ta, tb):
         # A NaN in trial ``bad``'s finished left transformation, once its chunk is drawn.
         position = bad - sum(chunks)
-        n = len(tb.payload)
+        # A classical stack is an (n, d, d) array, a quantum one an (n, r, d, d) Kraus array.
+        stack = ta.payload if isinstance(ta.payload, np.ndarray) else ta.payload.kraus
+        n = len(stack)
         chunks.append(n)
         if 0 <= position < n:
-            if isinstance(ta.payload, np.ndarray):
-                ta.payload[position, 0, 0] = math.nan
-            else:
-                group, row = ta.payload._places
-                ta.payload.kraus[group[position]][row[position], 0, 0, 0] = math.nan
+            stack[(position,) + (0,) * (stack.ndim - 1)] = math.nan
         return real(bip, ta, tb)
 
     monkeypatch.setattr(cli, "commutation_defect", planted)
@@ -820,7 +817,7 @@ def test_a_leaky_stacked_quantum_embedding_fails_opcore_commutation(
         if side == 1:
             return embedded
         flip = np.kron(quantum.PAULI_X, np.eye(self.d2))
-        return quantum.KrausStack(tuple(k @ flip for k in embedded.kraus), embedded.trials)
+        return quantum.KrausOp._trusted(embedded.kraus @ flip)
 
     monkeypatch.setattr(quantum.QuantumBipartite, "_embed", leaky)
     code, rep = _json_report(["--suite", "opcore", "--trials", "10"], tmp_path, capsys)
