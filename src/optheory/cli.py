@@ -53,6 +53,7 @@ from .quantum import (
     QuantumBipartite,
     QuantumModel,
     biconditional_report,
+    finish_outcomes,
     no_signaling_trial_defects,
     quantum_no_signaling_check,
     quantum_no_signaling_defects,
@@ -176,23 +177,18 @@ def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> t
     return g, n_out, complex_gaussian(rng, n_out * cfg.d1, cfg.d1)
 
 
-def _quantum_nosig_evaluate(cfg: SuiteConfig, model, drawn: list):
+def _quantum_nosig_evaluate(cfg: SuiteConfig, drawn: list):
     """The defect columns of a chunk of trials, one stacked call per outcome
-    count and one column per check, its groups end to end."""
+    count, each group's columns as they come."""
     g, counts, a = zip(*drawn)
     rho = unit_trace(gram(np.array(g)))
     counts = np.array(counts)
-    columns = {}
     for n_out in dict.fromkeys(counts.tolist()):
         trials = np.flatnonzero(counts == n_out)
-        action = model.finish_action(np.array([a[k] for k in trials]))
-        outcomes = [t.payload for t in action.transformations]
+        outcomes = finish_outcomes(np.array([a[k] for k in trials]), cfg.d1)
         found = quantum_no_signaling_defects(rho[trials], outcomes, cfg.d1, cfg.d2)
         for name, rows, defects in no_signaling_trial_defects(*found, cfg.tol):
-            columns.setdefault(name, []).append((trials[rows], defects))
-    for name, parts in columns.items():
-        rows, defects = map(np.concatenate, zip(*parts))
-        yield name, rows, defects
+            yield name, trials[rows], defects
 
 
 def _run_quantum_nosig(cfg: SuiteConfig, ran: list) -> list:
@@ -290,7 +286,7 @@ def trial_reports(cfg: SuiteConfig) -> dict[str, list[TrialReport]]:
         "quantum-nosig": [] if cfg.fixture is not None else [
             TrialReport(
                 "quantum-no-signaling[random]",
-                partial(_quantum_nosig_draw, cfg), partial(_quantum_nosig_evaluate, cfg, quantum),
+                partial(_quantum_nosig_draw, cfg), partial(_quantum_nosig_evaluate, cfg),
                 cfg.trials, {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL},
                 lambda r: replace(r, max_defect=r.checks[0].defect),  # the averaged instrument's
             ),

@@ -379,7 +379,7 @@ def trusted_reduced_min_eigs(am: np.ndarray, rm: np.ndarray, d1: int, d2: int) -
     of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``, both
     symmetrized and trusted: no eigensolve checks either.  The suite's own
     ``G G^dag`` draws are PSD by construction;
-    :func:`reduced_positivity_min_eigs` validates anything else first.
+    :func:`reduced_positivity_min_eig` validates anything else first.
 
     A trial whose product or reduction is not finite gets a NaN low, so a
     NaN in one draw fails that trial alone.  Its matrices are zeroed before
@@ -397,16 +397,23 @@ def trusted_reduced_min_eigs(am: np.ndarray, rm: np.ndarray, d1: int, d2: int) -
     return lows
 
 
-def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
-    """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
-    of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``.
+def reduced_positivity_min_eig(a, r, d1: int, d2: int):
+    """Smallest eigenvalue of Tr_1[(A (x) I) R] for PSD A and R (must be >= 0).
+
+    This is the kernel fact behind the trace-preservation equivalence: a
+    positive local filter cannot push the remote reduction out of the
+    positive cone.  Stacks of PSD ``A`` ``(n, d1, d1)`` and PSD ``R``
+    ``(n, D, D)`` give the ``(n,)`` lows of their pairs, each equal to the
+    call on that pair alone.
 
     The validating form of :func:`trusted_reduced_min_eigs`, for input from
-    outside the package: it checks that both stacks are finite, Hermitian
-    and PSD (one eigensolve each) and of matching lengths, runs that kernel,
-    and refuses a reduction that is not finite.  Each entry equals
-    :func:`reduced_positivity_min_eig` of its pair alone.
+    outside the package: it checks that both are finite, Hermitian and PSD
+    (one eigensolve each) and that stacks match in length, runs that
+    kernel, and refuses a reduction that is not finite.
     """
+    one = np.ndim(a) != 3
+    if one:
+        a, r = as_matrix(a, square=True)[None], as_matrix(r, square=True)[None]
     am = require_psd_stack(a, "local operator A must be PSD")
     rm = require_psd_stack(r, "joint operator R must be PSD")
     if am.shape[-1] != d1:
@@ -416,19 +423,7 @@ def reduced_positivity_min_eigs(a, r, d1: int, d2: int) -> np.ndarray:
     lows = trusted_reduced_min_eigs(am, rm, d1, d2)
     if np.isnan(lows).any():  # finite operands whose product overflows
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return lows
-
-
-def reduced_positivity_min_eig(a, r, d1: int, d2: int) -> float:
-    """Smallest eigenvalue of Tr_1[(A (x) I) R] for PSD A and R (must be >= 0).
-
-    This is the kernel fact behind the trace-preservation equivalence: a
-    positive local filter cannot push the remote reduction out of the
-    positive cone.  One matrix each: :func:`reduced_positivity_min_eigs` of
-    a stack of one.
-    """
-    pair = (as_matrix(a, square=True)[None], as_matrix(r, square=True)[None])
-    return float(reduced_positivity_min_eigs(*pair, d1, d2)[0])
+    return float(lows[0]) if one else lows
 
 
 # Thresholds of the two quantum verifiers.  A trace defect <= TRACE_TOL counts
@@ -559,7 +554,9 @@ def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
     (so the trace-preserved branch is exercised nontrivially).  Each trial
     makes a raw draw; a chunk of them is finished and evaluated as stacks,
     one stacked call per draw kind and Kraus count or filter rank, each
-    trial's defects equal to those of its draw evaluated alone.
+    trial's defects equal to those of its draw evaluated alone.  Each
+    trace-preserved trial is a row of ``no_trace_preserved_case``, whose
+    folded row count the finish gates on.
     """
 
     def draw(rng: np.random.Generator, k: int) -> tuple:
@@ -599,31 +596,29 @@ def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
             )
             yield rows, trace_defects, reduced_defects
 
-    preserved_cases = 0
-
     def evaluate(drawn: list):
-        """A chunk's biconditional column, its groups end to end; counts trace-preserved trials."""
-        nonlocal preserved_cases
-        rows, trace_defects, reduced_defects = map(np.concatenate, zip(*defects(drawn)))
-        preserved_cases += int(np.count_nonzero(trace_defects <= TRACE_TOL))
-        yield "biconditional", rows, _biconditional_defect(trace_defects, reduced_defects)
+        """A chunk's biconditional column and, at its trace-preserved trials, a
+        ``no_trace_preserved_case`` column of zeros, group by group."""
+        for rows, trace_defects, reduced_defects in defects(drawn):
+            yield "biconditional", rows, _biconditional_defect(trace_defects, reduced_defects)
+            yield "no_trace_preserved_case", rows[trace_defects <= TRACE_TOL], 0.0
 
     def conclude(report: VerificationReport) -> VerificationReport:
-        """Add the worst trial's witness and the trace-preserved count, reset for a next run."""
-        nonlocal preserved_cases
-        (violation,) = checks = report.checks
+        """Add the worst trial's witness, and gate on the trace-preserved count."""
+        violation, preserved = report.checks
         worst, witness = violation.worst_trial, None
         if violation.defect > 0.0:
             ((_, (t,), (x,)),) = defects([draw(trial_rng(report.seed, worst), worst)])
             witness = {"trial": worst, "trace_defect": float(t), "reduced_defect": float(x)}
         # The trace-preserved branch must be exercised, or the audit is vacuous.
         # Trial 1 draws the first channel (kind 1), so one trial cannot exercise it.
+        count, checks = preserved.evaluations, (violation,)
         if trials > 1:
-            checks += (Check("no_trace_preserved_case", float(preserved_cases == 0), 0.0),)
-        details, preserved_cases = {"trace_preserved_cases": preserved_cases}, 0
+            checks += (Check(preserved.name, float(count == 0), preserved.tol),)
+        details = {"trace_preserved_cases": count}
         return replace(report, checks=checks, witness=witness, details=details)
 
-    tols = {"biconditional": REDUCED_TOL}
+    tols = {"biconditional": REDUCED_TOL, "no_trace_preserved_case": 0.0}
     return TrialReport("trace-biconditional", draw, evaluate, trials, tols, conclude)
 
 

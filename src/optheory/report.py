@@ -42,19 +42,23 @@ class Check:
     """One named gate of a report: its worst defect, its tolerance, and the
     smallest index of a trial at that defect, whatever order the trials were
     folded in (None when no trial evaluated the check, or when the check is
-    made once per report).  ``evaluated`` is False for a trial suite's check
-    that no trial evaluated; the text summary says so, the JSON does not
-    carry it."""
+    made once per report).  ``evaluations`` counts the trials whose columns
+    covered the check (1 for a check made once per report); the text
+    summary says when it is 0, the JSON does not carry it."""
 
     name: str
     defect: float
     tol: float
     worst_trial: int | None = None
-    evaluated: bool = field(default=True, compare=False, repr=False)
+    evaluations: int = field(default=1, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return self.defect <= self.tol  # False for NaN
+
+    @property
+    def evaluated(self) -> bool:
+        return self.evaluations > 0
 
 
 # A chunk of trials holds at most about this many drawn array entries: 2^15
@@ -120,14 +124,17 @@ def fold_checks(columns: Iterable[tuple[str, np.ndarray, np.ndarray]], tols: dic
     ``tols`` names every check, in report order, with its tolerance.  A
     check's defect is its largest, NaN and negative ones as +inf
     (:func:`worst_defects`), and its ``worst_trial`` the smallest trial
-    index at that defect, whatever order the columns come in.
+    index at that defect, whatever order the columns come in; its
+    ``evaluations`` the number of rows its columns hold.
     """
     worst = dict.fromkeys(tols, 0.0)
     at: dict[str, int | None] = dict.fromkeys(tols)
+    count = dict.fromkeys(tols, 0)
     for name, trials, defects in columns:
         running = worst[name]  # a KeyError for a check ``tols`` does not name
         if not len(defects):
             continue
+        count[name] += len(defects)
         folded = worst_defects(defects)
         top = float(folded.max())
         if at[name] is not None and top < running:
@@ -138,7 +145,7 @@ def fold_checks(columns: Iterable[tuple[str, np.ndarray, np.ndarray]], tols: dic
         else:
             at[name] = min(at[name], first)
     return [
-        Check(name, worst[name], tol, at[name], evaluated=at[name] is not None)
+        Check(name, worst[name], tol, at[name], evaluations=count[name])
         for name, tol in tols.items()
     ]
 
@@ -220,7 +227,7 @@ class VerificationReport:
             out["details"] = details
         if self.checks:
             out["checks"] = [
-                {k: v for k, v in asdict(c).items() if k != "evaluated"} for c in self.checks
+                {k: v for k, v in asdict(c).items() if k != "evaluations"} for c in self.checks
             ]
         return out
 

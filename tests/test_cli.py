@@ -638,10 +638,7 @@ def test_printed_checks_match_the_trial_table(d1, d2, tol, rejected_fixture, tmp
             assert set(checks) <= ONCE_PER_REPORT[leaf["suite"]], leaf["suite"]
             continue
         ran.add(leaf["suite"])
-        tols = dict(records[leaf["suite"]].tols)
-        if leaf["suite"] == "trace-biconditional":  # its finish adds a check made once
-            tols["no_trace_preserved_case"] = 0.0
-        assert checks == tols, leaf["suite"]
+        assert checks == records[leaf["suite"]].tols, leaf["suite"]
     assert ran == set(records)
 
 

@@ -13,6 +13,10 @@ The kernels are the unvalidated ones (``KrausOp._trusted``): integer Kraus
 sets do not preserve or decrease the trace, and these identities need no
 physics.
 
+Composition is associative and distributes over coarse-graining,
+``(a + b) then c = (a then c) + (b then c)``: both are polynomial
+identities of the same kind, exact on these entries.
+
 Two more identities are exact for the same reason.  A stack of operations
 of mixed Kraus ranks is padded with zero operators, which leaves every
 trial's map unchanged; so each kernel on the padded stack gives each
@@ -118,6 +122,53 @@ def test_a_compose_scaled_by_one_plus_1e_9_is_caught(dims, seed, monkeypatch):
     model = QuantumModel(dims[0] * dims[1])
     t = Transformation(model, integer_kraus(trial_rng(seed), model.d))
     assert model.transformation_distance(model.compose(model.identity(), t), t) > 0.0
+
+
+# Kraus ranks of a, b and c in the associativity and distributivity tests, one
+# triple per seed.  c has rank 2 or more, so a coarse-graining that drops b's
+# last operator drops one product of the distributed side and several of the other.
+RANK_TRIPLES = [(1, 2, 3), (2, 3, 2), (3, 1, 2), (3, 3, 3)]
+
+
+def algebra_gaps(seed: int, d: int) -> dict[str, float]:
+    """The Choi distances of the two sides of associativity and distributivity
+    on integer Kraus sets a, b and c, through the module's own kernels."""
+    rng = trial_rng(seed)
+    a, b, c = (integer_kraus(rng, d, rank) for rank in RANK_TRIPLES[seed])
+    compose, coarse = quantum.compose_kraus, quantum.coarse_grain_kraus
+    return {
+        "associativity": choi_distance(compose(compose(a, b), c), compose(a, compose(b, c))),
+        "distributivity": choi_distance(
+            compose(coarse(a, b), c), coarse(compose(a, c), compose(b, c))
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_composition_is_associative_and_distributes_over_coarse_graining(d, seed):
+    assert algebra_gaps(seed, d) == {"associativity": 0.0, "distributivity": 0.0}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_compose_that_drops_its_last_product_is_caught(d, seed, monkeypatch):
+    real = quantum.compose_kraus
+    monkeypatch.setattr(
+        quantum, "compose_kraus", lambda f, t: KrausOp._trusted(real(f, t).kraus[:-1])
+    )
+    gaps = algebra_gaps(seed, d)
+    assert gaps["associativity"] > 0.0 and gaps["distributivity"] > 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_coarse_graining_that_drops_the_last_operator_of_b_is_caught(d, seed, monkeypatch):
+    real = quantum.coarse_grain_kraus
+    monkeypatch.setattr(
+        quantum, "coarse_grain_kraus", lambda a, b: real(a, KrausOp._trusted(b.kraus[:-1]))
+    )
+    assert algebra_gaps(seed, d)["distributivity"] > 0.0
 
 
 # Kraus ranks of the trials of the two padded stacks: each has trials below its

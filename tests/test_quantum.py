@@ -382,11 +382,11 @@ class TestReducedPositivity:
         a = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
         r = np.broadcast_to(np.eye(4), (3, 4, 4))
         with pytest.raises(ValueError, match="local operator A must be PSD"):
-            quantum.reduced_positivity_min_eigs(a, r, 2, 2)
+            reduced_positivity_min_eig(a, r, 2, 2)
         with pytest.raises(ValueError, match="joint operator R must be PSD"):
-            quantum.reduced_positivity_min_eigs(r[:, :2, :2], -r, 2, 2)
+            reduced_positivity_min_eig(r[:, :2, :2], -r, 2, 2)
         with pytest.raises(ValueError, match="3 local operators for 2 joint operators"):
-            quantum.reduced_positivity_min_eigs(r[:, :2, :2], r[:2], 2, 2)
+            reduced_positivity_min_eig(r[:, :2, :2], r[:2], 2, 2)
 
     def test_a_reduction_that_overflows_is_refused_not_returned(self):
         # Finite PSD operands pass validation; their product does not fit a float.

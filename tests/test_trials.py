@@ -79,10 +79,13 @@ class TestRunTrials:
         checks = run_trials(0, range(4), _index, evaluate, {"a": 1.0, "b": 1.0})
         assert checks == [Check("a", 2.0, 1.0, 1), Check("b", 0.0, 1.0, 0)]
         assert [c.passed for c in checks] == [False, True]
+        assert [c.evaluations for c in checks] == [4, 4]
 
     def test_check_never_evaluated_has_no_worst_trial(self):
         (check,) = run_trials(3, range(5), _index, _each_trial(lambda k: {}), {"rare": 1e-9})
         assert check == Check("rare", 0.0, 1e-9, None)
+        assert check.evaluations == 0 and not check.evaluated
+        assert Check("once", 0.0, 0.0).evaluated  # a check made once per report
 
     def test_nan_counts_as_inf(self):
         values = [0.1, math.nan, math.inf]
@@ -172,13 +175,18 @@ def _column(name: str, trials: list, defects: list) -> tuple:
 
 def _quantum_nosig_columns() -> list:
     """The random quantum-nosig loop's columns at (3,3): a full chunk and a
-    partial one, each yielding one column per check, its outcome-count
-    groups end to end, so the trials of a column are out of order."""
+    partial one, each yielding one column per check and outcome-count group
+    (2, 3 and 4 outcomes), so each check arrives in six columns whose
+    trials, end to end, are out of order.  No trial evaluates
+    ``trace_preserving_outcomes``, so its six columns are empty."""
     cfg = SuiteConfig("quantum-nosig", seed=0, d1=3, d2=3)
     draw = partial(cli._quantum_nosig_draw, cfg)
-    evaluate = partial(cli._quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
+    evaluate = partial(cli._quantum_nosig_evaluate, cfg)
     columns = list(trial_outcomes(cfg.seed, range(400), draw, evaluate))
-    assert len(columns) == 4 and not all(np.diff(np.concatenate([t for _, t, _ in columns])) > 0)
+    for check in QNOSIG_TOLS:
+        assert [name for name, _, _ in columns].count(check) == 6, check
+    trials = np.concatenate([t for name, t, _ in columns if name == "no_signaling"])
+    assert not all(np.diff(trials) > 0) and sorted(trials.tolist()) == list(range(400))
     return columns
 
 
@@ -275,6 +283,53 @@ def test_two_shards_reproduce_the_full_run(suite, monkeypatch):
         assert _per_trial(halves[0]) | _per_trial(halves[1]) == _per_trial(full), name
         tols = dict.fromkeys((check for check, _, _ in full), 1.0)
         assert _merge(*(fold_checks(h, tols) for h in halves)) == fold_checks(full, tols), name
+
+
+TABLE_CFG = SuiteConfig("all", trials=20, d1=2, d2=3)
+TABLE = [record for records in cli.trial_reports(TABLE_CFG).values() for record in records]
+
+
+@pytest.mark.parametrize("record", TABLE, ids=[record.name for record in TABLE])
+def test_a_record_reports_alike_after_its_trials_run_outside_it(record):
+    # A record keeps no state between runs: a shard or a replay of its trials
+    # through run_trials leaves its next report as it was.
+    before = record.run(3).to_dict()
+    run_trials(3, range(record.trials), record.draw, record.evaluate, record.tols)
+    assert record.run(3).to_dict() == before
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 2), (6, 6)])
+@pytest.mark.parametrize("trials", [1, 2, 30, 31])
+def test_the_biconditional_counts_every_channel_and_aligned_filter(d1, d2, trials):
+    # Kinds 1 (channels) and 2 (filters aligned with the state) preserve the
+    # trace; kind 0 (generic selective operations) never does.
+    record = quantum.biconditional_report(trials, d1, d2)
+    expected = sum(k % 3 != 0 for k in range(trials))
+    checks = run_trials(0, range(trials), record.draw, record.evaluate, record.tols)
+    assert [c.evaluations for c in checks] == [trials, expected]
+    rep = record.run(0)
+    assert rep.details == {"trace_preserved_cases": expected}
+    assert [c.name for c in rep.checks][1:] == ["no_trace_preserved_case"] * (trials > 1)
+
+
+def _evaluations(record, seed: int, indices) -> dict:
+    """``{check: evaluations}`` of ``record``'s trials ``indices``."""
+    checks = run_trials(seed, indices, record.draw, record.evaluate, record.tols)
+    return {c.name: c.evaluations for c in checks}
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 3)])
+def test_quantum_nosig_evaluations_of_two_shards_add_up_to_the_full_run(d1, d2):
+    cfg = SuiteConfig("quantum-nosig", trials=50, d1=d1, d2=d2, seed=4)
+    random, biconditional = cli.trial_reports(cfg)["quantum-nosig"]
+    for record in (random, biconditional):
+        full = _evaluations(record, cfg.seed, range(50))
+        halves = [_evaluations(record, cfg.seed, r) for r in (range(23), range(23, 50))]
+        assert {name: halves[0][name] + halves[1][name] for name in full} == full, record.name
+    # Haar-random outcomes never preserve the trace, so no trial evaluates that gate.
+    assert _evaluations(random, cfg.seed, range(50)) == {
+        "no_signaling": 50, "trace_preserving_outcomes": 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +570,10 @@ def test_the_trusted_lemma_kernel_equals_the_validating_one_bit_for_bit(d1, d2, 
     rng = np.random.default_rng(seed)
     a, r = (gram(complex_gaussian(rng, n * d, d).reshape(n, d, d)) for d in (d1, d1 * d2))
     trusted = quantum.trusted_reduced_min_eigs(hermitian_part(a), hermitian_part(r), d1, d2)
-    validated = quantum.reduced_positivity_min_eigs(a, r, d1, d2)
+    validated = quantum.reduced_positivity_min_eig(a, r, d1, d2)
     assert trusted.tobytes() == validated.tobytes()
+    alone = [quantum.reduced_positivity_min_eig(*pair, d1, d2) for pair in zip(a, r)]
+    assert validated.tolist() == alone
 
 
 def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
@@ -755,7 +812,7 @@ def test_two_composite_shards_split_inside_a_chunk_reproduce_the_full_run(kind):
 def test_two_random_quantum_nosig_shards_split_inside_a_chunk_reproduce_the_full_run():
     cfg = SuiteConfig("quantum-nosig", seed=2, d1=6, d2=6)
     draw = partial(cli._quantum_nosig_draw, cfg)
-    evaluate = partial(cli._quantum_nosig_evaluate, cfg, QuantumModel(cfg.d1))
+    evaluate = partial(cli._quantum_nosig_evaluate, cfg)
     _shards_split_inside_a_chunk(cfg.seed, 60, draw, evaluate)
 
 
