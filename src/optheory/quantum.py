@@ -35,12 +35,18 @@ Information*, section 2.2), so this is also the max-abs distance of the
 superoperators, and neither depends on the Kraus decomposition.  With
 ``W = [vec(A_k); vec(B_k)]`` and ``S = [conj(vec(A_k)); -conj(vec(B_k))]``
 stacked as rows, ``J(A) - J(B) = W^T S``.  That difference is Hermitian, so
-:func:`choi_distance` evaluates only its upper block triangle, one block of
-``CHOI_BLOCK`` rows at a time, and never holds the whole ``D^2 x D^2`` matrix:
-at D = 36 its temporaries take about 2 MB instead of 40 MB.  A stack of
-trials is taken as many trials at a time as keep one block product within
-``CHOI_STACK_ENTRIES`` entries, one trial at a time at D = 36, so a stack's
-temporaries stay about as small as one operation's.
+:func:`choi_distance` evaluates only its upper block triangle and never holds
+the whole ``D^2 x D^2`` matrix (40 MB at D = 36).  Up to D = 32 it takes a
+stack as many trials at a time as keep one complex block product of
+``CHOI_BLOCK`` rows within ``CHOI_STACK_ENTRIES`` entries, 2 MB.  From D = 33
+it takes one trial at a time, without its zero Kraus operators, in real
+arithmetic on square tiles of ``CHOI_TILE``, 0.75 MB: there a complex product
+of inner dimension r, a few Kraus operators, is slow.  Dropping the zero
+operators makes a padded trial's distance equal its unpadded one bit for bit
+on any BLAS.  The batched route cannot drop them, as its trials share one
+padded rank, and stays complex: ``tests/test_stacks.py`` checks that the BLAS
+in use leaves complex products unchanged by zero padding, and OpenBLAS
+0.3.31's real products on small tiles do not.
 """
 
 from __future__ import annotations
@@ -279,14 +285,20 @@ def complement_kraus(m: KrausOp) -> KrausOp:
     return KrausOp._trusted([psd_sqrt(np.eye(m.dim_in) - m.trace_operator())])
 
 
-# Rows of W^T per product in choi_distance.  At D = 36, 32 and 64 rows run
-# equally fast; 64 keeps every operation up to D = 8 in one block, where two
-# blocks of 32 cost a 6-dim local operation half as much again.
+# Rows of W^T per product in choi_distance's batched route.  64 keeps every
+# operation up to D = 8 in one block, where two blocks of 32 cost a 6-dim
+# local operation half as much again.
 CHOI_BLOCK = 64
-# Entries of one block product in choi_distance, all trials of a stacked call
-# together: 2^17 complex entries are 2 MB.  A stack takes as many trials per
-# product as fit, and at least one.
+# Entries of one block product in the batched route, all trials of a stacked
+# call together: 2^17 complex entries are 2 MB.  A stack takes as many trials
+# per product as fit; where not even two fit (D >= 33), it takes the
+# one-trial route instead.
 CHOI_STACK_ENTRIES = 2**17
+# Side of the square tiles of Re J and Im J in the one-trial route.  Its two
+# float buffers take 0.75 MB and stay in a core's L2 cache, and 216 divides
+# D^2 = 1296 at D = 36; there 144 ran about as fast, 324 40% slower and 432
+# twice as slow.
+CHOI_TILE = 216
 
 
 def choi_distance(a, b):
@@ -300,21 +312,64 @@ def choi_distance(a, b):
 
     ``W^T S`` is Hermitian (entry (j, i) is the conjugate of entry (i, j)),
     so its largest entry lies in the upper triangle, and so does entry
-    (i, i), which turns NaN for a NaN in column i of ``W``.  Rows
-    ``i:i+CHOI_BLOCK`` of ``W^T`` are therefore multiplied only with the
-    columns ``i:`` of ``S``; the block maxima are folded with ``np.maximum``,
-    which keeps a NaN.  The peak temporary is one block of
-    ``CHOI_BLOCK * D^2`` complex entries per trial, not the ``D^2 x D^2``
-    matrix.  Stacks of operations give one distance per trial, computed for
-    as many trials at a time as keep a block product within
-    ``CHOI_STACK_ENTRIES`` (one at a time at D = 36).
+    (i, i), which turns NaN for a NaN in column i of ``W``.  Both routes
+    evaluate only an upper block triangle and fold the block maxima with
+    ``np.maximum``, which keeps a NaN.  Stacks of operations give one
+    distance per trial.  The route depends on the Kraus dimension alone.
+
+    Batched (D <= 32): rows ``i:i+CHOI_BLOCK`` of ``W^T`` are multiplied
+    with the columns ``i:`` of ``S``, for as many trials at a time as keep
+    a block product within ``CHOI_STACK_ENTRIES`` complex entries, and
+    ``abs`` is taken.  Zero padding changes no result as long as the BLAS
+    leaves complex products unchanged by it.
+
+    One trial at a time (D >= 33, where not two trials fit): there a
+    complex product of inner dimension r is slow.  Each trial's exactly-zero
+    Kraus operators are dropped first (a NaN is kept, since ``nan != 0``; a
+    side left with none keeps one zero operator), so a padded trial and the
+    same trial unpadded give the same ``W`` and the same distance, bit for
+    bit, on any BLAS; real products on small tiles need not be invariant to
+    zero padding, which is why the batched route stays complex.  ``W^T`` is
+    laid out as reals in ``(Re, Im)`` column pairs, and each square tile of
+    ``CHOI_TILE`` in the upper block triangle takes two real products into
+    reused buffers, ``Re J`` and ``Im J``, reduced in place to
+    ``max(Re^2 + Im^2)``; the square root is returned.  The squares limit
+    the range: a finite entry above about 1e154 reads inf, so the check
+    fails rather than passes, and a distance below about 1e-154, far under
+    every tolerance, loses digits or reads 0.
     """
     ka, kb = a.kraus, b.kraus
     if ka.shape[-2:] != kb.shape[-2:]:
         raise ValueError(f"operations map {ka.shape[-2:]} and {kb.shape[-2:]}")
     lead = np.broadcast(ka[..., 0, 0, 0], kb[..., 0, 0, 0]).shape
     entries = ka.shape[-2] * ka.shape[-1]
-    per = max(1, CHOI_STACK_ENTRIES // (min(CHOI_BLOCK, entries) * entries))
+    per = CHOI_STACK_ENTRIES // (min(CHOI_BLOCK, entries) * entries)
+    if per <= 1:
+        ka, kb = (np.broadcast_to(k, lead + k.shape[-3:]) for k in (ka, kb))
+        top = np.empty(lead)
+        re, im = np.empty((2, CHOI_TILE, CHOI_TILE))
+        for t in np.ndindex(lead):
+            w = [k[t][(k[t] != 0).any(axis=(-2, -1))].reshape(-1, entries) for k in (ka, kb)]
+            w = [x if len(x) else np.zeros((1, entries), dtype=complex) for x in w]
+            p = np.concatenate(w).T.copy().view(float)
+            # Rows 2k and 2k+1 of q are Re and Im of W's row k, negated for
+            # b's operators, so Re J = p @ q; the pairs (-Im, Re) of qi give Im J.
+            q = p.T.copy()
+            q[2 * len(w[0]) :] *= -1
+            qi = (q.reshape(-1, 2, entries)[:, ::-1] * [[-1], [1]]).reshape(-1, entries)
+            best = 0.0
+            for i in range(0, entries, CHOI_TILE):
+                for j in range(i, entries, CHOI_TILE):
+                    r = re[: min(CHOI_TILE, entries - i), : min(CHOI_TILE, entries - j)]
+                    s = im[: r.shape[0], : r.shape[1]]
+                    np.matmul(p[i : i + CHOI_TILE], q[:, j : j + CHOI_TILE], out=r)
+                    np.matmul(p[i : i + CHOI_TILE], qi[:, j : j + CHOI_TILE], out=s)
+                    r *= r
+                    s *= s
+                    r += s
+                    best = np.maximum(best, r.max())
+            top[t] = best
+        return value(np.sqrt(top))
     if lead and lead[0] > per:
         ka, kb = (np.broadcast_to(k, lead + k.shape[-3:]) for k in (ka, kb))
         return np.concatenate([
@@ -324,7 +379,7 @@ def choi_distance(a, b):
     ra = ka.shape[-3]
     # Not coarse_grain_kraus: a KrausOp rejects a NaN entry that this distance must
     # report.  W is filled by assignment, which broadcasts the leading axes.
-    w = np.empty(lead + (ra + kb.shape[-3], ka.shape[-2] * ka.shape[-1]), dtype=complex)
+    w = np.empty(lead + (ra + kb.shape[-3], entries), dtype=complex)
     w[..., :ra, :] = ka.reshape(ka.shape[:-2] + (-1,))
     w[..., ra:, :] = kb.reshape(kb.shape[:-2] + (-1,))
     s = w.conj()

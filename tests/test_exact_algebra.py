@@ -46,7 +46,8 @@ from optheory.quantum import (
 )
 from optheory.sampling import trial_rng
 
-DIMS = [(2, 2), (3, 3)]
+# (6, 6) runs choi_distance's one-trial real route, at D = 36.
+DIMS = [(2, 2), (3, 3), (6, 6)]
 SEEDS = range(4)
 
 

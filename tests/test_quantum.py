@@ -11,6 +11,8 @@ from optheory.linalg import hermitian_coords, min_eig_herm, partial_trace, tenso
 from optheory.report import run_trials
 from optheory.quantum import (
     CHOI_BLOCK,
+    CHOI_STACK_ENTRIES,
+    CHOI_TILE,
     PAULI_X,
     IncompleteInstrument,
     Instrument,
@@ -138,8 +140,9 @@ def dense_choi_distance(a: KrausOp, b: KrausOp) -> float:
 
 
 class TestBlockedChoiDistance:
-    """The upper block triangle, taken ``CHOI_BLOCK`` rows at a time, holds
-    the largest entry of the whole Hermitian difference."""
+    """The upper block triangle, taken ``CHOI_BLOCK`` rows at a time or in
+    square tiles of ``CHOI_TILE``, holds the largest entry of the whole
+    Hermitian difference."""
 
     @pytest.mark.parametrize("d", [5, 9, 36])
     def test_matches_the_dense_product(self, d):
@@ -162,10 +165,14 @@ class TestBlockedChoiDistance:
         assert 0.01 < reference < 10.0
         assert abs(choi_distance(a, b) - reference) <= 1e-14
 
-    def test_largest_entry_in_the_last_partial_block(self):
-        d = 9
-        last = (d * d - 1) // CHOI_BLOCK * CHOI_BLOCK
-        assert CHOI_BLOCK <= last < d * d
+    @pytest.mark.parametrize("d, block", [(9, CHOI_BLOCK), (34, CHOI_TILE)])
+    def test_largest_entry_in_the_last_partial_block(self, d, block):
+        # d = 9 takes the batched route in blocks of CHOI_BLOCK rows, d = 34
+        # the one-trial route in square tiles of CHOI_TILE.
+        one_trial = CHOI_STACK_ENTRIES < 2 * CHOI_BLOCK * d * d
+        assert one_trial == (block == CHOI_TILE) and (d * d) % block != 0
+        last = (d * d - 1) // block * block
+        assert block <= last < d * d
         rng = trial_rng(61)
         common = 0.05 * complex_gaussian(rng, 2 * d, d).reshape(2, d, d)
         # An extra Kraus operator on two vec indices of the last block adds
@@ -201,8 +208,12 @@ class TestBlockedChoiDistance:
         a = KrausOp(haar_isometry_blocks(rng, 36, 2)[:1])
         b = KrausOp(a.kraus.copy())
         assert choi_distance(a, b) < 1e-14
-        a.kraus[0, 35, 35] = np.nan  # the last vec index: the last, partial block
+        a.kraus[0, 35, 35] = np.nan  # the last vec index: the last block
         assert np.isnan(choi_distance(a, b))
+        # In a stack, only the trial that holds the NaN reads NaN.
+        distances = choi_distance(KrausOp._trusted(np.stack([b.kraus, a.kraus, b.kraus])), b)
+        assert np.isnan(distances).tolist() == [False, True, False]
+        assert distances[0] == distances[2] < 1e-14
         def evaluate(drawn):
             yield "commutation", slice(None), choi_distance(a, b)  # one NaN for every trial
 

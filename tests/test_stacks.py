@@ -40,6 +40,7 @@ from optheory.linalg import trace_norm
 from optheory.quantum import (
     CHOI_BLOCK,
     CHOI_STACK_ENTRIES,
+    CHOI_TILE,
     KrausOp,
     QuantumBipartite,
     Instrument,
@@ -372,16 +373,46 @@ def test_stacked_no_signaling_kernel_equals_the_one_trial_check(d1, d2, n, outco
 
 def test_stacked_choi_distance_at_d36_equals_the_one_trial_distances():
     # One trial's block product is CHOI_BLOCK x 1296 entries, more than
-    # CHOI_STACK_ENTRIES allow two of: the stack is taken one trial at a time.
+    # CHOI_STACK_ENTRIES allow two of: each trial is taken alone, in real
+    # arithmetic, after its zero Kraus operators are dropped.
     assert CHOI_STACK_ENTRIES < 2 * CHOI_BLOCK * 36**2
     rng = trial_rng(64)
-    a = _ops(rng, 36, [1, 2, 2, 1, 2])
-    b = _ops(rng, 36, [1, 1, 1, 1, 1])
+    a = _ops(rng, 36, [1, 2, 2, 1, 2, 3])
+    a[5].kraus[1] = 0  # an exactly-zero Kraus operator between two live ones
+    a.append(KrausOp._trusted(np.zeros((2, 36, 36))))  # the zero operation
+    b = _ops(rng, 36, [1] * 7)
     distances = choi_distance(_stack(a), _stack(b))
     same_rank = choi_distance(KrausOp._trusted(np.stack([a[1].kraus, a[2].kraus])), b[2])
-    for k in range(5):
+    broadcast = choi_distance(_stack(a), b[0])
+    for k in range(7):
         assert distances[k] == choi_distance(a[k], b[k])
+    assert distances[5] == choi_distance(KrausOp._trusted(a[5].kraus[[0, 2]]), b[5])
+    assert distances[6] == choi_distance(KrausOp._trusted(np.zeros((1, 36, 36))), b[6]) > 0.0
     assert same_rank.tolist() == [choi_distance(a[k], b[2]) for k in (1, 2)]
+    assert broadcast.tolist() == [choi_distance(x, b[0]) for x in a]
+
+
+def test_the_one_trial_choi_route_multiplies_only_live_kraus_operators(monkeypatch):
+    # Dropping the exactly-zero operators, not the BLAS, makes a padded trial
+    # give its unpadded distance: each real product's inner dimension is
+    # twice the trial's live operators, and one zero operator stands in for
+    # a side with none.
+    inner, matmul = [], np.matmul
+
+    def spy(x, y, **kwargs):
+        inner.append(x.shape[-1])
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = trial_rng(66)
+    a = _ops(rng, 36, [1, 3, 2])
+    a[1].kraus[1] = 0
+    a[2].kraus[:] = 0
+    b = _ops(rng, 36, [2, 2, 1])
+    choi_distance(_stack(a), _stack(b))
+    products = 2 * (6 * 7 // 2)  # Re and Im on the upper triangle of 6 x 6 tiles
+    assert 36**2 == 6 * CHOI_TILE
+    assert inner == [2 * (1 + 2)] * products + [2 * (2 + 2)] * products + [2 * (1 + 1)] * products
 
 
 def test_a_stacked_choi_distance_at_d36_keeps_its_temporaries_small():
