@@ -18,12 +18,18 @@ Choi matrix (Choi, Linear Algebra Appl. 10, 285 (1975); Watrous, section
 exact zero leaves a floating-point sum unchanged, each trial's result
 equals the kernel on that trial's unpadded operation alone, bit for bit;
 ``tests/test_stacks.py`` checks that the BLAS in use keeps this.
-The verifiers never build ``M (x) I``: :func:`side1_kraus_outputs` reads a joint operator on
+The verifiers never build ``M (x) I``.  They read a joint operator on
 ``d1*d2`` as a ``d1 x (d2*D)`` matrix, so that ``(K (x) I) R`` is the
-product ``K @ R.reshape(d1, -1)``, and applies that product on both sides of
-``R`` for a whole stack of Kraus operators at once.  :func:`local_embed`
-still builds the ``kron`` for :class:`QuantumBipartite`, whose joint
-operations need their Kraus operators.  An operation is validated once,
+product ``K @ R.reshape(d1, -1)`` (:func:`_on_side1`), for a whole stack of
+Kraus operators at once.  :func:`side1_kraus_reductions` gives what the
+verifiers read, the remote reduction ``Tr_1[(K (x) I) R (K (x) I)^dag]`` of
+each operator: it applies ``K`` on the right only inside the d1 diagonal
+``d2 x d2`` blocks that the partial trace sums, and never forms ``K^dag K``,
+whose use in place of the output is the identity the checks verify.
+:func:`side1_kraus_outputs` builds each whole ``D x D`` output, which only
+the biconditional's filtered states need.  :func:`local_embed` still builds
+the ``kron`` for :class:`QuantumBipartite`, whose joint operations need
+their Kraus operators.  An operation is validated once,
 where it is built; kernel results derived from validated operations are
 stored without a second check.
 
@@ -429,6 +435,24 @@ def side1_kraus_outputs(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _on_side1(kraus, left.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
+def side1_kraus_reductions(kraus: np.ndarray, r: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """``Tr_1[(K_k (x) I) R (K_k (x) I)^dag]`` for every ``K_k`` of an
+    ``(..., n, d1, d1)`` stack and joint operators ``R`` ``(..., D, D)``: the
+    remote reductions of :func:`side1_kraus_outputs`, ``(..., n, d2, d2)``.
+
+    The left factor ``Y = (K (x) I) R`` is :func:`_on_side1`.  The partial
+    trace reads only the diagonal blocks ``i = i'`` of ``Y (K (x) I)^dag``,
+    entry ``(a, b)`` of block i being ``sum_j Y[(i, a), (j, b)] conj(K[i, j])``,
+    so the right factor is contracted there alone, row i of ``conj(K)``
+    against block row i of ``Y``, and the blocks are summed over i.  ``K``
+    acts on both sides of ``R``, as in the output: the reduction is never
+    taken from ``K^dag K``, which would assume the identity under test.
+    """
+    y = _on_side1(kraus, r[..., None, :, :])
+    blocks = y.reshape(*y.shape[:-2], d1, d2, d1, d2)
+    return (kraus.conj()[..., :, None, None, :] @ blocks)[..., 0, :].sum(axis=-3)
+
+
 def trusted_reduced_min_eigs(am: np.ndarray, rm: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
     of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``, both
@@ -506,20 +530,29 @@ def quantum_no_signaling_defects(rho, outcomes, d1: int, d2: int) -> tuple:
         raise ValueError("joint state dimension does not match d1*d2")
     if outcomes[0].dim_in != d1:
         raise ValueError(f"instrument acts on dimension {outcomes[0].dim_in}, expected d1={d1}")
-    # All Kraus operators of a trial in one stack.  reduceat sums the traces and
-    # remote reductions of each outcome's run of it: on the D x D outputs it is slower.
+    # All Kraus operators of a trial in one stack.  reduceat sums the remote
+    # reductions of each outcome's run of it.
     kraus = np.concatenate([op.kraus for op in outcomes], axis=-3)
     starts = np.cumsum([0, *(op.kraus.shape[-3] for op in outcomes[:-1])])
-    outs = side1_kraus_outputs(kraus, r)
+    reduced = np.add.reduceat(side1_kraus_reductions(kraus, r, d1, d2), starts, axis=-3)
     weights = np.trace(r, axis1=-2, axis2=-1).real
-    traces = np.add.reduceat(np.trace(outs, axis1=-2, axis2=-1).real, starts, axis=-1)
-    per_kraus = partial_trace(outs.reshape(-1, *r.shape[-2:]), d1, d2, side=1)
-    reduced = np.add.reduceat(per_kraus.reshape(outs.shape[:-2] + (d2, d2)), starts, axis=-3)
+    traces = np.trace(reduced, axis1=-2, axis2=-1).real
     # Trace norms of every outcome's shift and of the average's, in one SVD call.
     shifts = np.concatenate([reduced, reduced.sum(axis=-3)[:, None]], axis=-3)
     shifts -= partial_trace(r, d1, d2, side=1)[:, None]
-    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
+    norms = _trace_norms(shifts)
     return norms[:, -1], np.abs(traces - weights[:, None]), norms[:, :-1]
+
+
+def _trace_norms(shifts: np.ndarray) -> np.ndarray:
+    """The trace norms of a stack of shifts, NaN for each matrix that is not
+    finite.  Such a matrix is zeroed first, in place: the SVD of a matrix
+    holding a NaN does not converge, and raises for the whole stack."""
+    broken = ~np.isfinite(shifts).all(axis=(-2, -1))
+    shifts[broken] = 0.0
+    norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)
+    norms[broken] = np.nan
+    return norms
 
 
 def no_signaling_trial_defects(no_signaling, trace_defects, reduced_defects, tol: float):
@@ -642,14 +675,12 @@ def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
             rows = np.array([k for k, other in enumerate(keys) if other == key])
             a, g = (np.array([drawn[k][j] for k in rows]) for j in (2, 3))
             r, kraus = finish(*key, a, g)
-            joint = side1_kraus_outputs(kraus, r).sum(axis=-3)
+            reduced = side1_kraus_reductions(kraus, r, d1, d2).sum(axis=-3)
             trace_defects = np.abs(
-                np.trace(joint, axis1=-2, axis2=-1).real - np.trace(r, axis1=-2, axis2=-1).real
+                np.trace(reduced, axis1=-2, axis2=-1).real - np.trace(r, axis1=-2, axis2=-1).real
             )
-            reduced_defects = trace_norm(
-                partial_trace(joint, d1, d2, side=1) - partial_trace(r, d1, d2, side=1)
-            )
-            yield rows, trace_defects, reduced_defects
+            shifts = reduced - partial_trace(r, d1, d2, side=1)
+            yield rows, trace_defects, _trace_norms(shifts)
 
     def evaluate(drawn: list):
         """A chunk's biconditional column and, at its trace-preserved trials, a
@@ -690,15 +721,15 @@ def steering_witness(
     r = require_hermitian(rho)
     if m.dim_in != d1:
         raise ValueError(f"operation acts on dimension {m.dim_in}, expected d1={d1}")
-    joint = side1_kraus_outputs(m.kraus, r).sum(axis=0)
-    weight = float(np.trace(joint).real)
+    reduced = side1_kraus_reductions(m.kraus, r, d1, d2).sum(axis=0)
+    weight = float(np.trace(reduced).real)
     total = float(np.trace(r).real)
     if weight >= total - tol:
         raise NotSelective(
             f"outcome preserves the trace on this state ({weight:.6f} of {total:.6f})"
         )
     unconditional = partial_trace(r, d1, d2, side=1) / total
-    conditional = partial_trace(joint, d1, d2, side=1) / weight
+    conditional = reduced / weight
     conditional_distance = trace_norm(conditional - unconditional)
 
     inst = Instrument([m, complement_kraus(m)])

@@ -43,6 +43,7 @@ from optheory.quantum import (
     local_embed,
     scale_kraus,
     side1_kraus_outputs,
+    side1_kraus_reductions,
 )
 from optheory.sampling import trial_rng
 
@@ -242,13 +243,19 @@ def test_padding_with_a_one_entry_matrix_is_caught_at_every_padded_trial(dims, s
 PARTIAL_TRACE_DIMS = [(2, 2), (2, 3), (3, 3)]
 
 
-def reduction_gap(seed: int, d1: int, d2: int) -> float:
+def outputs_reduced(kraus: np.ndarray, r: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """The remote reduction of each whole output of ``side1_kraus_outputs``."""
+    return partial_trace(side1_kraus_outputs(kraus, r), d1, d2, side=1)
+
+
+def reduction_gap(seed: int, d1: int, d2: int, reductions=outputs_reduced) -> float:
     """``max |Tr_1[sum_k (A_k (x) I) R (A_k (x) I)^dag] - Tr_1[(T_A (x) I) R]|`` for
-    an integer Kraus set A and an integer R, the left side through
-    ``side1_kraus_outputs`` and the right through an explicit ``np.kron``."""
+    an integer Kraus set A and an integer R, the left side summed over the
+    per-operator ``reductions`` (default: the partial traces of
+    ``side1_kraus_outputs``) and the right through an explicit ``np.kron``."""
     rng = trial_rng(seed)
     a, r = integer_kraus(rng, d1), integer_positive(rng, d1 * d2)
-    left = partial_trace(side1_kraus_outputs(a.kraus, r).sum(axis=0), d1, d2, side=1)
+    left = reductions(a.kraus, r, d1, d2).sum(axis=0)
     right = partial_trace(np.kron(a.trace_operator(), np.eye(d2)) @ r, d1, d2, side=1)
     return float(np.abs(left - right).max())
 
@@ -274,3 +281,39 @@ def test_a_one_entry_leak_in_the_side1_product_is_caught(dims, seed, monkeypatch
 
     monkeypatch.setattr(quantum, "_on_side1", leaky)
     assert reduction_gap(seed, *dims) > 0.0
+
+
+def contracted_reductions(right, blocks):
+    """``side1_kraus_reductions`` written out, with ``right(K)`` in place of
+    ``conj(K)`` as its right factor and only the side-1 diagonal blocks
+    ``blocks`` summed."""
+
+    def reductions(kraus, r, d1, d2):
+        y = quantum._on_side1(kraus, r[..., None, :, :])
+        y = y.reshape(*y.shape[:-2], d1, d2, d1, d2)
+        per_block = (right(kraus)[..., :, None, None, :] @ y)[..., 0, :]
+        return per_block[..., blocks, :, :].sum(axis=-3)
+
+    return reductions
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", PARTIAL_TRACE_DIMS, ids=str)
+def test_the_reduction_kernel_gives_the_trace_operator_side_exactly(dims, seed):
+    assert reduction_gap(seed, *dims, reductions=side1_kraus_reductions) == 0.0
+    # The mutants below start from this copy of the kernel.
+    assert reduction_gap(seed, *dims, reductions=contracted_reductions(np.conj, slice(None))) == 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", PARTIAL_TRACE_DIMS, ids=str)
+def test_a_reduction_kernel_contracting_with_k_instead_of_its_conjugate_is_caught(dims, seed):
+    mutant = contracted_reductions(lambda k: k, slice(None))
+    assert reduction_gap(seed, *dims, reductions=mutant) > 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", PARTIAL_TRACE_DIMS, ids=str)
+def test_a_reduction_kernel_dropping_the_last_side1_index_is_caught(dims, seed):
+    mutant = contracted_reductions(np.conj, slice(-1))
+    assert reduction_gap(seed, *dims, reductions=mutant) > 0.0

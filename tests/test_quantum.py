@@ -31,6 +31,7 @@ from optheory.quantum import (
     reduced_positivity_min_eig,
     scale_kraus,
     side1_kraus_outputs,
+    side1_kraus_reductions,
     singlet_state,
     steering_witness,
     trace_biconditional_check,
@@ -456,16 +457,17 @@ class TestQuantumNoSignaling:
 
     def test_planted_shift_of_a_trace_preserving_outcome_fails_its_gate(self, monkeypatch):
         # A traceless 1e-4 |0><0| (x) Z added to outcome 0's output keeps its
-        # trace, so the outcome stays trace-preserving while its reduction moves.
-        real = side1_kraus_outputs
-        planted = 1e-4 * np.kron(P0, np.diag([1.0, -1.0]))
+        # trace, so the outcome stays trace-preserving while its reduction
+        # moves: its remote reduction moves by Tr_1 of it, 1e-4 Z.
+        real = side1_kraus_reductions
+        planted = 1e-4 * np.diag([1.0, -1.0])
 
-        def shifted(kraus, r):
-            out = real(kraus, r).copy()
-            out[0] += planted
+        def shifted(kraus, r, d1, d2):
+            out = real(kraus, r, d1, d2)
+            out[..., 0, :, :] += planted
             return out
 
-        monkeypatch.setattr(quantum, "side1_kraus_outputs", shifted)
+        monkeypatch.setattr(quantum, "side1_kraus_reductions", shifted)
         sigma = ginibre_state(trial_rng(54), 2)
         report = quantum_no_signaling_check(tensor(P0, sigma), z_instrument(), 2, 2)
         gate = next(c for c in report.checks if c.name == "trace_preserving_outcomes")
@@ -494,10 +496,12 @@ class TestSide1Kernel:
         r = ginibre_state(rng, d1 * d2)
         m = KrausOp(haar_isometry_blocks(rng, d1, 3)[:n_kraus])
         outs = side1_kraus_outputs(m.kraus, r)
-        assert outs.shape == (n_kraus, d1 * d2, d1 * d2)
-        for k, out in zip(m.kraus, outs):
+        reduced = side1_kraus_reductions(m.kraus, r, d1, d2)
+        assert outs.shape == (n_kraus, d1 * d2, d1 * d2) and reduced.shape == (n_kraus, d2, d2)
+        for k, out, remote in zip(m.kraus, outs, reduced):
             single = apply_quantum_op(local_embed(KrausOp([k]), d2, side=1), r)
             assert np.abs(out - single).max() <= 1e-14
+            assert np.abs(remote - partial_trace(single, d1, d2, side=1)).max() <= 1e-14
         whole = apply_quantum_op(local_embed(m, d2, side=1), r)
         assert np.abs(outs.sum(axis=0) - whole).max() <= 1e-14
 
@@ -546,10 +550,11 @@ class TestTraceBiconditional:
         assert [c.name for c in report.checks] == ["biconditional"]
 
     def test_vacuous_audit_fails_its_gate(self, monkeypatch):
-        # Halving every output drops the trace of each draw, channels included,
-        # so no trial exercises the trace-preserved branch.
-        real = quantum.side1_kraus_outputs
-        monkeypatch.setattr(quantum, "side1_kraus_outputs", lambda k, rho: 0.5 * real(k, rho))
+        # Halving every output, so its remote reduction, drops the trace of
+        # each draw, channels included, so no trial exercises the
+        # trace-preserved branch.
+        real = quantum.side1_kraus_reductions
+        monkeypatch.setattr(quantum, "side1_kraus_reductions", lambda *args: 0.5 * real(*args))
         report = trace_biconditional_check(trials=3, d1=2, d2=2, seed=0)
         assert report.details["trace_preserved_cases"] == 0
         assert [c.name for c in report.checks if not c.passed] == ["no_trace_preserved_case"]
@@ -557,13 +562,14 @@ class TestTraceBiconditional:
     @pytest.mark.parametrize("d2,worst", [(2, 16), (3, 19)])
     def test_moved_reduction_at_preserved_trace_fails(self, monkeypatch, d2, worst):
         # A traceless shift |0><0| (x) diag(1, -1, 0...) of every output keeps
-        # each trace and moves the remote reduction: a trace-preserving M that
-        # signals.  A channel (kind 1) has two outputs, so its shift is 4e-4.
-        real = quantum.side1_kraus_outputs
+        # each trace and moves each remote reduction by diag(1e-4, -1e-4, 0...):
+        # a trace-preserving M that signals.  A channel (kind 1) has two
+        # outputs, so its shift is 4e-4.
+        real = quantum.side1_kraus_reductions
         remote = np.zeros(d2)
         remote[:2] = 1.0, -1.0
-        shift = 1e-4 * np.kron(np.diag([1.0, 0.0]), np.diag(remote))
-        monkeypatch.setattr(quantum, "side1_kraus_outputs", lambda k, rho: real(k, rho) + shift)
+        shift = 1e-4 * np.diag(remote)
+        monkeypatch.setattr(quantum, "side1_kraus_reductions", lambda *args: real(*args) + shift)
         report = trace_biconditional_check(trials=30, d1=2, d2=d2, seed=0)
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["biconditional"]

@@ -56,7 +56,6 @@ from optheory.quantum import (
     quantum_no_signaling_defects,
     require_hermitian,
     scale_kraus,
-    side1_kraus_outputs,
 )
 from optheory.report import worst_defect
 from optheory.sampling import (
@@ -323,13 +322,21 @@ def test_stacked_embeddings_equal_the_one_trial_embeddings(kind, d1, d2, n, seed
 
 def _one_trial_no_signaling(rho, outcomes, d1, d2):
     """The averaged-instrument defect and each outcome's trace and reduced
-    defects of one state, by the one-trial formula the stacked kernel replaced
-    (its own einsum for the per-Kraus partial traces)."""
+    defects of one state, by the one-trial formula the stacked kernel replaced:
+    each Kraus operator's remote reduction one diagonal block at a time,
+    ``sum_i conj(K[i, :]) Y[(i, :), (:, :)]`` with ``Y = (K (x) I) R``, and
+    its own einsum for the partial trace of R."""
     r = require_hermitian(rho)
     starts = np.cumsum([0, *(len(op.kraus) for op in outcomes[:-1])])
-    outs = side1_kraus_outputs(np.concatenate([op.kraus for op in outcomes]), r)
-    traces = np.add.reduceat(np.trace(outs, axis1=1, axis2=2).real, starts)
-    reduced = np.add.reduceat(np.einsum("nikil->nkl", outs.reshape(-1, d1, d2, d1, d2)), starts)
+    per_kraus = []
+    for k in np.concatenate([op.kraus for op in outcomes]):
+        y = (k @ r.reshape(d1, -1)).reshape(d1, d2, d1, d2)
+        block = k[0].conj() @ y[0]
+        for i in range(1, d1):
+            block = block + k[i].conj() @ y[i]
+        per_kraus.append(block)
+    reduced = np.add.reduceat(np.array(per_kraus), starts)
+    traces = np.trace(reduced, axis1=1, axis2=2).real
     before = np.einsum("ikil->kl", r.reshape(d1, d2, d1, d2))
     shifts = np.concatenate([reduced, reduced.sum(axis=0)[None]]) - before
     norms = np.linalg.svd(shifts, compute_uv=False).sum(axis=-1)

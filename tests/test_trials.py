@@ -816,6 +816,83 @@ def test_two_random_quantum_nosig_shards_split_inside_a_chunk_reproduce_the_full
     _shards_split_inside_a_chunk(cfg.seed, 60, draw, evaluate)
 
 
+@pytest.mark.parametrize("d", [2, 6])
+def test_a_planted_nan_in_a_middle_quantum_nosig_chunk_fails_no_signaling_at_its_trial(
+    monkeypatch, tmp_path, capsys, d
+):
+    # A NaN in one trial's finished outcome stack: the middle trial of the
+    # second of three chunks' first outcome-count group (a chunk's length
+    # follows its first draw's outcome count).  Its shifts are not finite,
+    # so the stacked SVD of its group must not raise: the trial alone fails
+    # no_signaling, as +inf.
+    cfg = SuiteConfig("quantum-nosig", d1=d, d2=d)
+    chunk = report._chunk_length(cli._quantum_nosig_draw(cfg, trial_rng(cfg.seed, 0), 0))
+    cfg = replace(cfg, trials=2 * chunk + chunk // 2)
+    draw = partial(cli._quantum_nosig_draw, cfg)
+    evaluate_clean = partial(cli._quantum_nosig_evaluate, cfg)
+    clean = list(trial_outcomes(cfg.seed, range(cfg.trials), draw, evaluate_clean))
+    chunks, planted = [], {}
+    real_evaluate, real_finish = cli._quantum_nosig_evaluate, cli.finish_outcomes
+
+    def evaluate(cfg, drawn):
+        chunks.append(len(drawn))
+        if len(chunks) == 2:
+            counts = np.array([n_out for _, n_out, _ in drawn])
+            group = np.flatnonzero(counts == counts[0])
+            planted["position"] = len(group) // 2
+            planted["trial"] = chunks[0] + int(group[len(group) // 2])
+        return real_evaluate(cfg, drawn)
+
+    def finish(a, d1):
+        outcomes = real_finish(a, d1)
+        if "position" in planted:
+            outcomes[0].kraus[planted.pop("position"), 0, 0, 0] = math.nan
+        return outcomes
+
+    monkeypatch.setattr(cli, "finish_outcomes", finish)
+    outcomes = list(trial_outcomes(cfg.seed, range(cfg.trials), draw, partial(evaluate, cfg)))
+    bad = planted["trial"]
+    assert len(chunks) == 3 and chunks[0] < bad < chunks[0] + chunks[1]
+    assert math.isnan(_per_trial(outcomes)[bad]["no_signaling"])
+    assert _others(outcomes, bad) == _others(clean, bad)
+    no_signaling, gate = fold_checks(outcomes, QNOSIG_TOLS)
+    assert no_signaling.defect == math.inf and no_signaling.worst_trial == bad
+    assert gate.passed
+
+    chunks.clear()
+    monkeypatch.setattr(cli, "_quantum_nosig_evaluate", evaluate)
+    argv = ["--suite", "quantum-nosig", "--trials", str(cfg.trials), "--d1", str(d), "--d2", str(d)]
+    code, result = _json_report(argv, tmp_path, capsys)
+    assert code == 1 and planted["trial"] == bad
+    random, *others = result["details"]["sub_reports"]
+    checks = {c["name"]: c for c in random["checks"]}
+    assert checks["no_signaling"]["defect"] == math.inf
+    assert checks["no_signaling"]["worst_trial"] == bad
+    assert not random["pass"] and all(sub["pass"] for sub in others)
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_a_planted_nan_in_a_biconditional_draw_fails_its_trial_alone(d):
+    # A NaN in the Gaussian of trial 7's M (a kind 1 channel, grouped with
+    # trials 1, 4, ...): its reduced shift is not finite, so the stacked SVD
+    # of its group must not raise, and the trial alone fails the check.
+    record, bad = quantum.biconditional_report(30, d, d), 7
+
+    def planted(rng, k):
+        kind, count, a, g = record.draw(rng, k)
+        if k == bad:
+            a[0, 0] = math.nan
+        return kind, count, a, g
+
+    clean = list(trial_outcomes(0, range(30), record.draw, record.evaluate))
+    with np.errstate(invalid="ignore"):  # the isometry's gauge fix divides NaN by NaN
+        outcomes = list(trial_outcomes(0, range(30), planted, record.evaluate))
+    assert math.isnan(_per_trial(outcomes)[bad]["biconditional"])
+    assert _others(outcomes, bad) == _others(clean, bad)
+    biconditional, _ = fold_checks(outcomes, record.tols)
+    assert biconditional.defect == math.inf and biconditional.worst_trial == bad
+
+
 def test_two_trace_biconditional_shards_split_inside_a_chunk_reproduce_the_full_run(monkeypatch):
     calls = []
     real = report.trial_outcomes
