@@ -71,6 +71,7 @@ from .report import (
 )
 from .sampling import (
     complex_gaussian,
+    finite_gram,
     ginibre_state,
     gram,
     trial_rng,
@@ -179,14 +180,19 @@ def _quantum_nosig_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> t
 
 def _quantum_nosig_evaluate(cfg: SuiteConfig, drawn: list):
     """The defect columns of a chunk of trials, one stacked call per outcome
-    count, each group's columns as they come."""
+    count, each group's columns as they come.  A trial whose joint state is
+    not finite gets NaN defects."""
     g, counts, a = zip(*drawn)
-    rho = unit_trace(gram(np.array(g)))
+    rho, broken = finite_gram(np.array(g))
+    # Rebinding frees G G^dag, which this generator's frame would otherwise hold.
+    rho = unit_trace(rho)
     counts = np.array(counts)
     for n_out in dict.fromkeys(counts.tolist()):
         trials = np.flatnonzero(counts == n_out)
         outcomes = finish_outcomes(np.array([a[k] for k in trials]), cfg.d1)
         found = quantum_no_signaling_defects(rho[trials], outcomes, cfg.d1, cfg.d2)
+        for defects in found:
+            defects[broken[trials]] = np.nan
         for name, rows, defects in no_signaling_trial_defects(*found, cfg.tol):
             yield name, trials[rows], defects
 
@@ -219,16 +225,20 @@ def _run_quantum_nosig(cfg: SuiteConfig, ran: list) -> list:
 
 
 def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
-    """The Gaussians of trial ``k``'s A and R, whose finish is ``G G^dag``."""
+    """The Gaussians G of trial ``k``'s A and R, each of which is ``G G^dag``.
+    The evaluation forms A alone and reads R's reduction from R's G."""
     d = cfg.d1 * cfg.d2
     return complex_gaussian(rng, cfg.d1, cfg.d1), complex_gaussian(rng, d, d)
 
 
 def _lemma_evaluate(cfg: SuiteConfig, drawn: list):
-    """The defect column of a chunk of trials: its raw draws finished as
-    stacks, PSD by construction, and one call of the trusted kernel."""
-    a, r = (hermitian_part(gram(np.stack(side))) for side in zip(*drawn))
-    lows = trusted_reduced_min_eigs(a, r, cfg.d1, cfg.d2)
+    """The defect column of a chunk of trials: one call of the trusted kernel
+    on the stack of A, finished and PSD by construction, and the stack of
+    R's Gaussians.  The kernel never forms R, a D^3 product per trial; the
+    validating ``reduced_positivity_min_eig`` takes R itself, so it keeps
+    the R route."""
+    a, g = (np.stack(side) for side in zip(*drawn))
+    lows = trusted_reduced_min_eigs(hermitian_part(gram(a)), g, cfg.d1, cfg.d2)
     # np.minimum keeps a NaN low, as min(low, 0.0) does.
     yield "reduced_positivity", slice(None), -np.minimum(lows, 0.0)
 

@@ -27,7 +27,12 @@ each operator: it applies ``K`` on the right only inside the d1 diagonal
 ``d2 x d2`` blocks that the partial trace sums, and never forms ``K^dag K``,
 whose use in place of the output is the identity the checks verify.
 :func:`side1_kraus_outputs` builds each whole ``D x D`` output, which only
-the biconditional's filtered states need.  :func:`local_embed` still builds
+the biconditional's filtered states need.  The lemma's kernel,
+:func:`trusted_reduced_min_eigs`, takes the Gaussian factor ``G`` of
+``R = G G^dag`` and reads ``Tr_1[(A (x) I) R]`` as ``sum_a Y_a G_a^dag``
+over the block rows of ``Y = (A (x) I) G`` and ``G``, so it never forms
+``R``; :func:`reduced_positivity_min_eig`, whose input is ``R`` itself,
+partial-traces ``(A (x) I) R``.  :func:`local_embed` still builds
 the ``kron`` for :class:`QuantumBipartite`, whose joint operations need
 their Kraus operators.  An operation is validated once,
 where it is built; kernel results derived from validated operations are
@@ -94,6 +99,7 @@ from .linalg import (
 from .report import Check, TrialReport, VerificationReport, worst_defects
 from .sampling import (
     complex_gaussian,
+    finite_gram,
     gram,
     isometry_blocks,
     trial_rng,
@@ -453,23 +459,32 @@ def side1_kraus_reductions(kraus: np.ndarray, r: np.ndarray, d1: int, d2: int) -
     return (kraus.conj()[..., :, None, None, :] @ blocks)[..., 0, :].sum(axis=-3)
 
 
-def trusted_reduced_min_eigs(am: np.ndarray, rm: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Smallest eigenvalue of Tr_1[(A_t (x) I) R_t] for every pair of a stack
-    of PSD ``A`` ``(n, d1, d1)`` and a stack of PSD ``R`` ``(n, D, D)``, both
-    symmetrized and trusted: no eigensolve checks either.  The suite's own
-    ``G G^dag`` draws are PSD by construction;
-    :func:`reduced_positivity_min_eig` validates anything else first.
+def trusted_reduced_min_eigs(am: np.ndarray, g: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Smallest eigenvalue of Tr_1[(A_t (x) I) G_t G_t^dag] for every pair of
+    a stack of PSD ``A`` ``(n, d1, d1)``, symmetrized and trusted, and a stack
+    of factors ``G`` ``(n, D, D)`` of ``R = G G^dag``.  The suite's own
+    ``G G^dag`` draws are PSD by construction, so no eigensolve checks
+    either; :func:`reduced_positivity_min_eig` validates anything else first.
 
-    A trial whose product or reduction is not finite gets a NaN low, so a
-    NaN in one draw fails that trial alone.  Its matrices are zeroed before
-    ``partial_trace``, which refuses a stack holding a NaN, and before
-    ``eigvalsh``, which may return finite values for a NaN matrix.
+    The reduction is read from the factor and ``R`` is never formed.  With
+    ``Y = (A (x) I) G`` (:func:`_on_side1`), ``Tr_1[Y G^dag] = sum_a Y_a G_a^dag``
+    over the ``d2 x D`` block rows ``a`` of ``Y`` and ``G``: that is
+    ``(d1 + d2) D^2`` multiply-adds per trial, against ``D^3 + d1 D^2`` for
+    forming ``R`` and then ``(A (x) I) R``.  Only the product is
+    reassociated.  ``A`` stays a matrix: a factor ``A = B B^dag`` would turn
+    the sum into ``sum_c H_c H_c^dag``, PSD by construction, and the check
+    into a tautology.
+
+    A trial whose reduction is not finite gets a NaN low, so a NaN in one
+    draw fails that trial alone: a NaN or infinity in ``A``, ``G`` or ``Y``
+    meets every product of its block row, so it reaches the reduction.
+    Such a reduction is zeroed before ``eigvalsh``, which may return finite
+    values for a NaN matrix.
     """
-    product = _on_side1(am, rm)
-    broken = ~np.isfinite(product).all(axis=(-2, -1))
-    product[broken] = 0.0
-    reduced = hermitian_part(partial_trace(product, d1, d2, side=1))
-    broken |= ~np.isfinite(reduced).all(axis=(-2, -1))
+    rows = g.reshape(-1, d1, d2, d1 * d2)
+    y = _on_side1(am, g).reshape(rows.shape)
+    reduced = hermitian_part((y @ rows.conj().swapaxes(-1, -2)).sum(axis=1))
+    broken = ~np.isfinite(reduced).all(axis=(-2, -1))
     reduced[broken] = 0.0
     lows = np.linalg.eigvalsh(reduced)[:, 0]
     lows[broken] = np.nan
@@ -485,10 +500,13 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int):
     ``(n, D, D)`` give the ``(n,)`` lows of their pairs, each equal to the
     call on that pair alone.
 
-    The validating form of :func:`trusted_reduced_min_eigs`, for input from
-    outside the package: it checks that both are finite, Hermitian and PSD
-    (one eigensolve each) and that stacks match in length, runs that
-    kernel, and refuses a reduction that is not finite.
+    The validating form of the lemma, for input from outside the package:
+    it checks that both are finite, Hermitian and PSD (one eigensolve each)
+    and that stacks match in length, and refuses a product or reduction
+    that is not finite.  Its input is ``R`` itself, not a factor, so it
+    forms ``(A (x) I) R`` and takes its partial trace; the suite's
+    :func:`trusted_reduced_min_eigs` reads the same reduction from the
+    factor of ``R``, equal up to roundoff.
     """
     one = np.ndim(a) != 3
     if one:
@@ -499,9 +517,11 @@ def reduced_positivity_min_eig(a, r, d1: int, d2: int):
         raise ValueError(f"local operator A acts on dimension {am.shape[-1]}, expected d1={d1}")
     if len(am) != len(rm):
         raise ValueError(f"{len(am)} local operators for {len(rm)} joint operators")
-    lows = trusted_reduced_min_eigs(am, rm, d1, d2)
-    if np.isnan(lows).any():  # finite operands whose product overflows
+    # partial_trace refuses a product that overflowed; its sum may overflow too.
+    reduced = hermitian_part(partial_trace(_on_side1(am, rm), d1, d2, side=1))
+    if not np.isfinite(reduced).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    lows = np.linalg.eigvalsh(reduced)[:, 0]
     return float(lows[0]) if one else lows
 
 
@@ -661,12 +681,14 @@ def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
         return kind, int(rng.integers(1, 3)) if kind == 0 else 2, a, g
 
     def finish(kind: int, count: int, a: np.ndarray, g: np.ndarray) -> tuple:
-        """The stacked R and Kraus arrays of M of stacked raw draws of one kind and count."""
+        """The stacked R and Kraus arrays of M of stacked raw draws of one kind
+        and count, and the mask of the trials whose ``G G^dag`` is not finite."""
+        r, broken = finite_gram(g)
         if kind < 2:
-            return unit_trace(gram(g)), isometry_blocks(a, 3 - kind)[:, :count]
+            return unit_trace(r), isometry_blocks(a, 3 - kind)[:, :count], broken
         basis = np.linalg.qr(a)[0][..., :count]
         p = (basis @ basis.conj().swapaxes(-1, -2))[:, None]
-        return unit_trace(side1_kraus_outputs(p, gram(g))[:, 0]), p
+        return unit_trace(side1_kraus_outputs(p, r)[:, 0]), p, broken
 
     def defects(drawn: list):
         """A chunk's ``(rows, trace_defects, reduced_defects)``, one call per kind and count."""
@@ -674,11 +696,12 @@ def biconditional_report(trials: int, d1: int, d2: int) -> TrialReport:
         for key in dict.fromkeys(keys):
             rows = np.array([k for k, other in enumerate(keys) if other == key])
             a, g = (np.array([drawn[k][j] for k in rows]) for j in (2, 3))
-            r, kraus = finish(*key, a, g)
+            r, kraus, broken = finish(*key, a, g)
             reduced = side1_kraus_reductions(kraus, r, d1, d2).sum(axis=-3)
             trace_defects = np.abs(
                 np.trace(reduced, axis1=-2, axis2=-1).real - np.trace(r, axis1=-2, axis2=-1).real
             )
+            trace_defects[broken] = np.nan  # _biconditional_defect then gives NaN
             shifts = reduced - partial_trace(r, d1, d2, side=1)
             yield rows, trace_defects, _trace_norms(shifts)
 

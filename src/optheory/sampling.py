@@ -176,6 +176,22 @@ def gram(g: np.ndarray) -> np.ndarray:
     return g @ g.conj().swapaxes(-1, -2)
 
 
+def finite_gram(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gram`` of a stack of Gaussians ``(n, d, d)``, and the ``(n,)`` mask of
+    its trials whose ``G G^dag`` is not finite.  Each of those is replaced by
+    the identity, a finite stand-in of nonzero trace, so that ``unit_trace``
+    and the validators accept the stack; the caller gives those trials NaN
+    defects, so that a NaN in one draw fails that trial alone.
+
+    Only the traces are scanned.  A NaN or infinity in row i of G makes the
+    diagonal entry ``|g_i|^2`` not finite, and an off-diagonal entry is at
+    most the larger of its two diagonal ones (Cauchy-Schwarz)."""
+    p = gram(g)
+    broken = ~np.isfinite(np.trace(p, axis1=-2, axis2=-1))
+    p[broken] = np.eye(p.shape[-1])
+    return p, broken
+
+
 def unit_trace(p: np.ndarray) -> np.ndarray:
     """Every matrix on the last two axes divided by its real trace."""
     return p / trial_factor(np.trace(p, axis1=-2, axis2=-1).real, p)

@@ -357,12 +357,15 @@ class TestMutantDetection:
     def test_flipped_reduction_fails_reduced_positivity(self, monkeypatch, tmp_path, capsys):
         # Planted defect: the lemma reads the spectrum of -Tr_1[(A (x) I) R],
         # whose smallest eigenvalue is minus the largest one of the reduction.
+        # The kernel is passed the Gaussian G of each R = G G^dag.
         flipped_defects = []
 
-        def flipped(a, r, d1, d2):
+        def flipped(a, g, d1, d2):
             lows = [
-                min_eig_herm(-partial_trace(tensor(ak, np.eye(d2)) @ rk, d1, d2, side=1))
-                for ak, rk in zip(a, r)
+                min_eig_herm(
+                    -partial_trace(tensor(ak, np.eye(d2)) @ gk @ gk.conj().T, d1, d2, side=1)
+                )
+                for ak, gk in zip(a, g)
             ]
             flipped_defects.extend(-low for low in lows)
             return np.array(lows)

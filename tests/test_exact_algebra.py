@@ -25,6 +25,11 @@ And the remote reduction after a side-1 operation depends on that
 operation only through its trace operator T_A = sum_k A_k^dag A_k:
 ``Tr_1[sum_k (A_k (x) I) R (A_k (x) I)^dag] = Tr_1[(T_A (x) I) R]``.  No
 signaling is this identity at T_A = I.
+
+The lemma's kernel reads ``Tr_1[(A (x) I) G G^dag]`` from the factor G as
+``sum_a Y_a G_a^dag``, ``Y = (A (x) I) G``, block row by block row: the same
+product reassociated, so on integer A and G it equals the partial trace of
+``(A (x) I) R`` at ``R = G G^dag`` exactly.
 """
 
 import numpy as np
@@ -317,3 +322,76 @@ def test_a_reduction_kernel_contracting_with_k_instead_of_its_conjugate_is_caugh
 def test_a_reduction_kernel_dropping_the_last_side1_index_is_caught(dims, seed):
     mutant = contracted_reductions(np.conj, slice(-1))
     assert reduction_gap(seed, *dims, reductions=mutant) > 0.0
+
+
+def lemma_gap(seed: int, d1: int, d2: int, reductions) -> float:
+    """``max |reductions(A, G) - Tr_1[(A (x) I) G G^dag]|`` for an integer
+    Hermitian A with a positive diagonal and a Gaussian-integer G, the
+    right side the partial trace of ``(A (x) I) R`` formed at ``R = G G^dag``.
+    Its reduction is Hermitian, so the kernel's Hermitian part leaves it
+    unchanged."""
+    rng = trial_rng(seed)
+    a = integer_positive(rng, d1)
+    re, im = rng.integers(-8, 9, size=(2, d1 * d2, d1 * d2))
+    g = re + 1j * im
+    right = partial_trace(quantum._on_side1(a, g @ g.conj().T), d1, d2, side=1)
+    return float(np.abs(reductions(a[None], g[None], d1, d2)[0] - right).max())
+
+
+def kernel_reductions(monkeypatch):
+    """The matrices that ``trusted_reduced_min_eigs`` hands to its eigensolve."""
+    real = np.linalg.eigvalsh
+
+    def reductions(a, g, d1, d2):
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.copy()) or real(m))
+        quantum.trusted_reduced_min_eigs(a, g, d1, d2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", real)
+        return seen[0]
+
+    return reductions
+
+
+def factor_reductions(left, right, blocks):
+    """The lemma kernel's reduction written out, with ``left(A)`` in place of
+    A, ``right(G)`` in place of ``conj(G)`` as its right factor, and only the
+    side-1 block rows ``blocks`` summed."""
+
+    def reductions(a, g, d1, d2):
+        rows = g.reshape(-1, d1, d2, d1 * d2)
+        y = quantum._on_side1(left(a), g).reshape(rows.shape)
+        return (y @ right(rows).swapaxes(-1, -2))[:, blocks].sum(axis=1)
+
+    return reductions
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_the_lemma_kernel_reads_the_reduction_of_r_from_its_factor_exactly(
+    dims, seed, monkeypatch
+):
+    assert lemma_gap(seed, *dims, kernel_reductions(monkeypatch)) == 0.0
+    # The mutants below start from this copy of the kernel.
+    same = factor_reductions(lambda a: a, np.conj, slice(None))
+    assert lemma_gap(seed, *dims, same) == 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_a_lemma_kernel_contracting_with_g_instead_of_its_conjugate_is_caught(dims, seed):
+    mutant = factor_reductions(lambda a: a, lambda g: g, slice(None))
+    assert lemma_gap(seed, *dims, mutant) > 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_a_lemma_kernel_dropping_the_last_side1_block_is_caught(dims, seed):
+    mutant = factor_reductions(lambda a: a, np.conj, slice(-1))
+    assert lemma_gap(seed, *dims, mutant) > 0.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_a_lemma_kernel_applying_the_transpose_of_a_is_caught(dims, seed):
+    mutant = factor_reductions(lambda a: a.swapaxes(-1, -2), np.conj, slice(None))
+    assert lemma_gap(seed, *dims, mutant) > 0.0

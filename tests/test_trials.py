@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import fields, replace
 from functools import partial
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optheory import cli, framework, quantum, report
+from optheory import cli, framework, linalg, quantum, report, sampling
 from optheory.cli import SUITES, SuiteConfig, main, run_suite
 from optheory.directsum import DSumBipartite, DSumModel
 from optheory.quantum import QuantumModel
@@ -22,8 +23,8 @@ from optheory.report import (
     run_trials,
     trial_outcomes,
 )
-from optheory.linalg import hermitian_part, min_eig_herm, partial_trace, require_psd
-from optheory.sampling import complex_gaussian, ginibre_positive, gram, trial_rng
+from optheory.linalg import hermitian_part, max_eig_herm, min_eig_herm, partial_trace, require_psd
+from optheory.sampling import complex_gaussian, gram, trial_rng
 
 
 def _index(rng, k):
@@ -453,8 +454,8 @@ def _spy_on_the_stacked_kernel(monkeypatch, plant=None):
     chunks, lows_seen = [], []
     real = cli.trusted_reduced_min_eigs
 
-    def spy(a, r, d1, d2):
-        lows = real(a, r, d1, d2)
+    def spy(a, g, d1, d2):
+        lows = real(a, g, d1, d2)
         if plant is not None:
             plant(lows, sum(chunks))
         chunks.append(len(lows))
@@ -475,11 +476,19 @@ def test_stacked_lemma_equals_the_per_matrix_kernel_bit_for_bit(d1, d2, monkeypa
     expected = []
     for k in range(trials):
         rng = trial_rng(5, k)
-        a, r = ginibre_positive(rng, d1), ginibre_positive(rng, d1 * d2)
-        expected.append(quantum.reduced_positivity_min_eig(a, r, d1, d2))
-        # The per-matrix formula the stack replaces, one 2-D call at a time.
+        a, g = gram(complex_gaussian(rng, d1, d1)), complex_gaussian(rng, d1 * d2, d1 * d2)
+        # The same kernel on this trial alone.
+        (low,) = quantum.trusted_reduced_min_eigs(hermitian_part(a)[None], g[None], d1, d2)
+        expected.append(float(low))
+        # The validating R route on R = G G^dag, the per-matrix formula one
+        # 2-D call at a time: the factor kernel reassociates its product, so
+        # the two agree within roundoff of the reduction's largest eigenvalue.
+        r = gram(g)
+        reference = quantum.reduced_positivity_min_eig(a, r, d1, d2)
         product = quantum._on_side1(require_psd(a, ""), require_psd(r, ""))
-        assert expected[-1] == min_eig_herm(partial_trace(product, d1, d2, side=1))
+        reduced = partial_trace(product, d1, d2, side=1)
+        assert reference == min_eig_herm(reduced)
+        assert abs(low - reference) <= 1e-14 * max_eig_herm(reduced)
     assert lows == expected
     # The per-trial loop's fold of -min(low, 0.0) gives the same check.
     (check,) = _reference_fold(
@@ -543,20 +552,54 @@ def test_a_nan_in_a_middle_lemma_draw_fails_its_own_trial(monkeypatch):
     assert check.defect == math.inf and check.worst_trial == bad
 
 
-def test_the_lemma_runs_one_eigensolve_per_chunk_and_none_of_its_draws(monkeypatch):
-    # The suite's G G^dag draws are PSD by construction: only the reductions
-    # reach eigvalsh, one stacked call per chunk.
-    chunk = _lemma_chunk(6, 6)
-    trials, calls = 2 * chunk + 1, []
-    real = np.linalg.eigvalsh
+def _shapes_of_calls(monkeypatch, module, name: str) -> list:
+    """The shapes of the first argument of every call of ``module.name``,
+    made through any optheory module's binding of it."""
+    calls, real = [], getattr(module, name)
 
     def counted(m, *args, **kwargs):
         calls.append(np.shape(m))
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for bound in [m for key, m in sys.modules.items() if key.split(".")[0] == "optheory"]:
+        if getattr(bound, name, None) is real:
+            monkeypatch.setattr(bound, name, counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_nan_in_a_middle_6x6_lemma_draw_fails_its_own_trial(monkeypatch):
+    # At (6,6) a NaN in R's Gaussian makes the trial's whole reduction NaN,
+    # on which eigvalsh does not converge: the kernel zeroes that reduction
+    # first, or the chunk's stacked eigensolve raises.
+    real, bad = cli._lemma_draw, 30
+
+    def planted(cfg, rng, k):
+        a, g = real(cfg, rng, k)
+        if k == bad:
+            g[0, 0] = math.nan
+        return a, g
+
+    monkeypatch.setattr(cli, "_lemma_draw", planted)
+    rep = run_suite(SuiteConfig("lemma", trials=60, d1=6, d2=6))
+    (check,) = rep.checks
+    assert _lemma_chunk(6, 6) < bad < 2 * _lemma_chunk(6, 6)
+    assert check.defect == math.inf and check.worst_trial == bad and not rep.passed
+
+
+def test_the_lemma_runs_one_eigensolve_per_chunk_and_none_of_its_draws(monkeypatch):
+    # The suite's G G^dag draws are PSD by construction: only the reductions
+    # reach eigvalsh, one stacked call per chunk.  The reductions are read
+    # from R's Gaussian factor: R = G G^dag is never formed, and no D x D
+    # product is partial-traced.
+    chunk = _lemma_chunk(6, 6)
+    trials = 2 * chunk + 1
+    calls = _shapes_of_calls(monkeypatch, np.linalg, "eigvalsh")
+    grams = _shapes_of_calls(monkeypatch, sampling, "gram")
+    traces = _shapes_of_calls(monkeypatch, linalg, "partial_trace")
     rep = run_suite(SuiteConfig("lemma", trials=trials, d1=6, d2=6))
     assert rep.passed and calls == [(chunk, 6, 6), (chunk, 6, 6), (1, 6, 6)]
+    assert grams == calls and traces == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -566,14 +609,23 @@ def test_the_lemma_runs_one_eigensolve_per_chunk_and_none_of_its_draws(monkeypat
     n=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_trusted_lemma_kernel_equals_the_validating_one_bit_for_bit(d1, d2, n, seed):
+def test_the_trusted_lemma_kernel_equals_the_validating_one_within_roundoff(d1, d2, n, seed):
+    # The trusted kernel reads Tr_1[(A (x) I) G G^dag] from G, the validating
+    # one from R = G G^dag: one reassociated product.  Each form on a stack
+    # equals itself on every pair alone, bit for bit.
     rng = np.random.default_rng(seed)
-    a, r = (gram(complex_gaussian(rng, n * d, d).reshape(n, d, d)) for d in (d1, d1 * d2))
-    trusted = quantum.trusted_reduced_min_eigs(hermitian_part(a), hermitian_part(r), d1, d2)
+    ga, g = (complex_gaussian(rng, n * d, d).reshape(n, d, d) for d in (d1, d1 * d2))
+    a, r = gram(ga), gram(g)
+    trusted = quantum.trusted_reduced_min_eigs(hermitian_part(a), g, d1, d2)
+    alone = [
+        quantum.trusted_reduced_min_eigs(hermitian_part(a[k : k + 1]), g[k : k + 1], d1, d2)
+        for k in range(n)
+    ]
+    assert trusted.tobytes() == np.concatenate(alone).tobytes()
     validated = quantum.reduced_positivity_min_eig(a, r, d1, d2)
-    assert trusted.tobytes() == validated.tobytes()
-    alone = [quantum.reduced_positivity_min_eig(*pair, d1, d2) for pair in zip(a, r)]
-    assert validated.tolist() == alone
+    assert validated.tolist() == [quantum.reduced_positivity_min_eig(*p, d1, d2) for p in zip(a, r)]
+    top = np.linalg.eigvalsh(partial_trace(quantum._on_side1(a, r), d1, d2, side=1))[:, -1]
+    assert (np.abs(trusted - validated) <= 1e-14 * top).all()
 
 
 def test_two_lemma_shards_split_inside_a_chunk_reproduce_the_full_run():
@@ -887,6 +939,61 @@ def test_a_planted_nan_in_a_biconditional_draw_fails_its_trial_alone(d):
     clean = list(trial_outcomes(0, range(30), record.draw, record.evaluate))
     with np.errstate(invalid="ignore"):  # the isometry's gauge fix divides NaN by NaN
         outcomes = list(trial_outcomes(0, range(30), planted, record.evaluate))
+    assert math.isnan(_per_trial(outcomes)[bad]["biconditional"])
+    assert _others(outcomes, bad) == _others(clean, bad)
+    biconditional, _ = fold_checks(outcomes, record.tols)
+    assert biconditional.defect == math.inf and biconditional.worst_trial == bad
+
+
+def test_a_nan_in_a_quantum_nosig_joint_state_fails_no_signaling_at_its_trial(
+    monkeypatch, tmp_path, capsys
+):
+    # A NaN in the Gaussian of trial 7's joint state.  Its G G^dag gets a
+    # finite stand-in before unit_trace and the validators of the stack, so
+    # the run does not raise and the trial alone fails no_signaling, as +inf.
+    cfg, bad, real = SuiteConfig("quantum-nosig", trials=30, d1=2, d2=2), 7, cli._quantum_nosig_draw
+
+    def planted(cfg, rng, k):
+        g, n_out, a = real(cfg, rng, k)
+        if k == bad:
+            g[0, 0] = math.nan
+        return g, n_out, a
+
+    evaluate = partial(cli._quantum_nosig_evaluate, cfg)
+    clean = list(trial_outcomes(cfg.seed, range(30), partial(real, cfg), evaluate))
+    outcomes = list(trial_outcomes(cfg.seed, range(30), partial(planted, cfg), evaluate))
+    assert math.isnan(_per_trial(outcomes)[bad]["no_signaling"])
+    assert _others(outcomes, bad) == _others(clean, bad)
+    no_signaling, gate = fold_checks(outcomes, QNOSIG_TOLS)
+    assert no_signaling.defect == math.inf and no_signaling.worst_trial == bad
+    assert gate.passed
+
+    monkeypatch.setattr(cli, "_quantum_nosig_draw", planted)
+    code, result = _json_report(["--suite", "quantum-nosig", "--trials", "30"], tmp_path, capsys)
+    random, *others = result["details"]["sub_reports"]
+    checks = {c["name"]: c for c in random["checks"]}
+    assert code == 1 and checks["no_signaling"]["defect"] == math.inf
+    assert checks["no_signaling"]["worst_trial"] == bad
+    assert not random["pass"] and all(sub["pass"] for sub in others)
+
+
+@pytest.mark.parametrize("bad", [7, 8])
+@pytest.mark.parametrize("d", [2, 6])
+def test_a_nan_in_a_biconditional_joint_state_fails_its_trial_alone(d, bad):
+    # A NaN in the Gaussian of R of trial 7 (a kind 1 channel) or 8 (a kind 2
+    # filter, which filters R before unit_trace).  Its G G^dag gets a finite
+    # stand-in before unit_trace and partial_trace, so the run does not
+    # raise, and the trial alone fails the check, as +inf.
+    record = quantum.biconditional_report(30, d, d)
+
+    def planted(rng, k):
+        kind, count, a, g = record.draw(rng, k)
+        if k == bad:
+            g[0, 0] = math.nan
+        return kind, count, a, g
+
+    clean = list(trial_outcomes(0, range(30), record.draw, record.evaluate))
+    outcomes = list(trial_outcomes(0, range(30), planted, record.evaluate))
     assert math.isnan(_per_trial(outcomes)[bad]["biconditional"])
     assert _others(outcomes, bad) == _others(clean, bad)
     biconditional, _ = fold_checks(outcomes, record.tols)
