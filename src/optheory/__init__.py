@@ -26,7 +26,6 @@ from .framework import (
     complement,
     compose,
     condition,
-    determinism_equivalence_check,
     dynamically_equivalent,
     effect_of,
     informationally_equivalent,

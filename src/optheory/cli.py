@@ -33,6 +33,7 @@ from .directsum import (
     ds_finish_action,
     ds_finish_local_op,
 )
+from .fixtures import load_box, load_instrument
 from .framework import (
     Action,
     ClassicalBipartite,
@@ -63,7 +64,7 @@ from .quantum import (
     z_instrument,
 )
 from .report import (
-    Check,
+    OnceReport,
     TrialReport,
     VerificationReport,
     combine_reports,
@@ -134,16 +135,6 @@ def exit_code(report: VerificationReport) -> int:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _rejected(
-    suite: str, cfg: SuiteConfig, source: str, tol: float, exc: ValueError
-) -> VerificationReport:
-    """A fixture that failed parsing or validation: a ``valid_fixture`` check
-    at an infinite defect and a witness naming the fixture and the reason."""
-    checks = [Check("valid_fixture", float("inf"), tol)]
-    witness = {"rejected_fixture": source, "reason": str(exc)}
-    return VerificationReport.from_checks(suite, cfg.seed, 1, checks, tol, witness=witness)
-
-
 def _defects(report: VerificationReport) -> VerificationReport:
     """``report`` with its check defects as details, by name."""
     return replace(report, details={c.name: c.defect for c in report.checks})
@@ -195,33 +186,6 @@ def _quantum_nosig_evaluate(cfg: SuiteConfig, drawn: list):
             defects[broken[trials]] = np.nan
         for name, rows, defects in no_signaling_trial_defects(*found, cfg.tol):
             yield name, trials[rows], defects
-
-
-def _run_quantum_nosig(cfg: SuiteConfig, ran: list) -> list:
-    """The fixture's report, or ``ran`` with the singlet's checks after the random loop at (2,2)."""
-    if cfg.fixture is not None:
-        from .fixtures import load_instrument
-
-        try:
-            inst = load_instrument(cfg.fixture)
-            if inst.dim != cfg.d1:
-                raise UsageError(
-                    f"fixture instrument acts on dimension {inst.dim}, expected {cfg.d1}"
-                )
-            rho = ginibre_state(trial_rng(cfg.seed, 0), cfg.d1 * cfg.d2)
-            return [quantum_no_signaling_check(rho, inst, cfg.d1, cfg.d2, cfg.tol, cfg.seed)]
-        except UsageError:
-            raise
-        except ValueError as exc:  # IncompleteInstrument is a ValueError too
-            return [_rejected("quantum-no-signaling[fixture]", cfg, cfg.fixture, cfg.tol, exc)]
-    if cfg.d1 != 2 or cfg.d2 != 2:
-        return ran
-    singlet = [
-        replace(quantum_no_signaling_check(singlet_state(), inst, 2, 2, 1e-12, cfg.seed),
-                suite=f"quantum-no-signaling[singlet-{name}]", trials=1, details={})
-        for name, inst in (("z", z_instrument()), ("x", x_instrument()))
-    ]
-    return [ran[0], *singlet, *ran[1:]]
 
 
 def _lemma_draw(cfg: SuiteConfig, rng: np.random.Generator, k: int) -> tuple:
@@ -276,124 +240,157 @@ def _dsum_evaluate(model, drawn: list):
         yield "conditioning_quotient", sub, np.abs(prob(condition(o, a), b) - quotient)
 
 
-def trial_reports(cfg: SuiteConfig) -> dict[str, list[TrialReport]]:
-    """Every trial sub-report of each suite, in run order: its name, draw, evaluation,
-    trial count, the tolerance of each of its checks and the finish that shapes its report."""
-    quantum, dsum = QuantumModel(cfg.d1), DSumModel(cfg.d1, cfg.d2)
-    composites = [b(cfg.d1, cfg.d2) for b in (ClassicalBipartite, QuantumBipartite, DSumBipartite)]
-    return {
+def _rejected(source: str, exc: ValueError, name: str, seed: int, tols: dict) -> VerificationReport:
+    """A fixture that failed parsing or validation: a ``valid_fixture`` check
+    at an infinite defect and a witness naming the fixture and the reason."""
+    witness, defects = {"rejected_fixture": source, "reason": str(exc)}, {"valid_fixture": np.inf}
+    return VerificationReport.from_defects(name, seed, 1, defects, tols, witness=witness)
+
+
+def _instrument_check(
+    inst, d1: int, d2: int, name: str, seed: int, tols: dict, rho=None, **changes
+) -> VerificationReport:
+    """``inst``'s no-signaling check on ``rho``, by default the Ginibre state of
+    trial 0, each check at its tolerance in ``tols``, with ``changes`` to the report."""
+    rho = ginibre_state(trial_rng(seed, 0), d1 * d2) if rho is None else rho
+    report = quantum_no_signaling_check(rho, inst, d1, d2, tols["no_signaling"], seed)
+    checks = tuple(replace(c, tol=tols[c.name]) for c in report.checks)
+    return replace(report, suite=name, checks=checks, **changes)
+
+
+def _tomo_audit(d1: int, d2: int, name: str, seed: int, tols: dict) -> VerificationReport:
+    """One check per composite and verdict, with defect 1 when the verdict
+    does not match its expectation; the headline defect counts mismatches."""
+    rows = audit_rows(d1, d2, seed=seed)
+    defects = {
+        f"{kind}[{r['model'].split()[0]}]": float(not r[key])
+        for r in rows
+        for kind, key in (("local_observability", "lop_ok"), ("dimension_identity", "identity_ok"))
+    }
+    mismatches, details = sum(defects.values()), {"rows": rows}
+    return VerificationReport.from_defects(
+        name, seed, len(rows), defects, tols, max_defect=mismatches, details=details
+    )
+
+
+def _landmarks(name: str, seed: int, tols: dict) -> VerificationReport:
+    """The CHSH values of the classical bound, the PR box and the singlet at
+    its optimal angles, and whether the two boxes signal."""
+    classical, pr, quantum = classical_chsh_max(), pr_box(), singlet_box(OPTIMAL_CHSH_ANGLES)
+    chsh = dict(classical_max=classical, pr_chsh=chsh_value(pr), singlet_chsh=chsh_value(quantum))
+    defects = {
+        "classical_chsh": abs(classical - 2.0),
+        "pr_chsh": abs(chsh["pr_chsh"] - 4.0),
+        "pr_no_signaling": float(not is_nosignaling_box(pr, tol=0.0)),
+        "singlet_chsh": abs(chsh["singlet_chsh"] - 2.0 * np.sqrt(2.0)),
+        "singlet_no_signaling": float(not is_nosignaling_box(quantum, tol=1e-10)),
+    }
+    witness = {"pr_box": pr.to_json(), "singlet_box": quantum.to_json()}
+    return VerificationReport.from_defects(
+        name, seed, 3, defects, tols, details=chsh, witness=witness
+    )
+
+
+def _box_check(box, name: str, seed: int, tols: dict) -> VerificationReport:
+    """Whether a box fixture signals, defect 1 when it does, and its CHSH value."""
+    defects = {"no_signaling": float(not is_nosignaling_box(box, tol=1e-10))}
+    witness = {"box": box.to_json(), "chsh": chsh_value(box)}
+    return VerificationReport.from_defects(name, seed, 1, defects, tols, witness=witness)
+
+
+def sub_reports(cfg: SuiteConfig, suite: str) -> list[TrialReport | OnceReport]:
+    """Every sub-report of ``suite`` (one of ``SUITES`` but ``all``), in run
+    order, with the tolerance of every check it can print: a trial
+    sub-report's draw, evaluation, trial count and finish, or the builder of
+    one made once per report.  Only quantum-nosig and boxworld read their
+    fixture; one that fails parsing or validation makes a ``valid_fixture`` check."""
+    if suite == "opcore":
         # Framework axioms on three models; commutation, hence no signaling, on three composites.
-        "opcore": [
-            *(invariant_report(m, cfg.trials, cfg.outcomes, 1e-9)
-              for m in (ClassicalModel(cfg.d1), quantum, dsum)),
+        models = (ClassicalModel(cfg.d1), QuantumModel(cfg.d1), DSumModel(cfg.d1, cfg.d2))
+        bipartites = (ClassicalBipartite, QuantumBipartite, DSumBipartite)
+        return [
+            *(invariant_report(m, cfg.trials, cfg.outcomes, 1e-9) for m in models),
             *(TrialReport(
                 f"commutation-and-no-signaling[{bip.joint.name}]",
                 partial(_composite_draw, cfg, bip), partial(_composite_evaluate, bip),
                 max(cfg.trials // 5, 5), {"commutation": 1e-10, "no_signaling": cfg.tol}, _defects,
-            ) for bip in composites),
-        ],
-        # Averaged instruments fix the remote reduction; trace preserved iff reduction fixed.
-        "quantum-nosig": [] if cfg.fixture is not None else [
+            ) for bip in (b(cfg.d1, cfg.d2) for b in bipartites)),
+        ]
+    if suite == "quantum-nosig":
+        # Averaged instruments fix the remote reduction: a fixture's on one state, or random
+        # ones and, at (2,2), the singlet's; trace preserved iff reduction fixed.
+        tols = {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL}
+        if cfg.fixture is not None:
+            try:
+                inst = load_instrument(cfg.fixture)
+            except ValueError as exc:  # IncompleteInstrument is a ValueError too
+                tols, check = {"valid_fixture": cfg.tol}, partial(_rejected, cfg.fixture, exc)
+                return [OnceReport("quantum-no-signaling[fixture]", tols, check)]
+            if inst.dim != cfg.d1:
+                raise UsageError(
+                    f"fixture instrument acts on dimension {inst.dim}, expected {cfg.d1}"
+                )
+            check = partial(_instrument_check, inst, cfg.d1, cfg.d2)
+            return [OnceReport("quantum-no-signaling", tols, check)]
+        singlet = [
+            OnceReport(f"quantum-no-signaling[singlet-{name}]", {"no_signaling": 1e-12}, partial(
+                _instrument_check, inst, 2, 2, rho=singlet_state(), trials=1, details={}
+            ))
+            for name, inst in (("z", z_instrument()), ("x", x_instrument()))
+            if (cfg.d1, cfg.d2) == (2, 2)
+        ]
+        return [
             TrialReport(
                 "quantum-no-signaling[random]",
                 partial(_quantum_nosig_draw, cfg), partial(_quantum_nosig_evaluate, cfg),
-                cfg.trials, {"no_signaling": cfg.tol, "trace_preserving_outcomes": REDUCED_TOL},
+                cfg.trials, tols,
                 lambda r: replace(r, max_defect=r.checks[0].defect),  # the averaged instrument's
             ),
+            *singlet,
             biconditional_report(cfg.trials, cfg.d1, cfg.d2),
-        ],
+        ]
+    if suite == "lemma":
         # Local positive filters keep the remote reduction positive.
-        "lemma": [TrialReport(
+        return [TrialReport(
             "lemma", partial(_lemma_draw, cfg), partial(_lemma_evaluate, cfg),
             cfg.trials, {"reduced_positivity": 1e-10},
-        )],
+        )]
+    if suite == "dsum":
         # Commutation, no signaling and the Bayes quotient of direct-sum local operations.
-        "dsum": [TrialReport(
+        dsum = DSumModel(cfg.d1, cfg.d2)
+        return [TrialReport(
             "dsum", partial(_dsum_draw, cfg, dsum), partial(_dsum_evaluate, dsum), cfg.trials,
             {"commutation": 1e-12, "no_signaling": cfg.tol, "conditioning_quotient": 1e-10},
             _defects,
-        )],
-    }
-
-
-def _run_tomo_audit(cfg: SuiteConfig) -> VerificationReport:
-    """One check per composite and verdict, with defect 1 when the verdict
-    does not match its expectation; the headline defect counts mismatches."""
-    rows = audit_rows(cfg.d1, cfg.d2, seed=cfg.seed)
-    checks = [
-        Check(f"{name}[{r['model'].split()[0]}]", float(not r[key]), 0.0)
-        for r in rows
-        for name, key in (("local_observability", "lop_ok"), ("dimension_identity", "identity_ok"))
-    ]
-    mismatches, details = sum(c.defect for c in checks), {"rows": rows}
-    return VerificationReport.from_checks(
-        "tomo-audit", cfg.seed, len(rows), checks, 0.0, max_defect=mismatches, details=details
-    )
-
-
-def _run_boxworld(cfg: SuiteConfig) -> VerificationReport:
-    reports = []
-    if cfg.box is not None:
-        from .fixtures import load_box
-
-        try:
-            box = load_box(cfg.box)
-            checks = [Check("no_signaling", float(not is_nosignaling_box(box, tol=1e-10)), 0.0)]
-            witness = {"box": box.to_json(), "chsh": chsh_value(box)}
-            reports.append(
-                VerificationReport.from_checks(
-                    "boxworld[fixture]", cfg.seed, 1, checks, 0.0, witness=witness
-                )
-            )
-        except ValueError as exc:
-            reports.append(_rejected("boxworld[fixture]", cfg, cfg.box, 0.0, exc))
-    else:
-        classical = classical_chsh_max()
-        pr = pr_box()
-        quantum = singlet_box(OPTIMAL_CHSH_ANGLES)
-        landmarks = {
-            "classical_max": classical,
-            "pr_chsh": chsh_value(pr),
-            "singlet_chsh": chsh_value(quantum),
-        }
-        defects = {
-            "classical_chsh": abs(classical - 2.0),
-            "pr_chsh": abs(chsh_value(pr) - 4.0),
-            "pr_no_signaling": float(not is_nosignaling_box(pr, tol=0.0)),
-            "singlet_chsh": abs(chsh_value(quantum) - 2.0 * np.sqrt(2.0)),
-            "singlet_no_signaling": float(not is_nosignaling_box(quantum, tol=1e-10)),
-        }
-        reports.append(
-            VerificationReport.from_checks(
-                "boxworld[landmarks]",
-                cfg.seed,
-                3,
-                [Check(name, defect, 1e-9) for name, defect in defects.items()],
-                1e-9,
-                details=landmarks,
-                witness={"pr_box": pr.to_json(), "singlet_box": quantum.to_json()},
-            )
-        )
-    return combine_reports("boxworld", reports)
-
-
-# The once-per-report sub-reports of a suite, placed around its trial sub-reports ``ran``.
-_ONCE = {
-    "quantum-nosig": _run_quantum_nosig,
-    "tomo-audit": lambda cfg, ran: [_run_tomo_audit(cfg)],
-    "boxworld": lambda cfg, ran: [_run_boxworld(cfg)],
-}
+        )]
+    if suite == "tomo-audit":
+        # Local observability and the dimension identity meet their expectation on each
+        # composite: both hold on the classical and quantum ones, both fail on the direct sum.
+        kinds = ("local_observability", "dimension_identity")
+        tols = {f"{k}[{c}]": 0.0 for c in ("classical", "quantum", "dsum") for k in kinds}
+        return [OnceReport("tomo-audit", tols, partial(_tomo_audit, cfg.d1, cfg.d2))]
+    if suite != "boxworld":
+        raise UsageError(f"{suite!r} is not a suite with a table")
+    # The CHSH landmarks of classical, quantum and PR boxes, or whether a box fixture signals.
+    if cfg.box is None:
+        checks = "classical_chsh pr_chsh pr_no_signaling singlet_chsh singlet_no_signaling".split()
+        return [OnceReport("boxworld[landmarks]", dict.fromkeys(checks, 1e-9), _landmarks)]
+    try:
+        box = load_box(cfg.box)
+    except ValueError as exc:
+        tols, check = {"valid_fixture": 0.0}, partial(_rejected, cfg.box, exc)
+        return [OnceReport("boxworld[fixture]", tols, check)]
+    return [OnceReport("boxworld[fixture]", {"no_signaling": 0.0}, partial(_box_check, box))]
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run one suite (or all) under a validated configuration: each suite's
-    trial sub-reports in table order, then its once-per-report ones.  A suite
-    whose one sub-report bears its name reports as that sub-report."""
+    sub-reports in table order (:func:`sub_reports`).  A suite whose one
+    sub-report bears its name reports as that sub-report."""
     cfg.validate()
-    table, suites = trial_reports(cfg), []
+    suites = []
     for name in [s for s in SUITES if s != "all"] if cfg.suite == "all" else [cfg.suite]:
-        ran = [record.run(cfg.seed) for record in table.get(name, [])]
-        subs = _ONCE.get(name, lambda cfg, ran: ran)(cfg, ran)
+        subs = [record.run(cfg.seed) for record in sub_reports(cfg, name)]
         suites.append(subs[0] if [r.suite for r in subs] == [name] else combine_reports(name, subs))
     return combine_reports("all", suites) if cfg.suite == "all" else suites[0]
 

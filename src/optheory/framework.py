@@ -560,36 +560,6 @@ def no_signaling_check(
     )
 
 
-def determinism_equivalence_check(
-    joint: State,
-    t: Transformation,
-    bip: BipartiteModel,
-    probe: Sequence[Transformation],
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> VerificationReport:
-    """Check the equivalence "locally deterministic iff remotely invisible".
-
-    A violation is a transformation that is deterministic on the joint state
-    (probability 1 with the other side untouched) yet shifts some remote
-    probe probability.  Probes failing to witness non-determinism are not
-    violations; finite probe sets cannot certify the converse direction.
-    No CLI suite runs it: on the total of a complete action it measures the
-    probe shifts of :func:`no_signaling_check` again, and on a selective
-    draw (probability below 1) it is vacuous.
-    """
-    a = bip.embed_left(t)
-    p_det = prob(joint, a)
-    worst = worst_defect(*probe_shifts(joint, a, [bip.embed_right(b) for b in probe]))
-    # A NaN p_det is not "clearly non-deterministic", so the probe shifts still count.
-    violation = 0.0 if abs(p_det - 1.0) > tol else worst
-    checks = [Check("determinism_equivalence", violation, tol)]
-    details = {"prob_untouched": p_det, "max_probe_shift": worst}
-    return VerificationReport.from_checks(
-        "determinism-equivalence", seed, len(probe), checks, tol, details=details
-    )
-
-
 _INVARIANTS = (
     "completeness",
     "bayes_chain",

@@ -199,6 +199,14 @@ class VerificationReport:
         extra.setdefault("max_defect", worst_defect(*(c.defect for c in checks)))
         return cls(suite, seed, trials, tol=tol, checks=checks, **extra)
 
+    @classmethod
+    def from_defects(
+        cls, suite: str, seed: int, trials: int, defects: dict, tols: dict, **extra: Any
+    ) -> VerificationReport:
+        """The report of ``defects``, by check name, each at its tolerance in ``tols``."""
+        checks = [Check(name, defect, tols[name]) for name, defect in defects.items()]
+        return cls.from_checks(suite, seed, trials, checks, headline_tol(tols), **extra)
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks) and all(r.ok for r in self.sub_reports)
@@ -244,6 +252,12 @@ class VerificationReport:
         )
 
 
+def headline_tol(tols: dict) -> float:
+    """The headline tolerance of a report of the checks ``tols`` names: the
+    ``no_signaling`` check's, else the largest."""
+    return tols.get("no_signaling", max(tols.values()))
+
+
 @dataclass(frozen=True)
 class TrialReport:
     """Trials 0..trials-1 of ``draw`` and ``evaluate`` (:func:`trial_outcomes`)
@@ -260,9 +274,22 @@ class TrialReport:
 
     def run(self, seed: int) -> VerificationReport:
         checks = run_trials(seed, range(self.trials), self.draw, self.evaluate, self.tols)
-        tol = self.tols.get("no_signaling", max(self.tols.values()))
+        tol = headline_tol(self.tols)
         report = VerificationReport.from_checks(self.name, seed, self.trials, checks, tol)
         return report if self.finish is None else self.finish(report)
+
+
+@dataclass(frozen=True)
+class OnceReport:
+    """A sub-report made once per report by ``build(name, seed, tols)``, each
+    check at its tolerance in ``tols``, which names every check it can make."""
+
+    name: str
+    tols: dict[str, float]
+    build: Callable[[str, int, dict[str, float]], VerificationReport]
+
+    def run(self, seed: int) -> VerificationReport:
+        return self.build(self.name, seed, self.tols)
 
 
 def combine_reports(suite: str, reports: list[VerificationReport]) -> VerificationReport:

@@ -212,9 +212,12 @@ def isometry_blocks(a: np.ndarray, n: int) -> np.ndarray:
     """The finish of :func:`haar_isometry_blocks`: the gauge-fixed Q factor of
     every ``(n*d, d)`` Gaussian on the last two axes, as ``(..., n, d, d)`` blocks."""
     q, r = np.linalg.qr(a)
-    # Fix the gauge so the isometry is a deterministic function of a.
+    # Fix the gauge so the isometry is a deterministic function of a; a zero or
+    # NaN diagonal entry keeps phase 1, so a NaN trial fails alone, unwarned.
     diagonal = r.diagonal(0, -2, -1)
-    q = q * (diagonal / np.abs(diagonal)).conj()[..., None, :]
+    size = np.abs(diagonal)
+    phase = np.divide(diagonal, size, out=np.ones_like(diagonal), where=size > 0)
+    q = q * phase.conj()[..., None, :]
     d = q.shape[-1]
     return q.reshape(*q.shape[:-2], n, d, d)
 

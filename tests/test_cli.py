@@ -30,7 +30,7 @@ from optheory.boxes import is_nosignaling_box, pr_box
 from optheory.directsum import DSumModel
 from optheory.linalg import min_eig_herm, partial_trace, tensor
 from optheory.quantum import PAULI_X, KrausOp, z_instrument
-from optheory.report import Check, VerificationReport, combine_reports
+from optheory.report import Check, TrialReport, VerificationReport, combine_reports
 
 MUTANT_FILE = Path(str(resources.files("optheory").joinpath("data", "mutant_instrument.json")))
 # The one-outcome identity instrument on a qubit, as fixture JSON.
@@ -436,6 +436,25 @@ class TestUsageErrors:
         assert main(["--suite", suite, flag, str(path)]) == 2
         assert "not a readable file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--suite", "opcore", "--fixture", "z-instrument", "--d1", "3"], 0),
+            (["--suite", "quantum-nosig", "--fixture", "z-instrument", "--d1", "3"], 2),
+            (["--suite", "all", "--fixture", "z-instrument", "--d1", "3"], 2),
+            (["--suite", "lemma", "--box", "MISSING"], 0),
+            (["--suite", "boxworld", "--box", "MISSING"], 2),
+        ],
+        ids=["opcore", "quantum-nosig", "all", "lemma", "boxworld"],
+    )
+    def test_a_fixture_is_read_only_by_the_suite_it_feeds(self, argv, code, tmp_path, capsys):
+        # A qubit instrument at d1 = 3 and a missing box file are usage errors
+        # of the suites that read them, and nothing to a suite that does not.
+        missing = str(tmp_path / "missing.json")
+        argv = [missing if a == "MISSING" else a for a in argv]
+        assert main([*argv, "--trials", "2"]) == code
+        assert ("usage error" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("name", ["", "missing/out.json"], ids=["directory", "missing-dir"])
     def test_unwritable_json_path_exits_two(self, name, tmp_path, capsys):
         path = tmp_path / name
@@ -600,49 +619,44 @@ def _leaf_reports(report: dict):
     return [report] * ("checks" in report) + [leaf for sub in subs for leaf in _leaf_reports(sub)]
 
 
-# The checks made once per report, outside the trial table, by sub-report:
-# a rejected fixture's, the singlet's two instruments at (2,2), boxworld's
-# landmarks, and tomo-audit's two verdicts per composite.
-ONCE_PER_REPORT = {
-    "quantum-no-signaling[fixture]": {"valid_fixture"},
-    "quantum-no-signaling[singlet-z]": {"no_signaling"},
-    "quantum-no-signaling[singlet-x]": {"no_signaling"},
-    "boxworld[landmarks]": {
-        "classical_chsh", "pr_chsh", "pr_no_signaling", "singlet_chsh", "singlet_no_signaling"
-    },
-    "tomo-audit": {
-        f"{verdict}[{composite}]"
-        for verdict in ("local_observability", "dimension_identity")
-        for composite in ("classical", "quantum", "dsum")
-    },
+# Extra flags of a `--suite all --trials 20` run (a later `--suite` wins) and
+# its exit code; REJECTED is a file that parses but holds no fixture.
+TABLE_CASES = {
+    "2x2": ([], 0),
+    "2x3": (["--d2", "3"], 0),
+    "2x3-tol": (["--d2", "3", "--tol", "1e-9"], 0),
+    "2x2-rejected-fixture": (["--fixture", "REJECTED"], 1),
+    "2x2-fixture": (["--fixture", "z-instrument"], 0),
+    "pr-box": (["--suite", "boxworld", "--box", "pr-box"], 0),
+    "signaling-box": (["--suite", "boxworld", "--box", "signaling-box"], 1),
+    "rejected-box": (["--suite", "boxworld", "--box", "REJECTED"], 1),
 }
 
 
-@pytest.mark.parametrize(
-    "d1,d2,tol,rejected_fixture",
-    [(2, 2, "1e-8", False), (2, 3, "1e-8", False), (2, 3, "1e-9", False), (2, 2, "1e-8", True)],
-    ids=["2x2", "2x3", "2x3-tol", "2x2-rejected-fixture"],
-)
-def test_printed_checks_match_the_trial_table(d1, d2, tol, rejected_fixture, tmp_path, capsys):
-    path, fixture = tmp_path / "out.json", tmp_path / "rejected.json"
-    argv = ["--suite", "all", "--trials", "20", "--d1", str(d1), "--d2", str(d2), "--tol", tol]
-    if rejected_fixture:
-        fixture.write_text("{}")
-        argv += ["--fixture", str(fixture)]
-    assert main(argv + ["--json", str(path)]) == int(rejected_fixture)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_printed_checks_match_the_trial_table(case, tmp_path, capsys):
+    # Every printed sub-report is a record of the table, and every record is
+    # printed.  A trial record prints exactly its checks; one made once per
+    # report prints some of them, as a fixture prints
+    # trace_preserving_outcomes only when some outcome preserves the trace.
+    path, rejected = tmp_path / "out.json", tmp_path / "rejected.json"
+    rejected.write_text("{}")
+    extra, code = TABLE_CASES[case]
+    argv = ["--suite", "all", "--trials", "20", *extra, "--json", str(path)]
+    assert main([str(rejected) if a == "REJECTED" else a for a in argv]) == code
     capsys.readouterr()
     payload = json.loads(path.read_text())
-    table = cli.trial_reports(SuiteConfig(**payload["config"]))
-    records = {record.name: record for suite in table.values() for record in suite}
-    ran = set()
-    for leaf in _leaf_reports(payload["report"]):
-        checks = {c["name"]: c["tol"] for c in leaf["checks"]}
-        if leaf["suite"] not in records:
-            assert set(checks) <= ONCE_PER_REPORT[leaf["suite"]], leaf["suite"]
-            continue
-        ran.add(leaf["suite"])
-        assert checks == records[leaf["suite"]].tols, leaf["suite"]
-    assert ran == set(records)
+    cfg = SuiteConfig(**payload["config"])
+    suites = cli.SUITES[:-1] if cfg.suite == "all" else [cfg.suite]
+    records = {record.name: record for s in suites for record in cli.sub_reports(cfg, s)}
+    leaves = _leaf_reports(payload["report"])
+    assert sorted(leaf["suite"] for leaf in leaves) == sorted(records)
+    for leaf in leaves:
+        record, checks = records[leaf["suite"]], {c["name"]: c["tol"] for c in leaf["checks"]}
+        if isinstance(record, TrialReport):
+            assert checks == record.tols, leaf["suite"]
+        else:
+            assert checks and checks.items() <= record.tols.items(), leaf["suite"]
 
 
 def test_main_all_suites(capsys):

@@ -23,7 +23,6 @@ from optheory.framework import (
     complement,
     compose,
     condition,
-    determinism_equivalence_check,
     dynamically_equivalent,
     effect_of,
     informationally_equivalent,
@@ -286,40 +285,6 @@ class TestNoSignaling:
             probes = [self.bip.right.random_transformation(rng) for _ in range(3)]
             report = no_signaling_check(joint, action, self.bip, probes)
             assert report.max_defect <= 1e-12
-
-
-class TestDeterminismEquivalence:
-    bip = ClassicalBipartite(2, 2)
-
-    def test_deterministic_holds(self):
-        joint = self.bip.joint.state([0.5, 0.0, 0.0, 0.5])
-        report = determinism_equivalence_check(
-            joint, self.bip.left.identity(), self.bip,
-            [self.bip.right.transformation(np.diag([1.0, 0.0]))],
-        )
-        assert report.passed and report.max_defect == pytest.approx(0.0, abs=1e-15)
-
-    def test_selective_on_correlated_state(self):
-        # P(side1=0) = 0.5 != 1, and the probe "side2=1" shifts from 0.5 to 0:
-        # both directions of the equivalence fail together, which is consistent.
-        joint = self.bip.joint.state([0.5, 0.0, 0.0, 0.5])
-        t = self.bip.left.transformation(np.diag([1.0, 0.0]), "p0")
-        probes = [
-            self.bip.right.transformation(np.diag([1.0, 0.0])),
-            self.bip.right.transformation(np.diag([0.0, 1.0])),
-        ]
-        report = determinism_equivalence_check(joint, t, self.bip, probes)
-        assert report.passed
-        assert report.details["prob_untouched"] == pytest.approx(0.5)
-        assert report.details["max_probe_shift"] == pytest.approx(0.5)
-
-    def test_scaled_identity_holds(self):
-        joint = self.bip.joint.state([0.25, 0.25, 0.25, 0.25])
-        report = determinism_equivalence_check(
-            joint, scale(1.0, self.bip.left.identity()), self.bip,
-            [self.bip.right.transformation(np.diag([1.0, 0.0]))],
-        )
-        assert report.passed
 
 
 unit_interval = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
