@@ -39,7 +39,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import rank_of_rows, trial_factor, value, vdots
+from .linalg import kron_product_table, rank_of_rows, trial_factor, value, vdots
 from .report import Check, TrialReport, VerificationReport, worst_defect, worst_defects
 from .sampling import (
     draw_stochastic_split,
@@ -289,8 +289,9 @@ class BipartiteModel(ABC):
 
     The defining property is dynamical independence: embedded left and right
     transformations commute (checked, not assumed, by the test suites).
-    A composite writes only ``_embed``, and ``product_payloads`` and
-    ``ambient_rows`` when its joint effects are not array payloads.  Stacks
+    A composite writes only ``_embed``, ``product_payloads`` and
+    ``ambient_rows`` when its joint effects are not array payloads, and
+    ``product_table`` when its products have one.  Stacks
     of joint effect payloads are the joint model's (``stack_effects``, ``take``).
     ``ambient_rows`` is only given products the package built, from the
     effects of an ``Observable`` (which checked each one) or from its own
@@ -341,6 +342,16 @@ class BipartiteModel(ABC):
         """Coordinates of a stack of joint effect payloads in the ambient
         composite system, one row each, of products the package built."""
         return self.joint.effect_coords(Effect(self.joint, stack))
+
+    def product_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Index table ``(A, B, W)`` of the orthogonal map Q that takes the
+        Kronecker product of a left and a right effect's coordinates to the
+        ambient row of their product: column c of that row is
+        ``sum_t W[t, c] x[A[t, c]] y[B[t, c]]`` (see
+        ``linalg.hermitian_product_table``).  None when the products have no
+        such map, as on a composite whose products span less than its ambient
+        space."""
+        return None
 
     def random_product_effect(self, rng: np.random.Generator) -> Effect:
         tl = self.left.random_transformation(rng)
@@ -841,3 +852,6 @@ class ClassicalBipartite(BipartiteModel):
         if side == 1:
             return np.kron(t.payload, np.eye(self.n2))
         return np.kron(np.eye(self.n1), t.payload)
+
+    def product_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return kron_product_table(self.n1, self.n2)

@@ -19,7 +19,8 @@ PSD_SLACK = 1e-10
 # Singular values below RANK_TOL * sigma_max do not contribute to span ranks.
 RANK_TOL = 1e-7
 # A certified lower bound on sigma_min / sigma_max above FULL_RANK_MARGIN * RANK_TOL
-# decides full rank without an SVD (tomography's Gram certificate of product rows).
+# decides full rank without an SVD (tomography's certificate of product rows, from
+# their residual against the tensor formula (C1 (x) C2) Q^T).
 FULL_RANK_MARGIN = 10.0
 
 
@@ -206,43 +207,80 @@ def psd_sqrt(a) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal real basis of d x d Hermitian matrices, shape (d^2, d, d).
-
-    Ordering is fixed for bit-for-bit reproducibility of span ranks: the d
-    diagonal units E_ii first, then (E_ij + E_ji)/sqrt(2) for i < j row-major,
-    then i(E_ij - E_ji)/sqrt(2) in the same order.
-    """
-    if d <= 0:
-        raise ValueError("dimension must be positive")
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            mats.append(e / np.sqrt(2))
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0j
-            e[j, i] = -1.0j
-            mats.append(e / np.sqrt(2))
-    out = np.stack(mats, axis=0)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
 def _strict_upper_flat(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices in a row-major ``d x d`` matrix of the strict upper
     triangle, row-major, and of the entries across the diagonal from them."""
     rows, cols = np.triu_indices(d, k=1)
     return rows * d + cols, cols * d + rows
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _entry_coords(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of a row-major ``d x d`` Hermitian matrix M lives in
+    its :func:`hermitian_coords` x, by flat index ``i * d + j``: the index of
+    the coordinate of its real part (the diagonal's own, or the pair's
+    symmetric one), that of its pair's antisymmetric coordinate (0 on the
+    diagonal) and the sign of that coordinate in M_ij, +1 above the diagonal,
+    -1 below and 0 on it.  So M_ii = x[re] and, off the diagonal,
+    M_ij = (x[re] + 1j * sign * x[im]) / sqrt(2)."""
+    upper, lower = _strict_upper_flat(d)
+    pairs = np.arange(d, d + len(upper))
+    re, im = np.zeros(d * d, dtype=np.intp), np.zeros(d * d, dtype=np.intp)
+    sign = np.zeros(d * d)
+    re[:: d + 1] = np.arange(d)
+    re[upper] = re[lower] = pairs
+    im[upper] = im[lower] = pairs + len(upper)
+    sign[upper], sign[lower] = 1.0, -1.0
+    return _frozen(re, im, sign)
+
+
+@lru_cache(maxsize=32)
+def hermitian_product_table(d1: int, d2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index table ``(A, B, W)``, each of shape ``(2, D^2)`` with ``D = d1 d2``,
+    of the orthogonal map Q from product coordinates to joint coordinates:
+    for Hermitian E (d1 x d1) and F (d2 x d2) with :func:`hermitian_coords`
+    x and y, coordinate c of E (x) F is ``sum_t W[t, c] x[A[t, c]] y[B[t, c]]``,
+    so ``Q[c, A[t, c] * d2^2 + B[t, c]] = W[t, c]``.
+
+    Entry (I, J) of E (x) F, I = i1 d2 + i2 and J = j1 d2 + j2, is
+    E_{i1 j1} F_{i2 j2}; writing both factors by :func:`_entry_coords` gives
+    the real part of that product (the diagonal coordinates, then the
+    symmetric ones) from the terms x_re y_re and x_im y_im, and the
+    imaginary part (the antisymmetric coordinates) from x_re y_im and
+    x_im y_re.  Every weight is 0, +-1 or +-fl(1/sqrt(2)): 1/sqrt(2) where
+    both factors are off their diagonals, 1 where one is, and 0 for the
+    terms that a diagonal factor's zero imaginary part removes."""
+    d = d1 * d2
+    upper, _ = _strict_upper_flat(d)
+    rows = np.concatenate([np.arange(d), upper // d])  # the diagonal, then I < J
+    cols = np.concatenate([np.arange(d), upper % d])
+    re1, im1, s1 = (x[(rows // d2) * d1 + cols // d2] for x in _entry_coords(d1))
+    re2, im2, s2 = (x[(rows % d2) * d2 + cols % d2] for x in _entry_coords(d2))
+    scale = np.where((s1 != 0) & (s2 != 0), np.sqrt(0.5), 1.0)
+    real_a, real_b = np.stack([re1, im1]), np.stack([re2, im2])
+    real_w = np.stack([scale, -s1 * s2 * scale])
+    imag_b = np.stack([im2, re2])[:, d:]
+    imag_w = np.stack([s2 * scale, s1 * scale])[:, d:]
+    return _frozen(
+        np.concatenate([real_a, real_a[:, d:]], axis=1),
+        np.concatenate([real_b, imag_b], axis=1),
+        np.concatenate([real_w, imag_w], axis=1),
+    )
+
+
+@lru_cache(maxsize=32)
+def kron_product_table(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of :func:`hermitian_product_table` for coordinates whose
+    product is their Kronecker product (Q = I): one term per coordinate,
+    ``A = c // n2``, ``B = c % n2``, ``W = 1``."""
+    c = np.arange(n1 * n2)[None]
+    return _frozen(c // n2, c % n2, np.ones(c.shape))
 
 
 def trusted_hermitian_coords(m: np.ndarray) -> np.ndarray:
@@ -266,14 +304,16 @@ def trusted_hermitian_coords(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_coords(a) -> np.ndarray:
-    """Real coordinate vector of a Hermitian matrix in ``hermitian_basis``.
+    """Real coordinate vector of a Hermitian matrix in the orthonormal basis
+    of Hermitian matrices: the d diagonal units E_ii, then (E_ij + E_ji)/sqrt(2)
+    for i < j row-major, then i(E_ij - E_ji)/sqrt(2) in the same order.
 
     Computed entrywise (diagonal, then sqrt(2) times the real and imaginary
-    upper-triangle parts) rather than by pairing against the dense basis;
-    the orderings coincide.  A stack ``(n, d, d)`` gives one row of ``d^2``
-    coordinates per matrix, each equal to the call on that matrix alone.
-    Every matrix is validated, finite and Hermitian within ``TOL_HERM``,
-    then :func:`trusted_hermitian_coords` computes the rows.
+    upper-triangle parts) rather than by pairing against a dense basis.  A
+    stack ``(n, d, d)`` gives one row of ``d^2`` coordinates per matrix, each
+    equal to the call on that matrix alone.  Every matrix is validated,
+    finite and Hermitian within ``TOL_HERM``, then
+    :func:`trusted_hermitian_coords` computes the rows.
     """
     m = _matrices(a)
     _checked_adjoint(m)
@@ -281,10 +321,14 @@ def hermitian_coords(a) -> np.ndarray:
 
 
 def hermitian_from_coords(v, d: int) -> np.ndarray:
+    """The Hermitian matrix whose :func:`hermitian_coords` are ``v``, entry by
+    entry from :func:`_entry_coords`."""
     vec = np.asarray(v, dtype=float)
     if vec.shape != (d * d,):
         raise ValueError(f"expected {d * d} coordinates, got shape {vec.shape}")
-    return np.einsum("k,kij->ij", vec, hermitian_basis(d))
+    re, im, sign = _entry_coords(d)
+    scale = np.where(sign == 0, 1.0, np.sqrt(0.5))
+    return (scale * (vec[re] + 1j * sign * vec[im])).reshape(d, d)
 
 
 def rank_of_rows(rows) -> int:

@@ -84,6 +84,7 @@ from .linalg import (
     as_matrix_stack,
     hermitian_coords,
     hermitian_part,
+    hermitian_product_table,
     max_eig_herm,
     partial_trace,
     psd_sqrt,
@@ -897,6 +898,9 @@ class QuantumBipartite(BipartiteModel):
         """``trusted_hermitian_coords`` of product payloads the package built
         from validated local effects."""
         return trusted_hermitian_coords(stack)
+
+    def product_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return hermitian_product_table(self.d1, self.d2)
 
 
 # ---------------------------------------------------------------------------

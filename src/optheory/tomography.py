@@ -8,8 +8,9 @@ Tensor composites pass; the direct-sum composite cannot, because every
 locally generated joint effect is block-diagonal.  Passing forces the
 dimension identity adm(S12) = adm(S1) adm(S2) + adm(S1) + adm(S2).
 For a tensor composite, local observability has an exact numerical form:
-the Gram matrix of the product rows factorises, R R^T = G1 (x) G2, with Gi
-the Gram matrix of the local rows, and the audit certifies full rank from it.
+the coordinates of the product rows are an orthogonal image of the Kronecker
+product of the local rows, R = (C1 (x) C2) Q^T, and the audit certifies full
+rank from the residual of the built rows against that formula.
 """
 
 from __future__ import annotations
@@ -173,52 +174,81 @@ def product_rows(o1: Observable, o2: Observable, bip: BipartiteModel) -> np.ndar
     return rows
 
 
-def _gram_full_rank_bound(rows: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> float:
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _product_full_rank_bound(rows: np.ndarray, c1: np.ndarray, c2: np.ndarray, table) -> float:
     """A lower bound on sigma_min / sigma_max of the products ``rows`` of the local
     rows ``c1`` and ``c2`` (rows i and j in row ``i * len(c2) + j``), or 0.0.
 
-    Local observability makes the product rows' Gram matrix factorise, R R^T =
-    G1 (x) G2 with Gi = Ci Ci^T, and Weyl's inequality (Golub and Van Loan, 4th
-    ed., Cor. 8.6.2) compares the computed R R^T against that formula:
+    Local observability makes every product row an orthogonal image of the
+    Kronecker product of its local rows: R = F = (C1 (x) C2) Q^T, with Q the
+    composite's ``product_table`` ``(A, B, W)``.  Q is orthogonal, so the
+    singular values of F are the products of those of C1 and C2, and Weyl's
+    inequality for singular values (Golub and Van Loan, 4th ed., Cor. 8.6.2)
+    compares the computed R against that formula entry by entry:
 
-        lambda_min(R R^T) >= lambda_min(G1) lambda_min(G2) - ||R R^T - G1 (x) G2||_F - e,
-        lambda_max(R R^T) <= lambda_max(G1) lambda_max(G2) + ||R R^T - G1 (x) G2||_F + e.
+        sigma_min(R) >= sigma_min(C1) sigma_min(C2) - ||R - F||_F - e,
+        sigma_max(R) <= sigma_max(C1) sigma_max(C2) + ||R - F||_F + e.
 
-    The bound is the square root of their ratio.  G1 and G2 are the computed
-    matrices (exactly symmetric: numpy forms C C^T by SYRK), so their GEMMs need
-    no term.  The a-priori rounding term e (Higham, 2nd ed., ch. 3) takes one
-    gamma_k = k u / (1 - k u), k = (m + n)^2 for R of shape (m, n), over every
-    sum: gamma_k ||R||_F^2 for the Gram GEMM, gamma_k ||G1||_F ||G2||_F for the
-    Kronecker blocks, gamma_k ||R R^T - G1 (x) G2||_F for their subtraction and
-    the norm, and gamma_k ||Gi||_F on each eigenvalue of the two local
-    eigensolves.  Unlike a bound from a factorisation of R, it therefore bounds
-    the computed rows.  It declines without forming R R^T when R has more rows
-    than columns, and when a local Gram matrix is not certified positive
-    definite.  G1 (x) G2 is subtracted in place, one block of rows at a time, so
-    R R^T is the only m x m temporary.
+    The bound is their ratio; sigma(Ci)^2 are the eigenvalues of Gi = Ci Ci^T.
+    The rounding terms (Higham, 2nd ed., ch. 3) bound the computed rows:
+
+    - each end of a local spectrum moves by gamma_k (||Gi||_F + ||Ci||_F^2),
+      k = (m_i + n_i)^2 for Ci of shape (m_i, n_i): the GEMM that forms Gi
+      and the eigensolve;
+    - an entry of the computed F rounds four times per term (fl(1/sqrt(2)) in
+      W, two products, the sum), so over all entries e = gamma_k sqrt(t)
+      ||C1||_F ||C2||_F for t terms per entry, as Q's columns are unit
+      vectors; k = 6 + the entry counts of C1 and C2 also covers the two
+      norms;
+    - the subtraction R - F, the sum of the m n squares and the square root
+      scale the computed ||R - F||_F by at most 1 + gamma_{2mn+2}.
+
+    The few operations that assemble the ratio from these terms round by a
+    few u, far inside the slack.  It declines without reading the rows when R
+    has more rows than columns or the composite has no table, and when a
+    local Gram matrix is not certified positive definite; a NaN in the rows
+    reads 0.0.  The residual is summed one block of at most ``PRODUCT_CHUNK``
+    rows at a time in two reused buffers, so no temporary is m x m or m x n.
     """
     m, n = rows.shape
-    if m > n:
+    if m > n or table is None:
         return 0.0
-    u = np.finfo(float).eps / 2
-    gamma = (m + n) ** 2 * u / (1 - (m + n) ** 2 * u)
-    grams = [c @ c.T for c in (c1, c2)]
-    lows, highs = [], []
-    for g in grams:
-        eigs, slack = np.linalg.eigvalsh(g), gamma * np.linalg.norm(g)
-        lows.append(eigs[0] - slack)
-        highs.append(eigs[-1] + slack)
-    if not all(low > 0.0 for low in lows):  # a NaN declines too
+    ends = []
+    for c in (c1, c2):
+        g = c @ c.T
+        eigs = np.linalg.eigvalsh(g)
+        slack = _gamma(sum(c.shape) ** 2) * (np.linalg.norm(g) + np.linalg.norm(c) ** 2)
+        ends.append((eigs[0] - slack, eigs[-1] + slack))
+    (low1, high1), (low2, high2) = ends
+    if not (low1 > 0.0 and low2 > 0.0):  # a NaN declines too
         return 0.0
-    g1, g2 = grams
-    # Row (i, j), column (k, l) of R R^T, less G1[i, k] G2[j, l].
-    gram = (rows @ rows.T).reshape(len(g1), len(g2), len(g1), len(g2))
-    for i, block in enumerate(gram):
-        block -= g2[:, None, :] * g1[i, None, :, None]
-    distance = (1 + gamma) * np.linalg.norm(gram)
-    distance += gamma * (np.linalg.norm(rows) ** 2 + np.linalg.norm(g1) * np.linalg.norm(g2))
-    low = lows[0] * lows[1] - distance
-    return float(np.sqrt(low / (highs[0] * highs[1] + distance))) if low > 0.0 else 0.0
+    a, b, w = table
+    # Term t of F's row (i, j) is the product of row i of lefts[t] and row j of rights[t].
+    lefts = [np.take(c1, at, axis=1) * wt for at, wt in zip(a, w)]
+    rights = [np.take(c2, bt, axis=1) for bt in b]
+    step = min(len(c1), max(1, PRODUCT_CHUNK // len(c2)))
+    formula = np.empty((step, len(c2), n))
+    term = np.empty_like(formula)
+    products = rows.reshape(len(c1), len(c2), n)
+    squares = 0.0
+    for i in range(0, len(c1), step):
+        block = products[i : i + step]
+        f, t = formula[: len(block)], term[: len(block)]
+        np.multiply(lefts[0][i : i + step, None], rights[0], out=f)
+        for left, right in zip(lefts[1:], rights[1:]):
+            np.multiply(left[i : i + step, None], right, out=t)
+            f += t
+        np.subtract(block, f, out=f)
+        squares += np.dot(f.ravel(), f.ravel())
+    e = _gamma(6 + c1.size + c2.size) * np.sqrt(len(w)) * np.linalg.norm(c1) * np.linalg.norm(c2)
+    distance = (1 + _gamma(2 * m * n + 2)) * np.sqrt(squares) + e
+    low = np.sqrt(low1 * low2) - distance
+    return float(low / (np.sqrt(high1 * high2) + distance)) if low > 0.0 else 0.0
 
 
 def local_observability_audit(
@@ -234,15 +264,18 @@ def local_observability_audit(
     ``bip.random_product_effect(trial_rng(seed, k))``), and the rank of the
     union decides.
     ``trials`` counts the rows audited.  The details record the product rows'
-    certified bound on sigma_min / sigma_max from their Gram identity
-    (``_gram_full_rank_bound``): above ``FULL_RANK_MARGIN * RANK_TOL`` every row is
-    independent without an SVD, and otherwise ``rank_of_rows`` decides.
+    certified bound on sigma_min / sigma_max from their residual against the
+    tensor formula (C1 (x) C2) Q^T of ``bip.product_table()``
+    (``_product_full_rank_bound``): above ``FULL_RANK_MARGIN * RANK_TOL`` every
+    row is independent without an SVD, and otherwise ``rank_of_rows`` decides.
     """
     o1, o2 = minimal_ic_observable(bip.left), minimal_ic_observable(bip.right)
     rows = product_rows(o1, o2, bip)
     outcomes = len(rows)
     ambient = bip.ambient_effect_dim
-    bound = _gram_full_rank_bound(rows, o1.coordinate_rows(), o2.coordinate_rows())
+    bound = _product_full_rank_bound(
+        rows, o1.coordinate_rows(), o2.coordinate_rows(), bip.product_table()
+    )
     product_rank = rank = outcomes if bound > FULL_RANK_MARGIN * RANK_TOL else rank_of_rows(rows)
     if product_rank < ambient:
         rows = np.concatenate([rows, bip.random_product_rows(seed, ambient + 32)])

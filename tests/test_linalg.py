@@ -10,9 +10,10 @@ from optheory.linalg import (
     RANK_TOL,
     direct_sum,
     eigvals_herm,
-    hermitian_basis,
     hermitian_coords,
     hermitian_from_coords,
+    hermitian_product_table,
+    kron_product_table,
     matrix_from_json,
     matrix_to_json,
     max_eig_herm,
@@ -43,6 +44,7 @@ from optheory.quantum import (
 from optheory.sampling import complex_gaussian, ginibre_positive, trial_rng
 
 I2 = np.eye(2)
+EPS = np.finfo(float).eps
 
 
 class TestTensor:
@@ -228,6 +230,36 @@ def test_eigenvalue_checks_reject_nan(check):
         check(np.diag([np.nan, 0.5, 0.5]))
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of d x d Hermitian matrices, shape (d^2, d, d),
+    built one matrix at a time: the d diagonal units E_ii, then
+    (E_ij + E_ji)/sqrt(2) for i < j row-major, then i(E_ij - E_ji)/sqrt(2) in
+    the same order.  The oracle of ``hermitian_coords`` and its inverse."""
+    mats = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        mats.append(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            e[j, i] = 1.0
+            mats.append(e / np.sqrt(2))
+    for i in range(d):
+        for j in range(i + 1, d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0j
+            e[j, i] = -1.0j
+            mats.append(e / np.sqrt(2))
+    return np.stack(mats, axis=0)
+
+
+def random_hermitian(rng, d: int) -> np.ndarray:
+    g = complex_gaussian(rng, d, d)
+    return g + g.conj().T
+
+
 class TestHermitianBasis:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthonormal(self, d):
@@ -236,11 +268,99 @@ class TestHermitianBasis:
         gram = np.einsum("aij,bji->ab", basis, basis).real
         assert np.allclose(gram, np.eye(d * d), atol=1e-13)
 
-    def test_coords_roundtrip(self):
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_coords_pair_with_the_basis(self, d):
+        m = random_hermitian(trial_rng(d), d)
+        paired = np.einsum("kij,ji->k", hermitian_basis(d), m).real
+        assert np.allclose(hermitian_coords(m), paired, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_coords_roundtrip(self, d):
         rng = trial_rng(17)
-        m = require_hermitian(ginibre_positive(rng, 3) - ginibre_positive(rng, 3))
+        m = require_hermitian(random_hermitian(rng, d))
         v = hermitian_coords(m)
-        assert np.allclose(hermitian_from_coords(v, 3), m, atol=1e-12)
+        assert np.allclose(hermitian_from_coords(v, d), m, atol=1e-12)
+        assert np.allclose(np.einsum("k,kij->ij", v, hermitian_basis(d)), m, atol=1e-12)
+
+
+def table_rows(table, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows ``sum_t W[t] x[A[t]] y[B[t]]`` of every pair of a row of ``x``
+    and a row of ``y``, the pair (i, j) in row ``i * len(y) + j``, with the
+    products rounded in the certificate's order, (W x) y."""
+    a, b, w = table
+    out = sum((wt * x[:, None, at]) * y[None, :, bt] for at, bt, wt in zip(a, b, w))
+    return out.reshape(len(x) * len(y), -1)
+
+
+def dense_product_map(table, n2: int) -> np.ndarray:
+    """The matrix Q of an index table, its entry (c, a * n2 + b) the weight of
+    the term x_a y_b in coordinate c."""
+    a, b, w = table
+    q = np.zeros((a.shape[1], a.shape[1]))
+    np.add.at(q, (np.broadcast_to(np.arange(a.shape[1]), a.shape), a * n2 + b), w)
+    return q
+
+
+def basis_product_map(d1: int, d2: int) -> np.ndarray:
+    """The oracle of Q: entry (c, a * d2^2 + b) is Tr[B_c (b_a (x) b_b)] for the
+    bases of :func:`hermitian_basis`."""
+    joint = hermitian_basis(d1 * d2)
+    products = np.kron(hermitian_basis(d1)[:, None], hermitian_basis(d2)[None])
+    products = products.reshape(-1, d1 * d2, d1 * d2)
+    return np.einsum("cij,pji->cp", joint, products).real
+
+
+def table_mismatch(table, d1: int, d2: int, seed: int) -> float:
+    """The largest gap of the formula rows of random Hermitian E and F from
+    the coordinates of E (x) F, relative to the product of their norms."""
+    rng = np.random.default_rng(seed)
+    e, f = random_hermitian(rng, d1), random_hermitian(rng, d2)
+    x, y = hermitian_coords(e)[None], hermitian_coords(f)[None]
+    gap = np.abs(table_rows(table, x, y) - trusted_hermitian_coords(np.kron(e, f))).max()
+    return gap / (np.linalg.norm(x) * np.linalg.norm(y))
+
+
+def flip_one_sign(a, b, w, c):
+    w[1, c] = -w[1, c]
+
+
+def swap_one_index(a, b, w, c):
+    a[0, [c, c + 1]] = a[0, [c + 1, c]]
+
+
+class TestProductTable:
+    @settings(max_examples=40, deadline=None)
+    @given(d1=st.integers(2, 6), d2=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_formula_rows_are_the_product_coordinates(self, d1, d2, seed):
+        assert table_mismatch(hermitian_product_table(d1, d2), d1, d2, seed) <= 4 * EPS
+
+    @pytest.mark.parametrize("d1,d2", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (6, 2)])
+    def test_dense_map_is_the_basis_pairing_and_orthogonal(self, d1, d2):
+        table = hermitian_product_table(d1, d2)
+        q = dense_product_map(table, d2 * d2)
+        assert np.abs(q - basis_product_map(d1, d2)).max() <= 1e-15
+        assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-15
+        assert (np.count_nonzero(q, axis=1) <= 2).all()
+        assert set(np.abs(table[2]).ravel()) <= {0.0, 1.0, np.sqrt(0.5)}
+
+    @pytest.mark.parametrize("mutate", [flip_one_sign, swap_one_index], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)], ids=str)
+    def test_a_mutated_table_is_caught(self, mutate, dims):
+        d1, d2 = dims
+        a, b, w = (x.copy() for x in hermitian_product_table(*dims))
+        # The first off-diagonal coordinate with two terms whose first left
+        # index differs from the next coordinate's.
+        c = next(c for c in range(d1 * d2, len(a[0]) - 1) if w[1, c] and a[0, c] != a[0, c + 1])
+        mutate(a, b, w, c)
+        assert table_mismatch((a, b, w), d1, d2, seed=0) > 1e-3
+        assert np.abs(dense_product_map((a, b, w), d2 * d2) - basis_product_map(d1, d2)).max() > 0.5
+
+    @pytest.mark.parametrize("dims", [(1, 3), (2, 2), (3, 4), (6, 5)], ids=str)
+    def test_classical_table_gives_the_kronecker_rows(self, dims):
+        n1, n2 = dims
+        rng = np.random.default_rng(sum(dims))
+        x, y = rng.standard_normal((n1 + 1, n1)), rng.standard_normal((n2 + 2, n2))
+        assert np.array_equal(table_rows(kron_product_table(n1, n2), x, y), np.kron(x, y))
 
 
 def hermitian_stack(seed: int, n: int, d: int) -> np.ndarray:
